@@ -1,17 +1,20 @@
 """Set-associative write-back LRU cache model.
 
-Functional-timing hybrid: the cache tracks tags, LRU order and dirty bits
-(so checkpoint-time dirty-line flushes are exact), but holds no data —
-values live in the shared :class:`~repro.isa.interpreter.MemoryImage`.
+Functional-timing hybrid: the cache tracks tags, LRU order and dirty
+lines (so checkpoint-time dirty-line flushes are exact), but holds no
+data — values live in the shared :class:`~repro.isa.interpreter.MemoryImage`.
 
 LRU is implemented with per-set ``dict`` insertion order (Python dicts are
 ordered): a hit re-inserts the tag, an eviction pops the oldest entry.
+The dicts carry order only; dirtiness lives in one cache-wide ``set`` of
+resident dirty lines, so a checkpoint flush costs O(dirty lines) rather
+than a scan of every set.  Invariant: dirty ⊆ resident.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.arch.config import CacheConfig
 
@@ -36,23 +39,25 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets: List[Dict[int, bool]] = [dict() for _ in range(config.num_sets)]
+        self._sets: List[Dict[int, None]] = [dict() for _ in range(config.num_sets)]
         self._num_sets = config.num_sets
         self._ways = config.ways
+        self._dirty: Set[int] = set()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.dirty_evictions = 0
 
-    def _set_for(self, line: int) -> Dict[int, bool]:
+    def _set_for(self, line: int) -> Dict[int, None]:
         return self._sets[line % self._num_sets]
 
     def access(self, line: int, is_write: bool) -> AccessResult:
         """Access ``line``; allocate on miss (write-allocate policy)."""
         cset = self._set_for(line)
         if line in cset:
-            dirty = cset.pop(line) or is_write
-            cset[line] = dirty  # re-insert: most recently used
+            cset[line] = cset.pop(line)  # re-insert: most recently used
+            if is_write:
+                self._dirty.add(line)
             self.hits += 1
             return AccessResult(True, None, False)
 
@@ -60,23 +65,30 @@ class SetAssociativeCache:
         victim_line: Optional[int] = None
         victim_dirty = False
         if len(cset) >= self._ways:
-            victim_line, victim_dirty = next(iter(cset.items()))
+            victim_line = next(iter(cset))
             del cset[victim_line]
             self.evictions += 1
-            if victim_dirty:
+            if victim_line in self._dirty:
+                self._dirty.remove(victim_line)
+                victim_dirty = True
                 self.dirty_evictions += 1
-        cset[line] = is_write
+        cset[line] = None
+        if is_write:
+            self._dirty.add(line)
         return AccessResult(False, victim_line, victim_dirty)
 
     def internal_state(self):
-        """``(sets, num_sets, ways)`` for engines that inline :meth:`access`.
+        """``(sets, num_sets, ways, dirty)`` for engines that inline :meth:`access`.
 
-        The returned set list is the live state: callers replicating the
-        access protocol mutate it directly and bump the public counters
-        themselves (the vector engine batches counter updates per
-        segment).
+        The returned set list and dirty set are the live state: callers
+        replicating the access protocol mutate them directly and bump the
+        public counters themselves (the vector engine batches counter
+        updates per segment).  Callers must keep the invariant: a line's
+        dirtiness lives only in ``dirty`` (the per-set dicts hold ``None``
+        and carry LRU order alone), and ``dirty`` holds resident lines
+        only — add on a write, remove on eviction.
         """
-        return self._sets, self._num_sets, self._ways
+        return self._sets, self._num_sets, self._ways, self._dirty
 
     def contains(self, line: int) -> bool:
         """True when ``line`` is resident (does not touch LRU order)."""
@@ -84,13 +96,16 @@ class SetAssociativeCache:
 
     def is_dirty(self, line: int) -> bool:
         """True when ``line`` is resident and dirty."""
-        return self._set_for(line).get(line, False)
+        return line in self._dirty
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line``; returns True when the dropped copy was dirty."""
         cset = self._set_for(line)
         if line in cset:
-            return cset.pop(line)
+            del cset[line]
+            if line in self._dirty:
+                self._dirty.remove(line)
+                return True
         return False
 
     def flush_dirty(self) -> List[int]:
@@ -98,18 +113,20 @@ class SetAssociativeCache:
 
         Marks every dirty line clean and returns their line addresses; the
         lines stay resident (as in Rebound, clean copies remain cached).
+        Costs O(dirty lines): the dirty set is emptied in place, so
+        engines holding it through :meth:`internal_state` stay bound.
         """
-        flushed: List[int] = []
-        for cset in self._sets:
-            for line, dirty in cset.items():
-                if dirty:
-                    flushed.append(line)
-                    cset[line] = False
+        flushed = list(self._dirty)
+        self._dirty.clear()
         return flushed
+
+    def dirty_lines(self) -> FrozenSet[int]:
+        """Snapshot of the currently dirty line addresses."""
+        return frozenset(self._dirty)
 
     def dirty_line_count(self) -> int:
         """Number of currently dirty lines."""
-        return sum(1 for cset in self._sets for d in cset.values() if d)
+        return len(self._dirty)
 
     def resident_lines(self) -> List[int]:
         """All resident line addresses (test helper)."""

@@ -76,16 +76,11 @@ class CoreCacheHierarchy:
         in both is counted once — L1 dirty implies the L2 copy is stale and
         only one line's worth of data goes to memory).
         """
-        l1_dirty = set(self.l1d.flush_dirty())
-        l2_dirty = set(self.l2.flush_dirty())
-        flushed = l1_dirty | l2_dirty
+        flushed = set(self.l1d.flush_dirty())
+        flushed.update(self.l2.flush_dirty())
         self.writebacks += len(flushed)
         return len(flushed)
 
     def dirty_line_count(self) -> int:
         """Distinct dirty lines across both levels."""
-        dirty = {line for line in self.l1d.resident_lines() if self.l1d.is_dirty(line)}
-        dirty.update(
-            line for line in self.l2.resident_lines() if self.l2.is_dirty(line)
-        )
-        return len(dirty)
+        return len(self.l1d.dirty_lines() | self.l2.dirty_lines())

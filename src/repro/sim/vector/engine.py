@@ -137,8 +137,18 @@ class VectorCoreRunner:
 
         hier = run.machine.hierarchies[core]
         self._hier = hier
-        self._l1_sets, self._l1_nsets, self._l1_ways = hier.l1d.internal_state()
-        self._l2_sets, self._l2_nsets, self._l2_ways = hier.l2.internal_state()
+        (
+            self._l1_sets,
+            self._l1_nsets,
+            self._l1_ways,
+            self._l1_dirty,
+        ) = hier.l1d.internal_state()
+        (
+            self._l2_sets,
+            self._l2_nsets,
+            self._l2_ways,
+            self._l2_dirty,
+        ) = hier.l2.internal_state()
 
     # -- interpreter surface -------------------------------------------------
     @property
@@ -186,9 +196,11 @@ class VectorCoreRunner:
         l1_sets = self._l1_sets
         l1_nsets = self._l1_nsets
         l1_ways = self._l1_ways
+        l1_dirty = self._l1_dirty
         l2_sets = self._l2_sets
         l2_nsets = self._l2_nsets
         l2_ways = self._l2_ways
+        l2_dirty = self._l2_dirty
         l2_stall = self._l2_stall
         mem_stall = self._mem_stall
 
@@ -333,36 +345,47 @@ class VectorCoreRunner:
                         s = 0
                     for addr, line, is_store, value in acc_rows[i]:
                         # -- cache hierarchy (inlined access) ------------
+                        # Dirtiness lives only in l1_dirty / l2_dirty
+                        # (resident lines only); the set dicts hold LRU
+                        # order alone.
                         cset = l1_sets[line % l1_nsets]
                         if line in cset:
-                            cset[line] = cset.pop(line) or is_store
+                            cset[line] = cset.pop(line)
+                            if is_store:
+                                l1_dirty.add(line)
                             l1_hits += 1
                         else:
                             l1_misses += 1
                             vdirty = False
                             if len(cset) >= l1_ways:
                                 vline = next(iter(cset))
-                                vdirty = cset.pop(vline)
+                                del cset[vline]
                                 l1_ev += 1
-                                if vdirty:
+                                if vline in l1_dirty:
+                                    l1_dirty.remove(vline)
+                                    vdirty = True
                                     l1_dev += 1
-                            cset[line] = is_store
+                            cset[line] = None
+                            if is_store:
+                                l1_dirty.add(line)
                             if vdirty:
                                 # L1 victim lands in L2 as a write.
                                 wset = l2_sets[vline % l2_nsets]
                                 if vline in wset:
-                                    wset.pop(vline)
-                                    wset[vline] = True
+                                    wset[vline] = wset.pop(vline)
                                     l2_hits += 1
                                 else:
                                     l2_misses += 1
                                     if len(wset) >= l2_ways:
                                         wl = next(iter(wset))
-                                        if wset.pop(wl):
+                                        del wset[wl]
+                                        if wl in l2_dirty:
+                                            l2_dirty.remove(wl)
                                             l2_dev += 1
                                             wbacks += 1
                                         l2_ev += 1
-                                    wset[vline] = True
+                                    wset[vline] = None
+                                l2_dirty.add(vline)
                             # Demand fill from L2.
                             dset = l2_sets[line % l2_nsets]
                             if line in dset:
@@ -373,11 +396,13 @@ class VectorCoreRunner:
                                 l2_misses += 1
                                 if len(dset) >= l2_ways:
                                     dl = next(iter(dset))
-                                    if dset.pop(dl):
+                                    del dset[dl]
+                                    if dl in l2_dirty:
+                                        l2_dirty.remove(dl)
                                         l2_dev += 1
                                         wbacks += 1
                                     l2_ev += 1
-                                dset[line] = False
+                                dset[line] = None
                                 mem_acc += 1
                                 pend_u += mem_stall
 

@@ -1,9 +1,10 @@
 """Tests for repro.arch.cache."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.arch.cache import SetAssociativeCache
-from repro.arch.config import CacheConfig
+from repro.arch.cache import AccessResult, SetAssociativeCache
+from repro.arch.config import CacheConfig, MachineConfig
+from repro.arch.hierarchy import CoreCacheHierarchy
 
 
 def small_cache(sets=4, ways=2):
@@ -120,3 +121,171 @@ class TestProperties:
         dirty = {l for l in resident if c.is_dirty(l)}
         assert dirty <= resident
         assert c.dirty_line_count() == len(dirty)
+
+
+class _ReferenceCache:
+    """The full-scan model the dirty set replaced: per-set ordered dicts
+    carrying a dirty flag, with a flush that walks every set."""
+
+    def __init__(self, sets, ways):
+        self.sets = [dict() for _ in range(sets)]
+        self.ways = ways
+        self.hits = self.misses = self.evictions = self.dirty_evictions = 0
+
+    def access(self, line, is_write):
+        cset = self.sets[line % len(self.sets)]
+        if line in cset:
+            cset[line] = cset.pop(line) or is_write
+            self.hits += 1
+            return AccessResult(True, None, False)
+        self.misses += 1
+        victim, victim_dirty = None, False
+        if len(cset) >= self.ways:
+            victim, victim_dirty = next(iter(cset.items()))
+            del cset[victim]
+            self.evictions += 1
+            self.dirty_evictions += victim_dirty
+        cset[line] = is_write
+        return AccessResult(False, victim, victim_dirty)
+
+    def invalidate(self, line):
+        return self.sets[line % len(self.sets)].pop(line, False)
+
+    def flush_dirty(self):
+        flushed = []
+        for cset in self.sets:
+            for line, dirty in cset.items():
+                if dirty:
+                    flushed.append(line)
+                    cset[line] = False
+        return flushed
+
+    def dirty_lines(self):
+        return {line for cset in self.sets for line, d in cset.items() if d}
+
+    def resident_lines(self):
+        return [line for cset in self.sets for line in cset]
+
+
+LINES = st.integers(0, 31)
+CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), LINES, st.booleans()),
+        st.tuples(st.just("invalidate"), LINES),
+        st.tuples(st.just("flush")),
+    ),
+    max_size=200,
+)
+
+
+def _assert_same_state(cache, ref):
+    assert cache.resident_lines() == ref.resident_lines()  # LRU order too
+    dirty = ref.dirty_lines()
+    assert cache.dirty_lines() == dirty
+    assert cache.dirty_line_count() == len(dirty)
+    for line in range(32):
+        assert cache.is_dirty(line) == (line in dirty)
+    assert (cache.hits, cache.misses, cache.evictions, cache.dirty_evictions) == (
+        ref.hits, ref.misses, ref.evictions, ref.dirty_evictions,
+    )
+
+
+class TestDifferentialAgainstFullScan:
+    """The dirty-set cache behaves exactly like the full-scan model."""
+
+    @given(CACHE_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_interleavings(self, ops):
+        cache, ref = small_cache(sets=4, ways=2), _ReferenceCache(4, 2)
+        for op in ops:
+            if op[0] == "access":
+                assert cache.access(op[1], op[2]) == ref.access(op[1], op[2])
+            elif op[0] == "invalidate":
+                assert cache.invalidate(op[1]) == ref.invalidate(op[1])
+            else:
+                flushed = cache.flush_dirty()
+                assert len(flushed) == len(set(flushed))
+                assert sorted(flushed) == sorted(ref.flush_dirty())
+            _assert_same_state(cache, ref)
+
+
+class _ReferenceHierarchy:
+    """CoreCacheHierarchy's access and flush over two reference caches."""
+
+    def __init__(self, config):
+        self.line_bytes = config.line_bytes
+        self.l1d = _ReferenceCache(config.l1d.num_sets, config.l1d.ways)
+        self.l2 = _ReferenceCache(config.l2.num_sets, config.l2.ways)
+        self.writebacks = 0
+
+    def access(self, address, is_write):
+        line = address // self.line_bytes
+        r1 = self.l1d.access(line, is_write)
+        if r1.victim_dirty and self.l2.access(r1.victim_line, True).victim_dirty:
+            self.writebacks += 1
+        if not r1.hit and self.l2.access(line, False).victim_dirty:
+            self.writebacks += 1
+
+    def flush_dirty_lines(self):
+        flushed = set(self.l1d.flush_dirty()) | set(self.l2.flush_dirty())
+        self.writebacks += len(flushed)
+        return len(flushed)
+
+
+def _tiny_hierarchy_config():
+    # L1: 2 sets x 2 ways, L2: 4 sets x 2 ways — both levels thrash.
+    return MachineConfig(
+        num_cores=1,
+        l1d=CacheConfig("L1-D", 2 * 2 * 64, 2, 1.0),
+        l2=CacheConfig("L2", 4 * 2 * 64, 2, 10.0),
+    )
+
+
+HIERARCHY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), LINES, st.booleans()),
+        st.tuples(st.just("flush")),
+    ),
+    max_size=200,
+)
+
+#: Write line 0, evict it dirty from L1 into L2 (lines 2 and 4 share its
+#: L1 set), then write it again: dirty in both levels at the flush.
+DIRTY_IN_BOTH = [
+    ("access", 0, True),
+    ("access", 2, False),
+    ("access", 4, False),
+    ("access", 0, True),
+    ("flush",),
+]
+
+
+class TestHierarchyDifferential:
+    @given(HIERARCHY_OPS)
+    @example(DIRTY_IN_BOTH)
+    @settings(max_examples=200, deadline=None)
+    def test_flush_counts_match_full_scan(self, ops):
+        config = _tiny_hierarchy_config()
+        hier, ref = CoreCacheHierarchy(config), _ReferenceHierarchy(config)
+        for op in ops:
+            if op[0] == "access":
+                hier.access(op[1] * config.line_bytes, op[2])
+                ref.access(op[1] * config.line_bytes, op[2])
+            else:
+                assert hier.flush_dirty_lines() == ref.flush_dirty_lines()
+            assert hier.l1d.dirty_lines() == ref.l1d.dirty_lines()
+            assert hier.l2.dirty_lines() == ref.l2.dirty_lines()
+            assert hier.dirty_line_count() == len(
+                ref.l1d.dirty_lines() | ref.l2.dirty_lines()
+            )
+            assert hier.writebacks == ref.writebacks
+
+    def test_line_dirty_in_both_levels_counted_once(self):
+        config = _tiny_hierarchy_config()
+        hier = CoreCacheHierarchy(config)
+        for _, line, is_write in DIRTY_IN_BOTH[:-1]:
+            hier.access(line * config.line_bytes, is_write)
+        assert hier.l1d.is_dirty(0) and hier.l2.is_dirty(0)
+        assert hier.dirty_line_count() == 1
+        assert hier.flush_dirty_lines() == 1
+        assert hier.l1d.dirty_line_count() == hier.l2.dirty_line_count() == 0

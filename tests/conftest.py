@@ -6,12 +6,17 @@ integration-style assertions across multiple test modules reuse one run.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 from repro.arch.config import MachineConfig
+from repro.ckpt.coordinator import CheckpointCostModel
 from repro.isa.builder import chain_kernel
 from repro.isa.instructions import AddressPattern
 from repro.isa.program import Program
+from repro.sim import simulator as simulator_mod
 from repro.sim.results import RunResult
 from repro.sim.simulator import SimulationOptions, Simulator
 from repro.workloads.spec import SliceLenBucket, WorkloadSpec
@@ -42,6 +47,42 @@ def tiny_programs(num_cores: int = 4, reps: int = 12, depth: int = 4):
             )
         programs.append(Program(kernels, t))
     return programs
+
+
+def dirty_sets(hierarchies):
+    """Per-core ``(L1-D dirty lines, L2 dirty lines)``."""
+    return [(h.l1d.dirty_lines(), h.l2.dirty_lines()) for h in hierarchies]
+
+
+@contextmanager
+def recording_caches():
+    """Watch the cache state of every run started inside the block.
+
+    Yields ``(machines, boundaries)``: each run's :class:`Machine` in
+    start order, and one ``(participants, before, after)`` record per
+    checkpoint cluster flush, where ``before``/``after`` are
+    :func:`dirty_sets` of every core around the flush.
+    """
+    machines, boundaries = [], []
+    real_machine = simulator_mod.Machine
+    real_cost = CheckpointCostModel.boundary_cost
+
+    class RecordingMachine(real_machine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            machines.append(self)
+
+    def boundary_cost(self, participants, hierarchies, ledger):
+        before = dirty_sets(hierarchies)
+        cost = real_cost(self, participants, hierarchies, ledger)
+        boundaries.append((tuple(participants), before, dirty_sets(hierarchies)))
+        return cost
+
+    with (
+        mock.patch.object(simulator_mod, "Machine", RecordingMachine),
+        mock.patch.object(CheckpointCostModel, "boundary_cost", boundary_cost),
+    ):
+        yield machines, boundaries
 
 
 def tiny_workload(**overrides) -> WorkloadSpec:

@@ -30,11 +30,12 @@ from repro.arch.config import MachineConfig
 from repro.experiments.configs import CONFIG_NAMES, ConfigRequest, make_options
 from repro.inject.harness import TrialSpec, run_trial
 from repro.isa.builder import KernelBuilder, chain_kernel
-from repro.isa.instructions import AddressPattern
+from repro.isa.instructions import WORD_BYTES, AddressPattern
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.sim.simulator import Simulator
 from repro.workloads.registry import all_workload_names, get_workload
+from tests.conftest import dirty_sets, recording_caches
 
 #: Every binary ALU opcode the ISA defines (MOVI rides along via the
 #: generator's immediates).
@@ -300,6 +301,59 @@ class TestDirectedFallbacks:
             ]
             programs.append(Program(kernels, t))
         self._run(programs)
+
+    def test_dirty_victims_cascade_through_full_l2_set(self):
+        """Stores to lines sharing one L1 set *and* one L2 set: each L1
+        miss evicts a dirty victim into an L2 set that is already full,
+        so L2 evicts a dirty line in turn — the longest path of the
+        inlined dirty-set bookkeeping.  Beyond bit-identical results,
+        both engines must leave identical per-core L1/L2 dirty sets
+        before every checkpoint flush and at the end of the run."""
+        cfg = MachineConfig(num_cores=NUM_CORES)
+        # Words between consecutive lines of one L2 set (hence of one L1
+        # set too: L1's set count divides L2's).
+        conflict = cfg.l2.num_sets * cfg.line_bytes // WORD_BYTES
+        n_lines = cfg.l1d.ways + cfg.l2.ways + 4
+        programs = []
+        for t in range(NUM_CORES):
+            base = (t + 1) << 24
+            kernels = [
+                chain_kernel(
+                    f"cascade.t{t}.k{k}",
+                    AddressPattern(base, conflict, conflict * n_lines, offset=k),
+                    [AddressPattern(base + (1 << 23), 1, 32)],
+                    chain_depth=2,
+                    trip_count=3 * n_lines,
+                    salt=t * 5 + k,
+                )
+                for k in range(3)
+            ]
+            programs.append(Program(kernels, t))
+        sim = Simulator(programs, cfg)
+
+        def run(request, baseline, engine):
+            with recording_caches() as (machines, boundaries):
+                result = sim.run(make_options(request, baseline, engine=engine))
+            (machine,) = machines
+            return result, boundaries, dirty_sets(machine.hierarchies), machine
+
+        base = None
+        for config in ("NoCkpt", "Ckpt_NE", "ReCkpt_NE", "ReCkpt_E_Loc"):
+            request = ConfigRequest(config, num_checkpoints=4)
+            profile = None if base is None else base.baseline_profile()
+            a, a_bounds, a_final, a_machine = run(request, profile, "interp")
+            b, b_bounds, b_final, _ = run(request, profile, "vector")
+            assert a.to_dict() == b.to_dict(), config
+            assert a_bounds == b_bounds, config
+            assert a_final == b_final, config
+            assert b.vector_coverage["replayed_iterations"] > 0
+            for hier in a_machine.hierarchies:
+                assert hier.l2.dirty_evictions > 0  # the cascade happened
+            if config == "NoCkpt":
+                base = a
+                assert all(l1 or l2 for l1, l2 in a_final)
+            else:
+                assert len(a_bounds) >= 4
 
 
 @pytest.mark.parametrize("workload", sorted(all_workload_names()))

@@ -13,6 +13,7 @@ from repro.compiler.policy import ThresholdPolicy
 from repro.errors.injection import UniformErrors
 from repro.sim.simulator import SimulationOptions, Simulator
 from repro.workloads.spec import BurstSpec, SliceLenBucket, WorkloadSpec
+from tests.conftest import recording_caches
 
 
 @st.composite
@@ -143,3 +144,23 @@ class TestSimulationInvariants:
         assert a.energy_pj == b.energy_pj
         assert a.total_checkpoint_bytes == b.total_checkpoint_bytes
         assert a.omissions == b.omissions
+
+    @given(workload_specs())
+    @settings(max_examples=8, deadline=None)
+    def test_dirty_lines_resident_and_flushed(self, spec):
+        with recording_caches() as (machines, boundaries):
+            run_trio(spec)
+        assert len(machines) == 3
+        # Dirtiness is only ever carried by resident lines.
+        for machine in machines:
+            for hier in machine.hierarchies:
+                for level in (hier.l1d, hier.l2):
+                    assert level.dirty_lines() <= set(level.resident_lines())
+        # Every boundary leaves its participants clean at both levels;
+        # the final one (program end, global scheme) covers every core.
+        clean = (frozenset(), frozenset())
+        for participants, _, after in boundaries:
+            assert all(after[core] == clean for core in participants)
+        participants, _, after = boundaries[-1]
+        assert sorted(participants) == [0, 1]
+        assert after == [clean, clean]
