@@ -9,15 +9,14 @@ modelled after a store to L1-D per the paper's evaluation setup).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.compiler.ddg import DataDependenceGraph
 from repro.compiler.policy import SelectionPolicy, ThresholdPolicy
 from repro.compiler.slicer import SliceRejection, extract_slice
-from repro.compiler.slices import SliceTable
-from repro.isa.instructions import Instruction, StoreInstr
+from repro.compiler.slices import Slice, SliceTable
+from repro.isa.instructions import AluInstr, Instruction, MoviInstr, StoreInstr
 from repro.isa.program import Kernel, Program
 
 __all__ = ["CompileStats", "CompiledProgram", "compile_program"]
@@ -83,6 +82,68 @@ class CompiledProgram:
         return run[0]
 
 
+class _StoreSlicing(NamedTuple):
+    """How one store of a dataflow shape slices: its body index, and
+    either the rejection or the slice's ALU/MOVI body indices, frontier
+    and result register."""
+
+    store_index: int
+    rejection: Optional[SliceRejection]
+    body_indices: Tuple[int, ...] = ()
+    frontier: Tuple[int, ...] = ()
+    result_reg: int = -1
+
+
+#: Register-dataflow shape -> the slicing of each store, in body order.
+#: Slicing reads only which registers each instruction defines and reads,
+#: so every kernel of one shape (whatever its immediates, opcodes and
+#: address patterns) slices alike.  Bounded by the number of distinct
+#: shapes a process compiles.
+_SLICINGS: Dict[tuple, Tuple[_StoreSlicing, ...]] = {}
+
+
+def _dataflow_shape(kernel: Kernel) -> tuple:
+    """Per instruction: its class and the registers it defines and reads."""
+    shape: List[tuple] = []
+    for ins in kernel.body:
+        if isinstance(ins, AluInstr):
+            shape.append((AluInstr, ins.dst, ins.src_a, ins.src_b))
+        elif isinstance(ins, StoreInstr):
+            shape.append((StoreInstr, ins.src))
+        else:
+            shape.append((type(ins), ins.dst))
+    return tuple(shape)
+
+
+def _slicing(kernel: Kernel) -> Tuple[_StoreSlicing, ...]:
+    """The store slicings of ``kernel``'s shape, extracted on first sight."""
+    shape = _dataflow_shape(kernel)
+    hit = _SLICINGS.get(shape)
+    if hit is not None:
+        return hit
+    ddg = DataDependenceGraph(kernel)
+    outcomes = []
+    for idx, ins in enumerate(kernel.body):
+        if not isinstance(ins, StoreInstr):
+            continue
+        extraction = extract_slice(kernel, idx, ddg)
+        if extraction.slice is None:
+            outcomes.append(_StoreSlicing(idx, extraction.rejection))
+            continue
+        closure, _ = ddg.backward_closure(idx)
+        body_indices = tuple(
+            i for i in sorted(closure)
+            if isinstance(kernel.body[i], (AluInstr, MoviInstr))
+        )
+        sl = extraction.slice
+        assert tuple(kernel.body[i] for i in body_indices) == sl.instructions
+        outcomes.append(
+            _StoreSlicing(idx, None, body_indices, sl.frontier, sl.result_reg)
+        )
+    hit = _SLICINGS[shape] = tuple(outcomes)
+    return hit
+
+
 def compile_program(
     program: Program,
     policy: SelectionPolicy | None = None,
@@ -108,29 +169,32 @@ def compile_program(
     loop_carried = trivial = sliceable = 0
 
     for kernel in program.kernels:
-        ddg = DataDependenceGraph(kernel)
-        for idx, ins in enumerate(kernel.body):
-            if not isinstance(ins, StoreInstr):
-                continue
-            extraction = extract_slice(kernel, idx, ddg)
-            if extraction.rejection is SliceRejection.LOOP_CARRIED:
+        for outcome in _slicing(kernel):
+            if outcome.rejection is SliceRejection.LOOP_CARRIED:
                 loop_carried += 1
                 continue
-            if extraction.rejection is SliceRejection.TRIVIAL:
+            if outcome.rejection is SliceRejection.TRIVIAL:
                 trivial += 1
                 continue
             sliceable += 1
-            assert extraction.slice is not None
-            if policy.accept(extraction.slice):
-                table.add(extraction.slice)
-                embedded_sites.add(extraction.site)
+            sl = Slice(
+                site=kernel.body[outcome.store_index].site,
+                instructions=tuple(
+                    kernel.body[i] for i in outcome.body_indices
+                ),
+                frontier=outcome.frontier,
+                result_reg=outcome.result_reg,
+            )
+            if policy.accept(sl):
+                table.add(sl)
+                embedded_sites.add(sl.site)
 
     new_kernels: List[Kernel] = []
     for kernel in program.kernels:
         body: List[Instruction] = []
         for ins in kernel.body:
             if isinstance(ins, StoreInstr) and ins.site in embedded_sites:
-                ins = dataclasses.replace(ins, assoc=True)
+                ins = StoreInstr(ins.src, ins.pattern, ins.site, True)
             body.append(ins)
         new_kernels.append(
             Kernel(

@@ -71,7 +71,6 @@ from repro.arch.memctrl import MemorySystem
 from repro.ckpt.checkpoint import Checkpoint, CheckpointStore
 from repro.ckpt.log import IntervalLog, LogRecord, OmittedRecord
 from repro.ckpt.recovery import RecoveryEngine
-from repro.compiler.embed import compile_program
 from repro.compiler.policy import ThresholdPolicy
 from repro.compiler.slices import SliceTable
 from repro.energy.model import EnergyModel
@@ -90,6 +89,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import emit as _telemetry_mod
 from repro.obs.telemetry.frames import TaskHeartbeat
 from repro.obs.tracer import Tracer
+from repro.sim.simulator import _compile_cached
 from repro.sim.snapshot import (
     SNAPSHOT_VERSION,
     SimSnapshot,
@@ -971,11 +971,15 @@ def _record_vector_coverage(
         metrics.histogram("vector.coverage").observe(replayed / total)
 
 
+#: TrialSpec fields that determine the raw workload build.  Neither the
+#: configuration nor the threshold is among them: the BER and ACR recipes
+#: of a workload run the same raw programs (ACR through its compiled
+#: copy).
+_BUILD_FIELDS = ("workload", "num_cores", "region_scale", "reps")
+
 #: TrialSpec fields that determine the compiled workload (programs,
 #: slice tables, machine config) — injection schedule fields excluded.
-_COMPILE_FIELDS = (
-    "workload", "config", "num_cores", "region_scale", "reps", "threshold",
-)
+_COMPILE_FIELDS = _BUILD_FIELDS + ("config", "threshold")
 
 #: Compile fields plus the execution grid and initial memory contents:
 #: everything that determines the golden (error-free) pass.  The trial
@@ -990,10 +994,7 @@ _GOLDEN_FIELDS = _COMPILE_FIELDS + (
 #: config) recipes; workers keep their own module-global memos.
 _MEMO_CAP = 8
 
-_COMPILED_MEMO: Dict[
-    Tuple,
-    Tuple[List[Program], Optional[List[SliceTable]], MachineConfig],
-] = {}
+_BUILD_MEMO: Dict[Tuple, List[Program]] = {}
 _GOLDEN_MEMO: Dict[Tuple[str, str], "GoldenRun"] = {}
 
 
@@ -1006,36 +1007,35 @@ def _memo_put(memo: Dict, key: Any, value: Any) -> None:
 def _compiled(
     spec: TrialSpec,
 ) -> Tuple[List[Program], Optional[List[SliceTable]], MachineConfig]:
-    """The compiled workload for ``spec``, memoized across trials.
+    """The compiled workload for ``spec``, shared across trials.
 
-    Compilation is deterministic, and plans/op-caches attach to the
-    ``Program`` objects, so sharing them across the trials of one
-    campaign recipe is both sound and the point: a fork never recompiles.
+    The raw build is memoized by :data:`_BUILD_FIELDS`, and ACR compiles
+    it through the simulator's per-program compile cache.  Programs are
+    immutable after construction, and plans/op-caches attach to them, so
+    sharing them across trials, recipes and engines is both sound and
+    the point: a fork never rebuilds or recompiles.
     """
-    key = tuple(getattr(spec, name) for name in _COMPILE_FIELDS)
-    hit = _COMPILED_MEMO.get(key)
-    if hit is not None:
-        return hit
+    key = tuple(getattr(spec, name) for name in _BUILD_FIELDS)
     workload = get_workload(spec.workload)
-    programs = workload.build_programs(
-        spec.num_cores, region_scale=spec.region_scale, reps=spec.reps
-    )
-    config = MachineConfig(num_cores=spec.num_cores)
-    slice_tables = None
-    if spec.config == "ACR":
-        threshold = (
-            spec.threshold
-            if spec.threshold is not None
-            else workload.default_threshold
+    programs = _BUILD_MEMO.get(key)
+    if programs is None:
+        programs = workload.build_programs(
+            spec.num_cores, region_scale=spec.region_scale, reps=spec.reps
         )
-        compiled = [
-            compile_program(p, ThresholdPolicy(threshold)) for p in programs
-        ]
-        programs = [c.program for c in compiled]
-        slice_tables = [c.slices for c in compiled]
-    value = (programs, slice_tables, config)
-    _memo_put(_COMPILED_MEMO, key, value)
-    return value
+        _memo_put(_BUILD_MEMO, key, programs)
+    config = MachineConfig(num_cores=spec.num_cores)
+    if spec.config != "ACR":
+        return programs, None, config
+    threshold = (
+        spec.threshold
+        if spec.threshold is not None
+        else workload.default_threshold
+    )
+    policy = ThresholdPolicy(threshold)
+    compiled = [_compile_cached(p, policy) for p in programs]
+    return (
+        [c.program for c in compiled], [c.slices for c in compiled], config
+    )
 
 
 def _build_passes(

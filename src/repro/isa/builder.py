@@ -9,7 +9,7 @@ extracted Slice length, and hence a benchmark's recomputability profile.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import (
     AddressPattern,
@@ -19,6 +19,7 @@ from repro.isa.instructions import (
     MoviInstr,
     StoreInstr,
 )
+from repro.isa.interpreter import share_lowering
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Kernel
 from repro.util.validation import check_non_negative, check_positive
@@ -28,6 +29,11 @@ __all__ = ["KernelBuilder", "chain_kernel"]
 #: Opcode rotation used for synthetic chains. MUL appears to make values
 #: order-sensitive; SUB/XOR keep them from saturating.
 _CHAIN_OPS = (Opcode.ADD, Opcode.XOR, Opcode.MUL, Opcode.SUB, Opcode.ADD, Opcode.XOR)
+
+#: (inputs, chain_depth, salt, accumulate, copy_store) -> interned chain
+#: body and value register.  Bounded by the number of distinct chain
+#: shapes a process builds (a workload has one per thread and site).
+_CHAINS: Dict[tuple, Tuple[Tuple[Instruction, ...], int]] = {}
 
 
 class KernelBuilder:
@@ -122,8 +128,39 @@ def chain_kernel(
     if accumulate and copy_store:
         raise ValueError("accumulate and copy_store are mutually exclusive")
 
-    builder = KernelBuilder(name, phase)
-    inputs = [builder.load(p) for p in input_patterns]
+    chain, value = _chain(
+        len(input_patterns), chain_depth, salt, accumulate, copy_store
+    )
+    # The loads take registers 0..n-1, as KernelBuilder.load allocates them.
+    body: List[Instruction] = [
+        LoadInstr(reg, pattern) for reg, pattern in enumerate(input_patterns)
+    ]
+    body.extend(chain)
+    body.append(StoreInstr(value, store_pattern))
+    for extra in extra_stores or ():
+        body.append(StoreInstr(value, extra))
+    return Kernel(name, body, trip_count, phase, ghost_alu)
+
+
+def _chain(
+    n_inputs: int,
+    chain_depth: int,
+    salt: int,
+    accumulate: bool,
+    copy_store: bool,
+) -> Tuple[Tuple[Instruction, ...], int]:
+    """The interned MOVI/ALU chain of one shape and its value register.
+
+    The chain reads the input registers ``0..n_inputs-1`` and depends on
+    nothing else, so every kernel of one shape (each rep of a workload
+    site) shares the same frozen instruction objects.
+    """
+    key = (n_inputs, chain_depth, salt, accumulate, copy_store)
+    hit = _CHAINS.get(key)
+    if hit is not None:
+        return hit
+    builder = KernelBuilder("chain")
+    inputs = [builder.fresh_reg() for _ in range(n_inputs)]
 
     if copy_store:
         value = inputs[0]
@@ -148,7 +185,7 @@ def chain_kernel(
             acc = builder.fresh_reg()
             value = builder.alu_into(Opcode.ADD, acc, acc, value)
 
-    builder.store(value, store_pattern)
-    for extra in extra_stores or ():
-        builder.store(value, extra)
-    return builder.build(trip_count, ghost_alu=ghost_alu)
+    chain = (tuple(builder._body), value)
+    share_lowering(chain[0])
+    _CHAINS[key] = chain
+    return chain

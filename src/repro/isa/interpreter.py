@@ -15,15 +15,92 @@ simulator can pause threads at checkpoint-interval boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.isa.instructions import AluInstr, LoadInstr, MoviInstr
-from repro.isa.opcodes import MASK64
+from repro.isa.instructions import AluInstr, Instruction, LoadInstr, MoviInstr
+from repro.isa.opcodes import BINARY_SEMANTICS, MASK64
 from repro.isa.program import Program
 
-__all__ = ["MemoryImage", "Interpreter", "StoreEvent", "LoadEvent", "ExecChunk"]
+__all__ = [
+    "MemoryImage",
+    "Interpreter",
+    "StoreEvent",
+    "LoadEvent",
+    "ExecChunk",
+    "kernel_ops",
+    "share_lowering",
+]
 
 _INIT_MIX = 0x9E3779B97F4A7C15
+
+#: ids of the instructions :func:`share_lowering` registered: the
+#: interned chain bodies of :func:`repro.isa.builder.chain_kernel`, which
+#: its chain memo keeps alive.  Bounded by that memo.
+_SHARED: Set[int] = set()
+
+#: id(instruction) -> (instruction, op, register width) for each
+#: registered instruction :func:`kernel_ops` has lowered.  Each entry
+#: holds its instruction alive, so its id cannot be recycled while the
+#: entry exists; the ``is`` check in :func:`kernel_ops` keeps it that way.
+_SHARED_OPS: Dict[int, Tuple[Instruction, tuple, int]] = {}
+
+
+def _lower(ins: Instruction) -> Tuple[tuple, int]:
+    """One instruction's dispatch op and the highest register it names.
+
+    Each op is a tuple with a small integer tag; the hot loop then avoids
+    isinstance checks, dataclass attribute lookups and per-access
+    ``AddressPattern.address`` calls.
+    """
+    if isinstance(ins, AluInstr):
+        return (
+            (1, BINARY_SEMANTICS[ins.op], ins.dst, ins.src_a, ins.src_b),
+            max(ins.dst, ins.src_a, ins.src_b),
+        )
+    if isinstance(ins, MoviInstr):
+        return (0, ins.dst, ins.imm & MASK64), ins.dst
+    p = ins.pattern
+    if isinstance(ins, LoadInstr):
+        return (2, ins.dst, p.base, p.stride, p.length, p.offset), ins.dst
+    return (
+        (3, ins.src, p.base, p.stride, p.length, p.offset, ins.site, ins.assoc),
+        ins.src,
+    )
+
+
+def share_lowering(instructions: Iterable[Instruction]) -> None:
+    """Have :func:`kernel_ops` lower these interned instructions once for
+    every kernel that holds them."""
+    _SHARED.update(map(id, instructions))
+
+
+def kernel_ops(program: Program, kernel_index: int) -> Tuple[int, List[tuple]]:
+    """The ``(width, ops)`` dispatch form of one kernel of ``program``.
+
+    The single instruction lowering both engines use, cached per kernel
+    in ``program.op_cache``: whichever engine touches a kernel first pays
+    for it once.  Interned instructions reuse their shared op.
+    """
+    cached = program.op_cache.get(kernel_index)
+    if cached is not None:
+        return cached
+    shared = _SHARED_OPS
+    width = 0
+    ops: List[tuple] = []
+    for ins in program.kernels[kernel_index].body:
+        key = id(ins)
+        hit = shared.get(key)
+        if hit is not None and hit[0] is ins:
+            op, reg = hit[1], hit[2]
+        else:
+            op, reg = _lower(ins)
+            if key in _SHARED:
+                shared[key] = (ins, op, reg)
+        ops.append(op)
+        if reg > width:
+            width = reg
+    program.op_cache[kernel_index] = (width, ops)
+    return width, ops
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,58 +285,12 @@ class Interpreter:
         self.restore_arch_state(state)
 
     def _prepare_kernel(self) -> None:
-        """Size the register file and precompile the body for dispatch.
-
-        Each instruction becomes a tuple with a small integer tag; the
-        hot loop then avoids isinstance checks, dataclass attribute
-        lookups and per-access ``AddressPattern.address`` calls.
-        """
-        from repro.isa.opcodes import BINARY_SEMANTICS
-
-        while self._kernel_index < len(self.program.kernels):
-            cached = self.program.op_cache.get(self._kernel_index)
-            if cached is not None:
-                width, ops = cached
-                self._regs = [0] * (width + 1)
-                self._ops = ops
-                self._iteration = 0
-                return
-            kernel = self.program.kernels[self._kernel_index]
-            width = 0
-            ops: List[tuple] = []
-            for ins in kernel.body:
-                if isinstance(ins, AluInstr):
-                    width = max(width, ins.dst, ins.src_a, ins.src_b)
-                    ops.append(
-                        (1, BINARY_SEMANTICS[ins.op], ins.dst, ins.src_a, ins.src_b)
-                    )
-                elif isinstance(ins, MoviInstr):
-                    width = max(width, ins.dst)
-                    ops.append((0, ins.dst, ins.imm & MASK64))
-                elif isinstance(ins, LoadInstr):
-                    width = max(width, ins.dst)
-                    p = ins.pattern
-                    ops.append((2, ins.dst, p.base, p.stride, p.length, p.offset))
-                else:  # StoreInstr
-                    width = max(width, ins.src)
-                    p = ins.pattern
-                    ops.append(
-                        (
-                            3,
-                            ins.src,
-                            p.base,
-                            p.stride,
-                            p.length,
-                            p.offset,
-                            ins.site,
-                            ins.assoc,
-                        )
-                    )
-            self.program.op_cache[self._kernel_index] = (width, ops)
+        """Size the register file and load the kernel's dispatch ops."""
+        if self._kernel_index < len(self.program.kernels):
+            width, ops = kernel_ops(self.program, self._kernel_index)
             self._regs = [0] * (width + 1)
             self._ops = ops
             self._iteration = 0
-            return
 
     # -- execution -------------------------------------------------------------
     def step_iterations(self, max_iterations: int) -> ExecChunk:

@@ -16,7 +16,6 @@ dynamic store.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Set
 
@@ -139,16 +138,18 @@ class Program:
         self.thread_id = thread_id
         self.kernels: List[Kernel] = []
         self._sites: List[StoreSite] = []
-        #: Per-kernel precompiled dispatch tuples, filled lazily by the
-        #: interpreter; keyed by kernel index.  Lives on the program so
-        #: repeated runs over the same program skip recompilation.
+        #: Per-kernel precompiled dispatch tuples, filled lazily by
+        #: :func:`repro.isa.interpreter.kernel_ops`; keyed by kernel index.
+        #: Lives on the program so repeated runs over the same program
+        #: skip recompilation.
         self.op_cache: Dict[int, tuple] = {}
         next_site = 0
         for k_idx, kernel in enumerate(kernels):
             body: List[Instruction] = []
             for i_idx, ins in enumerate(kernel.body):
                 if isinstance(ins, StoreInstr):
-                    ins = dataclasses.replace(ins, site=next_site)
+                    if ins.site != next_site:
+                        ins = StoreInstr(ins.src, ins.pattern, next_site, ins.assoc)
                     self._sites.append(StoreSite(next_site, k_idx, i_idx))
                     next_site += 1
                 body.append(ins)

@@ -41,6 +41,7 @@ except ImportError:  # pragma: no cover - numpy-less installs
     np = None  # type: ignore[assignment]
 
 from repro.isa.instructions import AluInstr, LoadInstr, MoviInstr
+from repro.isa.interpreter import kernel_ops
 from repro.isa.opcodes import MASK64, BINARY_SEMANTICS, Opcode
 from repro.isa.program import Kernel, Program
 
@@ -88,40 +89,6 @@ def _initial_values(addrs: np.ndarray, seed: int) -> np.ndarray:
     x = addrs * _MIX_U64 + _U64(seed & MASK64)
     x = x ^ (x >> _SHIFT29)
     return x * _MIX_U64
-
-
-def ops_for_kernel(program: Program, kernel_index: int) -> Tuple[int, List[tuple]]:
-    """The interpreter's precompiled ``(width, ops)`` for one kernel.
-
-    Fills ``program.op_cache`` with the exact format
-    :meth:`Interpreter._prepare_kernel` uses, so whichever engine touches
-    a kernel first pays the (shared) precompile once.
-    """
-    cached = program.op_cache.get(kernel_index)
-    if cached is not None:
-        return cached
-    kernel = program.kernels[kernel_index]
-    width = 0
-    ops: List[tuple] = []
-    for ins in kernel.body:
-        if isinstance(ins, AluInstr):
-            width = max(width, ins.dst, ins.src_a, ins.src_b)
-            ops.append((1, BINARY_SEMANTICS[ins.op], ins.dst, ins.src_a, ins.src_b))
-        elif isinstance(ins, MoviInstr):
-            width = max(width, ins.dst)
-            ops.append((0, ins.dst, ins.imm & MASK64))
-        elif isinstance(ins, LoadInstr):
-            width = max(width, ins.dst)
-            p = ins.pattern
-            ops.append((2, ins.dst, p.base, p.stride, p.length, p.offset))
-        else:  # StoreInstr
-            width = max(width, ins.src)
-            p = ins.pattern
-            ops.append(
-                (3, ins.src, p.base, p.stride, p.length, p.offset, ins.site, ins.assoc)
-            )
-    program.op_cache[kernel_index] = (width, ops)
-    return width, ops
 
 
 class KernelPlan:
@@ -549,7 +516,7 @@ def _build_plan(
 
     trip = kernel.trip_count
     if np is not None and trip >= NUMPY_MIN_TRIP and program is not None:
-        _, ops = ops_for_kernel(program, kernel_index)
+        _, ops = kernel_ops(program, kernel_index)
         if _try_build_numpy(plan, ops, trip, seed, line_bytes):
             return plan
     _run_codegen(plan, key, params, trip, seed, line_bytes)

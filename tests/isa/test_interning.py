@@ -1,0 +1,214 @@
+"""Interned chain bodies and the shared instruction lowering.
+
+``chain_kernel`` hands every kernel of one chain shape the same frozen
+MOVI/ALU objects, and ``kernel_ops`` lowers those once per process.
+These tests pin both against from-scratch references that live only
+here: a plain ``KernelBuilder`` build and a plain per-instruction
+lowering.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.isa import interpreter as interpreter_mod
+from repro.isa.builder import KernelBuilder, chain_kernel
+from repro.isa.instructions import (
+    AddressPattern,
+    AluInstr,
+    LoadInstr,
+    MoviInstr,
+    StoreInstr,
+)
+from repro.isa.interpreter import Interpreter, MemoryImage, kernel_ops
+from repro.isa.opcodes import BINARY_SEMANTICS, MASK64, Opcode
+from repro.isa.program import Kernel, Program
+from tests.compiler.test_slice_properties import random_kernels
+
+_CHAIN_OPS = (Opcode.ADD, Opcode.XOR, Opcode.MUL, Opcode.SUB, Opcode.ADD,
+              Opcode.XOR)
+
+
+def _fresh_chain_kernel(name, store_pattern, input_patterns, chain_depth,
+                        trip_count, phase=0, salt=1, accumulate=False,
+                        copy_store=False, extra_stores=None, ghost_alu=0):
+    """``chain_kernel`` built instruction by instruction, nothing shared."""
+    builder = KernelBuilder(name, phase)
+    inputs = [builder.load(p) for p in input_patterns]
+    if copy_store:
+        value = inputs[0]
+    else:
+        value = inputs[0] if inputs else builder.movi(salt & MASK64)
+        if chain_depth > 0:
+            salt_reg = builder.movi((salt * 0x9E3779B97F4A7C15) & MASK64)
+            for step in range(chain_depth):
+                operand = (
+                    inputs[step % len(inputs)]
+                    if len(inputs) > 1 and step % 2 else salt_reg
+                )
+                value = builder.alu(_CHAIN_OPS[step % 6], value, operand)
+        if accumulate:
+            acc = builder.fresh_reg()
+            value = builder.alu_into(Opcode.ADD, acc, acc, value)
+    builder.store(value, store_pattern)
+    for extra in extra_stores or ():
+        builder.store(value, extra)
+    return builder.build(trip_count, ghost_alu=ghost_alu)
+
+
+def _reference_ops(kernel):
+    """Plain lowering of every instruction: the dispatch-tuple format."""
+    width, ops = 0, []
+    for ins in kernel.body:
+        if isinstance(ins, AluInstr):
+            width = max(width, ins.dst, ins.src_a, ins.src_b)
+            ops.append((1, BINARY_SEMANTICS[ins.op], ins.dst, ins.src_a,
+                        ins.src_b))
+        elif isinstance(ins, MoviInstr):
+            width = max(width, ins.dst)
+            ops.append((0, ins.dst, ins.imm & MASK64))
+        else:
+            reg = ins.dst if isinstance(ins, LoadInstr) else ins.src
+            width = max(width, reg)
+            p = ins.pattern
+            head = (2, ins.dst) if isinstance(ins, LoadInstr) else (3, ins.src)
+            tail = () if isinstance(ins, LoadInstr) else (ins.site, ins.assoc)
+            ops.append(head + (p.base, p.stride, p.length, p.offset) + tail)
+    return width, ops
+
+
+def _pattern(draw, base):
+    return AddressPattern(base + 8 * draw(st.integers(0, 64)),
+                          draw(st.integers(0, 5)), draw(st.integers(1, 64)),
+                          draw(st.integers(0, 8)))
+
+
+@st.composite
+def chain_args(draw):
+    n_inputs = draw(st.integers(0, 3))
+    copy_store = n_inputs > 0 and draw(st.booleans())
+    accumulate = not copy_store and draw(st.booleans())
+    return dict(
+        store_pattern=_pattern(draw, 0),
+        input_patterns=[_pattern(draw, (i + 1) << 20)
+                        for i in range(n_inputs)],
+        chain_depth=draw(st.integers(0, 14)),
+        trip_count=draw(st.integers(1, 40)),
+        phase=draw(st.integers(0, 5)),
+        salt=draw(st.integers(0, 2**70)),
+        accumulate=accumulate,
+        copy_store=copy_store,
+        extra_stores=[_pattern(draw, 9 << 20)
+                      for _ in range(draw(st.integers(0, 2)))],
+        ghost_alu=draw(st.integers(0, 4)),
+    )
+
+
+def _shared(ins):
+    return isinstance(ins, (AluInstr, MoviInstr))
+
+
+class TestChainInterning:
+    @given(chain_args())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_fresh_build(self, args):
+        assert chain_kernel("k", **args) == _fresh_chain_kernel("k", **args)
+
+    @given(chain_args(), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_reps_share_chain_objects(self, args, trip):
+        rep0 = chain_kernel("rep0", **args)
+        moved = dict(
+            args, trip_count=trip, phase=args["phase"] + 1,
+            store_pattern=AddressPattern(1 << 30, 1, 8),
+            input_patterns=[AddressPattern((2 << 30) + (i << 12), 1, 8)
+                            for i in range(len(args["input_patterns"]))],
+        )
+        rep1 = chain_kernel("rep1", **moved)
+        assert len(rep0.body) == len(rep1.body)
+        pairs = list(zip(rep0.body, rep1.body))
+        for a, b in pairs:
+            if _shared(a):
+                assert a is b
+            else:
+                assert a is not b
+        if args["chain_depth"] and not args["copy_store"]:
+            assert any(_shared(a) for a, _ in pairs)
+
+    def test_program_keeps_the_shared_objects(self):
+        args = dict(store_pattern=AddressPattern(0, 1, 8),
+                    input_patterns=[AddressPattern(1 << 20, 1, 8)],
+                    chain_depth=4, trip_count=3, salt=77)
+        a = Program([chain_kernel("a", **args)]).kernels[0]
+        b = Program([chain_kernel("b", **args)]).kernels[0]
+        alu = [(x, y) for x, y in zip(a.body, b.body) if _shared(x)]
+        assert alu and all(x is y for x, y in alu)
+
+
+class TestSharedLowering:
+    @given(st.lists(st.one_of(random_kernels(),
+                              chain_args().map(
+                                  lambda a: chain_kernel("c", **a))),
+                    min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, kernels):
+        program = Program(kernels, 0)
+        for idx, kernel in enumerate(program.kernels):
+            assert kernel_ops(program, idx) == _reference_ops(kernel)
+            # Cached per program: a second call returns the same lists.
+            assert kernel_ops(program, idx) is program.op_cache[idx]
+
+    def test_interned_instructions_share_one_tuple(self):
+        args = dict(store_pattern=AddressPattern(0, 1, 8),
+                    input_patterns=[AddressPattern(1 << 20, 1, 8)],
+                    chain_depth=3, trip_count=2, salt=123)
+        p = Program([chain_kernel("a", **args), chain_kernel("b", **args)])
+        _, ops_a = kernel_ops(p, 0)
+        _, ops_b = kernel_ops(p, 1)
+        for ins, op_a, op_b in zip(p.kernels[0].body, ops_a, ops_b):
+            if _shared(ins):
+                assert op_a is op_b
+                assert interpreter_mod._SHARED_OPS[id(ins)][0] is ins
+            else:
+                assert op_a is not op_b
+
+    def test_recycled_id_gets_its_own_tuple(self):
+        store = StoreInstr(0, AddressPattern(0, 1, 8))
+
+        def lowered_op(ins):
+            program = Program([Kernel("k", [MoviInstr(0, 5), ins, store], 1)])
+            return kernel_ops(program, 0)[1][1]
+
+        first = AluInstr(Opcode.ADD, 0, 0, 0)
+        assert lowered_op(first)[1] is BINARY_SEMANTICS[Opcode.ADD]
+        freed = id(first)
+        assert freed not in interpreter_mod._SHARED_OPS
+        del first
+        gc.collect()
+        # Allocate until an un-interned instruction lands on the freed id.
+        keep = []
+        for _ in range(10_000):
+            second = AluInstr(Opcode.MUL, 0, 0, 0)
+            if id(second) == freed:
+                break
+            keep.append(second)
+        else:
+            pytest.skip("the allocator never reused the freed id")
+        op = lowered_op(second)
+        assert op[1] is BINARY_SEMANTICS[Opcode.MUL]
+        assert op == _reference_ops(Kernel("k", [second], 1))[1][0]
+
+    def test_interpreter_runs_interned_kernels(self):
+        args = dict(store_pattern=AddressPattern(0, 1, 16),
+                    input_patterns=[AddressPattern(1 << 20, 1, 16),
+                                    AddressPattern(2 << 20, 1, 16)],
+                    chain_depth=6, trip_count=16, salt=99)
+        fresh, interned = MemoryImage(3), MemoryImage(3)
+        Interpreter(Program([_fresh_chain_kernel("f", **args)]),
+                    fresh).run_to_completion()
+        Interpreter(Program([chain_kernel("i", **args)]),
+                    interned).run_to_completion()
+        assert fresh.snapshot() == interned.snapshot()

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.isa.instructions import LINE_BYTES, AddressPattern
+from repro.isa.interpreter import kernel_ops
 from repro.isa.program import Program
 from repro.sim.vector.plans import (
     NUMPY_MIN_TRIP,
@@ -22,7 +23,6 @@ from repro.sim.vector.plans import (
     _build_plan,
     _build_scalar,
     _kernel_shape,
-    ops_for_kernel,
 )
 from tests.sim.test_engine_equivalence import _random_kernel
 
@@ -34,9 +34,9 @@ def _scalar_reference(kernel):
     plan = KernelPlan(kernel)
     width = _kernel_shape(kernel)[0]
     plan.width = width
-    # ops_for_kernel needs a program; a single-kernel wrapper does (the
+    # kernel_ops needs a program; a single-kernel wrapper does (the
     # program rewrite only renumbers store sites, never addresses).
-    _, ops = ops_for_kernel(Program([kernel], 0), 0)
+    _, ops = kernel_ops(Program([kernel], 0), 0)
     _build_scalar(plan, ops, width, kernel.trip_count, SEED, LINE_BYTES)
     return plan
 
@@ -96,7 +96,7 @@ class TestCodegenMatchesScalarOracle:
             oracle = KernelPlan(kernel)
             width = _kernel_shape(kernel)[0]
             oracle.width = width
-            _, ops = ops_for_kernel(Program([kernel], 0), 0)
+            _, ops = kernel_ops(Program([kernel], 0), 0)
             _build_scalar(oracle, ops, width, kernel.trip_count, seed, LINE_BYTES)
             _assert_streams_match(plan, oracle, f"seed={seed}")
 
