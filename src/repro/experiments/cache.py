@@ -22,6 +22,7 @@ version-mismatched file as a **miss** and quarantine it by deletion.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -55,6 +56,7 @@ CACHE_SCHEMA_VERSION = 4
 #: Envelope payload kinds the cache stores.
 KIND_RUN = "run"
 KIND_TRIAL = "inject-trial"
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def _package_version() -> str:
@@ -70,6 +72,16 @@ def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=None)
+def _machine_prefix(machine: MachineConfig) -> str:
+    """A run key's canonical payload text up to its ``machine`` field,
+    computed once per (frozen, hashable) config: the recursive
+    ``dataclasses.asdict`` and its rendering are the bulk of a key."""
+    head = {"code": _package_version(), "kind": KIND_RUN,
+            "machine": dataclasses.asdict(machine)}
+    return _canonical(head)[:-1] + ","
+
+
 def run_cache_key(
     workload: str,
     request: ConfigRequest,
@@ -80,19 +92,19 @@ def run_cache_key(
     """The content hash identifying one simulation run.
 
     Every field that can change the run's outcome is folded in; two keys
-    collide only if the runs they name are identical.
+    collide only if the runs they name are identical.  ``code``, ``kind``
+    and ``machine`` sort before the other keys, so the memoised prefix
+    plus the rest's rendering is the whole payload's canonical text.
     """
-    payload = {
+    rest = _canonical({
         "schema": CACHE_SCHEMA_VERSION,
-        "code": _package_version(),
-        "kind": KIND_RUN,
         "workload": workload,
         "request": request.canonical_key(),
-        "machine": dataclasses.asdict(machine),
         "region_scale": repr(float(region_scale)),
         "reps": reps,
-    }
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    })
+    text = _machine_prefix(machine) + rest[1:]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def trial_cache_key(spec: Any) -> str:
@@ -146,7 +158,7 @@ class ResultCache:
     # ------------------------------------------------------------------ paths --
     def path_for(self, key: str) -> Path:
         """Where an entry for ``key`` lives (two-level fan-out)."""
-        if not key or any(c not in "0123456789abcdef" for c in key):
+        if not key or not _HEX_DIGITS.issuperset(key):
             raise ValueError(f"malformed cache key {key!r}")
         return self.root / key[:2] / f"{key}.json"
 

@@ -21,7 +21,7 @@ ReCkpt_E_Loc    local   yes   yes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.compiler.policy import SelectionPolicy, ThresholdPolicy
@@ -30,7 +30,7 @@ from repro.errors.model import ErrorModel
 from repro.obs.tracer import Tracer
 from repro.sim.results import BaselineProfile
 from repro.sim.simulator import SimulationOptions
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, field_names
 
 __all__ = ["CONFIG_NAMES", "ConfigRequest", "make_options"]
 
@@ -84,11 +84,11 @@ class ConfigRequest:
 
     def canonical_key(self) -> Tuple[Tuple[str, Any], ...]:
         """Every field as sorted (name, value) pairs — the cache-key
-        contribution of this request.  Derived from ``fields`` so a newly
-        added knob can never be forgotten."""
+        contribution of this request.  Derived from the dataclass fields
+        so a newly added knob can never be forgotten."""
         return tuple(
-            (f.name, getattr(self, f.name))
-            for f in sorted(fields(self), key=lambda f: f.name)
+            (name, getattr(self, name))
+            for name in sorted(field_names(type(self)))
         )
 
     @property

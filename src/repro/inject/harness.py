@@ -97,7 +97,7 @@ from repro.sim.snapshot import (
     SnapshotStore,
 )
 from repro.util.rng import DeterministicRng
-from repro.util.validation import check_in_range, check_positive
+from repro.util.validation import check_in_range, check_positive, require_fields
 from repro.workloads.registry import get_workload
 
 __all__ = [
@@ -138,21 +138,6 @@ DEFECTS = ("skip-recompute", "misorder-logs")
 MAX_REPORTED_DIVERGENCES = 16
 
 _WORD_BITS = 64
-
-
-def _require_fields(doc: Any, cls: type) -> Dict[str, Any]:
-    """Strict decode guard: ``doc`` must carry exactly ``cls``'s fields."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{cls.__name__} payload is not an object")
-    expected = {f.name for f in fields(cls)}
-    if set(doc) != expected:
-        missing = expected - set(doc)
-        extra = set(doc) - expected
-        raise ValueError(
-            f"bad {cls.__name__} payload: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}"
-        )
-    return doc
 
 
 def _check_int(name: str, value: Any) -> int:
@@ -221,7 +206,7 @@ class TrialSpec:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "TrialSpec":
-        doc = _require_fields(doc, cls)
+        doc = require_fields(doc, cls, cls.__name__)
         return cls(**doc)  # __post_init__ re-validates
 
 
@@ -254,7 +239,7 @@ class Injection:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Injection":
-        doc = _require_fields(doc, cls)
+        doc = require_fields(doc, cls, cls.__name__)
         if doc["kind"] not in TARGET_KINDS or doc["requested"] not in TARGET_KINDS:
             raise ValueError("bad injection target kind")
         for name in ("step", "interval", "core", "address", "register",
@@ -285,7 +270,7 @@ class Divergence:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Divergence":
-        doc = _require_fields(doc, cls)
+        doc = require_fields(doc, cls, cls.__name__)
         if doc["phase"] not in ("rollback", "final"):
             raise ValueError(f"bad divergence phase {doc['phase']!r}")
         for name in ("address", "interval", "expected", "actual"):
@@ -341,7 +326,7 @@ class TrialResult:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "TrialResult":
-        doc = dict(_require_fields(doc, cls))
+        doc = dict(require_fields(doc, cls, cls.__name__))
         doc["spec"] = TrialSpec.from_dict(doc["spec"])
         doc["injection"] = Injection.from_dict(doc["injection"])
         if not isinstance(doc["divergences"], list):
@@ -1095,14 +1080,8 @@ class GoldenRun:
 
     @classmethod
     def from_payload(cls, doc: Any) -> "GoldenRun":
-        if not isinstance(doc, dict):
-            raise SnapshotError("golden-run payload is not an object")
-        expected = {"v", "total_steps", "final_words", "boundaries"}
-        if set(doc) != expected:
-            raise SnapshotError(
-                f"golden-run payload fields {sorted(doc)} != "
-                f"{sorted(expected)}"
-            )
+        require_fields(doc, cls, "golden-run", extra=("v",),
+                       error=SnapshotError)
         if doc["v"] != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"golden-run payload version {doc['v']!r} != "

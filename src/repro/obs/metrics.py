@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.util.tables import format_table
+from repro.util.validation import require_fields
 
 __all__ = [
     "Counter",
@@ -327,26 +328,16 @@ class ObsReport:
     def from_dict(cls, data: Dict[str, Any]) -> "ObsReport":
         """Rebuild from :meth:`to_dict` output (strict — corrupt blobs
         raise, so cache readers degrade to a miss, never a crash)."""
-        if not isinstance(data, dict):
-            raise ValueError(f"ObsReport: expected a mapping, got {type(data)}")
-        unknown = set(data) - {"metrics", "events_captured", "events_dropped"}
-        if unknown:
-            raise ValueError(f"ObsReport: unknown fields {sorted(unknown)}")
-        try:
-            captured = data["events_captured"]
-            dropped = data["events_dropped"]
-            metrics_raw = data["metrics"]
-        except KeyError as exc:
-            raise ValueError(f"ObsReport: missing field {exc}")
-        for label, n in (("events_captured", captured),
-                         ("events_dropped", dropped)):
+        require_fields(data, cls, "ObsReport")
+        for label in ("events_captured", "events_dropped"):
+            n = data[label]
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise ValueError(f"ObsReport: {label} must be a non-negative "
                                  f"int, got {n!r}")
         return cls(
-            metrics=MetricsRegistry.from_dict(metrics_raw),
-            events_captured=captured,
-            events_dropped=dropped,
+            metrics=MetricsRegistry.from_dict(data["metrics"]),
+            events_captured=data["events_captured"],
+            events_dropped=data["events_dropped"],
         )
 
     def summary_table(self) -> str:

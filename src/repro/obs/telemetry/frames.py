@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Dict, Tuple, Type
 
+from repro.util.validation import require_fields
+
 __all__ = [
     "TelemetryFrame",
     "TaskStarted",
@@ -165,12 +167,7 @@ def frame_from_dict(doc: Any) -> TelemetryFrame:
     cls = FRAME_TYPES.get(doc.get("frame"))
     if cls is None:
         raise ValueError(f"unknown frame name {doc.get('frame')!r}")
-    expected = {f.name for f in fields(cls)}
-    present = set(doc) - {"frame"}
-    if present != expected:
-        raise ValueError(
-            f"{cls.frame} fields {sorted(present)} != {sorted(expected)}"
-        )
+    require_fields(doc, cls, cls.frame, extra=("frame",))
     kwargs: Dict[str, Any] = {}
     for f in fields(cls):
         value = doc[f.name]

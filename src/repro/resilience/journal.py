@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.util.atomicio import append_line, tail_is_torn
+from repro.util.validation import require_fields
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
@@ -79,13 +80,7 @@ class JournalRecord:
         """Decode one record; raises ``ValueError`` on any drift except
         the version stamp (checked by the caller, which owns the
         whole-journal mismatch policy)."""
-        if not isinstance(doc, dict):
-            raise ValueError("journal record is not an object")
-        expected = {f.name for f in fields(cls)} | {"v"}
-        if set(doc) != expected:
-            raise ValueError(
-                f"journal record fields {sorted(doc)} != {sorted(expected)}"
-            )
+        require_fields(doc, cls, "journal record", extra=("v",))
         if not isinstance(doc["key"], str) or not isinstance(doc["kind"], str):
             raise ValueError("journal record key/kind must be strings")
         if not isinstance(doc["label"], str):

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.configs import CONFIG_NAMES, ConfigRequest
 from repro.sim.results import energy_overhead, time_overhead
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, require_fields
 from repro.workloads.registry import all_workload_names
 
 __all__ = [
@@ -107,13 +107,7 @@ class CampaignSpec:
     def from_dict(cls, doc: Any) -> "CampaignSpec":
         """Decode one spec; raises ``ValueError`` on any shape drift
         (the field validation in ``__post_init__`` covers the values)."""
-        if not isinstance(doc, dict):
-            raise ValueError("campaign spec is not an object")
-        expected = {f.name for f in fields(cls)}
-        if set(doc) != expected:
-            raise ValueError(
-                f"campaign spec fields {sorted(doc)} != {sorted(expected)}"
-            )
+        require_fields(doc, cls, "campaign spec")
         for name in ("workloads", "configs"):
             if not isinstance(doc[name], list) or not all(
                 isinstance(x, str) for x in doc[name]

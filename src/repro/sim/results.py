@@ -10,13 +10,14 @@ plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.compiler.embed import CompileStats
 from repro.energy.accounting import EnergyLedger
 from repro.obs.metrics import ObsReport
 from repro.util.tables import format_table
+from repro.util.validation import field_names, require_fields
 
 __all__ = [
     "BaselineProfile",
@@ -27,25 +28,26 @@ __all__ = [
     "energy_overhead",
 ]
 
+#: :class:`RunResult` fields :meth:`RunResult.to_dict` leaves out.
+_UNSERIALISED = ("checkpoint_store", "vector_coverage")
+
 
 def _dataclass_to_dict(obj: Any) -> Dict[str, Any]:
     """Flat field mapping of a (non-nested) stats dataclass."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: getattr(obj, name) for name in field_names(type(obj))}
 
 
 def _dataclass_from_dict(cls: type, data: Dict[str, Any]) -> Any:
     """Strict inverse of :func:`_dataclass_to_dict`.
 
-    Unknown keys, missing keys and non-mapping input all raise — the
-    result cache relies on this to classify corrupt entries as misses.
+    The keys must be exactly ``cls``'s fields: unknown keys or non-mapping
+    input raise ``ValueError``, missing keys (defaulted ones included)
+    raise ``TypeError`` — the result cache relies on this to classify
+    corrupt entries as misses.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"{cls.__name__}: expected a mapping, got {type(data)}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"{cls.__name__}: unknown fields {sorted(unknown)}")
-    return cls(**data)
+    return cls(
+        **require_fields(data, cls, cls.__name__, missing_error=TypeError)
+    )
 
 
 @dataclass(frozen=True)
@@ -287,37 +289,27 @@ class RunResult:
         ``TypeError``/``KeyError`` rather than producing a half-built
         result, so cache readers can treat any exception as a miss.
         """
-        if not isinstance(data, dict):
-            raise ValueError(f"RunResult: expected a mapping, got {type(data)}")
-        data = dict(data)
+        kwargs = dict(
+            require_fields(data, cls, "RunResult", omit=_UNSERIALISED,
+                           missing_error=TypeError)
+        )
         try:
-            energy = EnergyLedger.from_dict(data.pop("energy"))
-            intervals = [IntervalStats.from_dict(d) for d in data.pop("intervals")]
-            recoveries = [
-                RecoveryStats.from_dict(d) for d in data.pop("recoveries")
+            kwargs["energy"] = EnergyLedger.from_dict(data["energy"])
+            kwargs["intervals"] = [
+                IntervalStats.from_dict(d) for d in data["intervals"]
             ]
-            compile_raw = data.pop("compile_stats")
-            obs_raw = data.pop("obs")
+            kwargs["recoveries"] = [
+                RecoveryStats.from_dict(d) for d in data["recoveries"]
+            ]
         except AttributeError as exc:  # e.g. a list where a dict belongs
             raise ValueError(f"RunResult: malformed nested payload: {exc}")
-        compile_stats = (
-            _dataclass_from_dict(CompileStats, compile_raw)
-            if compile_raw is not None
-            else None
-        )
-        obs = ObsReport.from_dict(obs_raw) if obs_raw is not None else None
-        result = _dataclass_from_dict(
-            cls,
-            dict(
-                data,
-                energy=energy,
-                intervals=intervals,
-                recoveries=recoveries,
-                compile_stats=compile_stats,
-                obs=obs,
-            ),
-        )
-        return result
+        if data["compile_stats"] is not None:
+            kwargs["compile_stats"] = _dataclass_from_dict(
+                CompileStats, data["compile_stats"]
+            )
+        if data["obs"] is not None:
+            kwargs["obs"] = ObsReport.from_dict(data["obs"])
+        return cls(**kwargs)
 
     def equivalent(self, other: "RunResult") -> bool:
         """Statistical equality: every serialised field matches.

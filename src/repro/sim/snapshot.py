@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.util import atomicio
+from repro.util.validation import require_fields
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -194,16 +195,7 @@ class SimSnapshot:
     def from_payload(cls, doc: Any) -> "SimSnapshot":
         """Decode a payload dict; raises :class:`SnapshotError` on any
         structural drift."""
-        if not isinstance(doc, dict):
-            raise SnapshotError("snapshot payload is not an object")
-        expected = {f.name for f in fields(cls)} | {"v"}
-        if set(doc) != expected:
-            missing = expected - set(doc)
-            extra = set(doc) - expected
-            raise SnapshotError(
-                f"bad snapshot payload: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}"
-            )
+        require_fields(doc, cls, "snapshot", extra=("v",), error=SnapshotError)
         if doc["v"] != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"snapshot payload version {doc['v']!r} != {SNAPSHOT_VERSION}"

@@ -1,5 +1,7 @@
 """Tests for repro.util.tables, units and validation."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.util.tables import format_percent, format_table
@@ -14,6 +16,9 @@ from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_power_of_two,
+    field_names,
+    field_set,
+    require_fields,
 )
 
 
@@ -90,3 +95,37 @@ class TestValidation:
         for bad in (0, -2, 3, 48):
             with pytest.raises(ValueError):
                 check_power_of_two("x", bad)
+
+
+@dataclass
+class _Point:
+    x: int
+    y: int = 0
+
+
+class _Drift(Exception):
+    pass
+
+
+class TestRequireFields:
+    def test_field_names_in_declaration_order(self):
+        assert field_names(_Point) == ("x", "y")
+        assert field_set(_Point, ("v",), ("y",)) == {"x", "v"}
+
+    def test_exact_keys_return_the_same_dict(self):
+        doc = {"x": 1, "y": 2}
+        assert require_fields(doc, _Point, "point") is doc
+        doc = {"v": 1, "x": 1}
+        assert require_fields(doc, _Point, "point", extra=("v",),
+                              omit=("y",)) is doc
+
+    def test_drift_raises_the_callers_error(self):
+        for bad in ([1, 2], {"x": 1, "y": 2, "z": 3}, {"x": 1}):
+            with pytest.raises(_Drift):
+                require_fields(bad, _Point, "point", error=_Drift)
+
+    def test_missing_error_only_for_pure_omissions(self):
+        with pytest.raises(TypeError, match=r"missing \['y'\]"):
+            require_fields({"x": 1}, _Point, "point", missing_error=TypeError)
+        with pytest.raises(ValueError, match=r"unexpected \['z'\]"):
+            require_fields({"z": 1}, _Point, "point", missing_error=TypeError)
