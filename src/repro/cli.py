@@ -32,9 +32,9 @@ Installed as ``acr-repro`` (or run with ``python -m repro.cli``):
   while the campaign runs); ``--attach SOCKET`` renders a running
   campaign *daemon*'s frame stream live instead;
 * ``acr-repro serve``             — run the campaign scheduler daemon:
-  submissions over a Unix socket, results from a sharded replicated
-  store that survives shard loss, concurrent clients deduped through
-  in-flight leases;
+  submissions over a Unix socket, results served straight from the disk
+  cache (cached keys take no lease), concurrent clients' misses deduped
+  through in-flight leases;
 * ``acr-repro submit bt ...``     — run a campaign on the daemon (or
   ``--solo`` in-process) and print/write its deterministic report —
   byte-identical across both paths;
@@ -751,10 +751,7 @@ def cmd_serve(args) -> int:
     daemon = CampaignDaemon(
         args.cache_dir,
         args.socket,
-        shards=args.shards,
-        replicas=args.replicas,
         jobs=args.jobs,
-        heartbeat_s=args.heartbeat,
         resilience=_policy(args),
         echo=lambda line: print(f"serve: {line}", file=sys.stderr),
     )
@@ -1035,25 +1032,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the campaign scheduler daemon: submissions over a Unix "
-             "socket, results from a sharded replicated store (R copies "
-             "per entry; shard loss costs nothing, majority loss "
-             "degrades to direct-disk serving)",
+             "socket, results served from the disk cache (a cached key "
+             "costs one read; concurrent misses simulate once)",
     )
     p.add_argument("--socket", type=str, required=True,
                    help="Unix socket path to listen on (keep it short: "
                         "AF_UNIX caps ~100 bytes)")
     p.add_argument("--cache-dir", type=str, required=True,
-                   help="the durable result store the shards replicate "
-                        "(content-addressed, versioned)")
-    p.add_argument("--shards", type=_positive_int, default=4,
-                   help="shard processes partitioning the keyspace")
-    p.add_argument("--replicas", type=_positive_int, default=2,
-                   help="copies per entry (primary + ring successors)")
+                   help="the durable result store (content-addressed, "
+                        "versioned)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes per campaign")
-    p.add_argument("--heartbeat", type=float, default=0.5,
-                   metavar="SECONDS",
-                   help="shard liveness-check period")
     p.add_argument("--timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="per-task wall-clock timeout for supervised "

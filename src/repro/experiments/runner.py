@@ -208,8 +208,8 @@ class ExperimentRunner:
             else None
         )
         self.progress = progress if progress is not None else ProgressTracker()
-        # A caller-provided cache object (e.g. the campaign service's
-        # replicated store) wins over ``cache_dir``; the caller then owns
+        # A caller-provided cache object (e.g. the campaign daemon's
+        # shared cache) wins over ``cache_dir``; the caller then owns
         # its quarantine/metrics wiring.  A cache built here reports its
         # quarantines through this runner's progress + metrics.
         self.cache: Optional[ResultCache] = cache
@@ -572,26 +572,37 @@ class ExperimentRunner:
         )
 
     # -- resolution layers ---------------------------------------------------
-    def _lookup(
+    def lookup(
         self, workload: str, request: ConfigRequest
     ) -> Optional[RunResult]:
-        """Memo, then persistent cache; ``None`` means 'must simulate'."""
+        """Memo, then persistent cache, never simulating; ``None`` means
+        'must simulate' (a corrupt entry is quarantined and reads as a
+        miss).  Hits are counted here, a miss by the :meth:`run_many`
+        that resolves it, so each key counts once."""
         key = (workload, request)
         memo = self._results.get(key)
         if memo is not None:
             self.progress.record_memo()
             return memo
-        if self.cache is not None:
-            with self._phase("cache-io"), _Timer() as timer:
-                cached = self.cache.load(self.cache_key(workload, request))
-            if cached is not None:
-                self._results[key] = cached
-                self.progress.record(
-                    workload, request.config, "disk", timer.seconds
-                )
-                return cached
+        if self.cache is None:
+            return None
+        with self._phase("cache-io"), _Timer() as timer:
+            cached = self.cache.load(self.cache_key(workload, request))
+        if cached is not None:
+            self._results[key] = cached
+            self.progress.record(
+                workload, request.config, "disk", timer.seconds
+            )
+        return cached
+
+    def _lookup(
+        self, workload: str, request: ConfigRequest
+    ) -> Optional[RunResult]:
+        """:meth:`lookup`, counting a cache miss."""
+        found = self.lookup(workload, request)
+        if found is None and self.cache is not None:
             self.progress.record_miss()
-        return None
+        return found
 
     def _simulate(self, workload: str, request: ConfigRequest) -> RunResult:
         """Execute one run in-process and store it in every layer (under

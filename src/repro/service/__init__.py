@@ -1,22 +1,19 @@
-"""The campaign service: a long-running scheduler over a replicated store.
+"""The campaign service: a long-running scheduler over the disk cache.
 
 ROADMAP item 2 — "heavy traffic from many users" — promoted into a
 subsystem.  A :class:`~repro.service.daemon.CampaignDaemon` listens on a
 local Unix socket, accepts campaign submissions as line-delimited JSON
-(:mod:`repro.service.protocol`), executes them through per-connection
-:class:`~repro.experiments.runner.ExperimentRunner`\\ s that share one
-:class:`~repro.service.store.ReplicatedStore` — the existing
-content-addressed :class:`~repro.experiments.cache.ResultCache` keyspace
-partitioned across N shard processes with R-way replication,
-heartbeat-detected shard death, re-replicating recovery, and a
-circuit-breaker degradation ladder down to direct-disk serial mode
-(ReStore's in-memory replicated storage, DESIGN §3.7).  Overlapping
-submissions dedupe through the
-:class:`~repro.service.registry.InFlightRegistry` (per-key leases): each
-canonical key simulates at most once and every subscriber receives the
-result.  :class:`~repro.service.client.CampaignClient` is the client
-library behind the ``acr-repro serve`` / ``submit`` / ``shutdown`` CLI
-verbs and ``monitor --attach``.
+(:mod:`repro.service.protocol`), and executes them through
+per-connection :class:`~repro.experiments.runner.ExperimentRunner`\\ s
+that share one content-addressed
+:class:`~repro.experiments.cache.ResultCache` — the only result store.
+A key already in the cache costs one validated read; overlapping misses
+dedupe through the :class:`~repro.service.registry.InFlightRegistry`
+(per-key leases): each canonical key simulates at most once and every
+subscriber receives the result.
+:class:`~repro.service.client.CampaignClient` is the client library
+behind the ``acr-repro serve`` / ``submit`` / ``shutdown`` CLI verbs and
+``monitor --attach``.
 """
 
 from repro.service.campaigns import CampaignSpec, campaign_report
@@ -30,7 +27,6 @@ from repro.service.protocol import (
     encode_frame,
 )
 from repro.service.registry import InFlightRegistry
-from repro.service.store import ReplicatedStore
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -39,7 +35,6 @@ __all__ = [
     "CampaignSpec",
     "InFlightRegistry",
     "ProtocolError",
-    "ReplicatedStore",
     "ServiceError",
     "campaign_report",
     "decode_frame",

@@ -7,7 +7,7 @@ through :func:`~repro.service.protocol.decode_stream` — so a read that
 lands mid-message just buffers the torn tail until the rest arrives.
 Errors the daemon reports become :class:`ServiceError`; wire-shape drift
 surfaces as :class:`~repro.service.protocol.ProtocolError`.  The client
-is deliberately dumb: campaign semantics (dedupe, replication, phases)
+is deliberately dumb: campaign semantics (reads, dedupe, phases)
 all live daemon-side, so any process that can speak line-JSON over a
 Unix socket is a full peer.
 """
@@ -161,7 +161,7 @@ class CampaignClient:
             raise ServiceError(f"unexpected reply {op!r} to submit")
 
     def ping(self) -> Dict[str, Any]:
-        """The daemon's status document (shards, campaigns, dedupe)."""
+        """The daemon's status document (campaigns, simulations, quarantines)."""
         self._send({"op": "ping"})
         msg = self._recv()
         if msg["op"] != "status":

@@ -1,20 +1,22 @@
-"""The campaign scheduler daemon: submissions in, replicated results out.
+"""The campaign scheduler daemon: submissions in, cached results out.
 
-One :class:`CampaignDaemon` owns the disk cache, the
-:class:`~repro.service.store.ReplicatedStore` shard tier, and a Unix
+One :class:`CampaignDaemon` owns the disk
+:class:`~repro.experiments.cache.ResultCache` — the one and only result
+store (DESIGN §4.3: there is no in-memory result tier) — and a Unix
 socket listener.  Each client connection gets a handler thread and — per
 ``submit`` — its own :class:`~repro.experiments.runner.ExperimentRunner`
-(injected with the shared store via the runner's ``cache=`` parameter)
-plus its own :class:`~repro.service.registry.InFlightRegistry`, so
-concurrent submissions dedupe through filesystem leases exactly like
-independent processes would.  The accept loop doubles as the shard
-heartbeat: every ``heartbeat_s`` the store pings its shards, respawning
-and re-replicating dead ones (or tripping the degradation breaker).
+(handed the shared cache via the runner's ``cache=`` parameter) plus its
+own :class:`~repro.service.registry.InFlightRegistry`, so concurrent
+submissions dedupe through filesystem leases exactly like independent
+processes would.
 
-Submissions run in two claimed phases — baselines, then dependents — so
-a client whose baseline lease went to a peer *waits* for the published
-entry instead of re-simulating it; that ordering is what makes the
-dedupe proof exact (total simulations == unique canonical keys).
+Every key of a submission is read first: a key already in the cache
+costs one validated cache read (a corrupt entry is quarantined and reads
+as a miss) and takes no lease.  Only the misses are claimed, in two
+phases — baselines, then dependents — so a client whose baseline lease
+went to a peer *waits* for the published entry instead of re-simulating
+it; that ordering is what makes the dedupe proof exact (total
+simulations == unique canonical keys).
 
 Telemetry frames stream back over the wire: the submitting connection
 (``stream``) and any global ``watch`` subscribers receive every frame a
@@ -42,13 +44,14 @@ from repro.resilience.policy import ResiliencePolicy
 from repro.service.campaigns import CampaignSpec, campaign_report
 from repro.service.protocol import decode_stream, encode_frame
 from repro.service.registry import InFlightRegistry
-from repro.service.store import ReplicatedStore
 from repro.util.atomicio import append_line
 
 __all__ = ["CampaignDaemon", "check_socket_path"]
 
 #: Portable AF_UNIX ``sun_path`` budget (Linux 108, macOS 104, minus NUL).
 _MAX_SOCKET_PATH = 100
+#: How often the accept loop wakes to notice :meth:`CampaignDaemon.stop`.
+_ACCEPT_POLL_S = 0.2
 
 
 def check_socket_path(path: Union[str, Path]) -> Path:
@@ -108,16 +111,13 @@ class _ForwardingTelemetry(CampaignTelemetry):
 
 
 class CampaignDaemon:
-    """Long-running scheduler over one shared replicated store."""
+    """Long-running scheduler over one shared disk cache."""
 
     def __init__(
         self,
         cache_dir: Union[str, Path],
         socket_path: Union[str, Path],
-        shards: int = 4,
-        replicas: int = 2,
         jobs: int = 1,
-        heartbeat_s: float = 0.5,
         resilience: Optional[ResiliencePolicy] = None,
         wait_timeout_s: float = 600.0,
         echo=None,
@@ -125,12 +125,7 @@ class CampaignDaemon:
         self.socket_path = check_socket_path(socket_path)
         self.metrics = MetricsRegistry()
         self.cache = ResultCache(cache_dir, metrics=self.metrics)
-        self.store = ReplicatedStore(
-            self.cache, shards=shards, replicas=replicas,
-            metrics=self.metrics,
-        )
         self.jobs = jobs
-        self.heartbeat_s = heartbeat_s
         self.resilience = resilience or ResiliencePolicy()
         self.wait_timeout_s = wait_timeout_s
         self.echo = echo or (lambda line: None)
@@ -154,11 +149,7 @@ class CampaignDaemon:
         self._stop.set()
 
     def serve_forever(self) -> None:
-        """Bind, listen, heartbeat, dispatch — until :meth:`stop`.
-
-        The accept timeout doubles as the shard heartbeat period, so
-        death detection needs no extra thread.
-        """
+        """Bind, listen, dispatch — until :meth:`stop`."""
         try:
             self.socket_path.unlink()
         except OSError:
@@ -166,21 +157,12 @@ class CampaignDaemon:
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(str(self.socket_path))
         listener.listen(16)
-        listener.settimeout(self.heartbeat_s)
+        listener.settimeout(_ACCEPT_POLL_S)
         self._listener = listener
-        self.echo(
-            f"serving on {self.socket_path} "
-            f"({self.store.num_shards} shards, R={self.store.replicas}, "
-            f"jobs={self.jobs})"
-        )
+        self.echo(f"serving on {self.socket_path} (jobs={self.jobs})")
         self._audit("serve", socket=str(self.socket_path))
-        last_beat = time.monotonic()
         try:
             while not self._stop.is_set():
-                now = time.monotonic()
-                if now - last_beat >= self.heartbeat_s:
-                    self.store.heartbeat()
-                    last_beat = now
                 try:
                     sock, _ = listener.accept()
                 except socket.timeout:
@@ -205,7 +187,6 @@ class CampaignDaemon:
                 pass
             for thread in self._handlers:
                 thread.join(timeout=5.0)
-            self.store.close()
             self._audit("stopped")
             self.echo("service stopped")
 
@@ -292,7 +273,7 @@ class CampaignDaemon:
                 region_scale=spec.region_scale,
                 reps=spec.reps,
                 jobs=self.jobs,
-                cache=self.store,
+                cache=self.cache,
                 progress=progress,
                 resilience=self.resilience,
                 engine=spec.engine,
@@ -350,23 +331,23 @@ class CampaignDaemon:
         keymap: Dict[str, Any],
         keys: List[str],
     ) -> None:
-        """Claim → simulate mine → publish → wait for theirs (falling
-        back to simulating any key whose owner vanished unpublished)."""
-        if not keys:
-            return
-        mine, theirs = registry.claim(keys)
-        if mine:
-            runner.run_many([keymap[k] for k in mine])
-            for key in mine:
-                registry.publish(key)
-        if theirs:
-            missing = registry.wait(
+        """Read every key first; claim, simulate and publish the misses
+        this connection wins, wait for the ones a peer is computing, and
+        re-claim any whose owner vanished without publishing."""
+        todo = [k for k in keys if runner.lookup(*keymap[k]) is None]
+        while todo:
+            mine, theirs = registry.claim(todo)
+            if mine:
+                # run_many looks each key up again under its lease: a
+                # peer may have published between the read and the claim.
+                runner.run_many([keymap[k] for k in mine])
+                for key in mine:
+                    registry.publish(key)
+            todo = registry.wait(
                 theirs,
-                done=self.store.load_payload_probe,
+                done=lambda key: key in self.cache,
                 timeout_s=self.wait_timeout_s,
             )
-            if missing:
-                runner.run_many([keymap[k] for k in missing])
 
     # -------------------------------------------------------------- telemetry --
     def _forward_frame(
@@ -397,7 +378,6 @@ class CampaignDaemon:
             malformed = self.wire_malformed
         return {
             "op": "status",
-            "store": self.store.status(),
             "campaigns": campaigns,
             "simulations": simulations,
             "quarantined": self.cache.quarantined,

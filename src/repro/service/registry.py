@@ -102,36 +102,34 @@ class InFlightRegistry:
         done: Callable[[str], bool],
         timeout_s: float = 600.0,
     ) -> List[str]:
-        """Block until ``done(key)`` for every key (another submission is
-        computing them) or the deadline passes.
+        """Block until every key is either ``done`` (another submission
+        published it) or *orphaned* — its lease vanished without a
+        published entry, because its owner crashed between release and
+        store, or never stored.  Keys whose lease is live are waited on.
 
-        Returns the keys still missing at the deadline — the caller
-        falls back to simulating those itself (dedupe is best-effort;
-        a crashed peer's lease going stale must not wedge a campaign).
-        A key whose lease has *vanished* without a published entry is
-        returned early: its owner crashed between release and store, or
-        never stored — waiting longer cannot help.
+        Returns the orphans, plus any key still missing at the deadline.
+        The caller must re-:meth:`claim` the returned keys before
+        simulating them: two waiters then never both simulate one
+        orphan, and a wedged peer's lease is broken once it is stale.
         """
         pending = [k for k in keys if not done(k)]
+        orphans: List[str] = []
         deadline = time.monotonic() + timeout_s
         while pending and time.monotonic() < deadline:
             still: List[str] = []
             for key in pending:
                 if done(key):
                     continue
-                if not self.lease_path(key).exists():
-                    # Lease gone, entry absent: give the store one last
-                    # poll interval to surface the entry (release can
-                    # race the visibility of the write), then hand the
-                    # key back to the caller.
-                    time.sleep(self.poll_s)
-                    if not done(key):
-                        return [
-                            k for k in pending if not done(k)
-                        ]
+                if self.lease_path(key).exists():
+                    still.append(key)
                     continue
-                still.append(key)
+                # Lease gone, entry absent: give the store one poll
+                # interval to surface the entry (release can race the
+                # visibility of the write) before calling it orphaned.
+                time.sleep(self.poll_s)
+                if not done(key):
+                    orphans.append(key)
             pending = still
             if pending:
                 time.sleep(self.poll_s)
-        return [k for k in pending if not done(k)]
+        return orphans + [k for k in pending if not done(k)]

@@ -1,12 +1,12 @@
-"""Chaos coverage for the campaign service's storage tier: SIGKILL
-shards (and whole worker pools) mid-campaign and assert the two headline
+"""Chaos coverage for the campaign service's execution path: SIGKILL the
+whole worker pool mid-campaign over the shared disk cache (the one
+result store the daemon hands its runners) and assert the two headline
 contracts —
 
-* **zero completed results lost**: disk-first writes mean every finished
-  run is servable after any shard loss, and recovery restores full R=2
-  redundancy for every surviving key;
-* **bit-identical reports**: a campaign riddled with shard and pool
-  deaths produces a report byte-equal to an undisturbed solo runner's.
+* **zero completed results lost**: every campaign key is servable from
+  the cache afterwards;
+* **bit-identical reports**: a campaign riddled with worker deaths
+  produces a report byte-equal to an undisturbed solo runner's.
 """
 
 import json
@@ -15,11 +15,10 @@ import signal
 
 import pytest
 
-from repro.experiments.cache import KIND_RUN, ResultCache
+from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentRunner
 from repro.resilience.policy import ResiliencePolicy
 from repro.service.campaigns import CampaignSpec, campaign_report
-from repro.service.store import ReplicatedStore
 
 chaos = pytest.mark.skipif(
     not hasattr(signal, "SIGKILL"),
@@ -27,141 +26,40 @@ chaos = pytest.mark.skipif(
 )
 
 _FAST = dict(backoff_base_s=0.01, backoff_max_s=0.05)
-_SHAPE = dict(num_cores=2, region_scale=0.05, reps=2)
-
-
-def _spec(**overrides):
-    kwargs = dict(
-        workloads=("is",), configs=("Ckpt_NE", "ReCkpt_E"), **_SHAPE
-    )
-    kwargs.update(overrides)
-    return CampaignSpec(**kwargs)
 
 
 def _runner(**kw):
-    kw.setdefault("num_cores", 2)
-    kw.setdefault("region_scale", 0.05)
-    kw.setdefault("reps", 2)
-    return ExperimentRunner(**kw)
-
-
-def _store(tmp_path):
-    return ReplicatedStore(
-        ResultCache(tmp_path / "cache"), shards=4, replicas=2
-    )
-
-
-def _canon(report):
-    return json.dumps(report, sort_keys=True)
+    return ExperimentRunner(num_cores=2, region_scale=0.05, reps=2, **kw)
 
 
 @chaos
 @pytest.mark.chaos
-def test_shard_sigkill_mid_campaign_report_bit_identical(tmp_path):
-    spec = _spec()
+def test_whole_pool_sigkill_mid_campaign_report_bit_identical(tmp_path):
+    spec = CampaignSpec(
+        workloads=("is",), configs=("Ckpt_NE", "ReCkpt_E"),
+        num_cores=2, region_scale=0.05, reps=2,
+    )
     solo = campaign_report(_runner(), spec)
 
-    store = _store(tmp_path)
+    cache = ResultCache(tmp_path / "cache")
     runner = _runner(
-        jobs=2, cache=store, resilience=ResiliencePolicy(**_FAST)
+        jobs=2, cache=cache, resilience=ResiliencePolicy(**_FAST)
     )
-    kills = []
-
-    def murder_shard(task):
-        if not kills:
-            pid = store.shard_pids()[1]
-            if pid is not None:
-                kills.append(pid)
-                os.kill(pid, signal.SIGKILL)
-
-    runner.supervisor_hooks["on_result"] = murder_shard
-    try:
-        disturbed = campaign_report(runner, spec)
-        assert kills, "no shard was killed mid-campaign"
-        assert _canon(disturbed) == _canon(solo)
-        # Zero completed results lost: every campaign key is servable.
-        for key in spec.keys(runner):
-            assert store.load_payload(key, KIND_RUN) is not None
-        # Recovery restores full R=2 redundancy for every surviving key.
-        store.heartbeat()
-        assert store.alive_count() == 4
-        assert store.shard_deaths >= 1
-        for key in store.indexed_keys():
-            assert store.replica_count(key) == 2
-    finally:
-        store.close()
-
-
-@chaos
-@pytest.mark.chaos
-def test_whole_pool_and_shard_sigkill_mid_campaign(tmp_path):
-    spec = _spec()
-    solo = campaign_report(_runner(), spec)
-
-    store = _store(tmp_path)
-    runner = _runner(
-        jobs=2, cache=store, resilience=ResiliencePolicy(**_FAST)
-    )
-    worker_kills, shard_kills = [], []
+    worker_kills = []
 
     def murder(worker, task):
-        # Kill the ENTIRE pool (both workers), once each, plus a shard.
+        # Kill the ENTIRE pool (both workers), once each.
         if len(worker_kills) < 2 and worker.process.pid is not None:
             worker_kills.append(worker.process.pid)
             os.kill(worker.process.pid, signal.SIGKILL)
-        if not shard_kills:
-            pid = store.shard_pids()[0]
-            if pid is not None:
-                shard_kills.append(pid)
-                os.kill(pid, signal.SIGKILL)
 
     runner.supervisor_hooks["on_dispatch"] = murder
-    try:
-        disturbed = campaign_report(runner, spec)
-        assert len(worker_kills) == 2
-        assert shard_kills
-        assert runner.progress.worker_deaths >= 1
-        assert _canon(disturbed) == _canon(solo)
-        for key in spec.keys(runner):
-            assert store.load_payload(key, KIND_RUN) is not None
-        store.heartbeat()
-        assert store.alive_count() == 4
-        for key in store.indexed_keys():
-            assert store.replica_count(key) == 2
-    finally:
-        store.close()
-
-
-@chaos
-@pytest.mark.chaos
-def test_majority_loss_mid_campaign_degrades_but_report_is_identical(
-    tmp_path,
-):
-    spec = _spec()
-    solo = campaign_report(_runner(), spec)
-
-    store = _store(tmp_path)
-    runner = _runner(
-        jobs=2, cache=store, resilience=ResiliencePolicy(**_FAST)
+    disturbed = campaign_report(runner, spec)
+    assert len(worker_kills) == 2
+    assert runner.progress.worker_deaths >= 1
+    assert json.dumps(disturbed, sort_keys=True) == json.dumps(
+        solo, sort_keys=True
     )
-    tripped = []
-
-    def blackout(task):
-        if tripped:
-            return
-        tripped.append(True)
-        for pid in store.shard_pids()[:3]:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-        store.heartbeat()  # majority loss in one sweep: circuit opens
-
-    runner.supervisor_hooks["on_result"] = blackout
-    try:
-        disturbed = campaign_report(runner, spec)
-        assert store.degraded
-        assert _canon(disturbed) == _canon(solo)
-        # Degraded mode is slower, never wrong: direct disk serves all.
-        for key in spec.keys(runner):
-            assert store.load_payload(key, KIND_RUN) is not None
-    finally:
-        store.close()
+    # Zero completed results lost: every campaign key is servable.
+    for key in spec.keys(runner):
+        assert cache.load(key) is not None

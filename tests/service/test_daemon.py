@@ -1,6 +1,7 @@
 """The campaign daemon end to end: submissions over the socket, reports
 bit-identical to solo runs, concurrent-client dedupe, frame streaming,
-and shard recovery behind a live service.
+the lease-free read path for cached keys, and restart from the disk
+cache.
 
 Unix socket paths are capped around 100 bytes, so sockets live in a
 short ``/tmp`` directory rather than pytest's deep ``tmp_path``.
@@ -8,7 +9,6 @@ short ``/tmp`` directory rather than pytest's deep ``tmp_path``.
 
 import json
 import shutil
-import signal
 import socket
 import tempfile
 import threading
@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.cache import KIND_RUN
 from repro.experiments.runner import ExperimentRunner
+from repro.resilience.locks import KeyLock
 from repro.service import (
     CampaignClient,
     CampaignDaemon,
@@ -27,12 +29,8 @@ from repro.service import (
     wait_for_socket,
 )
 from repro.service.daemon import check_socket_path
-from repro.service.protocol import decode_frame, encode_frame
-
-chaos = pytest.mark.skipif(
-    not hasattr(signal, "SIGKILL"),
-    reason="chaos tests need SIGKILL",
-)
+from repro.service.protocol import PROTOCOL_VERSION, decode_frame, encode_frame
+from repro.service.registry import InFlightRegistry
 
 _SHAPE = dict(num_cores=2, region_scale=0.05, reps=2)
 
@@ -41,6 +39,10 @@ def _spec(**overrides):
     kwargs = dict(workloads=("is",), configs=("Ckpt_NE",), **_SHAPE)
     kwargs.update(overrides)
     return CampaignSpec(**kwargs)
+
+
+def _canon(report):
+    return json.dumps(report, sort_keys=True)
 
 
 def _solo_report(tmp_path, spec):
@@ -58,19 +60,26 @@ def sock():
     shutil.rmtree(short, ignore_errors=True)
 
 
-@pytest.fixture()
-def daemon(tmp_path, sock):
-    daemon = CampaignDaemon(
-        tmp_path / "cache", sock, shards=4, replicas=2, jobs=1,
-        heartbeat_s=0.1,
-    )
+def _serve(cache_dir, sock):
+    """Start a daemon on a background thread; returns (daemon, thread)."""
+    daemon = CampaignDaemon(cache_dir, sock, jobs=1)
     thread = threading.Thread(target=daemon.serve_forever, daemon=True)
     thread.start()
     assert wait_for_socket(sock, timeout_s=10.0)
-    yield daemon
+    return daemon, thread
+
+
+def _stop(daemon, thread):
     daemon.stop()
     thread.join(timeout=10.0)
     assert not thread.is_alive()
+
+
+@pytest.fixture()
+def daemon(tmp_path, sock):
+    daemon, thread = _serve(tmp_path / "cache", sock)
+    yield daemon
+    _stop(daemon, thread)
 
 
 class TestSubmit:
@@ -79,10 +88,7 @@ class TestSubmit:
         spec = _spec()
         with CampaignClient(sock) as client:
             served = client.submit(spec)
-        solo = _solo_report(tmp_path, spec)
-        assert json.dumps(served, sort_keys=True) == json.dumps(
-            solo, sort_keys=True
-        )
+        assert _canon(served) == _canon(_solo_report(tmp_path, spec))
 
     def test_repeat_submission_costs_zero_simulations(self, daemon, sock):
         spec = _spec()
@@ -177,12 +183,30 @@ class TestControlPlane:
     def test_ping_status_shape(self, daemon, sock):
         with CampaignClient(sock) as client:
             doc = client.ping()
-        assert doc["op"] == "status"
-        assert doc["store"]["shards"] == 4
-        assert doc["store"]["alive"] == 4
-        assert doc["campaigns"] == {"served": 0, "active": 0}
-        assert doc["simulations"] == 0
-        assert doc["quarantined"] == 0
+        assert doc == {
+            "op": "status",
+            "v": PROTOCOL_VERSION,
+            "campaigns": {"served": 0, "active": 0},
+            "simulations": 0,
+            "quarantined": 0,
+            "wire_malformed": 0,
+        }
+
+    def test_ping_does_not_scan_the_cache(self, daemon, sock,
+                                          monkeypatch):
+        with CampaignClient(sock) as client:
+            client.submit(_spec())
+            globs = []
+            for name in ("glob", "rglob", "iterdir"):
+                real = getattr(Path, name)
+                monkeypatch.setattr(
+                    Path, name,
+                    lambda self, *a, _real=real, _n=name, **kw: (
+                        globs.append(_n) or _real(self, *a, **kw)
+                    ),
+                )
+            client.ping()
+        assert globs == []
 
     def test_malformed_wire_is_counted_and_survivable(self, daemon,
                                                       sock):
@@ -258,43 +282,159 @@ class TestSocketPathGuard:
         assert check_socket_path("/tmp/ok.sock") == Path("/tmp/ok.sock")
 
 
-@chaos
-@pytest.mark.chaos
-class TestServiceShardRecovery:
-    def test_shard_kill_behind_live_daemon_recovers_and_serves(
-        self, daemon, sock, tmp_path
-    ):
-        import os
-
+class TestReadPath:
+    def test_cached_resubmission_takes_no_lease(self, daemon, sock,
+                                                monkeypatch):
         spec = _spec()
         with CampaignClient(sock) as client:
             first = client.submit(spec)
-            # Kill the primary owner of a stored key, so recovery has
-            # replicas to restore (an ownerless shard re-replicates 0).
-            key = sorted(daemon.store.indexed_keys())[0]
-            victim_sid = daemon.store.owners(key)[0]
-            victim = daemon.store.shard_pids()[victim_sid]
-            os.kill(victim, signal.SIGKILL)
-            # The accept loop's heartbeat detects, respawns and
-            # re-replicates without any client action.
-            deadline = time.monotonic() + 10.0
-            status = None
-            while time.monotonic() < deadline:
-                status = client.ping()["store"]
-                if status["alive"] == 4 and status["shard_deaths"] >= 1:
-                    break
-                time.sleep(0.05)
-            assert status["alive"] == 4
-            assert status["shard_deaths"] >= 1
-            assert status["rereplicated"] > 0
-            assert not status["degraded"]
             sims = client.ping()["simulations"]
+            attempts = []
+            real = KeyLock.try_acquire
+            monkeypatch.setattr(
+                KeyLock, "try_acquire",
+                lambda self: attempts.append(self.path) or real(self),
+            )
             second = client.submit(spec)
             assert client.ping()["simulations"] == sims
         assert first == second
-        for key in daemon.store.indexed_keys():
-            assert daemon.store.replica_count(key) == 2
-        solo = _solo_report(tmp_path, spec)
-        assert json.dumps(second, sort_keys=True) == json.dumps(
-            solo, sort_keys=True
-        )
+        assert attempts == []
+        assert list(daemon.cache.root.glob("*/*.lease")) == []
+
+    def test_corrupt_entry_is_quarantined_once_and_simulated_once(
+        self, daemon, sock, tmp_path
+    ):
+        spec = _spec()
+        with CampaignClient(sock) as client:
+            client.submit(spec)
+            before = client.ping()
+        runner = ExperimentRunner(**_SHAPE)
+        [dependent] = [
+            runner.cache_key(wl, req)
+            for wl, req in spec.pairs(runner) if not req.is_baseline
+        ]
+        daemon.cache.path_for(dependent).write_text("{not json")
+
+        barrier = threading.Barrier(2)
+        reports, errors = [], []
+
+        def resubmit():
+            try:
+                with CampaignClient(sock) as client:
+                    barrier.wait(timeout=10.0)
+                    reports.append(client.submit(spec))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=resubmit) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300.0)
+        assert not errors, errors
+        with CampaignClient(sock) as client:
+            after = client.ping()
+        assert after["quarantined"] == before["quarantined"] + 1
+        assert after["simulations"] == before["simulations"] + 1
+        solo = _canon(_solo_report(tmp_path, spec))
+        assert [_canon(r) for r in reports] == [solo, solo]
+        assert daemon.cache.load_payload(dependent, KIND_RUN) is not None
+
+    def test_each_key_is_counted_once(self, tmp_path, sock):
+        # The read-first lookup counts hits; a miss is counted once, by
+        # the run that resolves it — never by both.
+        daemon = CampaignDaemon(tmp_path / "cache", sock)
+        spec = _spec()
+        for expect in (
+            {"disk_misses": 2, "disk_hits": 0, "simulated": 2},
+            {"disk_misses": 0, "disk_hits": 2, "simulated": 0},
+        ):
+            runner = ExperimentRunner(cache=daemon.cache, **_SHAPE)
+            keymap = {
+                runner.cache_key(wl, req): (wl, req)
+                for wl, req in spec.pairs(runner)
+            }
+            daemon._run_phase(
+                runner, InFlightRegistry(daemon.cache), keymap, list(keymap)
+            )
+            campaign_report(runner, spec)
+            assert {k: getattr(runner.progress, k) for k in expect} == expect
+
+
+class _StubRunner:
+    """The two runner calls ``_run_phase`` makes, over a bare cache:
+    a key resolves once its entry exists; "simulating" writes it."""
+
+    def __init__(self, cache, sims, lock):
+        self.cache, self.sims, self.lock = cache, sims, lock
+
+    def lookup(self, key, _request):
+        return True if key in self.cache else None
+
+    def run_many(self, pairs):
+        for key, _ in pairs:
+            if key not in self.cache:
+                with self.lock:
+                    self.sims.append(key)
+                self.cache.store_payload(key, {"key": key}, KIND_RUN)
+
+
+class TestOrphanedLeases:
+    def test_orphan_is_reclaimed_and_each_key_simulated_once(
+        self, tmp_path, sock
+    ):
+        # A peer leases both keys, then drops ``orphan`` unpublished
+        # while still computing ``live``.  Two waiting connections must
+        # re-claim the orphan (exactly one of them simulates it) and
+        # keep waiting on ``live`` instead of simulating it too.
+        daemon = CampaignDaemon(tmp_path / "cache", sock)
+        cache = daemon.cache
+        orphan, live = (f"{i:064x}" for i in (1, 2))
+        keymap = {k: (k, None) for k in (orphan, live)}
+        peer = InFlightRegistry(cache, poll_s=0.01)
+        assert peer.claim([orphan, live]) == ([orphan, live], [])
+        sims, lock, errors = [], threading.Lock(), []
+
+        def waiter():
+            try:
+                daemon._run_phase(
+                    _StubRunner(cache, sims, lock),
+                    InFlightRegistry(cache, poll_s=0.01),
+                    keymap, [orphan, live],
+                )
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=waiter) for _ in range(2)]
+        for t in threads:
+            t.start()
+        time.sleep(0.2)
+        peer.publish(orphan)  # the peer "crashes" on this key
+        time.sleep(0.3)
+        _StubRunner(cache, sims, lock).run_many([keymap[live]])
+        peer.publish(live)
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not errors, errors
+        assert sorted(sims) == sorted([orphan, live])
+
+
+class TestRestart:
+    def test_restarted_daemon_serves_the_cache_without_simulating(
+        self, tmp_path, sock
+    ):
+        spec = _spec()
+        first, thread = _serve(tmp_path / "cache", sock)
+        try:
+            with CampaignClient(sock) as client:
+                before = client.submit(spec)
+        finally:
+            _stop(first, thread)
+        second, thread = _serve(tmp_path / "cache", sock)
+        try:
+            with CampaignClient(sock) as client:
+                after = client.submit(spec)
+                assert client.ping()["simulations"] == 0
+        finally:
+            _stop(second, thread)
+        assert _canon(after) == _canon(before)

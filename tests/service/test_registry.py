@@ -114,6 +114,30 @@ class TestWait:
         assert missing == [key]
         assert len(polls) < 20  # early return, not a 30s spin
 
+    def test_only_the_orphan_comes_back(self, cache):
+        owner = InFlightRegistry(cache, poll_s=0.01)
+        waiter = InFlightRegistry(cache, poll_s=0.01)
+        orphan, live = _keys(2)
+        owner.claim([orphan, live])
+        polls = []
+
+        def done(k):
+            # The owner drops ``orphan`` unpublished right away and
+            # publishes ``live`` a few polls later: the waiter must keep
+            # waiting on ``live`` and hand back ``orphan`` only.
+            polls.append(k)
+            if len(polls) == 2:
+                owner.publish(orphan)
+            if k == live and len(polls) >= 8:
+                owner.publish(live)
+                return True
+            return False
+
+        assert waiter.wait([orphan, live], done=done, timeout_s=30.0) == [
+            orphan
+        ]
+        assert owner.in_flight == 0
+
     def test_deadline_returns_the_still_missing_keys(self, cache):
         owner = InFlightRegistry(cache, poll_s=0.01)
         waiter = InFlightRegistry(cache, poll_s=0.01)
