@@ -33,8 +33,8 @@ Installed as ``acr-repro`` (or run with ``python -m repro.cli``):
   campaign *daemon*'s frame stream live instead;
 * ``acr-repro serve``             — run the campaign scheduler daemon:
   submissions over a Unix socket, results served straight from the disk
-  cache (cached keys take no lease), concurrent clients' misses deduped
-  through in-flight leases;
+  cache (cached keys take no claim), concurrent clients' misses deduped
+  through the runner's per-key claims;
 * ``acr-repro submit bt ...``     — run a campaign on the daemon (or
   ``--solo`` in-process) and print/write its deterministic report —
   byte-identical across both paths;

@@ -163,10 +163,11 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def lock_path(self, key: str) -> Path:
-        """Where ``key``'s advisory lockfile lives (see
-        :class:`repro.resilience.locks.KeyLock`): beside the entry, so
-        concurrent invocations sharing this cache can elect one
-        simulator per key instead of racing."""
+        """Where ``key``'s claim lives — the one advisory lockfile (see
+        :class:`repro.resilience.locks.KeyLock`) every runner sharing
+        this cache takes before simulating the key: beside the entry, so
+        concurrent runners elect one simulator per key instead of
+        racing."""
         return self.path_for(key).with_suffix(".lock")
 
     def journal_path(self) -> Path:

@@ -103,9 +103,9 @@ class ProgressTracker:
                 f" {rec.seconds * 1e3:9.1f} ms{suffix}"
             )
 
-    def record_miss(self) -> None:
-        """Count one disk-cache miss (the run will be simulated)."""
-        self.disk_misses += 1
+    def record_miss(self, n: int = 1) -> None:
+        """Count disk-cache misses (the runs will be simulated)."""
+        self.disk_misses += n
 
     def record_memo(self) -> None:
         """Count one in-process memo hit (free; not a timed record)."""

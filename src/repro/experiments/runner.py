@@ -17,6 +17,13 @@ first:
    timeouts, retries with deterministic backoff, dead-worker respawn
    and a write-ahead completion journal for ``resume``.
 
+Every miss is simulated under its **claim** — one advisory
+:class:`~repro.resilience.locks.KeyLock` per key beside the cache entry —
+so runners sharing a cache directory (separate invocations, or the
+campaign daemon's per-submission runners) simulate each key at most
+once between them: a key whose claim is held elsewhere is waited on
+until its entry is published, and re-claimed if its owner vanished.
+
 Parallel runs are bit-identical to serial ones: the simulation is
 deterministic, workers return the full serialised result, and both paths
 share the same cache keys (a test pins this).
@@ -29,6 +36,7 @@ keep a full paper regeneration to minutes.
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from pathlib import Path
 from typing import (
@@ -40,6 +48,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -76,6 +85,11 @@ from repro.util.validation import check_positive
 from repro.workloads.registry import all_workload_names, get_workload
 
 __all__ = ["ExperimentRunner"]
+
+#: How often a runner waiting on a peer's claim re-reads the key.
+_CLAIM_POLL_S = 0.05
+
+_Item = TypeVar("_Item")
 
 #: One unit of pool work: everything a worker needs to rebuild the
 #: simulator and execute the run, plus the baseline profile (None for
@@ -253,10 +267,10 @@ class ExperimentRunner:
                     "cache_dir (or journal_path)"
                 )
             self._resume_keys = self.journal.load()
-        #: Key locks currently held by this process (best-effort cache
-        #: coordination); heartbeaten per completed task so long-running
-        #: owners are not broken as stale by waiting peers.
-        self._held_locks: List[KeyLock] = []
+        #: Claims this runner currently holds, by cache key; heartbeaten
+        #: per completed task so long-running owners are not broken as
+        #: stale by waiting peers.
+        self._claims: Dict[str, KeyLock] = {}
         self._programs: Dict[str, List[Program]] = {}
         self._simulators: Dict[str, Simulator] = {}
         self._results: Dict[Tuple[str, ConfigRequest], RunResult] = {}
@@ -290,10 +304,11 @@ class ExperimentRunner:
     # -- runs ---------------------------------------------------------------
     def run(self, workload: str, request: ConfigRequest) -> RunResult:
         """Run (or fetch) one configuration of one workload."""
-        found = self._lookup(workload, request)
+        found = self.lookup(workload, request)
         if found is not None:
             return found
-        return self._simulate(workload, request)
+        self._resolve_runs([(workload, request)], jobs=1)
+        return self._results[(workload, request)]
 
     def run_many(
         self,
@@ -306,7 +321,8 @@ class ExperimentRunner:
         Results are returned in input order and are identical to what the
         serial :meth:`run` path produces (workers ship serialised results
         back; the checkpoint store stays worker-side).  Pairs already in
-        the memo or the persistent cache are never re-simulated.
+        the memo or the persistent cache are never re-simulated, and a
+        miss is simulated only under its claim (:meth:`_claimed`).
 
         With ``jobs > 1`` the fan-out runs under a
         :class:`~repro.resilience.supervisor.Supervisor`: hung tasks
@@ -324,7 +340,7 @@ class ExperimentRunner:
         pending = [
             (wl, req)
             for wl, req in ordered
-            if self._lookup(wl, req) is None
+            if self.lookup(wl, req) is None
         ]
         if self.resume:
             self._credit_resume(
@@ -332,11 +348,7 @@ class ExperimentRunner:
                 pending_count=len(pending),
             )
         if pending:
-            if jobs <= 1:
-                for wl, req in pending:
-                    self._simulate(wl, req)
-            else:
-                self._run_parallel(pending, jobs)
+            self._resolve_runs(pending, jobs)
         return [self._results[(wl, req)] for wl, req in ordered]
 
     # -- fault-injection trials ----------------------------------------------
@@ -347,7 +359,8 @@ class ExperimentRunner:
     ) -> List[TrialResult]:
         """Resolve fault-injection :class:`TrialSpec`\\ s through the same
         three layers as simulation runs: memo → persistent cache →
-        execute (inline, or over a process pool when ``jobs > 1``).
+        execute (inline, or over a process pool when ``jobs > 1``), each
+        miss under its claim.
 
         Trials are self-contained — each spec carries its own workload,
         scale and machine shape — so the runner's ``num_cores`` /
@@ -367,41 +380,34 @@ class ExperimentRunner:
                 pending_count=len(pending),
             )
         if pending:
-            if jobs <= 1:
-                for spec in pending:
-                    self._execute_trial_inline(spec)
-            else:
-                self._run_trials_parallel(pending, jobs)
+            self._claimed(
+                pending, trial_cache_key, self._lookup_trial,
+                lambda won: self._execute_trials(won, jobs),
+            )
         return [self._trial_results[s] for s in ordered]
 
     def _execute_trial_inline(self, spec: TrialSpec) -> None:
-        """Run one trial in-process (under the per-key cache lock, so a
-        concurrent invocation missing on the same key waits for this
-        one's entry instead of re-simulating)."""
-
-        def execute() -> None:
-            scope = self._task_scope(
-                f"{spec.workload}/inject:{spec.config}#{spec.seed}"
-            )
-            with scope, _Timer() as timer:
-                result = run_trial(
-                    spec,
-                    engine=self.engine,
-                    snapshots=self.snapshots,
-                    snapshot_store=self.snapshot_store,
-                )
-            self._install_trial(spec, result, "sim", timer.seconds)
-
-        self._with_key_lock(
-            trial_cache_key(spec),
-            recheck=lambda: self._lookup_trial(spec) is not None,
-            execute=execute,
+        """Run one trial in-process and store it in every layer."""
+        scope = self._task_scope(
+            f"{spec.workload}/inject:{spec.config}#{spec.seed}"
         )
+        with scope, _Timer() as timer:
+            result = run_trial(
+                spec,
+                engine=self.engine,
+                snapshots=self.snapshots,
+                snapshot_store=self.snapshot_store,
+            )
+        self._install_trial(spec, result, "sim", timer.seconds)
 
-    def _run_trials_parallel(
+    def _execute_trials(
         self, pending: Sequence[TrialSpec], jobs: int
     ) -> None:
-        """Fan trials out over the supervised pool."""
+        """Execute claimed trials inline, or over the supervised pool."""
+        if jobs <= 1:
+            for spec in pending:
+                self._execute_trial_inline(spec)
+            return
         tasks = [
             SupervisedTask(
                 key=trial_cache_key(spec),
@@ -436,7 +442,8 @@ class ExperimentRunner:
 
         A cached payload that fails to decode as a :class:`TrialResult`
         (truncation, hand edits, schema drift within the envelope) is
-        quarantined and reported as a miss — never a crash.
+        quarantined and reported as a miss — never a crash.  Hits are
+        counted here, a miss by the claim that executes it.
         """
         memo = self._trial_results.get(spec)
         if memo is not None:
@@ -459,7 +466,6 @@ class ExperimentRunner:
                     timer.seconds,
                 )
                 return cached
-            self.progress.record_miss()
         return None
 
     def _install_trial(
@@ -471,7 +477,6 @@ class ExperimentRunner:
         attempts: int = 1,
     ) -> None:
         """Record progress and store a fresh trial result in every layer."""
-        self._heartbeat_locks()
         self.progress.record(
             spec.workload, f"inject:{spec.config}", source, seconds
         )
@@ -482,7 +487,7 @@ class ExperimentRunner:
         if self.cache is not None:
             with self._phase("cache-io"):
                 self.cache.store_payload(key, result.to_dict(), KIND_TRIAL)
-        self._journal_done(
+        self._published(
             key, KIND_TRIAL, f"{spec.workload}/inject:{spec.config}",
             attempts, seconds,
         )
@@ -577,8 +582,8 @@ class ExperimentRunner:
     ) -> Optional[RunResult]:
         """Memo, then persistent cache, never simulating; ``None`` means
         'must simulate' (a corrupt entry is quarantined and reads as a
-        miss).  Hits are counted here, a miss by the :meth:`run_many`
-        that resolves it, so each key counts once."""
+        miss).  Hits are counted here, a miss by the claim that
+        simulates it (:meth:`_claimed`), so each key counts once."""
         key = (workload, request)
         memo = self._results.get(key)
         if memo is not None:
@@ -595,57 +600,32 @@ class ExperimentRunner:
             )
         return cached
 
-    def _lookup(
+    def _simulate(self, workload: str, request: ConfigRequest) -> None:
+        """Execute one claimed run in-process and store it in every layer
+        (its baseline is already resolved: baselines are claimed first)."""
+        scope = self._task_scope(f"{workload}/{request.config}")
+        with scope, _Timer() as timer:
+            sim = self.simulator(workload)
+            base = self._resolved_baseline(workload, request)
+            profile = base.baseline_profile() if base is not None else None
+            result = sim.run(make_options(request, profile, engine=self.engine))
+        self.progress.record(workload, request.config, "sim", timer.seconds)
+        if result.vector_coverage is not None:
+            self.progress.record_vector_coverage(
+                result.vector_coverage["replayed_iterations"],
+                result.vector_coverage["fallback_iterations"],
+            )
+        self._store(workload, request, result, seconds=timer.seconds)
+
+    def _resolved_baseline(
         self, workload: str, request: ConfigRequest
     ) -> Optional[RunResult]:
-        """:meth:`lookup`, counting a cache miss."""
-        found = self.lookup(workload, request)
-        if found is None and self.cache is not None:
-            self.progress.record_miss()
-        return found
-
-    def _simulate(self, workload: str, request: ConfigRequest) -> RunResult:
-        """Execute one run in-process and store it in every layer (under
-        the per-key cache lock when a cache is configured)."""
-        done: List[RunResult] = []
-
-        def execute() -> None:
-            scope = self._task_scope(f"{workload}/{request.config}")
-            with scope, _Timer() as timer:
-                sim = self.simulator(workload)
-                baseline = None
-                if not request.is_baseline:
-                    baseline = self.baseline(
-                        workload, request.memory_seed
-                    ).baseline_profile()
-                result = sim.run(
-                    make_options(request, baseline, engine=self.engine)
-                )
-            self.progress.record(
-                workload, request.config, "sim", timer.seconds
-            )
-            if result.vector_coverage is not None:
-                self.progress.record_vector_coverage(
-                    result.vector_coverage["replayed_iterations"],
-                    result.vector_coverage["fallback_iterations"],
-                )
-            self._store(
-                workload, request, result, seconds=timer.seconds
-            )
-            done.append(result)
-
-        def recheck() -> bool:
-            found = self._lookup(workload, request)
-            if found is not None:
-                done.append(found)
-                return True
-            return False
-
-        self._with_key_lock(
-            self.cache_key(workload, request), recheck=recheck,
-            execute=execute,
-        )
-        return done[-1]
+        """The NoCkpt run a claimed dependent needs (``None`` for a
+        baseline) — already memoised, since baselines resolve first."""
+        if request.is_baseline:
+            return None
+        base = ConfigRequest("NoCkpt", memory_seed=request.memory_seed)
+        return self._results[(workload, base)]
 
     def _store(
         self,
@@ -656,14 +636,13 @@ class ExperimentRunner:
         seconds: float = 0.0,
     ) -> None:
         """Install a fresh result into the memo, the persistent cache
-        and the completion journal."""
-        self._heartbeat_locks()
+        and the completion journal, then release its claim."""
         self._results[(workload, request)] = result
         key = self.cache_key(workload, request)
         if self.cache is not None:
             with self._phase("cache-io"):
                 self.cache.store(key, result)
-        self._journal_done(
+        self._published(
             key, KIND_RUN, f"{workload}/{request.config}", attempts, seconds
         )
 
@@ -709,18 +688,6 @@ class ExperimentRunner:
         sup.close = close  # type: ignore[method-assign]
         return sup
 
-    def _journal_done(
-        self, key: str, kind: str, label: str, attempts: int, seconds: float
-    ) -> None:
-        """Append one completion record to the write-ahead journal."""
-        if self.journal is not None:
-            self.journal.append(
-                JournalRecord(
-                    key=key, kind=kind, label=label,
-                    attempts=attempts, seconds=seconds,
-                )
-            )
-
     def _credit_resume(
         self, keys: Iterable[str], pending_count: int
     ) -> None:
@@ -748,70 +715,104 @@ class ExperimentRunner:
                 )
             )
 
-    def _heartbeat_locks(self) -> None:
-        """Refresh the mtime of every currently-held key lock.
-
-        Called per completed task (install/store time), which bounds the
-        staleness clock by the longest *single* task rather than the
-        whole fan-out; cheap (one utime per held lock, usually zero or
-        one of them).
-        """
-        for lock in self._held_locks:
-            lock.heartbeat()
-
-    def _with_key_lock(
-        self,
-        key: str,
-        recheck: Callable[[], bool],
-        execute: Callable[[], None],
+    def _published(
+        self, key: str, kind: str, label: str, attempts: int, seconds: float
     ) -> None:
-        """Run ``execute`` under ``key``'s best-effort cache lock.
+        """A fresh result for ``key`` is stored: journal it, release its
+        claim right away, and heartbeat the claims still held.
 
-        Without a cache there is nothing to race on — execute directly.
-        When the lock is already held by a concurrent invocation, wait
-        (bounded by the policy), then ``recheck`` the cache: if the
-        winner published, reuse its entry; otherwise execute anyway —
-        the lock is an optimisation, never a correctness gate.
+        Heartbeating per completed task bounds a waiting peer's
+        staleness clock by the longest *single* task rather than the
+        whole fan-out (one utime per held claim).
+        """
+        if self.journal is not None:
+            self.journal.append(
+                JournalRecord(
+                    key=key, kind=kind, label=label,
+                    attempts=attempts, seconds=seconds,
+                )
+            )
+        self._release_claim(key)
+        for claim in self._claims.values():
+            claim.heartbeat()
 
-        Held locks are registered on ``_held_locks`` for the duration of
-        ``execute`` so :meth:`_heartbeat_locks` can refresh their mtimes
-        — an owner legitimately computing past the staleness window
-        (e.g. a lock held across a nested baseline run) must not get
-        broken by a waiting peer.
+    def _release_claim(self, key: str) -> None:
+        claim = self._claims.pop(key, None)
+        if claim is not None:
+            claim.release()
+
+    # -- per-key claims ------------------------------------------------------
+    def _claimed(
+        self,
+        items: Sequence[_Item],
+        key_of: Callable[[_Item], str],
+        lookup: Callable[[_Item], Any],
+        execute: Callable[[List[_Item]], None],
+    ) -> None:
+        """Execute the missed ``items`` so that each key is simulated at
+        most once across every runner sharing the cache.
+
+        Each key's claim — a :class:`KeyLock` on ``cache.lock_path`` — is
+        tried without blocking.  A won key is re-read through ``lookup``
+        (a peer may have published since the caller's read) and handed
+        to ``execute`` only if it still misses; storing its result
+        releases the claim (:meth:`_published`).  A key claimed
+        elsewhere is polled until its entry reads back through
+        ``lookup`` — so a corrupt entry never passes for done — or until
+        its claim is won, because the owner released without publishing
+        or went stale (``lock_stale_s``) and was broken.  It is then
+        handled like any other win.
+
+        Callers resolve baselines before claiming their dependents, so
+        ``execute`` never waits on another key and no claim is held
+        across a nested run.  Without a cache there is nothing to share:
+        every item executes.
         """
         if self.cache is None:
-            execute()
+            execute(list(items))
             return
-        lock = KeyLock(
-            self.cache.lock_path(key),
-            wait_s=self.resilience.lock_wait_s,
-            stale_s=self.resilience.lock_stale_s,
-        )
-        if not lock.try_acquire():
-            # Contended: another invocation is (or was) computing this
-            # key — wait for it, then prefer its published entry.
-            lock.acquire()
-            if recheck():
-                lock.release()
-                return
-        self._held_locks.append(lock)
-        try:
-            execute()
-        finally:
-            self._held_locks.remove(lock)
-            lock.release()
+        todo = list(items)
+        while todo:
+            won: List[_Item] = []
+            waiting: List[_Item] = []
+            for item in todo:
+                key = key_of(item)
+                claim = KeyLock(
+                    self.cache.lock_path(key),
+                    stale_s=self.resilience.lock_stale_s,
+                )
+                if not claim.try_acquire():
+                    waiting.append(item)
+                    continue
+                self._claims[key] = claim
+                if lookup(item) is None:
+                    won.append(item)
+                else:
+                    self._release_claim(key)
+            if won:
+                self.progress.record_miss(len(won))
+                try:
+                    execute(won)
+                finally:
+                    for item in won:
+                        self._release_claim(key_of(item))
+            todo = [item for item in waiting if lookup(item) is None]
+            if todo and not won:
+                time.sleep(_CLAIM_POLL_S)
 
-    # -- parallel fan-out ----------------------------------------------------
-    def _run_parallel(
+    # -- resolution ----------------------------------------------------------
+    def _resolve_runs(
         self, pending: Sequence[Tuple[str, ConfigRequest]], jobs: int
     ) -> None:
-        """Fan ``pending`` out over the supervised pool, baselines first.
+        """Simulate the missed ``pending`` pairs, baselines first.
 
-        Two phases: every needed NoCkpt baseline runs first (workers need
-        its per-core useful-time profile to place boundaries and errors),
-        then all remaining pairs run fully independently.  One supervisor
-        spans both phases, so surviving workers keep their warm
-        simulator memos.
+        Two phases: every needed NoCkpt baseline is resolved first
+        (dependents need its per-core useful-time profile to place
+        boundaries and errors), then all remaining pairs run fully
+        independently — each phase under its claims.  With ``jobs > 1``
+        one supervisor spans both phases, so surviving workers keep
+        their warm simulator memos (it spawns no worker until a claim
+        is won).
         """
         baseline_reqs: Dict[Tuple[str, ConfigRequest], None] = {}
         for wl, req in pending:
@@ -827,35 +828,36 @@ class ExperimentRunner:
         phase1 = [
             key
             for key in baseline_reqs
-            if key in pending_set or self._lookup(*key) is None
+            if key in pending_set or self.lookup(*key) is None
         ]
         phase2 = [(wl, req) for wl, req in pending if not req.is_baseline]
 
-        with self._supervisor(jobs) as sup:
-            if phase1:
-                self._dispatch_supervised(sup, phase1, baselines=None)
-            if phase2:
-                profiles = {
-                    key: list(self._results[key].per_core_useful_ns)
-                    for key in baseline_reqs
-                }
-                self._dispatch_supervised(sup, phase2, baselines=profiles)
+        pool = self._supervisor(jobs) if jobs > 1 else nullcontext()
+        with pool as sup:
+            for phase in (phase1, phase2):
+                self._claimed(
+                    phase,
+                    lambda pair: self.cache_key(*pair),
+                    lambda pair: self.lookup(*pair),
+                    lambda pairs: self._execute_runs(pairs, sup),
+                )
 
-    def _dispatch_supervised(
+    def _execute_runs(
         self,
-        sup: Supervisor,
         pairs: Sequence[Tuple[str, ConfigRequest]],
-        baselines: Optional[Dict[Tuple[str, ConfigRequest], List[float]]],
+        sup: Optional[Supervisor],
     ) -> None:
-        """Run one phase of pairs through the supervisor, installing
-        each result (memo + cache + journal) the moment it completes."""
+        """Execute claimed pairs inline, or through the supervisor,
+        installing each result (memo + cache + journal) the moment it
+        completes.  Every dependent's baseline is already in the memo."""
+        if sup is None:
+            for wl, req in pairs:
+                self._simulate(wl, req)
+            return
         tasks: List[SupervisedTask] = []
         for wl, req in pairs:
-            profile = None
-            if baselines is not None:
-                profile = baselines[
-                    (wl, ConfigRequest("NoCkpt", memory_seed=req.memory_seed))
-                ]
+            base = self._resolved_baseline(wl, req)
+            profile = list(base.per_core_useful_ns) if base is not None else None
             tasks.append(
                 SupervisedTask(
                     key=self.cache_key(wl, req),

@@ -19,8 +19,8 @@ processes.  The layers mirror the paper's vocabulary (DESIGN §3.4):
   An interrupted regeneration or campaign resumes exactly where it
   stopped, and a resumed run's report is bit-identical to an
   undisturbed one.
-* :class:`KeyLock` — best-effort per-cache-key lockfiles so concurrent
-  invocations sharing one cache directory do not redundantly simulate.
+* :class:`KeyLock` — the best-effort per-cache-key claim, so concurrent
+  runners sharing one cache directory do not redundantly simulate.
 * :class:`FailureReport` — per-task attempt history (what retried, why,
   after which backoff), attached to campaign/report output.
 

@@ -1,9 +1,11 @@
 """Best-effort per-key lockfiles for the shared result cache.
 
-Two ``acr-repro`` invocations pointed at one ``--cache-dir`` can miss
-on the same key simultaneously and both pay for the simulation.  A
-:class:`KeyLock` makes the race cheap: the loser waits briefly for the
-winner's entry instead of recomputing.  The guarantees are deliberately
+Two ``acr-repro`` invocations (or two campaign-daemon submissions)
+pointed at one ``--cache-dir`` can miss on the same key simultaneously
+and both pay for the simulation.  A :class:`KeyLock` on the entry's
+``cache.lock_path`` is that key's **claim**: the runner that wins it
+simulates, the others wait for the winner's entry instead of
+recomputing (``ExperimentRunner._claimed``).  The guarantees are deliberately
 *best-effort* — correctness never depends on the lock (cache writes are
 atomic and idempotent; a duplicated simulation is waste, not a bug), so
 every failure mode degrades to "simulate anyway":

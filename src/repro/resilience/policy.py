@@ -42,8 +42,9 @@ class ResiliencePolicy:
     shapes the delay between attempts; ``pool_failure_threshold`` is the
     circuit breaker — after that many *consecutive* pool-level failures
     (worker deaths or timeouts, never ordinary task exceptions) the
-    supervisor degrades to serial in-process execution.  The ``lock_*``
-    pair governs the best-effort per-cache-key lockfiles.
+    supervisor degrades to serial in-process execution.
+    ``lock_stale_s`` is how old (by mtime) a per-key claim must be
+    before a waiting runner presumes its owner dead and breaks it.
     """
 
     max_retries: int = 2
@@ -54,7 +55,6 @@ class ResiliencePolicy:
     jitter_fraction: float = 0.25
     seed: int = 0
     pool_failure_threshold: int = 3
-    lock_wait_s: float = 10.0
     lock_stale_s: float = 600.0
 
     def __post_init__(self) -> None:
@@ -69,10 +69,6 @@ class ResiliencePolicy:
         check_positive("backoff_max_s", self.backoff_max_s)
         check_in_range("jitter_fraction", self.jitter_fraction, 0.0, 1.0)
         check_positive("pool_failure_threshold", self.pool_failure_threshold)
-        if self.lock_wait_s < 0:
-            raise ValueError(
-                f"lock_wait_s must be >= 0, got {self.lock_wait_s}"
-            )
         check_positive("lock_stale_s", self.lock_stale_s)
 
     @property

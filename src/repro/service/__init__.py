@@ -8,9 +8,8 @@ per-connection :class:`~repro.experiments.runner.ExperimentRunner`\\ s
 that share one content-addressed
 :class:`~repro.experiments.cache.ResultCache` — the only result store.
 A key already in the cache costs one validated read; overlapping misses
-dedupe through the :class:`~repro.service.registry.InFlightRegistry`
-(per-key leases): each canonical key simulates at most once and every
-subscriber receives the result.
+dedupe through the runner's per-key claims: each canonical key simulates
+at most once and every subscriber receives the result.
 :class:`~repro.service.client.CampaignClient` is the client library
 behind the ``acr-repro serve`` / ``submit`` / ``shutdown`` CLI verbs and
 ``monitor --attach``.
@@ -26,14 +25,12 @@ from repro.service.protocol import (
     decode_stream,
     encode_frame,
 )
-from repro.service.registry import InFlightRegistry
 
 __all__ = [
     "PROTOCOL_VERSION",
     "CampaignClient",
     "CampaignDaemon",
     "CampaignSpec",
-    "InFlightRegistry",
     "ProtocolError",
     "ServiceError",
     "campaign_report",

@@ -4,7 +4,7 @@ A :class:`CampaignSpec` is the unit of submission: a cross product of
 workloads × configurations plus every shape knob that reaches the cache
 key, serialisable over the wire with a strict inverse.  Two clients
 submitting equal specs name exactly the same canonical key set — the
-in-flight registry dedupes on that, and :func:`campaign_report` renders
+runner's per-key claims dedupe on that, and :func:`campaign_report` renders
 the outcome as a deterministic JSON document (simulated quantities only,
 sorted runs, a self-certifying digest) so reports from the service, from
 a solo runner, or from two concurrent clients can be compared with
@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.configs import CONFIG_NAMES, ConfigRequest
 from repro.sim.results import energy_overhead, time_overhead
-from repro.util.validation import check_positive, require_fields
+from repro.util.validation import require_fields
 from repro.workloads.registry import all_workload_names
 
 __all__ = [
@@ -32,6 +33,14 @@ __all__ = [
 
 #: Bump when the report document layout changes.
 REPORT_VERSION = 1
+
+
+def _check_int(name: str, value: Any, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int (not a bool) that
+    is at least ``low`` — wire input must never reach a comparison that
+    raises ``TypeError`` instead."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,16 +89,21 @@ class CampaignSpec:
                     f"unknown configuration {cfg!r}; "
                     f"pick one of {CONFIG_NAMES}"
                 )
-        check_positive("num_cores", self.num_cores)
-        check_positive("region_scale", self.region_scale)
-        check_positive("num_checkpoints", self.num_checkpoints)
-        check_positive("error_count", self.error_count)
-        if self.threshold is not None:
-            check_positive("threshold", self.threshold)
-        if not isinstance(self.memory_seed, int) or self.memory_seed < 0:
+        for name in ("num_cores", "num_checkpoints", "error_count"):
+            _check_int(name, getattr(self, name), low=1)
+        for name in ("reps", "threshold"):
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name), low=1)
+        _check_int("memory_seed", self.memory_seed, low=0)
+        scale = self.region_scale
+        if (
+            isinstance(scale, bool)
+            or not isinstance(scale, (int, float))
+            or not math.isfinite(scale)
+            or scale <= 0
+        ):
             raise ValueError(
-                f"memory_seed must be a non-negative int, "
-                f"got {self.memory_seed!r}"
+                f"region_scale must be a positive real, got {scale!r}"
             )
         if self.engine not in ("interp", "vector"):
             raise ValueError(f"unknown engine {self.engine!r}")

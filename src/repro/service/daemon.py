@@ -5,18 +5,17 @@ One :class:`CampaignDaemon` owns the disk
 store (DESIGN §4.3: there is no in-memory result tier) — and a Unix
 socket listener.  Each client connection gets a handler thread and — per
 ``submit`` — its own :class:`~repro.experiments.runner.ExperimentRunner`
-(handed the shared cache via the runner's ``cache=`` parameter) plus its
-own :class:`~repro.service.registry.InFlightRegistry`, so concurrent
-submissions dedupe through filesystem leases exactly like independent
-processes would.
+(handed the shared cache via the runner's ``cache=`` parameter), so
+concurrent submissions dedupe through the runner's per-key claims
+exactly like independent processes would.
 
-Every key of a submission is read first: a key already in the cache
-costs one validated cache read (a corrupt entry is quarantined and reads
-as a miss) and takes no lease.  Only the misses are claimed, in two
-phases — baselines, then dependents — so a client whose baseline lease
-went to a peer *waits* for the published entry instead of re-simulating
-it; that ordering is what makes the dedupe proof exact (total
-simulations == unique canonical keys).
+A submission is :func:`~repro.service.campaigns.campaign_report` on that
+runner, whose one ``run_many`` reads every key first: a key already in
+the cache costs one validated read (a corrupt entry is quarantined and
+reads as a miss) and takes no claim; each miss is simulated under its
+claim, baselines before dependents, so a client whose key is claimed by
+a peer waits for the published entry instead of re-simulating it —
+total simulations == unique canonical keys.
 
 Telemetry frames stream back over the wire: the submitting connection
 (``stream``) and any global ``watch`` subscribers receive every frame a
@@ -43,7 +42,6 @@ from repro.obs.telemetry.aggregate import CampaignTelemetry
 from repro.resilience.policy import ResiliencePolicy
 from repro.service.campaigns import CampaignSpec, campaign_report
 from repro.service.protocol import decode_stream, encode_frame
-from repro.service.registry import InFlightRegistry
 from repro.util.atomicio import append_line
 
 __all__ = ["CampaignDaemon", "check_socket_path"]
@@ -119,7 +117,6 @@ class CampaignDaemon:
         socket_path: Union[str, Path],
         jobs: int = 1,
         resilience: Optional[ResiliencePolicy] = None,
-        wait_timeout_s: float = 600.0,
         echo=None,
     ) -> None:
         self.socket_path = check_socket_path(socket_path)
@@ -127,7 +124,6 @@ class CampaignDaemon:
         self.cache = ResultCache(cache_dir, metrics=self.metrics)
         self.jobs = jobs
         self.resilience = resilience or ResiliencePolicy()
-        self.wait_timeout_s = wait_timeout_s
         self.echo = echo or (lambda line: None)
         self._stop = threading.Event()
         self._state_lock = threading.Lock()
@@ -193,7 +189,6 @@ class CampaignDaemon:
     # -------------------------------------------------------------- handlers --
     def _handle(self, conn: _Connection) -> None:
         """One connection's read loop: decode messages, dispatch ops."""
-        registry = InFlightRegistry(self.cache)
         buf = b""
         conn.sock.settimeout(0.5)
         try:
@@ -212,10 +207,9 @@ class CampaignDaemon:
                     with self._state_lock:
                         self.wire_malformed += malformed
                 for msg in messages:
-                    if not self._dispatch(conn, msg, registry):
+                    if not self._dispatch(conn, msg):
                         return
         finally:
-            registry.release_all()
             conn.alive = False
             with self._state_lock:
                 if conn in self._connections:
@@ -225,10 +219,7 @@ class CampaignDaemon:
             except OSError:
                 pass
 
-    def _dispatch(
-        self, conn: _Connection, msg: Dict[str, Any],
-        registry: InFlightRegistry,
-    ) -> bool:
+    def _dispatch(self, conn: _Connection, msg: Dict[str, Any]) -> bool:
         """Handle one message; returns False to end the connection."""
         op = msg["op"]
         if op == "ping":
@@ -244,16 +235,13 @@ class CampaignDaemon:
             self.stop()
             return False
         if op == "submit":
-            self._serve_campaign(conn, msg, registry)
+            self._serve_campaign(conn, msg)
             return True
         conn.send({"op": "error", "message": f"client cannot send {op!r}"})
         return True
 
     # -------------------------------------------------------------- campaigns --
-    def _serve_campaign(
-        self, conn: _Connection, msg: Dict[str, Any],
-        registry: InFlightRegistry,
-    ) -> None:
+    def _serve_campaign(self, conn: _Connection, msg: Dict[str, Any]) -> None:
         try:
             spec = CampaignSpec.from_dict(msg.get("campaign"))
         except ValueError as exc:
@@ -279,37 +267,22 @@ class CampaignDaemon:
                 engine=spec.engine,
                 telemetry=telemetry,
             )
-            runner.supervisor_hooks["on_result"] = (
-                lambda task: registry.heartbeat_all()
-            )
-            pairs = spec.pairs(runner)
-            keymap = {
-                runner.cache_key(wl, req): (wl, req) for wl, req in pairs
-            }
-            conn.send({"op": "accepted", "keys": len(keymap)})
-            # Baselines first: a dependent must never simulate because
-            # its baseline is still leased to a concurrent client.
-            for phase_keys in (
-                [k for k, (_, r) in keymap.items() if r.is_baseline],
-                [k for k, (_, r) in keymap.items() if not r.is_baseline],
-            ):
-                self._run_phase(runner, registry, keymap, phase_keys)
+            keys = len(spec.pairs(runner))
+            conn.send({"op": "accepted", "keys": keys})
             report = campaign_report(runner, spec)
-            # Settle the leases and the accounting BEFORE the result
-            # frame leaves: a client holding its report may immediately
-            # ping and must see this campaign's totals.
-            registry.release_all()
+            # Settle the accounting BEFORE the result frame leaves: a
+            # client holding its report may immediately ping and must
+            # see this campaign's totals.
             self._account(progress)
             conn.send({"op": "result", "report": report})
             self._audit(
                 "campaign",
                 sha256=report["sha256"],
-                keys=len(keymap),
+                keys=keys,
                 simulated=progress.simulated,
                 disk_hits=progress.disk_hits,
             )
         except Exception as exc:  # a bad campaign must not kill the daemon
-            registry.release_all()
             self._account(progress)
             conn.send(
                 {"op": "error", "message": f"{type(exc).__name__}: {exc}"}
@@ -323,31 +296,6 @@ class CampaignDaemon:
             self.campaigns_active -= 1
             self.campaigns_served += 1
             self.simulations += progress.simulated
-
-    def _run_phase(
-        self,
-        runner: ExperimentRunner,
-        registry: InFlightRegistry,
-        keymap: Dict[str, Any],
-        keys: List[str],
-    ) -> None:
-        """Read every key first; claim, simulate and publish the misses
-        this connection wins, wait for the ones a peer is computing, and
-        re-claim any whose owner vanished without publishing."""
-        todo = [k for k in keys if runner.lookup(*keymap[k]) is None]
-        while todo:
-            mine, theirs = registry.claim(todo)
-            if mine:
-                # run_many looks each key up again under its lease: a
-                # peer may have published between the read and the claim.
-                runner.run_many([keymap[k] for k in mine])
-                for key in mine:
-                    registry.publish(key)
-            todo = registry.wait(
-                theirs,
-                done=lambda key: key in self.cache,
-                timeout_s=self.wait_timeout_s,
-            )
 
     # -------------------------------------------------------------- telemetry --
     def _forward_frame(

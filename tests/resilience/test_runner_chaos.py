@@ -9,12 +9,14 @@ The headline contracts of this layer:
 * a ``KeyboardInterrupt`` mid-fan-out leaves every completed result in
   the cache and the journal before re-raising;
 * two invocations sharing a cache directory elect one simulator per key
-  through the per-key lockfile.
+  through the per-key claim.
 """
 
 import json
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -146,29 +148,32 @@ def test_clean_parallel_run_reports_visible_zeros(tmp_path):
 
 def test_lock_waiter_reuses_winners_entry(tmp_path):
     req = ConfigRequest("NoCkpt")
-    waiter = _runner(
-        cache_dir=tmp_path / "cache",
-        resilience=ResiliencePolicy(lock_wait_s=0.3, **_FAST),
-    )
+    waiter = _runner(cache_dir=tmp_path / "cache")
     key = waiter.cache_key("is", req)
-    assert waiter._lookup("is", req) is None  # cold cache
+    assert waiter.lookup("is", req) is None  # cold cache
 
-    # A concurrent invocation holds the key's lock and has already
-    # published its entry; this one must wait, give up on the lock, then
-    # serve the winner's entry instead of re-simulating.
+    # A concurrent invocation holds the key's claim while it computes;
+    # this one must wait on the live claim, then serve the winner's
+    # published entry instead of re-simulating.
     winner = _runner()  # no cache: just computes the value
     result = winner.run("is", req)
     holder = KeyLock(waiter.cache.lock_path(key))
     assert holder.try_acquire()
+    got = []
+    thread = threading.Thread(target=lambda: got.append(waiter.run("is", req)))
+    thread.start()
     try:
+        time.sleep(0.3)  # the waiter is polling the live claim now
+        assert not got
         waiter.cache.store(key, result)
-        got = waiter._simulate("is", req)
     finally:
         holder.release()
+    thread.join(timeout=60.0)
 
-    assert got.to_dict() == result.to_dict()
+    assert got[0].to_dict() == result.to_dict()
     assert waiter.progress.by_source()["sim"] == 0
     assert waiter.progress.by_source()["disk"] == 1
+    assert not waiter.cache.lock_path(key).exists()
 
 
 def test_parallel_results_identical_with_and_without_supervisor_cache(

@@ -96,6 +96,44 @@ class TestSpecWire:
         with pytest.raises(ValueError, match="string list"):
             CampaignSpec.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reps", "3"),
+            ("reps", -1),
+            ("reps", 0),
+            ("reps", True),
+            ("threshold", 2.5),
+            ("threshold", 0),
+            ("num_checkpoints", 1.5),
+            ("num_cores", True),
+            ("num_cores", "8"),
+            ("error_count", None),
+            ("memory_seed", True),
+            ("memory_seed", 1.0),
+            ("region_scale", "x"),
+            ("region_scale", True),
+            ("region_scale", 0.0),
+            ("region_scale", float("nan")),
+            ("region_scale", None),
+        ],
+    )
+    def test_wrongly_typed_field_is_a_value_error(self, field, value):
+        doc = _spec().to_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=field):
+            CampaignSpec.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("reps", None), ("threshold", None), ("threshold", 3),
+         ("region_scale", 1), ("memory_seed", 0)],
+    )
+    def test_valid_field_values_still_decode(self, field, value):
+        doc = _spec().to_dict()
+        doc[field] = value
+        assert getattr(CampaignSpec.from_dict(doc), field) == value
+
 
 class TestPlan:
     def test_pairs_include_the_implicit_baseline(self):

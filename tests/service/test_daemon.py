@@ -1,6 +1,6 @@
 """The campaign daemon end to end: submissions over the socket, reports
 bit-identical to solo runs, concurrent-client dedupe, frame streaming,
-the lease-free read path for cached keys, and restart from the disk
+the claim-free read path for cached keys, and restart from the disk
 cache.
 
 Unix socket paths are capped around 100 bytes, so sockets live in a
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cache import KIND_RUN
+from repro.experiments.cache import KIND_RUN, ResultCache
 from repro.experiments.runner import ExperimentRunner
 from repro.resilience.locks import KeyLock
 from repro.service import (
@@ -30,7 +30,6 @@ from repro.service import (
 )
 from repro.service.daemon import check_socket_path
 from repro.service.protocol import PROTOCOL_VERSION, decode_frame, encode_frame
-from repro.service.registry import InFlightRegistry
 
 _SHAPE = dict(num_cores=2, region_scale=0.05, reps=2)
 
@@ -111,6 +110,22 @@ class TestSubmit:
         assert frames, "stream=True produced no telemetry frames"
         assert all("frame" in doc for doc in frames)
 
+    @pytest.mark.parametrize(
+        "field, value", [("num_cores", "8"), ("region_scale", "x"),
+                         ("reps", True)],
+    )
+    def test_malformed_field_is_an_error_reply(self, daemon, sock, field,
+                                               value):
+        doc = _spec().to_dict()
+        doc[field] = value
+        with CampaignClient(sock) as client:
+            client._send({"op": "submit", "campaign": doc})
+            reply = client._recv()
+            assert reply["op"] == "error"
+            assert field in reply["message"]
+            assert client.ping()["op"] == "status"
+            assert client.ping()["campaigns"]["active"] == 0
+
     def test_bad_campaign_is_an_error_reply_not_a_crash(self, daemon,
                                                         sock):
         with CampaignClient(sock) as client:
@@ -128,7 +143,7 @@ class TestConcurrentClients:
     ):
         # A and B overlap on the NoCkpt baseline and Ckpt_NE; B adds
         # ReCkpt_E.  Three unique canonical keys — and exactly three
-        # simulations across both clients, however the leases land.
+        # simulations across both clients, however the claims land.
         spec_a = _spec()
         spec_b = _spec(configs=("Ckpt_NE", "ReCkpt_E"))
         barrier = threading.Barrier(2)
@@ -299,7 +314,7 @@ class TestReadPath:
             assert client.ping()["simulations"] == sims
         assert first == second
         assert attempts == []
-        assert list(daemon.cache.root.glob("*/*.lease")) == []
+        assert list(daemon.cache.root.glob("*/*.lock")) == []
 
     def test_corrupt_entry_is_quarantined_once_and_simulated_once(
         self, daemon, sock, tmp_path
@@ -340,83 +355,18 @@ class TestReadPath:
         assert [_canon(r) for r in reports] == [solo, solo]
         assert daemon.cache.load_payload(dependent, KIND_RUN) is not None
 
-    def test_each_key_is_counted_once(self, tmp_path, sock):
+    def test_each_key_is_counted_once(self, tmp_path):
         # The read-first lookup counts hits; a miss is counted once, by
-        # the run that resolves it — never by both.
-        daemon = CampaignDaemon(tmp_path / "cache", sock)
+        # the claim that simulates it — never by both.
+        cache = ResultCache(tmp_path / "cache")
         spec = _spec()
         for expect in (
             {"disk_misses": 2, "disk_hits": 0, "simulated": 2},
             {"disk_misses": 0, "disk_hits": 2, "simulated": 0},
         ):
-            runner = ExperimentRunner(cache=daemon.cache, **_SHAPE)
-            keymap = {
-                runner.cache_key(wl, req): (wl, req)
-                for wl, req in spec.pairs(runner)
-            }
-            daemon._run_phase(
-                runner, InFlightRegistry(daemon.cache), keymap, list(keymap)
-            )
+            runner = ExperimentRunner(cache=cache, **_SHAPE)
             campaign_report(runner, spec)
             assert {k: getattr(runner.progress, k) for k in expect} == expect
-
-
-class _StubRunner:
-    """The two runner calls ``_run_phase`` makes, over a bare cache:
-    a key resolves once its entry exists; "simulating" writes it."""
-
-    def __init__(self, cache, sims, lock):
-        self.cache, self.sims, self.lock = cache, sims, lock
-
-    def lookup(self, key, _request):
-        return True if key in self.cache else None
-
-    def run_many(self, pairs):
-        for key, _ in pairs:
-            if key not in self.cache:
-                with self.lock:
-                    self.sims.append(key)
-                self.cache.store_payload(key, {"key": key}, KIND_RUN)
-
-
-class TestOrphanedLeases:
-    def test_orphan_is_reclaimed_and_each_key_simulated_once(
-        self, tmp_path, sock
-    ):
-        # A peer leases both keys, then drops ``orphan`` unpublished
-        # while still computing ``live``.  Two waiting connections must
-        # re-claim the orphan (exactly one of them simulates it) and
-        # keep waiting on ``live`` instead of simulating it too.
-        daemon = CampaignDaemon(tmp_path / "cache", sock)
-        cache = daemon.cache
-        orphan, live = (f"{i:064x}" for i in (1, 2))
-        keymap = {k: (k, None) for k in (orphan, live)}
-        peer = InFlightRegistry(cache, poll_s=0.01)
-        assert peer.claim([orphan, live]) == ([orphan, live], [])
-        sims, lock, errors = [], threading.Lock(), []
-
-        def waiter():
-            try:
-                daemon._run_phase(
-                    _StubRunner(cache, sims, lock),
-                    InFlightRegistry(cache, poll_s=0.01),
-                    keymap, [orphan, live],
-                )
-            except Exception as exc:  # surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=waiter) for _ in range(2)]
-        for t in threads:
-            t.start()
-        time.sleep(0.2)
-        peer.publish(orphan)  # the peer "crashes" on this key
-        time.sleep(0.3)
-        _StubRunner(cache, sims, lock).run_many([keymap[live]])
-        peer.publish(live)
-        for t in threads:
-            t.join(timeout=30.0)
-        assert not errors, errors
-        assert sorted(sims) == sorted([orphan, live])
 
 
 class TestRestart:

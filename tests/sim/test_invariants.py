@@ -3,12 +3,14 @@
 Hypothesis drives small randomized workloads through the full stack and
 checks the invariants that must hold for *any* program: clock and energy
 sanity, conservation between the ACR and baseline variants, and the
-accounting identities the paper's equations rest on.
+accounting identities the paper's equations rest on.  Every example runs
+on both execution engines, so each engine gets the full example budget.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import MachineConfig
+from repro.ckpt.checkpoint import RETAINED_CHECKPOINTS
 from repro.compiler.policy import ThresholdPolicy
 from repro.errors.injection import UniformErrors
 from repro.sim.simulator import SimulationOptions, Simulator
@@ -52,15 +54,21 @@ def workload_specs(draw):
     )
 
 
-def run_trio(spec, num_checkpoints=5, errors=None):
+ENGINES = ("interp", "vector")
+
+
+def run_trio(spec, num_checkpoints=5, errors=None, engine="interp"):
     cfg = MachineConfig(num_cores=2)
     programs = spec.build_programs(2)
     sim = Simulator(programs, cfg)
-    base = sim.run_baseline()
+    base = sim.run(
+        SimulationOptions(label="NoCkpt", scheme="none", engine=engine)
+    )
     prof = base.baseline_profile()
     common = dict(
         num_checkpoints=num_checkpoints,
         baseline=prof,
+        engine=engine,
     )
     if errors:
         common["errors"] = errors
@@ -77,90 +85,127 @@ def run_trio(spec, num_checkpoints=5, errors=None):
     return base, ck, re
 
 
+def trios(spec, **kwargs):
+    """:func:`run_trio` on every engine."""
+    return [run_trio(spec, engine=engine, **kwargs) for engine in ENGINES]
+
+
+def log_addresses(log):
+    """Every address an interval log logged or omitted, in order."""
+    return [r.address for r in log.records] + [o.address for o in log.omitted]
+
+
 class TestSimulationInvariants:
     @given(workload_specs())
     @settings(max_examples=12, deadline=None)
     def test_clock_and_energy_sanity(self, spec):
-        base, ck, re = run_trio(spec)
-        for run in (base, ck, re):
-            assert run.wall_ns >= run.useful_ns - 1e-6
-            assert run.energy_pj > 0
-            assert all(o >= -1e-6 for o in run.per_core_overhead_ns)
-        # Checkpointing can only add time and energy.
-        assert ck.wall_ns >= base.wall_ns
-        assert ck.energy_pj >= base.energy_pj
+        for base, ck, re in trios(spec):
+            for run in (base, ck, re):
+                assert run.wall_ns >= run.useful_ns - 1e-6
+                assert run.energy_pj > 0
+                assert all(o >= -1e-6 for o in run.per_core_overhead_ns)
+            # Checkpointing can only add time and energy.
+            assert ck.wall_ns >= base.wall_ns
+            assert ck.energy_pj >= base.energy_pj
 
     @given(workload_specs())
     @settings(max_examples=12, deadline=None)
     def test_acr_conservation(self, spec):
-        _, ck, re = run_trio(spec)
-        # ACR's logged + omitted data equals the baseline's logged data:
-        # omission relabels records, it never invents or loses them.
-        assert (
-            re.total_baseline_checkpoint_bytes == ck.total_checkpoint_bytes
-        )
-        # ACR never logs more than the baseline.
-        assert re.total_checkpoint_bytes <= ck.total_checkpoint_bytes
-        # Omission counting is consistent: interval stats plus the open
-        # (post-final-boundary drain) log cover every omission.
-        trailing = len(re.checkpoint_store.current_log.omitted)
-        assert re.omissions == (
-            sum(iv.omitted_records for iv in re.intervals) + trailing
-        )
-        assert re.omissions <= re.omission_lookups
+        for _, ck, re in trios(spec):
+            # ACR's logged + omitted data equals the baseline's logged
+            # data: omission relabels records, never invents or loses them.
+            assert (
+                re.total_baseline_checkpoint_bytes
+                == ck.total_checkpoint_bytes
+            )
+            # ACR never logs more than the baseline.
+            assert re.total_checkpoint_bytes <= ck.total_checkpoint_bytes
+            # Omission counting is consistent: interval stats plus the
+            # open (post-final-boundary drain) log cover every omission.
+            trailing = len(re.checkpoint_store.current_log.omitted)
+            assert re.omissions == (
+                sum(iv.omitted_records for iv in re.intervals) + trailing
+            )
+            assert re.omissions <= re.omission_lookups
+
+    @given(workload_specs())
+    @settings(max_examples=8, deadline=None)
+    def test_retained_logs_are_exact(self, spec):
+        # Each first write in an interval is logged or omitted exactly
+        # once, and every closed log still agrees with the statistics
+        # recorded when its interval closed.
+        for _, ck, re in trios(spec):
+            for run in (ck, re):
+                store = run.checkpoint_store
+                assert len(run.intervals) == store.count
+                retained = store.checkpoints[-RETAINED_CHECKPOINTS:]
+                for log in [c.log for c in retained] + [store.current_log]:
+                    addresses = log_addresses(log)
+                    assert len(addresses) == len(set(addresses))
+                for ckpt in retained:
+                    stats = run.intervals[ckpt.index]
+                    assert len(ckpt.log.records) == stats.logged_records
+                    assert len(ckpt.log.omitted) == stats.omitted_records
 
     @given(workload_specs())
     @settings(max_examples=8, deadline=None)
     def test_recomputation_ground_truth(self, spec):
         from repro.ckpt.recovery import RecoveryEngine
 
-        _, _, re = run_trio(spec)
-        store = re.checkpoint_store
-        retained = [c.log for c in store.checkpoints[-2:]] + [store.current_log]
-        assert RecoveryEngine.verify_recomputation(retained) == []
+        for _, _, re in trios(spec):
+            store = re.checkpoint_store
+            retained = [c.log for c in store.checkpoints[-2:]]
+            retained.append(store.current_log)
+            assert RecoveryEngine.verify_recomputation(retained) == []
 
     @given(workload_specs(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=8, deadline=None)
     def test_errors_monotone(self, spec, n_errors):
-        base, ck, re = run_trio(spec, errors=UniformErrors(n_errors))
-        assert ck.recovery_count == n_errors
-        assert re.recovery_count == n_errors
-        # Every recovery rolled back to an established (or initial) state.
-        for run in (ck, re):
-            for rec in run.recoveries:
-                assert -1 <= rec.safe_checkpoint < run.checkpoint_count
-                assert rec.waste_ns >= 0
-                assert rec.rollback_ns >= 0
-        # Baseline never recomputes; ACR recoveries recompute iff values
-        # were omitted before the detection point.
-        assert all(r.recomputed_values == 0 for r in ck.recoveries)
+        for _, ck, re in trios(spec, errors=UniformErrors(n_errors)):
+            assert ck.recovery_count == n_errors
+            assert re.recovery_count == n_errors
+            # Every recovery rolled back to an established (or initial)
+            # state.
+            for run in (ck, re):
+                for rec in run.recoveries:
+                    assert -1 <= rec.safe_checkpoint < run.checkpoint_count
+                    assert rec.waste_ns >= 0
+                    assert rec.rollback_ns >= 0
+            # Baseline never recomputes; ACR recoveries recompute iff
+            # values were omitted before the detection point.
+            assert all(r.recomputed_values == 0 for r in ck.recoveries)
 
     @given(workload_specs())
     @settings(max_examples=8, deadline=None)
     def test_determinism(self, spec):
-        a = run_trio(spec)[2]
-        b = run_trio(spec)[2]
-        assert a.wall_ns == b.wall_ns
-        assert a.energy_pj == b.energy_pj
-        assert a.total_checkpoint_bytes == b.total_checkpoint_bytes
-        assert a.omissions == b.omissions
+        for engine in ENGINES:
+            a = run_trio(spec, engine=engine)[2]
+            b = run_trio(spec, engine=engine)[2]
+            assert a.wall_ns == b.wall_ns
+            assert a.energy_pj == b.energy_pj
+            assert a.total_checkpoint_bytes == b.total_checkpoint_bytes
+            assert a.omissions == b.omissions
 
     @given(workload_specs())
     @settings(max_examples=8, deadline=None)
     def test_dirty_lines_resident_and_flushed(self, spec):
-        with recording_caches() as (machines, boundaries):
-            run_trio(spec)
-        assert len(machines) == 3
-        # Dirtiness is only ever carried by resident lines.
-        for machine in machines:
-            for hier in machine.hierarchies:
-                for level in (hier.l1d, hier.l2):
-                    assert level.dirty_lines() <= set(level.resident_lines())
-        # Every boundary leaves its participants clean at both levels;
-        # the final one (program end, global scheme) covers every core.
-        clean = (frozenset(), frozenset())
-        for participants, _, after in boundaries:
-            assert all(after[core] == clean for core in participants)
-        participants, _, after = boundaries[-1]
-        assert sorted(participants) == [0, 1]
-        assert after == [clean, clean]
+        for engine in ENGINES:
+            with recording_caches() as (machines, boundaries):
+                run_trio(spec, engine=engine)
+            assert len(machines) == 3
+            # Dirtiness is only ever carried by resident lines.
+            for machine in machines:
+                for hier in machine.hierarchies:
+                    for level in (hier.l1d, hier.l2):
+                        assert level.dirty_lines() <= set(
+                            level.resident_lines()
+                        )
+            # Every boundary leaves its participants clean at both
+            # levels; the final one (program end, global scheme) covers
+            # every core.
+            clean = (frozenset(), frozenset())
+            for participants, _, after in boundaries:
+                assert all(after[core] == clean for core in participants)
+            participants, _, after = boundaries[-1]
+            assert sorted(participants) == [0, 1]
+            assert after == [clean, clean]
