@@ -6,6 +6,9 @@ data — values live in the shared :class:`~repro.isa.interpreter.MemoryImage`.
 
 LRU is implemented with per-set ``dict`` insertion order (Python dicts are
 ordered): a hit re-inserts the tag, an eviction pops the oldest entry.
+A set's dict is created on its first access (``None`` until then): a run
+builds two caches per core of up to thousands of sets, and allocating
+every dict up front cost more than most runs spend in them.
 The dicts carry order only; dirtiness lives in one cache-wide ``set`` of
 resident dirty lines, so a checkpoint flush costs O(dirty lines) rather
 than a scan of every set.  Invariant: dirty ⊆ resident.
@@ -39,7 +42,7 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets: List[Dict[int, None]] = [dict() for _ in range(config.num_sets)]
+        self._sets: List[Optional[Dict[int, None]]] = [None] * config.num_sets
         self._num_sets = config.num_sets
         self._ways = config.ways
         self._dirty: Set[int] = set()
@@ -49,7 +52,11 @@ class SetAssociativeCache:
         self.dirty_evictions = 0
 
     def _set_for(self, line: int) -> Dict[int, None]:
-        return self._sets[line % self._num_sets]
+        index = line % self._num_sets
+        cset = self._sets[index]
+        if cset is None:
+            cset = self._sets[index] = {}
+        return cset
 
     def access(self, line: int, is_write: bool) -> AccessResult:
         """Access ``line``; allocate on miss (write-allocate policy)."""
@@ -80,7 +87,8 @@ class SetAssociativeCache:
     def internal_state(self):
         """``(sets, num_sets, ways, dirty)`` for engines that inline :meth:`access`.
 
-        The returned set list and dirty set are the live state: callers
+        The returned set list and dirty set are the live state (a set
+        never accessed is ``None``; callers create its dict): callers
         replicating the access protocol mutate them directly and bump the
         public counters themselves (the vector engine batches counter
         updates per segment).  Callers must keep the invariant: a line's
@@ -130,7 +138,7 @@ class SetAssociativeCache:
 
     def resident_lines(self) -> List[int]:
         """All resident line addresses (test helper)."""
-        return [line for cset in self._sets for line in cset]
+        return [line for cset in self._sets if cset for line in cset]
 
     @property
     def accesses(self) -> int:

@@ -192,23 +192,29 @@ def compile_program(
     new_kernels: List[Kernel] = []
     for kernel in program.kernels:
         body: List[Instruction] = []
+        changed = False
         for ins in kernel.body:
             if isinstance(ins, StoreInstr) and ins.site in embedded_sites:
                 ins = StoreInstr(ins.src, ins.pattern, ins.site, True)
+                changed = True
             body.append(ins)
+        # A kernel with no embedded store is shared with the input
+        # program (kernels are immutable by contract).
         new_kernels.append(
             Kernel(
                 kernel.name, body, kernel.trip_count, kernel.phase,
                 kernel.ghost_alu,
             )
+            if changed
+            else kernel
         )
 
     rewritten = Program(new_kernels, program.thread_id)
     # The rewrite preserves store order, so site ids are stable.
-    assert len(rewritten.store_sites) == len(program.store_sites)
+    assert rewritten.num_sites == program.num_sites
 
     stats = CompileStats(
-        sites_total=len(program.store_sites),
+        sites_total=program.num_sites,
         sites_sliceable=sliceable,
         sites_embedded=len(embedded_sites),
         sites_loop_carried=loop_carried,

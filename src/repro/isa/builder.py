@@ -35,6 +35,12 @@ _CHAIN_OPS = (Opcode.ADD, Opcode.XOR, Opcode.MUL, Opcode.SUB, Opcode.ADD, Opcode
 #: shapes a process builds (a workload has one per thread and site).
 _CHAINS: Dict[tuple, Tuple[Tuple[Instruction, ...], int]] = {}
 
+#: Chain instruction -> its one shared object.  Chains that differ only
+#: in their salt MOVI hold the same ALU instructions; interning them by
+#: value leaves one object per distinct instruction for every kernel,
+#: compile and plan to share.  Bounded like ``_CHAINS``.
+_INSTRS: Dict[Instruction, Instruction] = {}
+
 
 class KernelBuilder:
     """Incrementally builds a kernel body, allocating registers on demand."""
@@ -153,7 +159,8 @@ def _chain(
 
     The chain reads the input registers ``0..n_inputs-1`` and depends on
     nothing else, so every kernel of one shape (each rep of a workload
-    site) shares the same frozen instruction objects.
+    site) shares the same frozen instruction objects, and equal
+    instructions of different chains are one object too.
     """
     key = (n_inputs, chain_depth, salt, accumulate, copy_store)
     hit = _CHAINS.get(key)
@@ -185,7 +192,7 @@ def _chain(
             acc = builder.fresh_reg()
             value = builder.alu_into(Opcode.ADD, acc, acc, value)
 
-    chain = (tuple(builder._body), value)
+    chain = (tuple(_INSTRS.setdefault(ins, ins) for ins in builder._body), value)
     share_lowering(chain[0])
     _CHAINS[key] = chain
     return chain

@@ -12,14 +12,23 @@ Every static ``STORE`` in a program gets a program-unique *site id* at
 :class:`Program` construction.  The compiler pass keys extracted Slices on
 site ids, and the simulator uses them to find the Slice associated with a
 dynamic store.
+
+Long-lived footprint
+--------------------
+Programs live as long as the runs that share them, so construction keeps
+what the cyclic collector must rescan small: equal loads and equal store
+address patterns become one object per program, a kernel whose body needs
+no rewrite is kept as the object passed in, and store sites are kept as
+plain tuples of ints, which the collector untracks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Set
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.isa.instructions import (
+    AddressPattern,
     AluInstr,
     Instruction,
     LoadInstr,
@@ -129,6 +138,9 @@ class Program:
 
     Construction rewrites every :class:`StoreInstr` so that ``site`` holds
     a program-unique id (stores arrive from the builder with ``site=-1``).
+    Equal loads, and equal store address patterns, are shared
+    within the program, and each kernel whose body this leaves unchanged
+    is kept as given (kernels are immutable by contract).
     """
 
     def __init__(self, kernels: Sequence[Kernel], thread_id: int = 0) -> None:
@@ -137,45 +149,65 @@ class Program:
         check_non_negative("thread_id", thread_id)
         self.thread_id = thread_id
         self.kernels: List[Kernel] = []
-        self._sites: List[StoreSite] = []
+        #: Per site id: (kernel index, body index).
+        self._sites: List[Tuple[int, int]] = []
         #: Per-kernel precompiled dispatch tuples, filled lazily by
         #: :func:`repro.isa.interpreter.kernel_ops`; keyed by kernel index.
         #: Lives on the program so repeated runs over the same program
         #: skip recompilation.
         self.op_cache: Dict[int, tuple] = {}
         next_site = 0
+        loads: Dict[LoadInstr, LoadInstr] = {}
+        patterns: Dict[AddressPattern, AddressPattern] = {}
         for k_idx, kernel in enumerate(kernels):
             body: List[Instruction] = []
+            changed = False
             for i_idx, ins in enumerate(kernel.body):
                 if isinstance(ins, StoreInstr):
-                    if ins.site != next_site:
-                        ins = StoreInstr(ins.src, ins.pattern, next_site, ins.assoc)
-                    self._sites.append(StoreSite(next_site, k_idx, i_idx))
+                    pattern = patterns.setdefault(ins.pattern, ins.pattern)
+                    if ins.site != next_site or pattern is not ins.pattern:
+                        ins = StoreInstr(ins.src, pattern, next_site, ins.assoc)
+                        changed = True
+                    self._sites.append((k_idx, i_idx))
                     next_site += 1
+                elif isinstance(ins, LoadInstr):
+                    shared = loads.setdefault(ins, ins)
+                    if shared is not ins:
+                        ins = shared
+                        changed = True
                 body.append(ins)
-            self.kernels.append(
-                Kernel(
+            if changed:
+                kernel = Kernel(
                     kernel.name, body, kernel.trip_count, kernel.phase,
                     kernel.ghost_alu,
                 )
-            )
+            self.kernels.append(kernel)
 
     # -- site lookups --------------------------------------------------------
     @property
     def store_sites(self) -> List[StoreSite]:
         """All static store sites, in program order."""
-        return list(self._sites)
+        return [StoreSite(site, k, i) for site, (k, i) in enumerate(self._sites)]
+
+    @property
+    def num_sites(self) -> int:
+        """Number of static store sites."""
+        return len(self._sites)
+
+    def site_position(self, site: int) -> Tuple[int, int]:
+        """(kernel index, body index) of a site id."""
+        return self._sites[site]
 
     def site_store(self, site: int) -> StoreInstr:
         """The :class:`StoreInstr` for a site id."""
-        loc = self._sites[site]
-        ins = self.kernels[loc.kernel_index].body[loc.instr_index]
+        k_idx, i_idx = self._sites[site]
+        ins = self.kernels[k_idx].body[i_idx]
         assert isinstance(ins, StoreInstr)
         return ins
 
     def site_kernel(self, site: int) -> Kernel:
         """The kernel containing a site id."""
-        return self.kernels[self._sites[site].kernel_index]
+        return self.kernels[self._sites[site][0]]
 
     # -- aggregate statistics --------------------------------------------------
     @property

@@ -195,6 +195,11 @@ class Simulator:
     def vector_certificates(self) -> list:
         """Per-core static vector-safety certificates (lazy, cached).
 
+        The vector engine's runtime checks decide replay; a certificate
+        only names the rule a fallback is charged to.  The engine calls
+        this on its first fallback, so a run that never falls back never
+        certifies.
+
         Computed over the *plain* programs: the ACR rewrite only flips
         the ``assoc`` flag, which changes neither addresses nor
         dataflow, so one certificate set serves both plain and

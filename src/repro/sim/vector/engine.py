@@ -27,14 +27,15 @@ otherwise):
   definition after its first store), so the handler can snapshot operand
   values from the plan's per-iteration register rows.
 
-Since PR 7 the runtime checks sit *below* the static vector-safety
-certificates (:mod:`repro.verify.absint`): a segment certified SAFE —
-its loads provably disjoint from every word any core's program can have
-written, its register file provably stable — replays without
-re-checking, and a segment that does fall back carries its certificate's
-denial rule id (ACR009–ACR012) in ``fallback_reasons``, so coverage is
-explainable instruction by instruction (``acr-repro analyze
---explain-fallbacks``).
+These exact runtime checks alone decide replay; the static vector-safety
+certificates (:mod:`repro.verify.absint`) only explain.  A segment that
+falls back is charged to its certificate's leading denial rule id
+(ACR009–ACR012) in ``fallback_reasons``, so coverage is explainable
+instruction by instruction (``acr-repro analyze --explain-fallbacks``).
+The certificates are computed on the first fallback, so a run that never
+falls back never certifies.  A SAFE certificate proves every check above
+passes, so a fallback charged ``"unknown"`` marks a certifier soundness
+bug.
 
 Floating-point identity: stall constants are precomputed with exactly
 the expression shape of
@@ -109,11 +110,6 @@ class VectorCoreRunner:
         )
         self._assoc_counts = _shared_meta(_ASSOC_CACHE, self.program)
         self._covered_meta = _shared_meta(_COVERED_CACHE, self.program)
-        # Static vector-safety certificates (cached on the simulator):
-        # a SAFE segment replays without runtime re-checks; a denied one
-        # keeps them, and any fallback it takes is attributed to the
-        # certificate's rule id.
-        self._certs = run.sim.vector_certificates()[core]
         #: Coverage accounting: iterations replayed from plans vs handed
         #: to the classic interpreter, the latter keyed by denial rule.
         self.replayed_iterations = 0
@@ -256,19 +252,16 @@ class VectorCoreRunner:
         l2_hits = l2_misses = l2_ev = l2_dev = 0
         mem_acc = wbacks = 0
 
-        certs = self._certs
         while iterations < max_iterations and self._k < n_kernels:
             k = self._k
             kernel = kernels[k]
             budget = min(kernel.trip_count - self._i, max_iterations - iterations)
             plan = plan_for(k)
 
-            # Certificate pre-filter: SAFE segments are statically proven
-            # to pass every runtime check below (loads disjoint from all
-            # reachable written words, registers stable), so they replay
-            # unconditionally.  Denied segments keep the runtime checks —
-            # denial is advisory (e.g. ACR011 is moot without a handler).
-            usable = certs[k].safe or (
+            # The exact runtime check: no in-kernel overlap, a stable
+            # register file when a handler observes stores, and external
+            # loads still unwritten.
+            usable = (
                 not plan.overlap
                 and (
                     handler is None
@@ -302,9 +295,11 @@ class VectorCoreRunner:
                 iterations += chunk.iterations
                 # Attribution: the budget never crosses the kernel
                 # boundary, so the whole classic chunk belongs to this
-                # segment's certificate.  A SAFE segment cannot reach
-                # here; "unknown" would mark a certifier soundness bug.
-                reason = certs[k].reason or "unknown"
+                # segment's certificate (certified on first fallback,
+                # cached on the simulator).  A SAFE segment passes every
+                # check above; "unknown" would mark a certifier bug.
+                cert = run.sim.vector_certificates()[core][k]
+                reason = cert.reason or "unknown"
                 self.fallback_iterations += chunk.iterations
                 self.fallback_reasons[reason] = (
                     self.fallback_reasons.get(reason, 0) + chunk.iterations
@@ -347,8 +342,11 @@ class VectorCoreRunner:
                         # -- cache hierarchy (inlined access) ------------
                         # Dirtiness lives only in l1_dirty / l2_dirty
                         # (resident lines only); the set dicts hold LRU
-                        # order alone.
-                        cset = l1_sets[line % l1_nsets]
+                        # order alone and are created on first touch.
+                        si = line % l1_nsets
+                        cset = l1_sets[si]
+                        if cset is None:
+                            cset = l1_sets[si] = {}
                         if line in cset:
                             cset[line] = cset.pop(line)
                             if is_store:
@@ -370,7 +368,10 @@ class VectorCoreRunner:
                                 l1_dirty.add(line)
                             if vdirty:
                                 # L1 victim lands in L2 as a write.
-                                wset = l2_sets[vline % l2_nsets]
+                                si = vline % l2_nsets
+                                wset = l2_sets[si]
+                                if wset is None:
+                                    wset = l2_sets[si] = {}
                                 if vline in wset:
                                     wset[vline] = wset.pop(vline)
                                     l2_hits += 1
@@ -387,7 +388,10 @@ class VectorCoreRunner:
                                     wset[vline] = None
                                 l2_dirty.add(vline)
                             # Demand fill from L2.
-                            dset = l2_sets[line % l2_nsets]
+                            si = line % l2_nsets
+                            dset = l2_sets[si]
+                            if dset is None:
+                                dset = l2_sets[si] = {}
                             if line in dset:
                                 dset[line] = dset.pop(line)
                                 l2_hits += 1

@@ -35,10 +35,7 @@ off via the ``use_certificates`` class flag for A/B coverage tests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:
-    from repro.verify.absint.certify import KernelSummary
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.interpreter import (
     ExecChunk,
@@ -84,10 +81,9 @@ class VectorInterpreter(Interpreter):
         self._taint_kernel = -1
         # Per kernel: body offsets (into tmpl/addrs columns) of stores.
         self._store_offsets: Dict[int, List[Tuple[int, int]]] = {}
-        # Static per-kernel summaries (renewal flags) — computed lazily:
-        # the common golden path never taints, so most interpreters
-        # never need them.
-        self._summaries: Optional[Tuple["KernelSummary", ...]] = None
+        # Per-kernel register-renewal flags, computed from the kernel
+        # body on first taint: the common golden path never taints.
+        self._renewed: Dict[int, bool] = {}
         #: Coverage accounting (iterations), fallbacks keyed by reason.
         self.replayed_iterations = 0
         self.fallback_iterations = 0
@@ -95,11 +91,12 @@ class VectorInterpreter(Interpreter):
 
     def _regs_renewed(self, k: int) -> bool:
         """Did the certifier prove kernel ``k`` register-renewing?"""
-        if self._summaries is None:
-            from repro.verify.absint.certify import summarize_program
+        flag = self._renewed.get(k)
+        if flag is None:
+            from repro.verify.absint.certify import registers_renewed
 
-            self._summaries = summarize_program(self.program).kernels
-        return self._summaries[k].regs_renewed
+            flag = self._renewed[k] = registers_renewed(self.program.kernels[k])
+        return flag
 
     def restore_arch_state(self, state: Tuple[int, int, List[int]]) -> None:
         super().restore_arch_state(state)

@@ -30,7 +30,17 @@ semantics the AddrMap/first-write unit tests pin.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, cast
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 from weakref import WeakKeyDictionary
 
 from repro.obs.telemetry.profile import phase as _phase
@@ -96,7 +106,10 @@ class KernelPlan:
 
     ``addrs``/``lines`` hold all memory accesses iteration-major (body
     order within an iteration); ``svalues`` holds the store stream's new
-    values, aligned with the stores of ``tmpl`` in the same order.
+    values, aligned with the stores of ``tmpl`` in the same order.  Every
+    stream, and every register row, is a tuple of ints: plans live as
+    long as their program, and CPython's collector untracks such tuples
+    instead of rescanning them on every collection.
     """
 
     __slots__ = (
@@ -134,9 +147,9 @@ class KernelPlan:
         self.assoc_per_iter = 0
         self.trip = kernel.trip_count
         self.width = 0
-        self.addrs: List[int] = []
-        self.lines: List[int] = []
-        self.svalues: List[int] = []
+        self.addrs: Tuple[int, ...] = ()
+        self.lines: Tuple[int, ...] = ()
+        self.svalues: Tuple[int, ...] = ()
         self.external_loads: FrozenSet[int] = frozenset()
         #: Per body access: is it a store?  (The replay loop iterates
         #: this flat tuple instead of indexing ``tmpl``.)
@@ -150,16 +163,14 @@ class KernelPlan:
         self.overlap = False
         self.regs_stable = True
         self.has_assoc = False
-        self._rows: Optional[List[List[int]]] = None
-        self._cols: Optional[Dict[int, object]] = None
+        self._rows: Optional[Tuple[Tuple[int, ...], ...]] = None
+        #: numpy-evaluated plans: register -> 1-d column or 0-d constant.
+        self._cols: Optional[Dict[int, Any]] = None
         self._acc_rows: Optional[Tuple[tuple, ...]] = None
 
     # -- register rows --------------------------------------------------------
-    def rows(self) -> Sequence[Sequence[int]]:
-        """Register file at the end of each iteration (row sequences).
-
-        Rows may be tuples (generated evaluators) or lists (numpy
-        materialisation); consumers only index or copy them.
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """Register file at the end of each iteration (one tuple per row).
 
         ``rows()[i]`` is also the register file at the *start* of
         iteration ``i + 1`` — the state a mid-kernel fallback resumes
@@ -170,19 +181,15 @@ class KernelPlan:
             cols = self._cols
             assert cols is not None
             trip = self.trip
-            materialised: List[List[object]] = [
-                [0] * (self.width + 1) for _ in range(trip)
-            ]
+            columns: List[Sequence[int]] = [(0,) * trip] * (self.width + 1)
             for reg, col in cols.items():
                 if getattr(col, "ndim", 0):  # numpy column (1-d array)
-                    values = col.tolist()
-                else:  # constant column (int or 0-d numpy scalar)
-                    values = [col] * trip
-                for i in range(trip):
-                    materialised[i][reg] = values[i]
-            self._rows = materialised  # type: ignore[assignment]
+                    columns[reg] = col.tolist()
+                else:  # constant column (0-d numpy scalar)
+                    columns[reg] = (int(col),) * trip
+            self._rows = tuple(zip(*columns))
             self._cols = None
-        return self._rows  # type: ignore[return-value]
+        return self._rows
 
     def access_rows(self) -> Tuple[tuple, ...]:
         """Per iteration: the access stream as ``(addr, line, is_store,
@@ -464,13 +471,14 @@ def _run_codegen(
     addrs, svalues, rows, external, load_set, overlay = fn(
         trip, params, seed & MASK64
     )
-    plan.addrs = addrs
-    plan.lines = [a // line_bytes for a in addrs]
-    plan.svalues = svalues if svalues is not None else []
+    plan.addrs = tuple(addrs)
+    plan.lines = tuple([a // line_bytes for a in addrs])
+    if svalues is not None:
+        plan.svalues = tuple(svalues)
     if external:
         plan.external_loads = frozenset(external)
     plan.overlap = bool(load_set) and not load_set.isdisjoint(overlay)
-    plan._rows = rows
+    plan._rows = tuple(rows)
 
 
 def _build_plan(
@@ -632,13 +640,13 @@ def _try_build_numpy(
     for j, col in enumerate(addr_cols):
         flat[:, j] = col
     addrs = flat.ravel()
-    plan.addrs = addrs.tolist()
-    plan.lines = (addrs // line_bytes).tolist()
+    plan.addrs = tuple(addrs.tolist())
+    plan.lines = tuple((addrs // line_bytes).tolist())
     if svalue_cols:
         sflat = np.empty((trip, len(svalue_cols)), dtype=np.uint64)
         for j, col in enumerate(svalue_cols):
             sflat[:, j] = col
-        plan.svalues = sflat.ravel().tolist()
+        plan.svalues = tuple(sflat.ravel().tolist())
     if load_addr_arrays:
         plan.external_loads = frozenset(
             np.unique(np.concatenate(load_addr_arrays)).tolist()
@@ -665,7 +673,7 @@ def _build_scalar(
     the oracle the codegen unit tests pin shapes against.
     """
     regs = [0] * (width + 1)
-    rows: List[List[int]] = []
+    rows: List[Tuple[int, ...]] = []
     addrs: List[int] = []
     svalues: List[int] = []
     overlay: Dict[int, int] = {}
@@ -696,13 +704,13 @@ def _build_scalar(
                 overlay[addr] = value
             else:
                 regs[op[1]] = op[2]
-        rows.append(regs.copy())
-    plan.addrs = addrs
-    plan.lines = [a // line_bytes for a in addrs]
-    plan.svalues = svalues
+        rows.append(tuple(regs))
+    plan.addrs = tuple(addrs)
+    plan.lines = tuple([a // line_bytes for a in addrs])
+    plan.svalues = tuple(svalues)
     plan.external_loads = frozenset(external)
     plan.overlap = not load_addrs.isdisjoint(overlay)
-    plan._rows = rows
+    plan._rows = tuple(rows)
 
 
 class ProgramPlans:

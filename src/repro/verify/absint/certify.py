@@ -53,6 +53,7 @@ __all__ = [
     "ProgramSummary",
     "SegmentCertificate",
     "certify_run",
+    "registers_renewed",
     "summarize_kernel",
     "summarize_program",
 ]
@@ -125,13 +126,42 @@ class SegmentCertificate:
         return self.denials[0].rule_id if self.denials else None
 
 
+def registers_renewed(kernel: Kernel) -> bool:
+    """Does every iteration of ``kernel`` define its whole register file
+    before reading it?
+
+    True iff no register is read before its same-iteration definition
+    and every register in ``[0, width]`` is defined in the body.  A
+    register that is never written would carry restored (possibly
+    corrupted) contents under classic execution but the plan-row value
+    under replay hand-off — architecturally visible.  Needs the body
+    alone, no footprints.
+    """
+    width = 0
+    defined: set = set()
+    for ins in kernel.body:
+        if isinstance(ins, AluInstr):
+            width = max(width, ins.dst, ins.src_a, ins.src_b)
+            if ins.src_a not in defined or ins.src_b not in defined:
+                return False
+            defined.add(ins.dst)
+        elif isinstance(ins, StoreInstr):
+            width = max(width, ins.src)
+            if ins.src not in defined:
+                return False
+        else:
+            width = max(width, ins.dst)
+            defined.add(ins.dst)
+    return all(r in defined for r in range(width + 1))
+
+
 def summarize_kernel(index: int, kernel: Kernel) -> KernelSummary:
     """Abstractly interpret one kernel body.
 
     One pass collects the register-file width, each stream's footprint,
     stability (no definition after the first store — must match the
-    plan builder's ``_kernel_shape`` semantics exactly) and renewal
-    (every register defined, no read before its definition).
+    plan builder's ``_kernel_shape`` semantics exactly); renewal comes
+    from :func:`registers_renewed`.
     """
     trip = kernel.trip_count
     loads: List[Tuple[int, AccessRange]] = []
@@ -141,26 +171,19 @@ def summarize_kernel(index: int, kernel: Kernel) -> KernelSummary:
     regs_stable = True
     unstable_span: Optional[Tuple[int, int]] = None
     first_store_idx: Optional[int] = None
-    defined: set = set()
-    read_before_def = False
     for pos, ins in enumerate(kernel.body):
         if isinstance(ins, AluInstr):
             width = max(width, ins.dst, ins.src_a, ins.src_b)
-            if ins.src_a not in defined or ins.src_b not in defined:
-                read_before_def = True
-            defined.add(ins.dst)
             if seen_store and regs_stable:
                 regs_stable = False
                 unstable_span = (first_store_idx or 0, pos)
         elif isinstance(ins, MoviInstr):
             width = max(width, ins.dst)
-            defined.add(ins.dst)
             if seen_store and regs_stable:
                 regs_stable = False
                 unstable_span = (first_store_idx or 0, pos)
         elif isinstance(ins, LoadInstr):
             width = max(width, ins.dst)
-            defined.add(ins.dst)
             loads.append((pos, range_of(ins.pattern, trip)))
             if seen_store and regs_stable:
                 regs_stable = False
@@ -168,8 +191,6 @@ def summarize_kernel(index: int, kernel: Kernel) -> KernelSummary:
         else:
             assert isinstance(ins, StoreInstr)
             width = max(width, ins.src)
-            if ins.src not in defined:
-                read_before_def = True
             stores.append((pos, range_of(ins.pattern, trip)))
             if not seen_store:
                 seen_store = True
@@ -187,14 +208,6 @@ def summarize_kernel(index: int, kernel: Kernel) -> KernelSummary:
             pos for pos, r in stores if not r.addresses.isdisjoint(load_addrs)
         ]
         overlap_span = (min(offending), max(offending))
-    # Renewal additionally needs the *whole* file covered: a register
-    # inside [0, width] that is never written would carry restored
-    # (possibly corrupted) contents under classic execution but the
-    # plan-row value under replay hand-off — architecturally visible.
-    regs_renewed = (
-        not read_before_def
-        and all(r in defined for r in range(width + 1))
-    )
     return KernelSummary(
         index=index,
         name=kernel.name,
@@ -208,7 +221,7 @@ def summarize_kernel(index: int, kernel: Kernel) -> KernelSummary:
         overlap_span=overlap_span,
         regs_stable=regs_stable,
         unstable_span=unstable_span,
-        regs_renewed=regs_renewed,
+        regs_renewed=registers_renewed(kernel),
     )
 
 

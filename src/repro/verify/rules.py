@@ -116,10 +116,8 @@ class VerifyContext:
 
     def site_location(self, site: int) -> Optional[Tuple[int, int]]:
         """(kernel index, body index) of a site id; None if out of range."""
-        sites = self.program.store_sites
-        if 0 <= site < len(sites):
-            loc = sites[site]
-            return loc.kernel_index, loc.instr_index
+        if 0 <= site < self.program.num_sites:
+            return self.program.site_position(site)
         return None
 
     def describe_site(self, site: int) -> Optional[str]:
@@ -243,7 +241,7 @@ def _check_frontier(ctx: VerifyContext) -> Iterator[Diagnostic]:
     "ASSOC_ADDR-flagged stores and SliceTable entries must be a bijection",
 )
 def _check_assoc_bijection(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    n_sites = len(ctx.program.store_sites)
+    n_sites = ctx.program.num_sites
     table_sites = set(ctx.slices.sites)
     for site in sorted(table_sites):
         if not 0 <= site < n_sites:

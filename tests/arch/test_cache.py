@@ -74,6 +74,16 @@ class TestLru:
             c.access(line, False)
         assert all(c.contains(line) for line in range(4))
 
+    def test_set_dicts_created_on_first_access(self):
+        c = small_cache(sets=4, ways=2)
+        sets = c.internal_state()[0]
+        assert sets == [None] * 4
+        c.access(6, True)
+        c.access(1, False)
+        assert sets[0] is None and sets[3] is None
+        assert sets[2] == {6: None} and sets[1] == {1: None}
+        assert c.resident_lines() == [1, 6]
+
 
 class TestFlush:
     def test_flush_dirty_returns_lines_and_cleans(self):

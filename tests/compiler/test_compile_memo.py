@@ -100,6 +100,12 @@ def _assert_matches_reference(program, policy):
         body = program.site_kernel(sl.site).body
         for ins in sl.instructions:
             assert any(ins is other for other in body)
+    # A kernel with no embedded store is the input program's object.
+    for plain, rewritten in zip(program.kernels, compiled.program.kernels):
+        embedded = any(
+            isinstance(ins, StoreInstr) and ins.assoc for ins in rewritten.body
+        )
+        assert (rewritten is plain) == (not embedded)
     return compiled
 
 

@@ -4,8 +4,8 @@ The acceptance contract for the static certifier (ACR009–ACR012): on
 taint-carrying trials the vector engine replays strictly more
 iterations with certificates on than off (the PR 6 baseline), every
 remaining fallback carries a known rule id, and the trial outcome is
-bit-identical either way — the certificate is a pure pre-filter, never
-a semantic knob.
+bit-identical either way — the certificate only widens replay, never
+changes a result.
 """
 
 from __future__ import annotations
@@ -63,6 +63,49 @@ class TestCertificateCoverage:
         assert replayed > 0
         assert sum(reasons.values()) == fallback
         assert set(reasons) <= KNOWN_REASONS
+
+
+class TestRenewalFromTheBodyAlone:
+    """A tainted kernel's renewal flag comes from its own body, once per
+    interpreter: no program summary, no footprints."""
+
+    def test_trial_never_summarizes(self, monkeypatch):
+        import repro.verify.absint.certify as certify
+
+        def refuse(*args):
+            raise AssertionError("summarized during a vector trial")
+
+        calls = []
+        renewed = certify.registers_renewed
+
+        def counting(kernel):
+            calls.append(kernel)
+            return renewed(kernel)
+
+        monkeypatch.setattr(certify, "summarize_kernel", refuse)
+        monkeypatch.setattr(certify, "summarize_program", refuse)
+        monkeypatch.setattr(certify, "registers_renewed", counting)
+        _run("bt", True, monkeypatch)
+        assert calls  # the arch injection tainted a kernel
+
+    def test_flag_memoised_per_kernel(self, monkeypatch):
+        import repro.verify.absint.certify as certify
+        from repro.isa.interpreter import MemoryImage
+        from repro.workloads import get_workload
+
+        calls = []
+        renewed = certify.registers_renewed
+        monkeypatch.setattr(
+            certify, "registers_renewed",
+            lambda kernel: calls.append(kernel) or renewed(kernel),
+        )
+        program = get_workload("bt").build_programs(
+            1, region_scale=0.05, reps=1
+        )[0]
+        interp = VectorInterpreter(program, MemoryImage(0))
+        flags = [interp._regs_renewed(k) for k in (0, 1, 0, 1, 0)]
+        assert flags[0::2] == [flags[0]] * 3
+        assert calls == [program.kernels[0], program.kernels[1]]
 
 
 class TestRunResultCoverageField:

@@ -1,10 +1,14 @@
 """Interned chain bodies and the shared instruction lowering.
 
 ``chain_kernel`` hands every kernel of one chain shape the same frozen
-MOVI/ALU objects, and ``kernel_ops`` lowers those once per process.
-These tests pin both against from-scratch references that live only
-here: a plain ``KernelBuilder`` build and a plain per-instruction
-lowering.
+MOVI/ALU objects, interns chain instructions by value (so chains that
+differ only in their salt MOVI share their ALU objects), and
+``kernel_ops`` lowers those once per process.  These tests pin all of it
+against from-scratch references that live only here: a plain
+``KernelBuilder`` build and a plain per-instruction lowering.  Compile
+output and trace plans of interned programs must equal those of the
+un-interned build, and plan streams must be tuples of ints equal to the
+scalar oracle's.
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compiler.embed import compile_program
+from repro.compiler.policy import ThresholdPolicy
 from repro.isa import interpreter as interpreter_mod
 from repro.isa.builder import KernelBuilder, chain_kernel
 from repro.isa.instructions import (
+    LINE_BYTES,
     AddressPattern,
     AluInstr,
     LoadInstr,
@@ -26,7 +33,10 @@ from repro.isa.instructions import (
 from repro.isa.interpreter import Interpreter, MemoryImage, kernel_ops
 from repro.isa.opcodes import BINARY_SEMANTICS, MASK64, Opcode
 from repro.isa.program import Kernel, Program
+from repro.sim.vector.plans import KernelPlan, _build_plan
+from tests.compiler.test_compile_memo import _reference_compile, _table_rows
 from tests.compiler.test_slice_properties import random_kernels
+from tests.sim.test_vector_plans import _scalar_reference
 
 _CHAIN_OPS = (Opcode.ADD, Opcode.XOR, Opcode.MUL, Opcode.SUB, Opcode.ADD,
               Opcode.XOR)
@@ -138,6 +148,18 @@ class TestChainInterning:
         if args["chain_depth"] and not args["copy_store"]:
             assert any(_shared(a) for a, _ in pairs)
 
+    @given(chain_args(), st.integers(0, 2**70))
+    @settings(max_examples=80, deadline=None)
+    def test_salt_variants_share_alu_objects(self, args, salt):
+        a = chain_kernel("a", **args)
+        b = chain_kernel("b", **dict(args, salt=salt))
+        assert len(a.body) == len(b.body)
+        for x, y in zip(a.body, b.body):
+            if isinstance(x, AluInstr):
+                assert x is y
+            elif isinstance(x, MoviInstr) and x != y:
+                assert x is not y  # the salt MOVI differs; nothing else
+
     def test_program_keeps_the_shared_objects(self):
         args = dict(store_pattern=AddressPattern(0, 1, 8),
                     input_patterns=[AddressPattern(1 << 20, 1, 8)],
@@ -212,3 +234,104 @@ class TestSharedLowering:
         Interpreter(Program([chain_kernel("i", **args)]),
                     interned).run_to_completion()
         assert fresh.snapshot() == interned.snapshot()
+
+
+#: Plan attributes compared field by field (the lazy caches are not).
+_PLAN_FIELDS = tuple(
+    name for name in KernelPlan.__slots__
+    if name != "kernel" and not name.startswith("_")
+)
+
+
+def _plan_doc(plan):
+    doc = {name: getattr(plan, name) for name in _PLAN_FIELDS}
+    doc["rows"] = plan.rows()
+    return doc
+
+
+def _assert_int_tuples(plan):
+    for stream in (plan.addrs, plan.lines, plan.svalues):
+        assert type(stream) is tuple
+        assert all(type(v) is int for v in stream)
+    rows = plan.rows()
+    assert type(rows) is tuple and len(rows) == plan.trip
+    for row in rows:
+        assert type(row) is tuple
+        assert all(type(v) is int for v in row)
+
+
+@st.composite
+def salted_programs(draw):
+    """Chain argument sets, each built under two or three salts."""
+    chains = []
+    for args in draw(st.lists(chain_args(), min_size=1, max_size=3)):
+        for salt in draw(st.lists(st.integers(0, 2**70), min_size=2,
+                                  max_size=3)):
+            chains.append(dict(args, salt=salt))
+    return chains
+
+
+class TestInternedBuildMatchesReference:
+    """Interned and un-interned builds are indistinguishable downstream."""
+
+    @given(salted_programs(), st.integers(1, 12), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_compile_ops_and_plans(self, chains, threshold, seed):
+        interned = Program(
+            [chain_kernel(f"k{i}", **a) for i, a in enumerate(chains)], 1
+        )
+        fresh = Program(
+            [_fresh_chain_kernel(f"k{i}", **a) for i, a in enumerate(chains)],
+            1,
+        )
+        policy = ThresholdPolicy(threshold)
+        compiled = compile_program(interned, policy)
+        ref_program, ref_table, ref_stats = _reference_compile(fresh, policy)
+        assert _table_rows(compiled.slices) == _table_rows(ref_table)
+        assert compiled.stats == ref_stats
+        assert compiled.program.kernels == ref_program.kernels
+        for k in range(len(chains)):
+            assert kernel_ops(interned, k) == kernel_ops(fresh, k)
+            plan = _build_plan(interned.kernels[k], seed, LINE_BYTES,
+                               program=interned, kernel_index=k)
+            ref = _build_plan(fresh.kernels[k], seed, LINE_BYTES,
+                              program=fresh, kernel_index=k)
+            _assert_int_tuples(plan)
+            assert _plan_doc(plan) == _plan_doc(ref)
+
+    @given(st.lists(st.one_of(random_kernels(),
+                              chain_args().map(
+                                  lambda a: chain_kernel("c", **a))),
+                    min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_streams_are_int_tuples_equal_to_oracle(self, kernels):
+        program = Program(kernels, 0)
+        for k, kernel in enumerate(program.kernels):
+            # With the program: trips >= NUMPY_MIN_TRIP take the numpy
+            # evaluator; without it, always the generated one.
+            for plan in (
+                _build_plan(kernel, 0, LINE_BYTES, program=program,
+                            kernel_index=k),
+                _build_plan(kernel, 0, LINE_BYTES),
+            ):
+                oracle = _scalar_reference(kernel)
+                _assert_int_tuples(plan)
+                _assert_int_tuples(oracle)
+                for name in ("addrs", "lines", "svalues", "external_loads",
+                             "overlap"):
+                    assert getattr(plan, name) == getattr(oracle, name)
+                assert plan.rows() == oracle.rows()
+
+    def test_collector_untracks_plan_streams(self):
+        args = dict(store_pattern=AddressPattern(0, 1, 64),
+                    input_patterns=[AddressPattern(1 << 20, 1, 64)],
+                    chain_depth=4, salt=5)
+        for trip in (8, 48):  # generated and numpy evaluators
+            program = Program([chain_kernel("gc", trip_count=trip, **args)])
+            plan = _build_plan(program.kernels[0], 0, LINE_BYTES,
+                               program=program, kernel_index=0)
+            plan.rows()
+            gc.collect()
+            for stream in (plan.addrs, plan.lines, plan.svalues,
+                           *plan.rows()):
+                assert not gc.is_tracked(stream)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.isa.builder import KernelBuilder, chain_kernel
-from repro.isa.instructions import AddressPattern, StoreInstr
+from repro.isa.instructions import AddressPattern, LoadInstr, StoreInstr
 from repro.isa.opcodes import Opcode
-from repro.isa.program import Kernel, Program
+from repro.isa.program import Kernel, Program, StoreSite
 
 
 def simple_kernel(name="k", trip=4, ghost=0):
@@ -74,6 +74,18 @@ class TestProgram:
         p = Program([simple_kernel("a"), simple_kernel("b")])
         assert p.site_kernel(1).name == "b"
 
+    def test_site_records(self):
+        b = KernelBuilder("m")
+        x = b.movi(1)
+        b.store(x, AddressPattern(0, 1, 8))
+        b.store(x, AddressPattern(64, 1, 8))
+        p = Program([simple_kernel("a"), b.build(2)])
+        assert p.store_sites == [
+            StoreSite(0, 0, 3), StoreSite(1, 1, 1), StoreSite(2, 1, 2),
+        ]
+        assert p.num_sites == 3
+        assert [p.site_position(s) for s in range(3)] == [(0, 3), (1, 1), (1, 2)]
+
     def test_original_kernels_untouched(self):
         k = simple_kernel()
         Program([k])
@@ -112,3 +124,35 @@ class TestProgram:
         assert len(p.store_sites) == 2
         assert p.site_store(0).pattern.base == 0
         assert p.site_store(1).pattern.base == 64
+
+
+class TestSharedFootprint:
+    """Construction shares what is equal, and changes no value."""
+
+    def _pair(self):
+        args = ([AddressPattern(1 << 20, 1, 8)], 2, 4)
+        return [
+            chain_kernel(name, AddressPattern(0, 1, 8), *args, salt=salt)
+            for name, salt in (("a", 1), ("b", 2))
+        ]
+
+    def test_equal_loads_and_store_patterns_are_one_object(self):
+        a, b = self._pair()
+        assert a.body[0] is not b.body[0]
+        ka, kb = Program([a, b]).kernels
+        assert isinstance(ka.body[0], LoadInstr)
+        assert ka.body[0] is kb.body[0]
+        assert ka.body[-1].pattern is kb.body[-1].pattern
+        assert (ka.body[-1].site, kb.body[-1].site) == (0, 1)
+
+    def test_values_equal_an_unshared_build(self):
+        a, b = self._pair()
+        for kernel, built in zip((a, b), Program([a, b]).kernels):
+            assert built.body[:-1] == kernel.body[:-1]
+            assert built.body[-1].pattern == kernel.body[-1].pattern
+
+    def test_unchanged_kernels_are_kept(self):
+        first = Program(self._pair())
+        again = Program(first.kernels, 1)
+        assert all(x is y for x, y in zip(first.kernels, again.kernels))
+        assert again.store_sites == first.store_sites

@@ -16,6 +16,11 @@ configuration.  This suite pins that obligation three ways:
   configurations;
 * the fault-injection harness's two-pass trials under both engines.
 
+Replay is decided by the runtime checks alone, so the suite also pins
+that the static certificates explain every fallback: each vector
+fallback is charged to its segment's ``certify_run`` rule id, no SAFE
+segment falls back, and a run that never falls back never certifies.
+
 A failure report always includes the generator seed, so any divergence
 is reproducible with one parametrized id.
 """
@@ -23,17 +28,22 @@ is reproducible with one parametrized id.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.arch.config import MachineConfig
 from repro.experiments.configs import CONFIG_NAMES, ConfigRequest, make_options
+from repro.experiments.figures import fig6_time_overhead
+from repro.experiments.runner import ExperimentRunner
 from repro.inject.harness import TrialSpec, run_trial
 from repro.isa.builder import KernelBuilder, chain_kernel
 from repro.isa.instructions import WORD_BYTES, AddressPattern
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.sim.simulator import Simulator
+from repro.sim.vector.engine import VectorCoreRunner
+from repro.verify.absint.certify import certify_run
 from repro.workloads.registry import all_workload_names, get_workload
 from tests.conftest import dirty_sets, recording_caches
 
@@ -128,19 +138,78 @@ def _random_programs(seed: int):
     return programs
 
 
-def _assert_engines_identical(sim: Simulator, request: ConfigRequest, baseline, tag):
+def _assert_engines_identical(
+    sim: Simulator, request: ConfigRequest, baseline, tag, log=None
+):
+    """Run both engines; returns (interp, vector) results.  With a
+    ``fallback_log``, also check that the vector run's fallbacks are
+    explained by the certificates."""
     a = sim.run(make_options(request, baseline, engine="interp"))
+    if log is not None:
+        del log[:]
     b = sim.run(make_options(request, baseline, engine="vector"))
     assert a.to_dict() == b.to_dict(), (
         f"engine divergence: {tag} config={request.config}"
     )
-    return a
+    if log is not None:
+        _assert_fallbacks_explained(
+            sim.programs, b, log, f"{tag} config={request.config}"
+        )
+    return a, b
 
 
-def _check_program(programs, seed: int) -> None:
+@pytest.fixture
+def fallback_log(monkeypatch):
+    """Every vector fallback segment as ``(core, kernel, iterations)``.
+
+    Wraps each runner's classic interpreter, which the runner steps only
+    to execute a fallback segment (a budget never crosses a kernel)."""
+    log = []
+    init = VectorCoreRunner.__init__
+
+    def recording_init(self, run, core):
+        init(self, run, core)
+        step = self.interp.step_iterations
+
+        def step_fallback(budget):
+            k = self.interp.position[0]
+            chunk = step(budget)
+            log.append((core, k, chunk.iterations))
+            return chunk
+
+        self.interp.step_iterations = step_fallback
+
+    monkeypatch.setattr(VectorCoreRunner, "__init__", recording_init)
+    return log
+
+
+def _assert_fallbacks_explained(programs, result, log, tag) -> None:
+    """The run's fallbacks are exactly those logged, each charged to its
+    segment's certificate rule id; no SAFE segment falls back."""
+    certs = certify_run(programs)
+    expected = Counter()
+    for core, k, n in log:
+        cert = certs[core][k]
+        assert not cert.safe, f"SAFE segment fell back: {tag} core={core} k={k}"
+        expected[f"fallback.{cert.reason}"] += n
+    cov = result.vector_coverage
+    reported = {
+        key: n for key, n in cov.items() if key.startswith("fallback.") and n
+    }
+    assert reported == dict(expected), tag
+    assert cov["fallback_iterations"] == sum(n for _, _, n in log), tag
+    assert "fallback.unknown" not in reported, tag
+
+
+def _check_program(programs, seed: int, log) -> int:
+    """Both configurations of one generated program; returns the vector
+    fallback iterations seen."""
     sim = Simulator(programs, MachineConfig(num_cores=NUM_CORES))
     base_req = ConfigRequest("NoCkpt", memory_seed=seed % 3)
-    base = _assert_engines_identical(sim, base_req, None, f"seed={seed}")
+    base, _ = _assert_engines_identical(
+        sim, base_req, None, f"seed={seed}", log
+    )
+    fallbacks = sum(n for _, _, n in log)
     profile = base.baseline_profile()
     request = ConfigRequest(
         CKPT_CONFIGS[seed % len(CKPT_CONFIGS)],
@@ -149,16 +218,21 @@ def _check_program(programs, seed: int) -> None:
         threshold=2 + 4 * (seed % 3),
         memory_seed=seed % 3,
     )
-    _assert_engines_identical(sim, request, profile, f"seed={seed}")
+    _assert_engines_identical(sim, request, profile, f"seed={seed}", log)
+    return fallbacks + sum(n for _, _, n in log)
 
 
 class TestGeneratedPrograms:
     """Randomized differential testing across engines."""
 
     @pytest.mark.parametrize("batch", range(GENERATED_PROGRAMS // _BATCH))
-    def test_bit_identical(self, batch):
-        for seed in range(batch * _BATCH, (batch + 1) * _BATCH):
-            _check_program(_random_programs(seed), seed)
+    def test_bit_identical(self, batch, fallback_log):
+        fallbacks = sum(
+            _check_program(_random_programs(seed), seed, fallback_log)
+            for seed in range(batch * _BATCH, (batch + 1) * _BATCH)
+        )
+        # The attribution checks above are not vacuous.
+        assert fallbacks > 0
 
     def test_generator_covers_every_opcode_family(self):
         """Meta-test: the corpus actually exercises the whole ISA and
@@ -201,20 +275,26 @@ class TestGeneratedPrograms:
 class TestDirectedFallbacks:
     """Deterministic programs pinning each fallback trigger by name."""
 
-    def _run(self, programs):
+    def _run(self, programs, log):
+        """Every directed config on both engines; returns the vector
+        results."""
         sim = Simulator(programs, MachineConfig(num_cores=NUM_CORES))
-        base = _assert_engines_identical(
-            sim, ConfigRequest("NoCkpt"), None, "directed"
+        base, vec = _assert_engines_identical(
+            sim, ConfigRequest("NoCkpt"), None, "directed", log
         )
+        results = [vec]
         for config in ("Ckpt_NE", "ReCkpt_NE", "ReCkpt_E_Loc"):
-            _assert_engines_identical(
+            _, vec = _assert_engines_identical(
                 sim,
                 ConfigRequest(config, num_checkpoints=4),
                 base.baseline_profile(),
                 "directed",
+                log,
             )
+            results.append(vec)
+        return results
 
-    def test_store_load_aliasing_overlap(self):
+    def test_store_load_aliasing_overlap(self, fallback_log):
         """A kernel loading the region it stores runs interpreted (the
         plan's overlap bit) — results must still match exactly."""
         programs = []
@@ -233,9 +313,10 @@ class TestDirectedFallbacks:
                 for k in range(3)
             ]
             programs.append(Program(kernels, t))
-        self._run(programs)
+        for result in self._run(programs, fallback_log):
+            assert result.vector_coverage["fallback.ACR009"] > 0
 
-    def test_loop_carried_accumulate(self):
+    def test_loop_carried_accumulate(self, fallback_log):
         programs = []
         for t in range(NUM_CORES):
             base = (t + 1) << 24
@@ -252,11 +333,12 @@ class TestDirectedFallbacks:
                 for k in range(3)
             ]
             programs.append(Program(kernels, t))
-        self._run(programs)
+        self._run(programs, fallback_log)
 
-    def test_cross_core_shared_region(self):
+    def test_cross_core_shared_region(self, fallback_log, monkeypatch):
         """Core 0 writes what core 1 planned to load from the pristine
-        image: the disjointness check must force core 1's fallback."""
+        image: the disjointness check must force core 1's fallback,
+        charged to ACR010 by the simulator's one certification."""
         shared = AddressPattern(SHARED_BASE, 1, 32)
         p0 = Program(
             [
@@ -279,9 +361,20 @@ class TestDirectedFallbacks:
             ],
             1,
         )
-        self._run([p0, p1])
+        calls = []
 
-    def test_single_iteration_and_stride_zero(self):
+        def counting(programs):
+            calls.append(programs)
+            return certify_run(programs)
+
+        monkeypatch.setattr(
+            "repro.verify.absint.certify.certify_run", counting
+        )
+        for result in self._run([p0, p1], fallback_log):
+            assert result.vector_coverage["fallback.ACR010"] > 0
+        assert len(calls) == 1  # one Simulator, certified once
+
+    def test_single_iteration_and_stride_zero(self, fallback_log):
         """Degenerate shapes: trip_count=1 and a stride-0 store stream
         (every iteration rewrites one word — only the first write of each
         interval is a log candidate)."""
@@ -300,7 +393,7 @@ class TestDirectedFallbacks:
                 for k in range(4)
             ]
             programs.append(Program(kernels, t))
-        self._run(programs)
+        self._run(programs, fallback_log)
 
     def test_dirty_victims_cascade_through_full_l2_set(self):
         """Stores to lines sharing one L1 set *and* one L2 set: each L1
@@ -356,6 +449,29 @@ class TestDirectedFallbacks:
                 assert len(a_bounds) >= 4
 
 
+class TestCertifyOnlyOnFallback:
+    """Replay reads no certificate, so a run without fallbacks never
+    certifies."""
+
+    def test_fig6_smoke_never_certifies(self, fallback_log, monkeypatch):
+        def refuse(programs):
+            raise AssertionError("certify_run called without a fallback")
+
+        monkeypatch.setattr("repro.verify.absint.certify.certify_run", refuse)
+        runner = ExperimentRunner(
+            num_cores=2, region_scale=0.05, reps=2, engine="vector"
+        )
+        assert fig6_time_overhead(runner).render()
+        assert fallback_log == []
+        replayed = [
+            runner.run(wl, ConfigRequest("NoCkpt")).vector_coverage[
+                "replayed_iterations"
+            ]
+            for wl in runner.workloads()
+        ]
+        assert all(replayed)  # the sweep really ran on the vector engine
+
+
 @pytest.mark.parametrize("workload", sorted(all_workload_names()))
 class TestRegisteredWorkloads:
     """Every registered workload, every configuration, both engines."""
@@ -364,7 +480,7 @@ class TestRegisteredWorkloads:
         spec = get_workload(workload)
         programs = spec.build_programs(NUM_CORES, region_scale=0.05, reps=3)
         sim = Simulator(programs, MachineConfig(num_cores=NUM_CORES))
-        base = _assert_engines_identical(
+        base, _ = _assert_engines_identical(
             sim, ConfigRequest("NoCkpt"), None, workload
         )
         profile = base.baseline_profile()

@@ -289,3 +289,56 @@ class TestStaticPlanAgreement:
             assert ks.overlap == plan.overlap, kernel.name
             assert ks.regs_stable == plan.regs_stable, kernel.name
             assert ks.trip == kernel.trip_count
+
+    @staticmethod
+    def _entering_file_is_dead(kernel, rng) -> bool:
+        """Do the zero and a random entering register file produce the
+        same stores and registers?"""
+        from repro.isa.interpreter import Interpreter, MemoryImage
+
+        program = Program([kernel], 0)
+        width = _kernel_shape(program.kernels[0])[0]
+        outcomes = []
+        for regs in ([0] * (width + 1),
+                     [rng.getrandbits(64) for _ in range(width + 1)]):
+            memory = MemoryImage(SEED)
+            interp = Interpreter(program, memory)
+            interp.restore_arch_state((0, 0, regs))
+            # Stop before the end (when there is one) so the register
+            # file is still the kernel's.
+            interp.step_iterations(max(1, kernel.trip_count - 1))
+            outcomes.append((interp.arch_state(), memory.snapshot()))
+        return outcomes[0] == outcomes[1]
+
+    def test_renewal_makes_the_entering_register_file_dead(self):
+        """``registers_renewed`` (read from the body alone) is what lets
+        the vector interpreter replay a kernel after a state restore:
+        when it holds, any entering register file must produce the same
+        stores and registers as the zero file."""
+        from repro.verify.absint.certify import registers_renewed
+
+        rng = random.Random(7100)
+        verdicts = set()
+        for i in range(120):
+            kernel = _random_kernel(rng, f"renew{i}", 1 << 22)
+            renewed = registers_renewed(kernel)
+            verdicts.add(renewed)
+            if renewed:
+                assert self._entering_file_is_dead(kernel, rng), kernel.name
+        assert verdicts == {True, False}  # both verdicts exercised
+
+    def test_a_never_written_register_is_not_renewed(self):
+        """No read precedes a definition, but r1 is never written, so a
+        restored r1 stays visible: renewal must cover the whole file."""
+        from repro.isa.instructions import AluInstr, MoviInstr, StoreInstr
+        from repro.isa.opcodes import Opcode
+        from repro.isa.program import Kernel
+        from repro.verify.absint.certify import registers_renewed
+
+        gap = Kernel("gap", [
+            MoviInstr(0, 5),
+            AluInstr(Opcode.ADD, 2, 0, 0),
+            StoreInstr(2, AddressPattern(1 << 22, 1, 8)),
+        ], 4)
+        assert not registers_renewed(gap)
+        assert not self._entering_file_is_dead(gap, random.Random(1))
