@@ -71,10 +71,14 @@ class EnergyLedger:
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "EnergyLedger":
-        """Rebuild a ledger from :meth:`to_dict` output."""
+        """Rebuild a ledger from :meth:`to_dict` output (strict: anything
+        but a mapping of names to ``int``/``float`` values, ``bool``
+        excluded, raises ``ValueError``)."""
+        if not isinstance(data, dict):
+            raise ValueError("energy ledger payload is not an object")
         ledger = cls()
         for bucket, pj in data.items():
-            if not isinstance(bucket, str) or not isinstance(pj, (int, float)):
+            if not isinstance(bucket, str) or type(pj) not in (int, float):
                 raise ValueError(f"malformed energy bucket {bucket!r}: {pj!r}")
             ledger._buckets[bucket] = float(pj)
         return ledger

@@ -51,11 +51,17 @@ __all__ = [
 #:     switched to a campaign-shared memory seed — spec fields are
 #:     unchanged, but the trial population a campaign key set names is
 #:     different, so pre-v4 trial entries must read as misses.
-CACHE_SCHEMA_VERSION = 4
+#: v5: run results are stored by ``RunResult.to_payload``: intervals and
+#:     recoveries as one list per field (columns), every value
+#:     type-checked on read; the envelope must be exactly
+#:     ``{schema, code, kind, key, result}``; compact separators.
+CACHE_SCHEMA_VERSION = 5
 
 #: Envelope payload kinds the cache stores.
 KIND_RUN = "run"
 KIND_TRIAL = "inject-trial"
+#: The exact key set of an entry's envelope.
+_ENVELOPE_FIELDS = frozenset({"schema", "code", "kind", "key", "result"})
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
@@ -192,19 +198,19 @@ class ResultCache:
         if payload is None:
             return None
         try:
-            return RunResult.from_dict(payload)
-        except (ValueError, TypeError, KeyError):
+            return RunResult.from_payload(payload)
+        except ValueError:
             self.quarantine(key)
             return None
 
     def load_payload(self, key: str, kind: str) -> Optional[Any]:
         """The raw cached payload for ``key``, or ``None`` on a miss.
 
-        Validates the envelope (decodability, schema version, key echo,
-        payload ``kind``); any violation quarantines the entry and reads
-        as a miss.  Decoding the payload itself is the caller's job —
-        on a decode failure it should call :meth:`quarantine` so the next
-        write starts clean.
+        Validates the envelope (decodability, exact key set, schema
+        version, key echo, payload ``kind``); any violation quarantines
+        the entry and reads as a miss.  Decoding the payload itself is
+        the caller's job — on a decode failure it should call
+        :meth:`quarantine` so the next write starts clean.
         """
         path = self.path_for(key)
         try:
@@ -215,11 +221,13 @@ class ResultCache:
             envelope = json.loads(raw)
             if not isinstance(envelope, dict):
                 raise ValueError("cache envelope is not an object")
-            if envelope.get("schema") != CACHE_SCHEMA_VERSION:
+            if envelope.keys() != _ENVELOPE_FIELDS:
+                raise ValueError("bad cache envelope fields")
+            if envelope["schema"] != CACHE_SCHEMA_VERSION:
                 raise ValueError("cache schema version mismatch")
-            if envelope.get("key") != key:
+            if envelope["key"] != key:
                 raise ValueError("cache entry key mismatch")
-            if envelope.get("kind", KIND_RUN) != kind:
+            if envelope["kind"] != kind:
                 raise ValueError("cache entry kind mismatch")
             result = envelope["result"]
             if result is None:
@@ -227,14 +235,14 @@ class ResultCache:
                 # would otherwise dodge quarantine.
                 raise ValueError("cache entry has null result")
             return result
-        except (ValueError, TypeError, KeyError):
+        except ValueError:
             self._quarantine(path)
             return None
 
     # ------------------------------------------------------------------ store --
     def store(self, key: str, result: RunResult) -> Path:
         """Persist a simulation ``result`` under ``key`` atomically."""
-        return self.store_payload(key, result.to_dict(), KIND_RUN)
+        return self.store_payload(key, result.to_payload(), KIND_RUN)
 
     def store_payload(self, key: str, result: Any, kind: str) -> Path:
         """Persist a JSON-safe payload under ``key``; returns the path."""
@@ -246,7 +254,7 @@ class ResultCache:
             "key": key,
             "result": result,
         }
-        payload = json.dumps(envelope, sort_keys=True)
+        payload = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
         return atomicio.atomic_write_text(
             path, payload, prefix=f".{key[:8]}."
         )

@@ -157,8 +157,9 @@ def _trial_execute(
 
 def _worker_execute(task: _WorkerTask) -> Tuple[str, ConfigRequest, dict, float]:
     """Pool entry point: run one configuration, return its serialised
-    result (dicts, not ``RunResult`` — the checkpoint store never crosses
-    the process boundary, and JSON-safe payloads keep pickling cheap)."""
+    result (:meth:`RunResult.to_payload`, not ``RunResult`` — the
+    checkpoint store never crosses the process boundary, and columnar
+    JSON-safe payloads keep pickling cheap)."""
     workload, request, machine, region_scale, reps, baseline_cores, engine = task
     with _Timer() as timer:
         sim = _worker_simulator(workload, machine, region_scale, reps)
@@ -168,7 +169,7 @@ def _worker_execute(task: _WorkerTask) -> Tuple[str, ConfigRequest, dict, float]
             else None
         )
         result = sim.run(make_options(request, baseline, engine=engine))
-    return workload, request, result.to_dict(), timer.seconds
+    return workload, request, result.to_payload(), timer.seconds
 
 
 class ExperimentRunner:
@@ -874,7 +875,7 @@ class ExperimentRunner:
             wl, req, payload, seconds = result
             self.progress.record(wl, req.config, "worker", seconds)
             self._store(
-                wl, req, RunResult.from_dict(payload),
+                wl, req, RunResult.from_payload(payload),
                 attempts=len(history.attempts), seconds=seconds,
             )
 

@@ -11,7 +11,7 @@ aggregate without keeping the event stream.
 
 The whole registry serialises to plain JSON (strict inverse, like the
 rest of :mod:`repro.sim.results`): an :class:`ObsReport` rides on
-``RunResult.obs`` through ``to_dict``/``from_dict`` and the persistent
+``RunResult.obs`` through ``to_payload``/``from_payload`` and the persistent
 result cache — a corrupt blob raises, which cache readers classify as
 a miss.
 """

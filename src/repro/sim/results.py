@@ -10,8 +10,10 @@ plot.
 
 from __future__ import annotations
 
+import functools
+import typing
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.compiler.embed import CompileStats
 from repro.energy.accounting import EnergyLedger
@@ -32,22 +34,72 @@ __all__ = [
 _UNSERIALISED = ("checkpoint_store", "vector_coverage")
 
 
+#: The Python types a JSON value may decode to, per declared scalar type.
+#: ``bool`` is not an ``int`` here, and an ``int`` may stand for a ``float``
+#: (integral values the simulator produced as ints stay ints).
+_ACCEPTS: Dict[type, FrozenSet[type]] = {
+    int: frozenset({int}),
+    float: frozenset({int, float}),
+    bool: frozenset({bool}),
+    str: frozenset({str}),
+}
+
+
 def _dataclass_to_dict(obj: Any) -> Dict[str, Any]:
     """Flat field mapping of a (non-nested) stats dataclass."""
     return {name: getattr(obj, name) for name in field_names(type(obj))}
 
 
-def _dataclass_from_dict(cls: type, data: Dict[str, Any]) -> Any:
-    """Strict inverse of :func:`_dataclass_to_dict`.
+@functools.lru_cache(maxsize=None)
+def _typed_fields(cls: type) -> Tuple[Tuple[str, bool, FrozenSet[type]], ...]:
+    """``(name, is_list, accepted types)`` for each of ``cls``'s fields
+    declared as a scalar or a ``List`` of scalars, derived once per class
+    from its annotations.  Other fields are decoded by their own class."""
+    table = []
+    for name, hint in typing.get_type_hints(cls).items():
+        is_list = typing.get_origin(hint) is list
+        if is_list:
+            (hint,) = typing.get_args(hint)
+        accepts = _ACCEPTS.get(hint)
+        if accepts is not None:
+            table.append((name, is_list, accepts))
+    return tuple(table)
 
-    The keys must be exactly ``cls``'s fields: unknown keys or non-mapping
-    input raise ``ValueError``, missing keys (defaulted ones included)
-    raise ``TypeError`` — the result cache relies on this to classify
-    corrupt entries as misses.
-    """
-    return cls(
-        **require_fields(data, cls, cls.__name__, missing_error=TypeError)
-    )
+
+def _check_types(cls: type, doc: Dict[str, Any],
+                 columns: bool = False) -> None:
+    """Raise ``ValueError`` unless every typed field of ``doc`` holds its
+    declared type; with ``columns`` every field is a list of them."""
+    for name, is_list, accepts in _typed_fields(cls):
+        value = doc[name]
+        if is_list or columns:
+            ok = type(value) is list and accepts.issuperset(map(type, value))
+        else:
+            ok = type(value) in accepts
+        if not ok:
+            raise ValueError(f"{cls.__name__}.{name}: wrong-typed value")
+
+
+def _columns(cls: type, rows: List[Any]) -> Dict[str, List[Any]]:
+    """``rows`` of dataclass ``cls`` as one list per field."""
+    return {name: [getattr(row, name) for row in rows]
+            for name in field_names(cls)}
+
+
+def _rows(cls: type, doc: Any) -> List[Any]:
+    """Strict inverse of :func:`_columns`: exactly ``cls``'s fields, each a
+    list of its declared type, all of one length."""
+    _check_types(cls, require_fields(doc, cls, cls.__name__), columns=True)
+    columns = [doc[name] for name in field_names(cls)]
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"{cls.__name__}: ragged columns")
+    return [cls(*row) for row in zip(*columns)]
+
+
+def _record(cls: type, doc: Any) -> Any:
+    """One flat dataclass record from its exact, type-checked fields."""
+    _check_types(cls, require_fields(doc, cls, cls.__name__))
+    return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -84,12 +136,6 @@ class IntervalStats:
         """JSON-safe field mapping."""
         return _dataclass_to_dict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "IntervalStats":
-        """Rebuild from :meth:`to_dict` output (strict: unknown or
-        missing fields raise, so corrupt cache entries are detected)."""
-        return _dataclass_from_dict(cls, data)
-
     @property
     def baseline_bytes(self) -> int:
         """What the baseline would have logged for this interval."""
@@ -123,11 +169,6 @@ class RecoveryStats:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe field mapping."""
         return _dataclass_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RecoveryStats":
-        """Rebuild from :meth:`to_dict` output (strict)."""
-        return _dataclass_from_dict(cls, data)
 
     @property
     def total_ns(self) -> float:
@@ -241,14 +282,30 @@ class RunResult:
 
     # -- serialisation ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe mapping of everything the experiment harness consumes.
+        """JSON-safe mapping of everything the experiment harness consumes,
+        one dict per interval and recovery.
 
         ``checkpoint_store`` — an in-memory object graph kept only for
         post-run verification — is deliberately excluded, as is
         ``vector_coverage`` (engine-private diagnostics that must not
         perturb the cross-engine bit-identity contract); results rebuilt
-        by :meth:`from_dict` carry ``None`` for both.
+        by :meth:`from_payload` carry ``None`` for both.
         """
+        return self._serialised(
+            [iv.to_dict() for iv in self.intervals],
+            [r.to_dict() for r in self.recoveries],
+        )
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The wire form the result cache and the worker pool carry:
+        :meth:`to_dict` with ``intervals`` and ``recoveries`` stored as
+        one list per field (columns) instead of one dict per row."""
+        return self._serialised(
+            _columns(IntervalStats, self.intervals),
+            _columns(RecoveryStats, self.recoveries),
+        )
+
+    def _serialised(self, intervals: Any, recoveries: Any) -> Dict[str, Any]:
         return {
             "label": self.label,
             "scheme": self.scheme,
@@ -258,8 +315,8 @@ class RunResult:
             "per_core_useful_ns": list(self.per_core_useful_ns),
             "per_core_overhead_ns": list(self.per_core_overhead_ns),
             "energy": self.energy.to_dict(),
-            "intervals": [iv.to_dict() for iv in self.intervals],
-            "recoveries": [r.to_dict() for r in self.recoveries],
+            "intervals": intervals,
+            "recoveries": recoveries,
             "instructions": self.instructions,
             "alu_ops": self.alu_ops,
             "loads": self.loads,
@@ -282,33 +339,29 @@ class RunResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
-        """Rebuild a result from :meth:`to_dict` output.
+    def from_payload(cls, payload: Any) -> "RunResult":
+        """Rebuild a result from :meth:`to_payload` output.
 
-        Strict: corrupt or schema-drifted mappings raise ``ValueError``/
-        ``TypeError``/``KeyError`` rather than producing a half-built
-        result, so cache readers can treat any exception as a miss.
+        Strict: the field sets must be exact, every scalar, list and
+        column must hold its declared type, and columns must be of equal
+        length.  Any violation raises ``ValueError`` rather than
+        producing a half-built result, so cache readers can treat it as
+        a miss.  Checks run once per class, not once per row.
         """
-        kwargs = dict(
-            require_fields(data, cls, "RunResult", omit=_UNSERIALISED,
-                           missing_error=TypeError)
-        )
-        try:
-            kwargs["energy"] = EnergyLedger.from_dict(data["energy"])
-            kwargs["intervals"] = [
-                IntervalStats.from_dict(d) for d in data["intervals"]
-            ]
-            kwargs["recoveries"] = [
-                RecoveryStats.from_dict(d) for d in data["recoveries"]
-            ]
-        except AttributeError as exc:  # e.g. a list where a dict belongs
-            raise ValueError(f"RunResult: malformed nested payload: {exc}")
-        if data["compile_stats"] is not None:
-            kwargs["compile_stats"] = _dataclass_from_dict(
-                CompileStats, data["compile_stats"]
-            )
-        if data["obs"] is not None:
-            kwargs["obs"] = ObsReport.from_dict(data["obs"])
+        doc = require_fields(payload, cls, "RunResult", omit=_UNSERIALISED)
+        _check_types(cls, doc)
+        kwargs = dict(doc)
+        kwargs["energy"] = EnergyLedger.from_dict(doc["energy"])
+        kwargs["intervals"] = _rows(IntervalStats, doc["intervals"])
+        kwargs["recoveries"] = _rows(RecoveryStats, doc["recoveries"])
+        if doc["compile_stats"] is not None:
+            kwargs["compile_stats"] = _record(CompileStats,
+                                              doc["compile_stats"])
+        if doc["obs"] is not None:
+            try:
+                kwargs["obs"] = ObsReport.from_dict(doc["obs"])
+            except (TypeError, KeyError, AttributeError) as exc:
+                raise ValueError(f"RunResult: malformed obs payload: {exc}")
         return cls(**kwargs)
 
     def equivalent(self, other: "RunResult") -> bool:

@@ -1,11 +1,13 @@
-"""Warm cache reads: pinned key bytes, exact-field decoding, and a
-timing-free guard on the per-entry decode cost.
+"""Warm cache reads: pinned key bytes, exact-field decoding, and
+timing-free guards on the per-entry decode cost.
 
 A changed :func:`run_cache_key` would silently orphan every existing
 user cache, so the key for one fixed run is pinned to its hex digest.
-The decode guard counts schema introspection (``dataclasses.fields``)
-and machine flattening (``dataclasses.asdict``) instead of timing them:
-both must happen once per class / per machine, not once per entry.
+The decode guards count calls instead of timing them: schema
+introspection (``dataclasses.fields``) and machine flattening
+(``dataclasses.asdict``) must happen once per class / per machine, not
+once per entry, and exact-field checks (``require_fields``) once per
+class in an entry, not once per interval row.
 """
 
 import dataclasses
@@ -22,12 +24,15 @@ from repro.energy.accounting import EnergyLedger
 from repro.experiments.cache import ResultCache, run_cache_key
 from repro.experiments.configs import ConfigRequest
 from repro.sim.results import IntervalStats, RecoveryStats, RunResult
+from repro.util import validation
 
 KEY = "ab" * 32
 
 #: ``run_cache_key("is", ConfigRequest("ReCkpt_E"), MachineConfig(), 0.1,
-#: 12)`` as computed by the code that wrote the caches in use today.
-PINNED_KEY = "a73229c6b180523e2c061615254296cd94ea8b92d9742cfbe5f2d211aaa82f13"
+#: 12)`` as computed by the code that wrote the caches in use today.  The
+#: schema version is part of the key: this is the v5 key, whose bytes
+#: differ from v4's only in the ``"schema"`` value.
+PINNED_KEY = "a4805292e5c89a863f51a7a7b5ffd37c7bb1d31547f7d055f94d8cca892eecd0"
 
 
 def _result(intervals: int = 3) -> RunResult:
@@ -94,13 +99,23 @@ def first_args_of_calls(func):
 
 class TestDecodeCost:
     def test_fields_called_at_most_once_per_class(self):
-        payload = json.loads(json.dumps(_result().to_dict()))
+        payload = json.loads(json.dumps(_result().to_payload()))
         with first_args_of_calls(dataclasses.fields) as seen:
             for _ in range(100):
-                RunResult.from_dict(payload)
+                RunResult.from_payload(payload)
         per_class = Counter(x if isinstance(x, type) else type(x)
                             for x in seen)
         assert all(n <= 1 for n in per_class.values()), per_class
+
+    def test_require_fields_once_per_class_not_per_row(self):
+        counts = []
+        for n in (1, 60):
+            payload = json.loads(json.dumps(_result(n).to_payload()))
+            with first_args_of_calls(validation.require_fields) as seen:
+                RunResult.from_payload(payload)
+            counts.append(len(seen))
+        # RunResult, IntervalStats, RecoveryStats, CompileStats.
+        assert counts == [4, 4]
 
     def test_asdict_called_once_per_machine(self):
         # A machine no other test has keyed, so the memo starts cold.
@@ -118,23 +133,23 @@ class TestDecodeCost:
 
 class TestDefaultedFieldsAreStrict:
     def test_missing_defaulted_field_raises(self):
-        data = IntervalStats(0, 1.0, 1, 1, 16, 16, 64, 5.0, 1, 8).to_dict()
-        del data["footprint_bytes"]
-        with pytest.raises(TypeError):
-            IntervalStats.from_dict(data)
+        data = _result().to_payload()
+        del data["intervals"]["footprint_bytes"]
+        with pytest.raises(ValueError):
+            RunResult.from_payload(data)
 
     def test_unknown_field_raises_value_error(self):
-        data = _result().to_dict()
+        data = _result().to_payload()
         data["checkpoint_store"] = None  # never serialised
         with pytest.raises(ValueError):
-            RunResult.from_dict(data)
+            RunResult.from_payload(data)
 
     def test_missing_defaulted_field_quarantines_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store(KEY, _result())
         path = cache.path_for(KEY)
         envelope = json.loads(path.read_text())
-        del envelope["result"]["intervals"][1]["footprint_bytes"]
+        del envelope["result"]["intervals"]["footprint_bytes"]
         path.write_text(json.dumps(envelope))
         assert cache.load(KEY) is None
         assert not path.exists()

@@ -128,10 +128,11 @@ class TestRunResultCoverageField:
         cov = result.vector_coverage
         assert cov is not None
         assert cov["replayed_iterations"] > 0
-        # Diagnostics ride outside the serialised contract: the dict
+        # Diagnostics ride outside the serialised contract: the payload
         # round-trips without the field and stays engine-comparable.
         doc = result.to_dict()
         assert "vector_coverage" not in doc
-        restored = type(result).from_dict(doc)
+        assert "vector_coverage" not in result.to_payload()
+        restored = type(result).from_payload(result.to_payload())
         assert restored.vector_coverage is None
         assert restored.to_dict() == doc

@@ -2,7 +2,7 @@
 
 Mirrors ``tests/experiments/test_cache.py`` for the observability layer:
 arbitrary metrics registries round-trip losslessly through
-``RunResult.to_dict``/``from_dict`` and the persistent cache, and a
+``RunResult.to_payload``/``from_payload`` and the persistent cache, and a
 corrupt ``obs`` blob inside a cache entry degrades to a *miss* (with the
 entry quarantined) — never a crash, never a half-built result.
 """
@@ -91,8 +91,8 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     def test_run_result_with_obs_round_trips_losslessly(self, obs):
         result = result_with_obs(obs)
-        wire = json.dumps(result.to_dict(), sort_keys=True)
-        rebuilt = RunResult.from_dict(json.loads(wire))
+        wire = json.dumps(result.to_payload(), sort_keys=True)
+        rebuilt = RunResult.from_payload(json.loads(wire))
         assert rebuilt.to_dict() == result.to_dict()
         if obs is None:
             assert rebuilt.obs is None
@@ -118,10 +118,10 @@ class TestRoundTrip:
 
 class TestStrictObsField:
     def test_missing_obs_key_rejected(self):
-        doc = result_with_obs(None).to_dict()
+        doc = result_with_obs(None).to_payload()
         del doc["obs"]
-        with pytest.raises((ValueError, TypeError, KeyError)):
-            RunResult.from_dict(doc)
+        with pytest.raises(ValueError):
+            RunResult.from_payload(doc)
 
     @pytest.mark.parametrize("blob", [
         [1, 2, 3],
@@ -133,10 +133,10 @@ class TestStrictObsField:
          "intervals": []}, "events_captured": 0, "events_dropped": 0},
     ])
     def test_corrupt_obs_blob_rejected(self, blob):
-        doc = result_with_obs(None).to_dict()
+        doc = result_with_obs(None).to_payload()
         doc["obs"] = blob
-        with pytest.raises((ValueError, TypeError, KeyError)):
-            RunResult.from_dict(doc)
+        with pytest.raises(ValueError):
+            RunResult.from_payload(doc)
 
 
 class TestCorruptObsInCache:
