@@ -55,7 +55,7 @@ def full_snapshot_costs(
     )
     if not run.intervals:
         return FullSnapshotCosts(0, 0, 0.0, 0.0)
-    sizes = [iv.footprint_bytes for iv in run.intervals]
+    sizes = run.intervals.column("footprint_bytes")
     total = sum(sizes)
     incremental = run.total_checkpoint_bytes
     return FullSnapshotCosts(
@@ -105,9 +105,10 @@ def hierarchical_costs(
     drained_bytes = 0
     drained = 0
     pending = 0
-    for iv in run.intervals:
-        pending += iv.logged_bytes
-        if (iv.index + 1) % config.every_k == 0:
+    for index, logged_bytes in zip(run.intervals.column("index"),
+                                   run.intervals.column("logged_bytes")):
+        pending += logged_bytes
+        if (index + 1) % config.every_k == 0:
             drained_bytes += pending
             drained += 1
             pending = 0

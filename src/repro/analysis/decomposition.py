@@ -55,7 +55,7 @@ def decompose_overhead(run: RunResult) -> OverheadDecomposition:
     the log-write stalls and ASSOC-ADDR slots charged during intervals
     (plus barrier-wait imbalance, which is also an execution artifact).
     """
-    boundary = sum(iv.boundary_ns for iv in run.intervals)
+    boundary = run.checkpoint_time_ns
     recovery = run.recovery_time_ns
     total = run.overhead_ns
     execution = max(0.0, total - boundary - recovery)
@@ -86,13 +86,14 @@ class RecoveryAnatomy:
 
 def recovery_anatomy(run: RunResult) -> RecoveryAnatomy:
     """Aggregate the recovery cost terms of a run."""
+    column = run.recoveries.column
     return RecoveryAnatomy(
         count=run.recovery_count,
-        waste_ns=sum(r.waste_ns for r in run.recoveries),
-        rollback_ns=sum(r.rollback_ns for r in run.recoveries),
-        recompute_ns=sum(r.recompute_ns for r in run.recoveries),
-        restored_records=sum(r.restored_records for r in run.recoveries),
-        recomputed_values=sum(r.recomputed_values for r in run.recoveries),
+        waste_ns=sum(column("waste_ns")),
+        rollback_ns=sum(column("rollback_ns")),
+        recompute_ns=sum(column("recompute_ns")),
+        restored_records=sum(column("restored_records")),
+        recomputed_values=sum(column("recomputed_values")),
     )
 
 

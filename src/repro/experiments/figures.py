@@ -230,7 +230,7 @@ def fig10_temporal(
     series: Dict[str, List[float]] = {}
     for thr in thresholds:
         run = runner.run(workload, ConfigRequest("ReCkpt_NE", threshold=thr))
-        series[f"thr{thr}"] = [iv.reduction for iv in run.intervals]
+        series[f"thr{thr}"] = run.interval_reductions()
     n_intervals = len(next(iter(series.values())))
     rows = []
     for k in range(n_intervals):

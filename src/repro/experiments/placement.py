@@ -37,7 +37,7 @@ class PlacementPlan:
 
 def profile_reductions(profile_run: RunResult) -> List[float]:
     """Per-interval omittable fraction from a fine-grained ACR run."""
-    return [iv.reduction for iv in profile_run.intervals]
+    return profile_run.interval_reductions()
 
 
 def aware_boundaries(
@@ -59,7 +59,7 @@ def aware_boundaries(
     """
     check_positive("num_checkpoints", num_checkpoints)
     check_in_range("max_stretch", max_stretch, 1.0, 4.0)
-    grid = [iv.useful_ns for iv in profile_run.intervals]
+    grid = list(profile_run.intervals.column("useful_ns"))
     scores = profile_reductions(profile_run)
     if len(grid) < num_checkpoints:
         raise ValueError(

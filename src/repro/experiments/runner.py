@@ -229,9 +229,13 @@ class ExperimentRunner:
         # quarantines through this runner's progress + metrics.
         self.cache: Optional[ResultCache] = cache
         if self.cache is None and cache_dir is not None:
+            # The callback holds the tracker, not ``self``: a runner that
+            # its own cache pointed back to would be cyclic garbage, freed
+            # only by a full collection.
+            progress = self.progress
             self.cache = ResultCache(
                 cache_dir,
-                on_quarantine=lambda _p: self.progress.record_quarantine(),
+                on_quarantine=lambda _p: progress.record_quarantine(),
             )
         #: Optional CampaignTelemetry: live frame streaming + snapshots.
         #: None (the default) keeps every execution path frame-free and

@@ -15,6 +15,7 @@ from repro.sim.results import (
     IntervalStats,
     RecoveryStats,
     RunResult,
+    StatsTable,
     energy_overhead,
     time_overhead,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "IntervalStats",
     "RecoveryStats",
     "RunResult",
+    "StatsTable",
     "time_overhead",
     "energy_overhead",
     "SimulationOptions",

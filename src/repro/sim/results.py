@@ -6,14 +6,23 @@ per-recovery cost breakdowns, and the compile-pass summary.  The derived
 metrics (:func:`time_overhead`, :func:`energy_overhead`,
 :meth:`RunResult.overhead_edp`) are the quantities the paper's figures
 plot.
+
+Per-interval and per-recovery statistics are held as a :class:`StatsTable`
+(one tuple per field); the figures read its columns, and
+:class:`IntervalStats`/:class:`RecoveryStats` rows are built only when a
+caller iterates or indexes the table.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import typing
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Generic, Iterable, Iterator, List, Optional, Tuple,
+    Type, TypeVar, Union,
+)
 
 from repro.compiler.embed import CompileStats
 from repro.energy.accounting import EnergyLedger
@@ -26,6 +35,7 @@ __all__ = [
     "IntervalStats",
     "RecoveryStats",
     "RunResult",
+    "StatsTable",
     "time_overhead",
     "energy_overhead",
 ]
@@ -80,26 +90,87 @@ def _check_types(cls: type, doc: Dict[str, Any],
             raise ValueError(f"{cls.__name__}.{name}: wrong-typed value")
 
 
-def _columns(cls: type, rows: List[Any]) -> Dict[str, List[Any]]:
-    """``rows`` of dataclass ``cls`` as one list per field."""
-    return {name: [getattr(row, name) for row in rows]
-            for name in field_names(cls)}
-
-
-def _rows(cls: type, doc: Any) -> List[Any]:
-    """Strict inverse of :func:`_columns`: exactly ``cls``'s fields, each a
-    list of its declared type, all of one length."""
-    _check_types(cls, require_fields(doc, cls, cls.__name__), columns=True)
-    columns = [doc[name] for name in field_names(cls)]
-    if len(set(map(len, columns))) > 1:
-        raise ValueError(f"{cls.__name__}: ragged columns")
-    return [cls(*row) for row in zip(*columns)]
-
-
 def _record(cls: type, doc: Any) -> Any:
     """One flat dataclass record from its exact, type-checked fields."""
     _check_types(cls, require_fields(doc, cls, cls.__name__))
     return cls(**doc)
+
+
+def _reduction(logged_bytes: int, omitted_bytes: int) -> float:
+    """Fractional checkpoint-data reduction of one interval."""
+    baseline_bytes = logged_bytes + omitted_bytes
+    if baseline_bytes == 0:
+        return 0.0
+    return omitted_bytes / baseline_bytes
+
+
+def _recovery_ns(waste_ns: float, rollback_ns: float,
+                 recompute_ns: float) -> float:
+    """Full cost of one recovery (Eq. 2 / Eq. 3 per-event term)."""
+    return waste_ns + rollback_ns + recompute_ns
+
+
+R = TypeVar("R")
+
+
+@dataclass(frozen=True)
+class StatsTable(Generic[R]):
+    """Immutable columnar table of ``row_type`` records: one tuple per
+    field of the flat stats dataclass ``row_type``, in declaration order.
+
+    Aggregates read :meth:`column`.  Iterating or indexing builds
+    ``row_type`` rows on demand and keeps none of them; a slice is a
+    table.  Two tables are equal when their row types and columns are.
+    """
+
+    row_type: Type[R]
+    columns: Tuple[tuple, ...]
+
+    @classmethod
+    def from_rows(cls, row_type: Type[R], rows: Iterable[R]) -> "StatsTable[R]":
+        """The table holding ``rows``, in order."""
+        names = field_names(row_type)
+        columns = tuple(zip(*map(operator.attrgetter(*names), rows)))
+        return cls(row_type, columns or ((),) * len(names))
+
+    @classmethod
+    def from_columns(cls, row_type: Type[R], doc: Any) -> "StatsTable[R]":
+        """Strict inverse of :meth:`to_columns`: exactly ``row_type``'s
+        fields, each a list of its declared type, all of one length.
+        Checks run once per column; no row is built."""
+        _check_types(row_type, require_fields(doc, row_type,
+                                              row_type.__name__),
+                     columns=True)
+        columns = tuple(map(tuple, map(doc.__getitem__,
+                                       field_names(row_type))))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"{row_type.__name__}: ragged columns")
+        return cls(row_type, columns)
+
+    def to_columns(self) -> Dict[str, List[Any]]:
+        """One JSON list per field."""
+        return dict(zip(field_names(self.row_type), map(list, self.columns)))
+
+    def to_rows(self) -> List[Dict[str, Any]]:
+        """One field mapping per row (each row's ``to_dict``)."""
+        names = field_names(self.row_type)
+        return [dict(zip(names, row)) for row in zip(*self.columns)]
+
+    def column(self, name: str) -> tuple:
+        """Every row's value of field ``name``, in row order."""
+        return self.columns[field_names(self.row_type).index(name)]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[R]:
+        return map(self.row_type, *self.columns)
+
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        if isinstance(index, slice):
+            return StatsTable(self.row_type,
+                              tuple(col[index] for col in self.columns))
+        return self.row_type(*(col[index] for col in self.columns))
 
 
 @dataclass(frozen=True)
@@ -144,9 +215,7 @@ class IntervalStats:
     @property
     def reduction(self) -> float:
         """Fractional checkpoint-data reduction ACR achieved here."""
-        if self.baseline_bytes == 0:
-            return 0.0
-        return self.omitted_bytes / self.baseline_bytes
+        return _reduction(self.logged_bytes, self.omitted_bytes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,7 +242,8 @@ class RecoveryStats:
     @property
     def total_ns(self) -> float:
         """Full cost of this recovery (Eq. 2 / Eq. 3 per-event term)."""
-        return self.waste_ns + self.rollback_ns + self.recompute_ns
+        return _recovery_ns(self.waste_ns, self.rollback_ns,
+                            self.recompute_ns)
 
 
 @dataclass
@@ -188,8 +258,8 @@ class RunResult:
     per_core_useful_ns: List[float]
     per_core_overhead_ns: List[float]
     energy: EnergyLedger
-    intervals: List[IntervalStats]
-    recoveries: List[RecoveryStats]
+    intervals: StatsTable[IntervalStats]
+    recoveries: StatsTable[RecoveryStats]
     instructions: int
     alu_ops: int
     loads: int
@@ -218,6 +288,15 @@ class RunResult:
     #: excluded from serialisation like ``checkpoint_store``, so the
     #: engine-equivalence contract stays byte-identical.
     vector_coverage: Optional[Dict[str, int]] = None
+
+    def __post_init__(self) -> None:
+        # Rows handed over as a plain sequence become a table.
+        if not isinstance(self.intervals, StatsTable):
+            self.intervals = StatsTable.from_rows(IntervalStats,
+                                                  self.intervals)
+        if not isinstance(self.recoveries, StatsTable):
+            self.recoveries = StatsTable.from_rows(RecoveryStats,
+                                                   self.recoveries)
 
     # -- core quantities -----------------------------------------------------
     @property
@@ -248,17 +327,18 @@ class RunResult:
     @property
     def total_checkpoint_bytes(self) -> int:
         """Total logged checkpoint data (ACR omissions excluded)."""
-        return sum(iv.logged_bytes for iv in self.intervals)
+        return sum(self.intervals.column("logged_bytes"))
 
     @property
     def total_baseline_checkpoint_bytes(self) -> int:
         """Checkpoint data a non-ACR baseline would have logged."""
-        return sum(iv.baseline_bytes for iv in self.intervals)
+        return sum(map(operator.add, self.intervals.column("logged_bytes"),
+                       self.intervals.column("omitted_bytes")))
 
     @property
     def max_checkpoint_bytes(self) -> int:
         """Largest single checkpoint (paper Fig. 9 'Max' metric)."""
-        return max((iv.logged_bytes for iv in self.intervals), default=0)
+        return max(self.intervals.column("logged_bytes"), default=0)
 
     @property
     def checkpoint_time_ns(self) -> float:
@@ -267,7 +347,12 @@ class RunResult:
         This is the o_chk component attributable to checkpointing; it is
         folded into per-core overhead already — exposed here for reports.
         """
-        return sum(iv.boundary_ns for iv in self.intervals)
+        return sum(self.intervals.column("boundary_ns"))
+
+    def interval_reductions(self) -> List[float]:
+        """Each interval's :attr:`IntervalStats.reduction`, in order."""
+        return list(map(_reduction, self.intervals.column("logged_bytes"),
+                        self.intervals.column("omitted_bytes")))
 
     # -- recovery statistics ----------------------------------------------------
     @property
@@ -278,7 +363,10 @@ class RunResult:
     @property
     def recovery_time_ns(self) -> float:
         """Total recovery time (waste + rollback + recomputation)."""
-        return sum(r.total_ns for r in self.recoveries)
+        recoveries = self.recoveries
+        return sum(map(_recovery_ns, recoveries.column("waste_ns"),
+                       recoveries.column("rollback_ns"),
+                       recoveries.column("recompute_ns")))
 
     # -- serialisation ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -291,19 +379,15 @@ class RunResult:
         perturb the cross-engine bit-identity contract); results rebuilt
         by :meth:`from_payload` carry ``None`` for both.
         """
-        return self._serialised(
-            [iv.to_dict() for iv in self.intervals],
-            [r.to_dict() for r in self.recoveries],
-        )
+        return self._serialised(self.intervals.to_rows(),
+                                self.recoveries.to_rows())
 
     def to_payload(self) -> Dict[str, Any]:
         """The wire form the result cache and the worker pool carry:
         :meth:`to_dict` with ``intervals`` and ``recoveries`` stored as
         one list per field (columns) instead of one dict per row."""
-        return self._serialised(
-            _columns(IntervalStats, self.intervals),
-            _columns(RecoveryStats, self.recoveries),
-        )
+        return self._serialised(self.intervals.to_columns(),
+                                self.recoveries.to_columns())
 
     def _serialised(self, intervals: Any, recoveries: Any) -> Dict[str, Any]:
         return {
@@ -352,8 +436,10 @@ class RunResult:
         _check_types(cls, doc)
         kwargs = dict(doc)
         kwargs["energy"] = EnergyLedger.from_dict(doc["energy"])
-        kwargs["intervals"] = _rows(IntervalStats, doc["intervals"])
-        kwargs["recoveries"] = _rows(RecoveryStats, doc["recoveries"])
+        kwargs["intervals"] = StatsTable.from_columns(IntervalStats,
+                                                      doc["intervals"])
+        kwargs["recoveries"] = StatsTable.from_columns(RecoveryStats,
+                                                       doc["recoveries"])
         if doc["compile_stats"] is not None:
             kwargs["compile_stats"] = _record(CompileStats,
                                               doc["compile_stats"])

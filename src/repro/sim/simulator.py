@@ -80,6 +80,7 @@ from repro.sim.results import (
     IntervalStats,
     RecoveryStats,
     RunResult,
+    StatsTable,
 )
 from repro.util.validation import check_positive
 
@@ -778,8 +779,8 @@ class _Run:
             per_core_useful_ns=list(self.useful),
             per_core_overhead_ns=list(self.overhead),
             energy=ledger,
-            intervals=self.intervals,
-            recoveries=self.recoveries,
+            intervals=StatsTable.from_rows(IntervalStats, self.intervals),
+            recoveries=StatsTable.from_rows(RecoveryStats, self.recoveries),
             instructions=self.n_instructions,
             alu_ops=self.n_alu,
             loads=self.n_loads,
