@@ -113,7 +113,7 @@ class TestSpeedupFloor:
 
 
 class TestCommittedSnapshots:
-    @pytest.mark.parametrize("name", ("fig06_time_overhead", "micro"))
+    @pytest.mark.parametrize("name", ("fig06_time_overhead",))
     def test_schema_and_identity(self, name):
         entries = load_snapshot(name)
         assert entries, f"BENCH_{name}.json missing — run snapshot_engines.py"

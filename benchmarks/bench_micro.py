@@ -30,24 +30,6 @@ def test_interpreter_throughput(benchmark):
     benchmark(run)
 
 
-def test_vector_interpreter_throughput(benchmark):
-    """Counterpart of ``test_interpreter_throughput`` on the vector
-    engine's interpreter: same program, store replay from trace plans."""
-    from repro.sim.vector.interp import make_interpreter
-
-    program = Program(
-        [chain_kernel("k", STORE, [INPUT], 8, 256) for _ in range(8)]
-    )
-    # Warm the shared plan cache once so the benchmark times replay, not
-    # plan construction (runs share plans exactly like this in practice).
-    make_interpreter("vector", program, MemoryImage(0)).run_to_completion()
-
-    def run():
-        make_interpreter("vector", program, MemoryImage(0)).run_to_completion()
-
-    benchmark(run)
-
-
 def test_cache_access_throughput(benchmark):
     cache = SetAssociativeCache(CacheConfig("l1", 32 * 1024, 8, 3.66))
     lines = [i * 7 % 4096 for i in range(4096)]

@@ -1,13 +1,13 @@
-"""Regenerate the committed ``BENCH_*.json`` engine-trajectory snapshots.
+"""Regenerate the committed fig6 engine-trajectory snapshot.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/snapshot_engines.py [--quick]
 
-Writes ``BENCH_fig06_time_overhead.json`` and ``BENCH_micro.json`` at the
-repository root: one entry per engine, schema v1 (see
-:func:`_bench_lib.bench_snapshot`).  The protocol is tuned for honest
-engine-to-engine comparison rather than cold-start realism:
+Writes ``BENCH_fig06_time_overhead.json`` at the repository root: one
+entry per engine, schema v1 (see :func:`_bench_lib.bench_snapshot`).
+The protocol is tuned for honest engine-to-engine comparison rather
+than cold-start realism:
 
 * one shared :class:`Simulator` per workload — compile caches and trace
   plans are warm for both engines, so the timed region is the simulation
@@ -36,12 +36,7 @@ from _bench_lib import bench_snapshot, results_checksum, write_snapshot
 
 from repro.arch.config import MachineConfig
 from repro.experiments.configs import ConfigRequest, make_options
-from repro.isa.builder import chain_kernel
-from repro.isa.instructions import AddressPattern
-from repro.isa.interpreter import Interpreter, MemoryImage
-from repro.isa.program import Program
 from repro.sim.simulator import Simulator
-from repro.sim.vector.interp import make_interpreter
 from repro.workloads.nas import NAS_BENCHMARKS
 from repro.workloads.registry import get_workload
 
@@ -142,79 +137,12 @@ def snapshot_fig06(quick: bool = False):
     return entries
 
 
-def snapshot_micro(quick: bool = False):
-    trip = 64 if quick else 256
-    program = Program(
-        [
-            chain_kernel(
-                "k",
-                AddressPattern(0, 1, trip),
-                [AddressPattern(1 << 20, 1, trip)],
-                8,
-                trip,
-            )
-            for _ in range(8)
-        ]
-    )
-
-    coverage: dict = {}
-
-    def run(engine):
-        it = make_interpreter(engine, program, MemoryImage(0))
-        it.run_to_completion()
-        if engine == "vector" and not coverage:
-            coverage["replayed_iterations"] = it.replayed_iterations
-            coverage["fallback_iterations"] = it.fallback_iterations
-            for reason, count in sorted(it.fallback_reasons.items()):
-                coverage[f"fallback.{reason}"] = count
-        return it.memory.snapshot()
-
-    finals = {e: run(e) for e in ("interp", "vector")}  # warm + checksum
-    if finals["interp"] != finals["vector"]:
-        raise SystemExit("ENGINE DIVERGENCE in micro: refusing to write snapshot")
-    digest = results_checksum(
-        sorted((a, v) for a, v in finals["interp"].items())
-    )
-
-    mins = {"interp": float("inf"), "vector": float("inf")}
-    for _ in range(3):
-        for engine in ("interp", "vector"):
-            mins[engine] = min(mins[engine], _timed(lambda e=engine: run(e)))
-    print(
-        f"micro: interp {mins['interp'] * 1e3:.1f}ms  "
-        f"vector {mins['vector'] * 1e3:.1f}ms  "
-        f"({mins['interp'] / mins['vector']:.2f}x)",
-        flush=True,
-    )
-    entries = []
-    for engine in ("interp", "vector"):
-        extra = {"kernel": f"chain8x{trip}"}
-        if engine == "vector":
-            extra["speedup_vs_interp"] = round(
-                mins["interp"] / mins["vector"], 2
-            )
-        entries.append(
-            bench_snapshot(
-                "micro", engine, mins[engine], digest,
-                extra=extra, scale=1.0, cores=1, reps=trip,
-                vector_coverage=coverage if engine == "vector" else None,
-            )
-        )
-    return entries
-
-
 def main(argv):
     quick = "--quick" in argv
-    only = None
-    if "--only" in argv:
-        only = argv[argv.index("--only") + 1]
-    if only in (None, "micro"):
-        print(f"wrote {write_snapshot('micro', snapshot_micro(quick))}")
-    if only in (None, "fig06"):
-        print(
-            "wrote "
-            f"{write_snapshot('fig06_time_overhead', snapshot_fig06(quick))}"
-        )
+    print(
+        "wrote "
+        f"{write_snapshot('fig06_time_overhead', snapshot_fig06(quick))}"
+    )
 
 
 if __name__ == "__main__":

@@ -68,6 +68,7 @@ from repro.inject.harness import CONFIGS, DEFECTS, TARGET_KINDS
 from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.tracer import RecordingTracer
 from repro.resilience.policy import ResiliencePolicy
+from repro.sim.simulator import ENGINES
 from repro.util.tables import format_table
 from repro.verify.absint.certify import certify_run
 from repro.verify.diagnostics import Severity
@@ -122,8 +123,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="persist results here and reuse them across "
                              "invocations (content-addressed, versioned)")
-    parser.add_argument("--engine", choices=["interp", "vector"],
-                        default="interp",
+    parser.add_argument("--engine", choices=ENGINES, default="interp",
                         help="execution engine: the classic per-"
                              "instruction interpreter or the vectorized "
                              "trace-replay engine (bit-identical results, "
@@ -645,7 +645,6 @@ def cmd_inject(args) -> int:
     runner = ExperimentRunner(
         jobs=args.jobs, cache_dir=args.cache_dir,
         resilience=_policy(args), resume=args.resume,
-        engine=args.engine,
         snapshots=not args.no_fork,
         snapshot_dir=args.snapshot_dir,
     )
@@ -996,10 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", type=str, default=None,
                    help="persist per-trial results here (content-"
                         "addressed, versioned)")
-    p.add_argument("--engine", choices=["interp", "vector"],
-                   default="interp",
-                   help="interpreter flavour for both passes "
-                        "(bit-identical results)")
     p.add_argument("--snapshot-dir", type=str, default=None,
                    help="persist golden-run boundary snapshots here so "
                         "repeated campaigns skip their golden passes "
@@ -1089,8 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--jobs governs service runs)")
     p.add_argument("--cache-dir", type=str, default=None,
                    help="result cache for --solo runs")
-    p.add_argument("--engine", choices=["interp", "vector"],
-                   default="interp")
+    p.add_argument("--engine", choices=ENGINES, default="interp")
     p.add_argument("--json", type=str, default=None,
                    help="also write the report as canonical JSON "
                         "(byte-identical across service/solo paths)")

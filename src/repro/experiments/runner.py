@@ -130,28 +130,26 @@ def _worker_simulator(
 
 
 def _trial_execute(
-    task: Tuple[TrialSpec, str, bool, Optional[str]]
+    task: Tuple[TrialSpec, bool, Optional[str]]
 ) -> Tuple[TrialSpec, dict, float]:
     """Pool entry point for fault-injection trials.
 
     A trial is self-contained (the spec names its workload, scale and
     machine shape), so the task is the spec plus the execution-plan
-    knobs: the engine, whether to run on the forked-snapshot plan, and
-    the snapshot store directory (None: in-process golden memo only —
-    the harness keeps it at module scope, so one pool worker serving
-    many trials of a recipe runs its golden pass once either way).
+    knobs: whether to run on the forked-snapshot plan, and the snapshot
+    store directory (None: in-process golden memo only — the harness
+    keeps it at module scope, so one pool worker serving many trials of
+    a recipe runs its golden pass once either way).
     Like :func:`_worker_execute` the result crosses the process boundary
     serialised.
     """
-    spec, engine, snapshots, snapshot_dir = task
+    spec, snapshots, snapshot_dir = task
     store = (
         SnapshotStore(Path(snapshot_dir)) if snapshot_dir is not None
         else None
     )
     with _Timer() as timer:
-        result = run_trial(
-            spec, engine=engine, snapshots=snapshots, snapshot_store=store
-        )
+        result = run_trial(spec, snapshots=snapshots, snapshot_store=store)
     return spec, result.to_dict(), timer.seconds
 
 
@@ -202,6 +200,7 @@ class ExperimentRunner:
         # The execution engine is intentionally absent from cache keys:
         # engines are bit-identical (the equivalence suite pins it), so a
         # cached result is valid regardless of which engine produced it.
+        # It drives simulator runs only: trials run on the interpreter.
         self.engine = engine
         self.machine = machine or MachineConfig(num_cores=num_cores)
         if self.machine.num_cores != num_cores:
@@ -209,9 +208,9 @@ class ExperimentRunner:
         self.jobs = jobs
         # Fault-injection execution plan: fork each trial's faulty pass
         # from the shared golden run's boundary snapshots (O(T + N·tail)
-        # per recipe) instead of replaying from step 0 (O(N·T)).  Like
-        # ``engine`` this is bit-identity-neutral (the fork-equivalence
-        # suite pins it) and absent from cache keys; ``snapshot_dir``
+        # per recipe) instead of replaying from step 0 (O(N·T)).  This is
+        # bit-identity-neutral (the fork-equivalence suite pins it) and
+        # absent from cache keys; ``snapshot_dir``
         # optionally persists golden runs across invocations.
         self.snapshots = snapshots
         self.snapshot_dir: Optional[Path] = (
@@ -399,7 +398,6 @@ class ExperimentRunner:
         with scope, _Timer() as timer:
             result = run_trial(
                 spec,
-                engine=self.engine,
                 snapshots=self.snapshots,
                 snapshot_store=self.snapshot_store,
             )
@@ -419,7 +417,6 @@ class ExperimentRunner:
                 fn=_trial_execute,
                 payload=(
                     spec,
-                    self.engine,
                     self.snapshots,
                     (str(self.snapshot_dir)
                      if self.snapshot_dir is not None else None),

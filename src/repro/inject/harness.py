@@ -77,7 +77,6 @@ from repro.energy.model import EnergyModel
 from repro.errors.detection import choose_safe_checkpoint
 from repro.errors.model import ErrorModel, ErrorOccurrence
 from repro.isa.interpreter import Interpreter, MemoryImage
-from repro.sim.vector.interp import make_interpreter
 from repro.isa.program import Program
 from repro.obs.events import (
     MACHINE,
@@ -378,7 +377,6 @@ class _MechanismPass:
         programs: Sequence[Program],
         slice_tables: Optional[Sequence[SliceTable]],
         config: MachineConfig,
-        engine: str = "interp",
         capture_memory: bool = True,
     ) -> None:
         self.spec = spec
@@ -399,7 +397,7 @@ class _MechanismPass:
             config, MemorySystem(config), EnergyModel()
         )
         self.interpreters = [
-            make_interpreter(engine, p, self.memory, on_store=self._on_store)
+            Interpreter(p, self.memory, on_store=self._on_store)
             for p in programs
         ]
         self.initial_arch = [it.arch_state() for it in self.interpreters]
@@ -710,7 +708,7 @@ class _MechanismPass:
             self.handler.omissions = counters["omissions"]
             self.handler.omission_lookups = counters["omission_lookups"]
         for it, row in zip(self.interpreters, snap.arch):
-            it.adopt_arch_state((row[0], row[1], list(row[2])))
+            it.restore_arch_state((row[0], row[1], list(row[2])))
         self.initial_arch = [
             (k, i, list(r)) for k, i, r in snap.initial_arch
         ]
@@ -926,36 +924,6 @@ def _diff_memory(
     return len(addresses), count, sample
 
 
-def _record_vector_coverage(
-    metrics: MetricsRegistry, passes: Sequence[_MechanismPass]
-) -> None:
-    """Fold VectorInterpreter coverage counters into the registry.
-
-    No-op under the classic engine (plain interpreters carry no
-    coverage attributes).  Fallbacks are keyed by denial reason
-    (``ACR009``–``ACR012``, or ``observed-loads`` when a load observer
-    forced the classic loop).
-    """
-    replayed = fallback = 0
-    reasons: Dict[str, int] = {}
-    for p in passes:
-        for it in p.interpreters:
-            counted = getattr(it, "replayed_iterations", None)
-            if counted is None:
-                return
-            replayed += counted
-            fallback += it.fallback_iterations
-            for reason, n in it.fallback_reasons.items():
-                reasons[reason] = reasons.get(reason, 0) + n
-    metrics.counter("vector.replayed_iterations").inc(replayed)
-    metrics.counter("vector.fallback_iterations").inc(fallback)
-    for reason, n in sorted(reasons.items()):
-        metrics.counter(f"vector.fallback.{reason}").inc(n)
-    total = replayed + fallback
-    if total:
-        metrics.histogram("vector.coverage").observe(replayed / total)
-
-
 #: TrialSpec fields that determine the raw workload build.  Neither the
 #: configuration nor the threshold is among them: the BER and ACR recipes
 #: of a workload run the same raw programs (ACR through its compiled
@@ -980,7 +948,7 @@ _GOLDEN_FIELDS = _COMPILE_FIELDS + (
 _MEMO_CAP = 8
 
 _BUILD_MEMO: Dict[Tuple, List[Program]] = {}
-_GOLDEN_MEMO: Dict[Tuple[str, str], "GoldenRun"] = {}
+_GOLDEN_MEMO: Dict[str, "GoldenRun"] = {}
 
 
 def _memo_put(memo: Dict, key: Any, value: Any) -> None:
@@ -996,9 +964,9 @@ def _compiled(
 
     The raw build is memoized by :data:`_BUILD_FIELDS`, and ACR compiles
     it through the simulator's per-program compile cache.  Programs are
-    immutable after construction, and plans/op-caches attach to them, so
-    sharing them across trials, recipes and engines is both sound and
-    the point: a fork never rebuilds or recompiles.
+    immutable after construction, and op caches attach to them, so
+    sharing them across trials and recipes is both sound and the point:
+    a fork never rebuilds or recompiles.
     """
     key = tuple(getattr(spec, name) for name in _BUILD_FIELDS)
     workload = get_workload(spec.workload)
@@ -1023,29 +991,19 @@ def _compiled(
     )
 
 
-def _build_passes(
-    spec: TrialSpec,
-    engine: str = "interp",
-) -> Tuple["_MechanismPass", "_MechanismPass"]:
+def _build_passes(spec: TrialSpec) -> Tuple["_MechanismPass", "_MechanismPass"]:
     """Build the golden and faulty passes from one compiled workload."""
     programs, slice_tables, config = _compiled(spec)
-    golden = _MechanismPass(spec, programs, slice_tables, config, engine)
+    golden = _MechanismPass(spec, programs, slice_tables, config)
     faulty = _MechanismPass(
-        spec, programs, slice_tables, config, engine, capture_memory=False
+        spec, programs, slice_tables, config, capture_memory=False
     )
     return golden, faulty
 
 
-def golden_key(spec: TrialSpec, engine: str = "interp") -> str:
-    """Content address of a golden run: recipe + engine + format version.
-
-    The engine is part of the key even though results are bit-identical
-    across engines — sharing snapshots *across* engines would let the
-    snapshot store mask a cross-engine divergence the equivalence suite
-    exists to catch.
-    """
+def golden_key(spec: TrialSpec) -> str:
+    """Content address of a golden run: recipe + format version."""
     doc = {
-        "engine": engine,
         "snapshot_version": SNAPSHOT_VERSION,
         "spec": {name: getattr(spec, name) for name in _GOLDEN_FIELDS},
     }
@@ -1112,11 +1070,11 @@ class GoldenRun:
         return cls.from_payload(decode_payload(blob))
 
 
-def run_golden(spec: TrialSpec, engine: str = "interp") -> GoldenRun:
+def run_golden(spec: TrialSpec) -> GoldenRun:
     """Execute the error-free pass once, snapshotting every boundary."""
     programs, slice_tables, config = _compiled(spec)
     golden = _MechanismPass(
-        spec, programs, slice_tables, config, engine, capture_memory=False
+        spec, programs, slice_tables, config, capture_memory=False
     )
     boundaries = [golden.snapshot()]
     while not golden.all_done:
@@ -1131,20 +1089,15 @@ def run_golden(spec: TrialSpec, engine: str = "interp") -> GoldenRun:
     )
 
 
-def _golden_for(
-    spec: TrialSpec,
-    engine: str,
-    store: Optional[SnapshotStore],
-) -> GoldenRun:
+def _golden_for(spec: TrialSpec, store: Optional[SnapshotStore]) -> GoldenRun:
     """Layered golden-run resolution: memo → snapshot store → execute.
 
     A corrupt stored blob is quarantined and recomputed (the result
     cache's contract); store writes are atomic and idempotent, so
     concurrent workers racing on one key are harmless.
     """
-    key = golden_key(spec, engine)
-    memo_key = (key, engine)
-    hit = _GOLDEN_MEMO.get(memo_key)
+    key = golden_key(spec)
+    hit = _GOLDEN_MEMO.get(key)
     if hit is not None:
         return hit
     if store is not None:
@@ -1155,20 +1108,17 @@ def _golden_for(
             except SnapshotError:
                 store.quarantine(key)
             else:
-                _memo_put(_GOLDEN_MEMO, memo_key, run)
+                _memo_put(_GOLDEN_MEMO, key, run)
                 return run
-    run = run_golden(spec, engine)
+    run = run_golden(spec)
     if store is not None:
         store.save(key, run.to_bytes())
-    _memo_put(_GOLDEN_MEMO, memo_key, run)
+    _memo_put(_GOLDEN_MEMO, key, run)
     return run
 
 
 def fork(
-    spec: TrialSpec,
-    snapshot: SimSnapshot,
-    n: int = 1,
-    engine: str = "interp",
+    spec: TrialSpec, snapshot: SimSnapshot, n: int = 1
 ) -> List["_MechanismPass"]:
     """``n`` independent passes resumed from one boundary snapshot.
 
@@ -1182,8 +1132,7 @@ def fork(
     forks = []
     for _ in range(n):
         child = _MechanismPass(
-            spec, programs, slice_tables, config, engine,
-            capture_memory=False,
+            spec, programs, slice_tables, config, capture_memory=False,
         )
         child.restore_snapshot(snapshot)
         forks.append(child)
@@ -1194,32 +1143,27 @@ def run_trial(
     spec: TrialSpec,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    engine: str = "interp",
     snapshots: bool = False,
     snapshot_store: Optional[SnapshotStore] = None,
 ) -> TrialResult:
     """Execute one fault-injection trial; see the module doc for shape.
-
-    ``engine`` selects the interpreter flavour for both passes; like the
-    simulator's knob it never reaches the trial cache key — results are
-    bit-identical across engines (pinned by the equivalence suite).
 
     ``snapshots=True`` switches to the forked execution plan: the golden
     pass for this recipe runs (at most) once — resolved through the
     in-process memo and optional ``snapshot_store`` — with a boundary
     snapshot per interval, and the faulty pass *forks* from the newest
     boundary at or before the injection step instead of replaying from
-    step zero.  The flag is an execution-plan knob like ``engine``:
-    results are bit-identical either way (pinned by the fork-equivalence
-    suite), so it never reaches the trial cache key.
+    step zero.  The flag is an execution-plan knob: results are
+    bit-identical either way (pinned by the fork-equivalence suite), so
+    it never reaches the trial cache key.
     """
     golden: Optional[_MechanismPass] = None
     golden_run: Optional[GoldenRun] = None
     if snapshots:
-        golden_run = _golden_for(spec, engine, snapshot_store)
+        golden_run = _golden_for(spec, snapshot_store)
         total_steps = golden_run.total_steps
     else:
-        golden, faulty = _build_passes(spec, engine)
+        golden, faulty = _build_passes(spec)
         golden.run_to_end()
         total_steps = golden.steps
     if total_steps < 2:
@@ -1240,10 +1184,7 @@ def run_trial(
         # Fork from the newest boundary at or before the injection: the
         # prefix up to there is bit-identical by determinism, so only
         # the tail from the fork point is ever re-executed.
-        faulty = fork(
-            spec, golden_run.boundaries[injection_step // spi],
-            engine=engine,
-        )[0]
+        faulty = fork(spec, golden_run.boundaries[injection_step // spi])[0]
     # The flip lands strictly inside its interval (mid-step), so the
     # occurrence never coincides with a checkpoint establishment — the
     # boundary tie-break is pinned by dedicated unit tests instead.
@@ -1300,8 +1241,6 @@ def run_trial(
                 metrics.counter("inject.ecc_lookup_hits").inc(
                     faulty.ecc_lookup_hits
                 )
-            passes = (faulty,) if golden is None else (golden, faulty)
-            _record_vector_coverage(metrics, passes)
         return TrialResult(
             spec=spec,
             outcome=outcome,

@@ -273,17 +273,6 @@ class Interpreter:
             self._iteration = iteration
             self._regs = list(regs)
 
-    def adopt_arch_state(self, state: Tuple[int, int, List[int]]) -> None:
-        """Install state captured from an *identical deterministic
-        prefix* (simulator snapshot fork).
-
-        Functionally :meth:`restore_arch_state`; the distinct entry
-        point lets accelerated subclasses skip the pessimism a restore
-        implies — an adopted state is exactly what straight-through
-        execution would hold here, never an externally perturbed one.
-        """
-        self.restore_arch_state(state)
-
     def _prepare_kernel(self) -> None:
         """Size the register file and load the kernel's dispatch ops."""
         if self._kernel_index < len(self.program.kernels):

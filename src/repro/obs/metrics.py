@@ -53,8 +53,6 @@ DEFAULT_BUCKETS: Dict[str, Tuple[float, ...]] = {
     # Supervised-execution (harness wall-clock) scales: ~4 ms .. ~2 min.
     "resilience.attempt_seconds": tuple(2.0**k / 256.0 for k in range(0, 15)),
     "resilience.backoff_seconds": tuple(2.0**k / 256.0 for k in range(0, 15)),
-    # Fraction of iterations the vector engine replayed from plans.
-    "vector.coverage": (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0),
 }
 
 

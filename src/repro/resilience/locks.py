@@ -12,9 +12,7 @@ every failure mode degrades to "simulate anyway":
 
 * acquisition is ``O_CREAT | O_EXCL`` — atomic on every platform;
 * a lock older than ``stale_s`` (by mtime) is presumed orphaned by a
-  crashed owner and broken;
-* waiting is bounded by ``wait_s``; on expiry the caller proceeds
-  without ownership.
+  crashed owner and broken.
 """
 
 from __future__ import annotations
@@ -31,16 +29,10 @@ class KeyLock:
     """An advisory exclusive lock backed by one ``O_EXCL`` lockfile."""
 
     def __init__(
-        self,
-        path: Union[str, Path],
-        wait_s: float = 10.0,
-        stale_s: float = 600.0,
-        poll_s: float = 0.05,
+        self, path: Union[str, Path], stale_s: float = 600.0
     ) -> None:
         self.path = Path(path)
-        self.wait_s = wait_s
         self.stale_s = stale_s
-        self.poll_s = poll_s
         self.owned = False
 
     # ---------------------------------------------------------------- acquire --
@@ -63,23 +55,6 @@ class KeyLock:
             os.close(fd)
         self.owned = True
         return True
-
-    def acquire(self) -> bool:
-        """Acquire, waiting up to ``wait_s`` for the current owner.
-
-        Returns ``True`` when this process owns the lock and should
-        execute, ``False`` when the wait expired with the lock still
-        held or after the owner released it — in both cases the caller
-        should re-check the cache (the winner probably published) and
-        only then fall back to executing unlocked.
-        """
-        deadline = time.monotonic() + self.wait_s
-        while True:
-            if self.try_acquire():
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(self.poll_s)
 
     # ---------------------------------------------------------------- release --
     def release(self) -> None:
@@ -140,10 +115,3 @@ class KeyLock:
             self.path.unlink()
         except OSError:
             pass
-
-    # ------------------------------------------------------------ context use --
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, *exc) -> None:
-        self.release()

@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.configs import CONFIG_NAMES, ConfigRequest
 from repro.sim.results import energy_overhead, time_overhead
+from repro.sim.simulator import ENGINES
 from repro.util.validation import require_fields
 from repro.workloads.registry import all_workload_names
 
@@ -105,7 +106,7 @@ class CampaignSpec:
             raise ValueError(
                 f"region_scale must be a positive real, got {scale!r}"
             )
-        if self.engine not in ("interp", "vector"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
 
     # ---------------------------------------------------------------- wire --

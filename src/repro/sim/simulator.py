@@ -84,10 +84,12 @@ from repro.sim.results import (
 )
 from repro.util.validation import check_positive
 
-__all__ = ["SimulationOptions", "Simulator"]
+__all__ = ["ENGINES", "SimulationOptions", "Simulator"]
 
 _SCHEMES = ("none", "global", "local")
-_ENGINES = ("interp", "vector")
+#: The selectable execution engines (``SimulationOptions.engine`` and
+#: every ``--engine`` flag).
+ENGINES = ("interp", "vector")
 
 #: Program -> {policy -> CompiledProgram}.  ACR compilation is a pure
 #: function of (program, policy); runs sweeping configurations over the
@@ -153,8 +155,10 @@ class SimulationOptions:
     def __post_init__(self) -> None:
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}")
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
+            )
         check_positive("num_checkpoints", self.num_checkpoints)
         check_positive("chunk_iterations", self.chunk_iterations)
         if self.scheme != "none" and self.baseline is None:

@@ -12,22 +12,17 @@ the planner cannot prove exact (externally-written load addresses,
 register files a handler would observe mid-flight) falls back to it, so
 results are bit-identical by construction — and a differential harness
 (``tests/sim/test_engine_equivalence.py``) pins bit-identity on every
-registered workload plus hundreds of randomized programs.
+registered workload plus hundreds of randomized programs.  The engine
+drives simulator runs only; fault-injection trials run on the classic
+interpreter.
 """
 
 from repro.sim.vector.engine import VectorCoreRunner
-from repro.sim.vector.interp import VectorInterpreter, make_interpreter
 from repro.sim.vector.plans import KernelPlan, ProgramPlans, plans_for
 
 __all__ = [
-    "ENGINES",
     "KernelPlan",
     "ProgramPlans",
     "VectorCoreRunner",
-    "VectorInterpreter",
-    "make_interpreter",
     "plans_for",
 ]
-
-#: The selectable execution engines (CLI/config knob values).
-ENGINES = ("interp", "vector")

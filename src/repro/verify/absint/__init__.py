@@ -13,8 +13,6 @@ registry rule id (ACR009–ACR012) and the offending instruction span.
 The runtime checks decide replay and the certificates explain it: the
 simulator certifies on a segment's first fallback, and every runtime
 fallback is attributable to a concrete denial — no "unknown" fallbacks.
-The register-renewal proof is the one that decides: it keeps a kernel on
-the replay path after a state restore, where no runtime check exists.
 """
 
 from repro.verify.absint.certify import (

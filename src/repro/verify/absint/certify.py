@@ -32,9 +32,9 @@ Orthogonally, :class:`KernelSummary` proves **register renewal**: every
 register in the kernel's file is defined in the body and no register is
 read before its same-iteration definition.  A renewal kernel's register
 file after any full iteration is a pure function of the iteration index
-— independent of the file it entered with — which lets the vector
-interpreter replay segments even after an architectural-state restore
-(the PR 6 "taint" fallback) without risking divergence.
+— independent of the file it entered with — so the kernel's plan rows
+stay exact even after an architectural-state restore installs a
+different entering file.
 """
 
 from __future__ import annotations

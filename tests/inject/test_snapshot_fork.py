@@ -3,9 +3,9 @@
 A trial that forks its faulty pass from a golden boundary snapshot must
 be indistinguishable — field for field, byte for byte — from the same
 trial run straight through from step 0.  These tests pin that contract
-at three layers: single trials across the full workload × engine
-matrix, campaign reports hashed as JSON, and the snapshot store's
-persistence / quarantine behaviour.
+at three layers: single trials across every workload, campaign reports
+hashed as JSON, and the snapshot store's persistence / quarantine
+behaviour.
 """
 
 import hashlib
@@ -38,11 +38,10 @@ def clean_golden_memo():
 
 class TestTrialBitIdentity:
     @pytest.mark.parametrize("workload", all_workload_names())
-    @pytest.mark.parametrize("engine", ["interp", "vector"])
-    def test_forked_equals_straight(self, workload, engine):
+    def test_forked_equals_straight(self, workload):
         spec = TrialSpec(workload=workload, seed=7)
-        straight = run_trial(spec, engine=engine)
-        forked = run_trial(spec, engine=engine, snapshots=True)
+        straight = run_trial(spec)
+        forked = run_trial(spec, snapshots=True)
         assert forked.to_dict() == straight.to_dict()
 
     @pytest.mark.parametrize("config", ["ACR", "BER"])
@@ -98,9 +97,8 @@ class TestGoldenRun:
         assert again.total_steps == golden.total_steps
         assert len(again.boundaries) == len(golden.boundaries)
 
-    def test_key_distinguishes_engine_and_spec(self):
+    def test_key_distinguishes_spec(self):
         spec = TrialSpec(workload="cg", seed=5)
-        assert golden_key(spec) != golden_key(spec, engine="vector")
         other = TrialSpec(workload="cg", seed=5, steps_per_interval=7)
         assert golden_key(spec) != golden_key(other)
         # Trial-randomization fields do not fragment the golden cache.
@@ -115,7 +113,7 @@ class TestSnapshotStorePath:
                          snapshots=True, snapshot_store=store)
         harness._GOLDEN_MEMO.clear()
 
-        def boom(spec, engine="interp"):
+        def boom(spec):
             raise AssertionError("golden pass re-executed despite store")
 
         monkeypatch.setattr(harness, "run_golden", boom)

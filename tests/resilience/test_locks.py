@@ -1,4 +1,4 @@
-"""Per-key lockfile contracts: exclusion, staleness, bounded waits."""
+"""Per-key lockfile contracts: exclusion, staleness, heartbeats."""
 
 import os
 
@@ -7,8 +7,8 @@ from repro.resilience.locks import KeyLock
 
 def test_exclusive_acquire_and_release(tmp_path):
     path = tmp_path / "k.lock"
-    a = KeyLock(path, wait_s=0.0)
-    b = KeyLock(path, wait_s=0.0)
+    a = KeyLock(path)
+    b = KeyLock(path)
     assert a.try_acquire()
     assert path.exists()
     assert not b.try_acquire()
@@ -24,16 +24,6 @@ def test_lockfile_records_owner_pid(tmp_path):
     assert lock.try_acquire()
     assert path.read_text().strip() == str(os.getpid())
     lock.release()
-
-
-def test_bounded_wait_expires_without_ownership(tmp_path):
-    path = tmp_path / "k.lock"
-    holder = KeyLock(path)
-    assert holder.try_acquire()
-    waiter = KeyLock(path, wait_s=0.1, poll_s=0.02)
-    assert waiter.acquire() is False
-    assert not waiter.owned
-    holder.release()
 
 
 def test_stale_lock_is_broken_by_mtime(tmp_path):
@@ -60,14 +50,6 @@ def test_release_survives_external_break(tmp_path):
     path.unlink()  # someone broke us as stale
     lock.release()  # must not raise
     assert not lock.owned
-
-
-def test_context_manager(tmp_path):
-    path = tmp_path / "k.lock"
-    with KeyLock(path) as acquired:
-        assert acquired
-        assert path.exists()
-    assert not path.exists()
 
 
 class _ScriptedMtime(KeyLock):

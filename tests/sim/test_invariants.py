@@ -13,7 +13,7 @@ from repro.arch.config import MachineConfig
 from repro.ckpt.checkpoint import RETAINED_CHECKPOINTS
 from repro.compiler.policy import ThresholdPolicy
 from repro.errors.injection import UniformErrors
-from repro.sim.simulator import SimulationOptions, Simulator
+from repro.sim.simulator import ENGINES, SimulationOptions, Simulator
 from repro.workloads.spec import BurstSpec, SliceLenBucket, WorkloadSpec
 from tests.conftest import recording_caches
 
@@ -52,9 +52,6 @@ def workload_specs(draw):
         bursts=bursts,
         seed=draw(st.integers(min_value=0, max_value=2**16)),
     )
-
-
-ENGINES = ("interp", "vector")
 
 
 def run_trio(spec, num_checkpoints=5, errors=None, engine="interp"):

@@ -311,10 +311,10 @@ class TestStaticPlanAgreement:
         return outcomes[0] == outcomes[1]
 
     def test_renewal_makes_the_entering_register_file_dead(self):
-        """``registers_renewed`` (read from the body alone) is what lets
-        the vector interpreter replay a kernel after a state restore:
-        when it holds, any entering register file must produce the same
-        stores and registers as the zero file."""
+        """``registers_renewed`` (read from the body alone) means a
+        kernel's entering register file is dead: when it holds, any
+        entering register file must produce the same stores and
+        registers as the zero file."""
         from repro.verify.absint.certify import registers_renewed
 
         rng = random.Random(7100)

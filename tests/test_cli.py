@@ -329,6 +329,13 @@ class TestInjectCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["inject", "--configs", "Ckpt_E"])
 
+    def test_engine_flag_rejected(self, capsys):
+        # Trials always run on the interpreter: there is no engine to pick.
+        with pytest.raises(SystemExit) as exc:
+            main(["inject", "cg", "--engine", "vector"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
     def test_parallel_matches_serial(self, capsys):
         assert main(["inject", "cg", "--trials", "3"]) == 0
         serial = capsys.readouterr().out
