@@ -10,6 +10,9 @@ The checkpoint handler sits between the cores and the memory controller:
 * at a first-modification the memory controller asks :meth:`may_omit`;
   a committed association answers "recomputable" and the log write is
   skipped (the controller still sets the line's log bit either way).
+  The lookup checks ECC over the operand snapshot: an entry damaged by
+  :meth:`AddrMap.swap_committed` is refused and masked, and the store
+  logs normally.
 
 The recovery handler regenerates omitted values via the recomputation
 engine and writes them back, in coordination with the log-based restore.
@@ -76,6 +79,7 @@ class AcrCheckpointHandler:
         self.assoc_executed = 0
         self.omissions = 0
         self.omission_lookups = 0
+        self.ecc_lookup_hits = 0
         # Observability (attached by the simulator; None = fast path).
         self._tracer: Optional[Tracer] = None
         self._metrics: Optional[MetricsRegistry] = None
@@ -120,15 +124,6 @@ class AcrCheckpointHandler:
                 f"for {self.config.num_cores} cores"
             )
         self._gen_words = [list(w) for w in words]
-
-    @property
-    def observed(self) -> bool:
-        """True when a tracer or metrics registry is attached.
-
-        Engines that inline the store-time protocol must take the slow
-        (method-call) path then, so events and counters keep flowing.
-        """
-        return self._tracer is not None or self._metrics is not None
 
     # -- store-time control (paper Fig. 4a) ----------------------------------
     def on_store(
@@ -192,8 +187,18 @@ class AcrCheckpointHandler:
         must be logged normally.
         """
         self.omission_lookups += 1
-        entry = self.addrmaps[core].committed_lookup(address)
+        addrmap = self.addrmaps[core]
+        entry = addrmap.committed_lookup(address)
         if entry is not None:
+            if addrmap.damaged and id(entry) in addrmap.damaged:
+                # ECC over the operand snapshot detects the flipped word:
+                # refuse (and conservatively mask) the association, so
+                # recovery never executes a corrupt Slice.  Engines that
+                # inline this lookup never meet a damaged entry: fault
+                # injection runs on the classic interpreter only.
+                self.ecc_lookup_hits += 1
+                addrmap.invalidate(address)
+                return None
             self.omissions += 1
             if self._metrics is not None:
                 self._metrics.counter("addrmap.hits").inc()

@@ -89,6 +89,9 @@ class AddrMap:
         self._committed: List[_Generation] = []
         self.records = 0
         self.rejections = 0
+        #: id -> entry swapped in by :meth:`swap_committed` (held, so its
+        #: id is never recycled); its ECC check fails at lookup.
+        self.damaged: Dict[int, AddrMapEntry] = {}
 
     # -- during an interval -------------------------------------------------
     def record(self, entry: AddrMapEntry) -> bool:
@@ -202,15 +205,17 @@ class AddrMap:
         """Replace one committed entry *object* with another (same address).
 
         Models a bit flip inside the stored operand snapshot: the entry's
-        identity changes but its lookup key does not.  Matching is by
-        object identity — two distinct associations can be field-equal.
-        Returns ``False`` when ``old`` is not resident (already expired).
+        identity changes but its lookup key does not, and ``new`` is
+        recorded as :attr:`damaged`.  Matching is by object identity —
+        two distinct associations can be field-equal.  Returns ``False``
+        when ``old`` is not resident (already expired).
         """
         if new.address != old.address:
             raise ValueError("swap_committed must preserve the address key")
         for gen in reversed(self._committed):
             if gen.entries.get(old.address) is old:
                 gen.entries[old.address] = new
+                self.damaged[id(new)] = new
                 return True
         return False
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional
 
-from repro.ckpt.log import IntervalLog, LogObserver
+from repro.ckpt.log import IntervalLog
 from repro.util.validation import check_non_negative
 
 __all__ = ["Checkpoint", "CheckpointStore", "RETAINED_CHECKPOINTS"]
@@ -52,20 +52,12 @@ class Checkpoint:
 class CheckpointStore:
     """Orders checkpoints, manages the open interval log and retention."""
 
-    def __init__(
-        self,
-        arch_bytes_per_core: int,
-        num_cores: int,
-        log_observer: Optional[LogObserver] = None,
-    ) -> None:
+    def __init__(self, arch_bytes_per_core: int, num_cores: int) -> None:
         check_non_negative("arch_bytes_per_core", arch_bytes_per_core)
         self.arch_bytes_per_core = arch_bytes_per_core
         self.num_cores = num_cores
         self.checkpoints: List[Checkpoint] = []
-        #: Observability hook handed to every interval log this store
-        #: opens (``None`` keeps the logs on their unobserved fast path).
-        self._log_observer = log_observer
-        self.current_log = IntervalLog(0, log_observer)
+        self.current_log = IntervalLog(0)
 
     # -- establishment -----------------------------------------------------
     def establish(
@@ -93,7 +85,7 @@ class CheckpointStore:
             omitted_bytes=log.omitted_bytes,
         )
         self.checkpoints.append(ckpt)
-        self.current_log = IntervalLog(len(self.checkpoints), self._log_observer)
+        self.current_log = IntervalLog(len(self.checkpoints))
         self._prune()
         return ckpt
 
@@ -141,10 +133,6 @@ class CheckpointStore:
     def data_sizes(self) -> List[int]:
         """Per-checkpoint logged data bytes, in order."""
         return [c.data_bytes for c in self.checkpoints]
-
-    def baseline_sizes(self) -> List[int]:
-        """Per-checkpoint data bytes the baseline would have logged."""
-        return [c.data_bytes + c.omitted_bytes for c in self.checkpoints]
 
     def total_data_bytes(self) -> int:
         """Total logged data across all checkpoints."""

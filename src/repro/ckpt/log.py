@@ -15,7 +15,7 @@ One :class:`IntervalLog` covers one checkpoint interval and holds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List
 
 from repro.arch.buffers import AddrMapEntry
 
@@ -25,7 +25,6 @@ __all__ = [
     "LogRecord",
     "OmittedRecord",
     "IntervalLog",
-    "LogObserver",
 ]
 
 #: One log record: 8-byte address + 8-byte old value.
@@ -54,46 +53,27 @@ class OmittedRecord:
     ground_truth_old_value: int
 
 
-#: Observability hook: called with ``(record, omitted)`` on every append
-#: — the authoritative point where a first-modification either became
-#: log traffic (``omitted=False``) or an ACR omission (``omitted=True``).
-LogObserver = Callable[[Union[LogRecord, OmittedRecord], bool], None]
-
-
 class IntervalLog:
     """Log of one checkpoint interval."""
 
-    def __init__(
-        self,
-        interval_index: int,
-        observer: Optional[LogObserver] = None,
-    ) -> None:
+    def __init__(self, interval_index: int) -> None:
         self.interval_index = interval_index
         self.records: List[LogRecord] = []
         self.omitted: List[OmittedRecord] = []
-        self._observer = observer
 
-    @property
-    def observed(self) -> bool:
-        """True when an observer is attached (engines inlining the append
-        fast path must call :meth:`add_record`/:meth:`add_omitted` then)."""
-        return self._observer is not None
-
-    def add_record(self, address: int, old_value: int, core: int) -> None:
+    def add_record(self, address: int, old_value: int, core: int) -> LogRecord:
         """Log an old value (baseline path)."""
         rec = LogRecord(address, old_value, core)
         self.records.append(rec)
-        if self._observer is not None:
-            self._observer(rec, False)
+        return rec
 
     def add_omitted(
         self, address: int, entry: AddrMapEntry, core: int, ground_truth: int
-    ) -> None:
+    ) -> OmittedRecord:
         """Record an ACR omission (the log write is skipped)."""
         rec = OmittedRecord(address, entry, core, ground_truth)
         self.omitted.append(rec)
-        if self._observer is not None:
-            self._observer(rec, True)
+        return rec
 
     # -- sizes ---------------------------------------------------------------
     @property

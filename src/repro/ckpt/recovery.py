@@ -201,9 +201,10 @@ class RecoveryEngine:
             writeback_bytes=writeback_bytes,
         )
 
-    # -- functional restore (used by integration tests and examples) -----------
+    # -- functional restore ----------------------------------------------------
+    @staticmethod
     def apply_rollback(
-        self, memory: MemoryImage, logs: Sequence[IntervalLog]
+        memory: MemoryImage, logs: Sequence[IntervalLog]
     ) -> Dict[int, int]:
         """Restore ``memory`` to the safe checkpoint via ``logs``.
 

@@ -761,9 +761,9 @@ class ExperimentRunner:
         releases the claim (:meth:`_published`).  A key claimed
         elsewhere is polled until its entry reads back through
         ``lookup`` — so a corrupt entry never passes for done — or until
-        its claim is won, because the owner released without publishing
-        or went stale (``lock_stale_s``) and was broken.  It is then
-        handled like any other win.
+        its claim is won, because the owner released without publishing,
+        died, or went stale (``lock_stale_s``) and was broken.  It is
+        then handled like any other win.
 
         Callers resolve baselines before claiming their dependents, so
         ``execute`` never waits on another key and no claim is held

@@ -1,7 +1,7 @@
 """One fault-injection trial: flip a bit, recover, verify bit-exactly.
 
-A trial executes the same workload twice through the real mechanism
-stack (interpreter, directory log bits, checkpoint store, ACR handler):
+A trial executes the same workload twice through the simulator's own
+:class:`~repro.sim.mechanism.Mechanism` under real interpreters:
 
 * the **golden pass** runs error-free and snapshots memory at every
   checkpoint plus the final state;
@@ -61,19 +61,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.acr.handlers import AcrCheckpointHandler
-from repro.arch.buffers import AddrMapEntry, make_generation
+from repro.arch.buffers import AddrMapEntry
 from repro.arch.config import MachineConfig
-from repro.arch.directory import Directory
-from repro.arch.memctrl import MemorySystem
-from repro.ckpt.checkpoint import Checkpoint, CheckpointStore
-from repro.ckpt.log import IntervalLog, LogRecord, OmittedRecord
+from repro.ckpt.log import IntervalLog, OmittedRecord
 from repro.ckpt.recovery import RecoveryEngine
 from repro.compiler.policy import ThresholdPolicy
 from repro.compiler.slices import SliceTable
-from repro.energy.model import EnergyModel
 from repro.errors.detection import choose_safe_checkpoint
 from repro.errors.model import ErrorModel, ErrorOccurrence
 from repro.isa.interpreter import Interpreter, MemoryImage
@@ -88,6 +83,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import emit as _telemetry_mod
 from repro.obs.telemetry.frames import TaskHeartbeat
 from repro.obs.tracer import Tracer
+from repro.sim.mechanism import Mechanism
 from repro.sim.simulator import _compile_cached
 from repro.sim.snapshot import (
     SNAPSHOT_VERSION,
@@ -358,17 +354,17 @@ class TrialResult:
 
 
 # --------------------------------------------------------------------------
-# The mechanism pass: real components driven step by step.
+# The mechanism pass: the run's Mechanism driven step by step.
 # --------------------------------------------------------------------------
 class _MechanismPass:
-    """One execution of the workload through the checkpointing stack.
+    """One execution of the workload through a :class:`Mechanism`.
 
-    Mirrors the simulator's store path (directory log bit → ``may_omit``
-    → log record/omission → handler bookkeeping) but executes on a step
-    grid the injector can address: one *step* is ``iters_per_step``
-    iterations on every live core, and a checkpoint is established every
+    Interpreters store straight into the mechanism, on a step grid the
+    injector can address: one *step* is ``iters_per_step`` iterations on
+    every live core, and a checkpoint is established every
     ``steps_per_interval`` steps (at time ``step / steps_per_interval``
-    on the period axis, so checkpoint ``k`` lands at ``k + 1``).
+    on the period axis, so checkpoint ``k`` lands at ``k + 1``).  No
+    cache or timing model runs: a trial needs only functional state.
     """
 
     def __init__(
@@ -377,67 +373,23 @@ class _MechanismPass:
         programs: Sequence[Program],
         slice_tables: Optional[Sequence[SliceTable]],
         config: MachineConfig,
-        capture_memory: bool = True,
     ) -> None:
         self.spec = spec
-        self.config = config
-        #: Whether :meth:`checkpoint` keeps per-boundary memory images
-        #: (golden passes need them as rollback expectations; faulty and
-        #: boundary-snapshotting passes never read them).
-        self.capture_memory = capture_memory
-        self.memory = MemoryImage(seed=spec.memory_seed)
-        self.directory = Directory(spec.num_cores)
-        self.store = CheckpointStore(config.arch_state_bytes, spec.num_cores)
-        self.handler: Optional[AcrCheckpointHandler] = (
-            AcrCheckpointHandler(config, slice_tables)
-            if slice_tables is not None
-            else None
+        self.mech = Mechanism(
+            config, MemoryImage(seed=spec.memory_seed), slice_tables
         )
-        self.engine = RecoveryEngine(
-            config, MemorySystem(config), EnergyModel()
-        )
+        self.memory = self.mech.memory
         self.interpreters = [
-            Interpreter(p, self.memory, on_store=self._on_store)
+            Interpreter(p, self.memory, on_store=self.mech.on_store)
             for p in programs
         ]
         self.initial_arch = [it.arch_state() for it in self.interpreters]
-        self.snapshots: List[Dict[int, int]] = []
         self.arch_snapshots: List[List[Tuple[int, int, List[int]]]] = []
         self.steps = 0
         self.n_instructions = 0
-        self.ecc_lookup_hits = 0
-        self._active = True
-        self._corrupt_entries: Set[int] = set()
         # Advisory heartbeat channel (repro.obs.telemetry): sampled once
         # here so a disabled campaign pays a single module-global read.
         self._telemetry = _telemetry_mod.telemetry_active()
-
-    # -- the store path ------------------------------------------------------
-    def _on_store(self, ev) -> None:
-        if not self._active:  # post-recovery resume: machinery is done
-            return
-        if not self.directory.test_and_set_log(ev.address):
-            entry = None
-            if self.handler is not None:
-                entry = self.handler.may_omit(ev.thread, ev.address)
-                if entry is not None and id(entry) in self._corrupt_entries:
-                    # ECC over the operand snapshot detects the flipped
-                    # word at lookup: the association is refused (and
-                    # conservatively masked) and the store logs normally,
-                    # so recovery never executes a corrupt Slice.
-                    self.ecc_lookup_hits += 1
-                    self.handler.addrmaps[ev.thread].invalidate(ev.address)
-                    entry = None
-            if entry is not None:
-                self.store.current_log.add_omitted(
-                    ev.address, entry, ev.thread, ev.old_value
-                )
-            else:
-                self.store.current_log.add_record(
-                    ev.address, ev.old_value, ev.thread
-                )
-        if self.handler is not None:
-            self.handler.on_store(ev.thread, ev.site, ev.address, ev.regs)
 
     # -- stepping ------------------------------------------------------------
     @property
@@ -460,136 +412,47 @@ class _MechanismPass:
         if self._telemetry:
             _telemetry_mod.emit(
                 TaskHeartbeat,
-                interval=self.store.count,
+                interval=self.mech.store.count,
                 instructions=self.n_instructions,
             )
-        if self.capture_memory:
-            self.snapshots.append(self.memory.snapshot())
         self.arch_snapshots.append(
             [it.arch_state() for it in self.interpreters]
         )
-        self.store.establish(time, time)
-        self.directory.clear_log_bits()
-        if self.handler is not None:
-            self.handler.on_checkpoint()
+        self.mech.establish(time, time)
 
-    def run_to_end(self) -> None:
-        """The golden pass: run error-free, checkpointing on schedule."""
+    def run_to_end(
+        self, on_checkpoint: Optional[Callable[[], None]] = None
+    ) -> None:
+        """The golden pass: run error-free, checkpointing on schedule
+        (``on_checkpoint`` runs after each establishment)."""
         while not self.all_done:
             self.step()
             if self.at_boundary() and not self.all_done:
                 self.checkpoint()
+                if on_checkpoint is not None:
+                    on_checkpoint()
 
     def resume_to_end(self) -> None:
-        """Post-recovery: run out the program, machinery disabled."""
-        self._active = False
+        """Post-recovery: run out the program with the mechanism detached."""
         for it in self.interpreters:
+            it.on_store = None
             while not it.done:
                 it.step_iterations(1 << 20)
 
     # -- snapshot / fork -----------------------------------------------------
-    def snapshot(
-        self, rng_states: Optional[Dict[str, Any]] = None
-    ) -> SimSnapshot:
-        """Capture complete functional state as pure data.
-
-        Every AddrMap entry *object* becomes one entry-table row keyed
-        by ``id()``; logs and generations reference rows by index, so
-        the shared-vs-distinct identity graph (which the injector's
-        candidate selection and ``swap_committed`` depend on) survives
-        serialization.  ``rng_states`` lets callers ride their stream
-        positions along (label → :meth:`DeterministicRng.getstate`).
-        """
-        entry_index: Dict[int, int] = {}
-        entry_rows: List[List[Any]] = []
-
-        def eid(core: int, entry: AddrMapEntry) -> int:
-            got = entry_index.get(id(entry))
-            if got is None:
-                got = len(entry_rows)
-                entry_index[id(entry)] = got
-                entry_rows.append(
-                    [core, entry.slice_.site, entry.address,
-                     list(entry.operands)]
-                )
-            return got
-
-        def log_doc(log: IntervalLog) -> Dict[str, Any]:
-            return {
-                "interval": log.interval_index,
-                "records": [[r.address, r.old_value, r.core]
-                            for r in log.records],
-                "omitted": [[o.address, eid(o.core, o.entry), o.core,
-                             o.ground_truth_old_value]
-                            for o in log.omitted],
-            }
-
-        addrmaps = operand_buffers = gen_words = handler_counters = None
-        if self.handler is not None:
-            def gen_doc(core: int, gen: Any) -> Dict[str, Any]:
-                return {
-                    "entries": [[a, eid(core, e)]
-                                for a, e in gen.entries.items()],
-                    "tombstones": sorted(gen.tombstones),
-                }
-
-            addrmaps = []
-            for core, addrmap in enumerate(self.handler.addrmaps):
-                open_gen, committed = addrmap.internal_state()
-                addrmaps.append({
-                    "open": gen_doc(core, open_gen),
-                    "committed": [gen_doc(core, g) for g in committed],
-                    "records": addrmap.records,
-                    "rejections": addrmap.rejections,
-                })
-            operand_buffers = [
-                {"words": b.words, "peak_words": b.peak_words,
-                 "rejections": b.rejections}
-                for b in self.handler.operand_buffers
-            ]
-            gen_words = [list(w) for w in self.handler.generation_words()]
-            handler_counters = {
-                "assoc_executed": self.handler.assoc_executed,
-                "omissions": self.handler.omissions,
-                "omission_lookups": self.handler.omission_lookups,
-            }
-        open_log = log_doc(self.store.current_log)
-        checkpoints = [
-            {
-                "index": c.index,
-                "useful_ns": c.useful_ns,
-                "wall_ns": c.wall_ns,
-                "arch_bytes": c.arch_bytes,
-                "participants": (None if c.participants is None
-                                 else sorted(c.participants)),
-                "log": log_doc(c.log),
-                "data_bytes": c.data_bytes,
-                "omitted_bytes": c.omitted_bytes,
-            }
-            for c in self.store.checkpoints
-        ]
-        return SimSnapshot(
-            memory_seed=self.memory.seed,
-            memory_words=[[a, v] for a, v in self.memory.snapshot().items()],
+    def snapshot(self) -> SimSnapshot:
+        """The mechanism's snapshot plus this pass's step grid and
+        architectural state."""
+        return self.mech.snapshot(
             step=self.steps,
             n_instructions=self.n_instructions,
-            ecc_lookup_hits=self.ecc_lookup_hits,
-            directory_log_bits=sorted(self.directory.log_bit_set()),
-            entries=entry_rows,
-            open_log=open_log,
-            checkpoints=checkpoints,
-            addrmaps=addrmaps,
-            operand_buffers=operand_buffers,
-            gen_words=gen_words,
-            handler_counters=handler_counters,
-            arch=[[k, i, list(r)] for k, i, r in
-                  (it.arch_state() for it in self.interpreters)],
+            arch=[list(it.arch_state()) for it in self.interpreters],
             initial_arch=[[k, i, list(r)] for k, i, r in self.initial_arch],
             arch_history=[
                 [[k, i, list(r)] for k, i, r in states]
                 for states in self.arch_snapshots
             ],
-            rng_states=dict(rng_states or {}),
+            rng_states={},
         )
 
     def restore_snapshot(self, snap: SimSnapshot) -> None:
@@ -600,11 +463,6 @@ class _MechanismPass:
         this pass's deterministic compile, never deserialized.  Raises
         :class:`SnapshotError` when the snapshot does not fit.
         """
-        if snap.memory_seed != self.memory.seed:
-            raise SnapshotError(
-                f"snapshot memory seed {snap.memory_seed} != pass seed "
-                f"{self.memory.seed}"
-            )
         n_cores = len(self.interpreters)
         for name in ("arch", "initial_arch"):
             if len(getattr(snap, name)) != n_cores:
@@ -612,101 +470,7 @@ class _MechanismPass:
                     f"snapshot {name} covers {len(getattr(snap, name))} "
                     f"cores, this pass has {n_cores}"
                 )
-        if self.handler is None and snap.addrmaps is not None:
-            raise SnapshotError(
-                "snapshot carries ACR handler state but this "
-                "configuration has no handler"
-            )
-        entries: List[AddrMapEntry] = []
-        for row in snap.entries:
-            core, site, address, operands = row
-            if self.handler is None:
-                raise SnapshotError(
-                    "snapshot carries AddrMap entries but this "
-                    "configuration has no ACR handler"
-                )
-            if not isinstance(core, int) or not 0 <= core < n_cores:
-                raise SnapshotError(f"entry references bad core {core!r}")
-            sl = self.handler.site_slice_map(core).get(site)
-            if sl is None:
-                raise SnapshotError(
-                    f"snapshot references unknown slice site {site} "
-                    f"on core {core}"
-                )
-            entries.append(AddrMapEntry(address, sl, tuple(operands)))
-
-        def entry_at(idx: Any) -> AddrMapEntry:
-            if (isinstance(idx, bool) or not isinstance(idx, int)
-                    or not 0 <= idx < len(entries)):
-                raise SnapshotError(f"bad entry reference {idx!r}")
-            return entries[idx]
-
-        def build_log(doc: Dict[str, Any]) -> IntervalLog:
-            log = IntervalLog(doc["interval"])
-            log.records.extend(
-                LogRecord(a, v, c) for a, v, c in doc["records"]
-            )
-            log.omitted.extend(
-                OmittedRecord(a, entry_at(e), c, t)
-                for a, e, c, t in doc["omitted"]
-            )
-            return log
-
-        self.memory.restore({a: v for a, v in snap.memory_words})
-        self.store.checkpoints = [
-            Checkpoint(
-                index=d["index"],
-                useful_ns=d["useful_ns"],
-                wall_ns=d["wall_ns"],
-                arch_bytes=d["arch_bytes"],
-                participants=(None if d["participants"] is None
-                              else frozenset(d["participants"])),
-                log=build_log(d["log"]),
-                data_bytes=d["data_bytes"],
-                omitted_bytes=d["omitted_bytes"],
-            )
-            for d in snap.checkpoints
-        ]
-        self.store.current_log = build_log(snap.open_log)
-        bits = self.directory.log_bit_set()
-        bits.clear()
-        bits.update(snap.directory_log_bits)
-        if self.handler is not None:
-            if snap.addrmaps is None:
-                raise SnapshotError(
-                    "snapshot has no AddrMap state for an ACR configuration"
-                )
-            if len(snap.addrmaps) != n_cores:
-                raise SnapshotError(
-                    f"snapshot AddrMap state covers {len(snap.addrmaps)} "
-                    f"cores, this pass has {n_cores}"
-                )
-
-            def build_gen(doc: Dict[str, Any]) -> Any:
-                return make_generation(
-                    [(a, entry_at(e)) for a, e in doc["entries"]],
-                    set(doc["tombstones"]),
-                )
-
-            for core in range(n_cores):
-                doc = snap.addrmaps[core]
-                addrmap = self.handler.addrmaps[core]
-                addrmap.restore_generations(
-                    build_gen(doc["open"]),
-                    [build_gen(g) for g in doc["committed"]],
-                )
-                addrmap.records = doc["records"]
-                addrmap.rejections = doc["rejections"]
-                buf = self.handler.operand_buffers[core]
-                bdoc = snap.operand_buffers[core]
-                buf.words = bdoc["words"]
-                buf.peak_words = bdoc["peak_words"]
-                buf.rejections = bdoc["rejections"]
-            self.handler.restore_generation_words(snap.gen_words)
-            counters = snap.handler_counters
-            self.handler.assoc_executed = counters["assoc_executed"]
-            self.handler.omissions = counters["omissions"]
-            self.handler.omission_lookups = counters["omission_lookups"]
+        self.mech.restore(snap)
         for it, row in zip(self.interpreters, snap.arch):
             it.restore_arch_state((row[0], row[1], list(row[2])))
         self.initial_arch = [
@@ -716,11 +480,8 @@ class _MechanismPass:
             [(k, i, list(r)) for k, i, r in states]
             for states in snap.arch_history
         ]
-        self.snapshots = []
         self.steps = snap.step
         self.n_instructions = snap.n_instructions
-        self.ecc_lookup_hits = snap.ecc_lookup_hits
-        self._corrupt_entries = set()
 
     # -- injection -----------------------------------------------------------
     def inject(self, rng: DeterministicRng, requested: str) -> Injection:
@@ -736,7 +497,8 @@ class _MechanismPass:
         )
 
     def _inject_mem(self, rng: DeterministicRng) -> Optional[Injection]:
-        log = self.store.current_log
+        store = self.mech.store
+        log = store.current_log
         covered = {r.address for r in log.records}
         covered.update(o.address for o in log.omitted)
         if not covered:
@@ -749,16 +511,17 @@ class _MechanismPass:
         self.memory.write(address, after)  # the fault bypasses the log path
         return Injection(
             requested="", kind="mem", step=self.steps,
-            interval=self.store.count, core=MACHINE, address=address,
+            interval=store.count, core=MACHINE, address=address,
             register=-1, bit=bit, before=before, after=after,
             detail=f"word covered by open-interval log "
                    f"({len(candidates)} candidates)",
         )
 
     def _inject_log(self, rng: DeterministicRng) -> Optional[Injection]:
-        if not self.store.checkpoints:
+        store = self.mech.store
+        if not store.checkpoints:
             return None
-        ckpt = self.store.checkpoints[-1]
+        ckpt = store.checkpoints[-1]
         if not ckpt.log.records:
             return None
         idx = rng.randint(0, len(ckpt.log.records) - 1)
@@ -770,26 +533,28 @@ class _MechanismPass:
         ckpt.log.records[idx] = type(rec)(rec.address, corrupted, rec.core)
         return Injection(
             requested="", kind="log", step=self.steps,
-            interval=self.store.count, core=rec.core, address=rec.address,
+            interval=store.count, core=rec.core, address=rec.address,
             register=-1, bit=bit, before=rec.old_value, after=corrupted,
             detail=f"record {idx} of checkpoint {ckpt.index}'s log "
                    f"(retained, never applied)",
         )
 
     def _inject_addrmap(self, rng: DeterministicRng) -> Optional[Injection]:
-        if self.handler is None:
+        handler = self.mech.handler
+        if handler is None:
             return None
         # Entries already referenced by an omitted record would feed a
         # corrupt operand straight into an *applied* recomputation whose
         # result can be the oldest write to its address — those model a
         # different (unprotected) failure mode, so the ECC-at-lookup
         # semantics pick among unreferenced entries only.
+        store = self.mech.store
         used: Set[int] = set()
-        for log in self._retained_logs():
+        for log in [store.current_log] + [c.log for c in store.checkpoints]:
             for om in log.omitted:
                 used.add(id(om.entry))
         candidates: List[Tuple[int, AddrMapEntry]] = []
-        for core, addrmap in enumerate(self.handler.addrmaps):
+        for core, addrmap in enumerate(handler.addrmaps):
             for entry in addrmap.committed_entries():
                 if id(entry) not in used and entry.operands:
                     candidates.append((core, entry))
@@ -805,12 +570,11 @@ class _MechanismPass:
             for i, v in enumerate(entry.operands)
         )
         flipped = AddrMapEntry(entry.address, entry.slice_, operands)
-        if not self.handler.addrmaps[core].swap_committed(entry, flipped):
+        if not handler.addrmaps[core].swap_committed(entry, flipped):
             return None
-        self._corrupt_entries.add(id(flipped))
         return Injection(
             requested="", kind="addrmap", step=self.steps,
-            interval=self.store.count, core=core, address=entry.address,
+            interval=store.count, core=core, address=entry.address,
             register=-1, bit=bit, before=before, after=after,
             detail=f"operand {op_index} of slice site "
                    f"{entry.slice_.site} (committed generation)",
@@ -832,15 +596,10 @@ class _MechanismPass:
         self.interpreters[core].restore_arch_state((kernel, iteration, regs))
         return Injection(
             requested="", kind="arch", step=self.steps,
-            interval=self.store.count, core=core, address=-1,
+            interval=self.mech.store.count, core=core, address=-1,
             register=register, bit=bit, before=before, after=after,
             detail=f"r{register} at kernel {kernel} iteration {iteration}",
         )
-
-    def _retained_logs(self) -> List[IntervalLog]:
-        logs = [self.store.current_log]
-        logs.extend(c.log for c in self.store.checkpoints)
-        return logs
 
     # -- recovery ------------------------------------------------------------
     def restore_arch(self, safe_index: int) -> None:
@@ -852,43 +611,52 @@ class _MechanismPass:
         for it, state in zip(self.interpreters, states):
             it.restore_arch_state(state)
 
-    def apply_rollback(
-        self, logs: Sequence[IntervalLog], defect: Optional[str]
-    ) -> str:
-        """Apply the rollback — production path, or a seeded defect.
 
-        Returns a description of the sabotage performed ("" for the
-        production path) so divergence reports carry its provenance.
-        """
-        if defect is None:
-            self.engine.apply_rollback(self.memory, logs)
-            return ""
-        if defect == "misorder-logs":
-            self.engine.apply_rollback(self.memory, list(reversed(logs)))
-            return "defect: logs applied oldest-first"
-        if defect == "skip-recompute":
-            # Skip the first omitted record of the *oldest* applied log:
-            # no older log overwrites its address, so the skipped
-            # recomputation is load-bearing.
-            skip = None
-            for log in reversed(logs):
-                if log.omitted:
-                    skip = log.omitted[0]
-                    break
-            for log in logs:
-                for rec in log.records:
-                    self.memory.write(rec.address, rec.old_value)
-                for om in log.omitted:
-                    if om is skip:
-                        continue
-                    value = om.entry.slice_.execute(om.entry.operands)
-                    self.memory.write(om.address, value)
-            if skip is None:
-                return "defect: skip-recompute (no omitted records in scope)"
-            return (
-                f"defect: skipped recompute of address {skip.address:#x}"
-            )
-        raise ValueError(f"unknown defect {defect!r}")
+def _oldest_omission(logs: Sequence[IntervalLog]) -> Optional[OmittedRecord]:
+    """The first omitted record of the *oldest* applied log: no older log
+    overwrites its address, so skipping its recomputation is
+    load-bearing."""
+    for log in reversed(logs):
+        if log.omitted:
+            return log.omitted[0]
+    return None
+
+
+def _skip_recompute(memory: MemoryImage, logs: Sequence[IntervalLog]) -> None:
+    skip = _oldest_omission(logs)
+    for log in logs:
+        for rec in log.records:
+            memory.write(rec.address, rec.old_value)
+        for om in log.omitted:
+            if om is not skip:
+                value = om.entry.slice_.execute(om.entry.operands)
+                memory.write(om.address, value)
+
+
+def _misorder_logs(memory: MemoryImage, logs: Sequence[IntervalLog]) -> None:
+    RecoveryEngine.apply_rollback(memory, list(reversed(logs)))
+
+
+#: Seeded defect (``None``: production) -> the restore
+#: :meth:`Mechanism.rollback` applies.
+_RESTORES: Dict[Optional[str], Callable[..., Any]] = {
+    None: RecoveryEngine.apply_rollback,
+    "skip-recompute": _skip_recompute,
+    "misorder-logs": _misorder_logs,
+}
+
+
+def _defect_note(defect: Optional[str], logs: Sequence[IntervalLog]) -> str:
+    """Provenance of the sabotage performed ("" for the production path),
+    carried by divergence reports."""
+    if defect is None:
+        return ""
+    if defect == "misorder-logs":
+        return "defect: logs applied oldest-first"
+    skip = _oldest_omission(logs)
+    if skip is None:
+        return "defect: skip-recompute (no omitted records in scope)"
+    return f"defect: skipped recompute of address {skip.address:#x}"
 
 
 def _diff_memory(
@@ -991,16 +759,6 @@ def _compiled(
     )
 
 
-def _build_passes(spec: TrialSpec) -> Tuple["_MechanismPass", "_MechanismPass"]:
-    """Build the golden and faulty passes from one compiled workload."""
-    programs, slice_tables, config = _compiled(spec)
-    golden = _MechanismPass(spec, programs, slice_tables, config)
-    faulty = _MechanismPass(
-        spec, programs, slice_tables, config, capture_memory=False
-    )
-    return golden, faulty
-
-
 def golden_key(spec: TrialSpec) -> str:
     """Content address of a golden run: recipe + format version."""
     doc = {
@@ -1072,16 +830,9 @@ class GoldenRun:
 
 def run_golden(spec: TrialSpec) -> GoldenRun:
     """Execute the error-free pass once, snapshotting every boundary."""
-    programs, slice_tables, config = _compiled(spec)
-    golden = _MechanismPass(
-        spec, programs, slice_tables, config, capture_memory=False
-    )
+    golden = _MechanismPass(spec, *_compiled(spec))
     boundaries = [golden.snapshot()]
-    while not golden.all_done:
-        golden.step()
-        if golden.at_boundary() and not golden.all_done:
-            golden.checkpoint()
-            boundaries.append(golden.snapshot())
+    golden.run_to_end(lambda: boundaries.append(golden.snapshot()))
     return GoldenRun(
         total_steps=golden.steps,
         final_words=[[a, v] for a, v in golden.memory.snapshot().items()],
@@ -1128,12 +879,10 @@ def fork(
     — forking is O(state size), never O(simulated work).
     """
     check_positive("n", n)
-    programs, slice_tables, config = _compiled(spec)
+    compiled = _compiled(spec)
     forks = []
     for _ in range(n):
-        child = _MechanismPass(
-            spec, programs, slice_tables, config, capture_memory=False,
-        )
+        child = _MechanismPass(spec, *compiled)
         child.restore_snapshot(snapshot)
         forks.append(child)
     return forks
@@ -1148,43 +897,33 @@ def run_trial(
 ) -> TrialResult:
     """Execute one fault-injection trial; see the module doc for shape.
 
-    ``snapshots=True`` switches to the forked execution plan: the golden
-    pass for this recipe runs (at most) once — resolved through the
-    in-process memo and optional ``snapshot_store`` — with a boundary
-    snapshot per interval, and the faulty pass *forks* from the newest
-    boundary at or before the injection step instead of replaying from
-    step zero.  The flag is an execution-plan knob: results are
-    bit-identical either way (pinned by the fork-equivalence suite), so
-    it never reaches the trial cache key.
+    The golden pass always runs as :func:`run_golden`.  ``snapshots=True``
+    switches to the forked execution plan: the golden pass for this
+    recipe runs (at most) once — resolved through the in-process memo
+    and optional ``snapshot_store`` — and the faulty pass *forks* from
+    the newest boundary at or before the injection step instead of
+    replaying from step zero.  The flag is an execution-plan knob:
+    results are bit-identical either way (pinned by the fork-equivalence
+    suite), so it never reaches the trial cache key.
     """
-    golden: Optional[_MechanismPass] = None
-    golden_run: Optional[GoldenRun] = None
-    if snapshots:
-        golden_run = _golden_for(spec, snapshot_store)
-        total_steps = golden_run.total_steps
-    else:
-        golden, faulty = _build_passes(spec)
-        golden.run_to_end()
-        total_steps = golden.steps
+    golden = _golden_for(spec, snapshot_store) if snapshots else run_golden(spec)
+    total_steps = golden.total_steps
     if total_steps < 2:
         raise ValueError(
             f"workload {spec.workload!r} too short to inject into "
             f"({total_steps} steps) — lower iters_per_step"
         )
-    golden_final = (
-        {a: v for a, v in golden_run.final_words}
-        if golden_run is not None
-        else golden.memory.snapshot()
-    )
 
     spi = spec.steps_per_interval
     rng = DeterministicRng(spec.seed, "inject")
     injection_step = rng.randint(1, total_steps - 1)
-    if golden_run is not None:
+    if snapshots:
         # Fork from the newest boundary at or before the injection: the
         # prefix up to there is bit-identical by determinism, so only
         # the tail from the fork point is ever re-executed.
-        faulty = fork(spec, golden_run.boundaries[injection_step // spi])[0]
+        faulty = fork(spec, golden.boundaries[injection_step // spi])[0]
+    else:
+        faulty = _MechanismPass(spec, *_compiled(spec))
     # The flip lands strictly inside its interval (mid-step), so the
     # occurrence never coincides with a checkpoint establishment — the
     # boundary tie-break is pinned by dedicated unit tests instead.
@@ -1219,7 +958,7 @@ def run_trial(
     assert injection is not None  # injection_step < total_steps
 
     # -- detection → safe-checkpoint selection → rollback ------------------
-    checkpoint_times = [c.useful_ns for c in faulty.store.checkpoints]
+    checkpoint_times = [c.useful_ns for c in faulty.mech.store.checkpoints]
     choice = choose_safe_checkpoint(occurrence, checkpoint_times)
     safe = choice.checkpoint_index
 
@@ -1237,9 +976,9 @@ def run_trial(
             metrics.counter(
                 "inject." + outcome.replace("-", "_")
             ).inc()
-            if faulty.ecc_lookup_hits:
+            if faulty.mech.ecc_lookup_hits:
                 metrics.counter("inject.ecc_lookup_hits").inc(
-                    faulty.ecc_lookup_hits
+                    faulty.mech.ecc_lookup_hits
                 )
         return TrialResult(
             spec=spec,
@@ -1255,7 +994,7 @@ def run_trial(
             skipped_corrupted=choice.skipped_corrupted,
             restored_records=restored,
             recomputed_values=recomputed,
-            ecc_lookup_hits=faulty.ecc_lookup_hits,
+            ecc_lookup_hits=faulty.mech.ecc_lookup_hits,
             addresses_checked=checked,
             divergence_count=count,
             divergences=tuple(sample),
@@ -1263,21 +1002,17 @@ def run_trial(
         )
 
     try:
-        logs = faulty.store.logs_to_rollback(safe)
+        logs = faulty.mech.rollback(safe, _RESTORES[spec.defect])
     except ValueError as exc:
         return _result("unrecoverable", detail=str(exc))
-
-    defect_note = faulty.apply_rollback(logs, spec.defect)
+    defect_note = _defect_note(spec.defect, logs)
     restored = sum(len(log.records) for log in logs)
     recomputed = sum(len(log.omitted) for log in logs)
-    if golden_run is not None:
-        expected = (
-            {a: v for a, v in golden_run.boundaries[safe + 1].memory_words}
-            if safe >= 0
-            else {}
-        )
-    else:
-        expected = golden.snapshots[safe] if safe >= 0 else {}
+    expected = (
+        {a: v for a, v in golden.boundaries[safe + 1].memory_words}
+        if safe >= 0
+        else {}
+    )
     checked, count, sample = _diff_memory(
         expected, faulty.memory, "rollback", safe
     )
@@ -1286,7 +1021,7 @@ def run_trial(
     faulty.restore_arch(safe)
     faulty.resume_to_end()
     final_checked, final_count, final_sample = _diff_memory(
-        golden_final, faulty.memory, "final", -1
+        {a: v for a, v in golden.final_words}, faulty.memory, "final", -1
     )
     checked += final_checked
     count += final_count

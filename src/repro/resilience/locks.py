@@ -11,13 +11,17 @@ atomic and idempotent; a duplicated simulation is waste, not a bug), so
 every failure mode degrades to "simulate anyway":
 
 * acquisition is ``O_CREAT | O_EXCL`` — atomic on every platform;
-* a lock older than ``stale_s`` (by mtime) is presumed orphaned by a
-  crashed owner and broken.
+* the lockfile records its owner as ``host pid``; a lock whose owner is
+  a dead process on this host is broken at once, so a runner killed
+  with SIGKILL does not block its peers;
+* any other lock older than ``stale_s`` (by mtime) is presumed orphaned
+  by a crashed owner and broken.
 """
 
 from __future__ import annotations
 
 import os
+import socket
 import time
 from pathlib import Path
 from typing import Optional, Union
@@ -50,7 +54,7 @@ class KeyLock:
             self.owned = False
             return True
         try:
-            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+            os.write(fd, f"{socket.gethostname()} {os.getpid()}\n".encode())
         finally:
             os.close(fd)
         self.owned = True
@@ -95,21 +99,36 @@ class KeyLock:
         except OSError:
             return None
 
-    def _break_if_stale(self) -> None:
-        """Expire a lock whose mtime says its owner is long gone.
+    def _orphaned(self) -> bool:
+        """One reading: the lock is older than ``stale_s``, or names a
+        gone process on this host (a claim from another host, or an
+        unreadable file, never does)."""
+        mtime = self._mtime()
+        if mtime is None:
+            return False
+        if time.time() - mtime > self.stale_s:
+            return True
+        try:
+            host, pid = self.path.read_text().split()
+            if host == socket.gethostname() and int(pid) > 0:
+                os.kill(int(pid), 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError):
+            pass
+        return False
 
-        Staleness is confirmed by **two** reads: between a single stat
-        and the unlink, the stale lock's owner could release and another
+    def _break_if_stale(self) -> None:
+        """Expire a lock whose owner is dead or long gone.
+
+        Orphaning is confirmed by **two** reads: between a single read
+        and the unlink, the orphan's owner could release and another
         process recreate the file, and the unlink would then break the
-        *fresh* lock.  A second stat immediately before unlinking keeps
+        *fresh* lock.  A second read immediately before unlinking keeps
         that window to the instruction gap (best-effort by design — a
         lost lock costs a duplicated simulation, not correctness).
         """
-        mtime = self._mtime()
-        if mtime is None or time.time() - mtime <= self.stale_s:
-            return
-        mtime = self._mtime()
-        if mtime is None or time.time() - mtime <= self.stale_s:
+        if not (self._orphaned() and self._orphaned()):
             return
         try:
             self.path.unlink()

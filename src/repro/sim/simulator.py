@@ -26,13 +26,17 @@ checkpoint-free run would make — boundaries and error times are placed on
 this axis) and ``overhead`` (everything BER adds).  Wall-clock =
 useful + overhead; the run's wall time is the slowest core's.
 
+The checkpointing protocol itself is the run's
+:class:`~repro.sim.mechanism.Mechanism`; this module layers caches,
+clocks, energy and observability on top of it.
+
 Because execution is deterministic, recovery does not functionally
 re-execute the lost work: rolling back and replaying would reproduce the
 exact same values (fail-stop model, no data corruption), so the simulator
 charges the redo time/energy and continues forward.  The *functional*
-correctness of rollback+recomputation is separately exercised by the
-integration tests, which snapshot memory at checkpoints, apply
-:meth:`RecoveryEngine.apply_rollback` and compare.
+correctness of rollback+recomputation is exercised on the same mechanism
+by the integration tests and the fault-injection harness, which call
+:meth:`~repro.sim.mechanism.Mechanism.rollback` and compare memory.
 """
 
 from __future__ import annotations
@@ -41,9 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.acr.handlers import AcrCheckpointHandler, AssocOutcome
 from repro.arch.config import MachineConfig
-from repro.ckpt.checkpoint import CheckpointStore
 from repro.ckpt.coordinator import (
     CheckpointCostModel,
     GlobalCoordinator,
@@ -74,6 +76,7 @@ from repro.obs.telemetry import profile as _profile
 from repro.obs.telemetry.frames import MetricsDelta, TaskHeartbeat
 from repro.obs.tracer import Tracer
 from repro.sim.machine import Machine
+from repro.sim.mechanism import ASSOCIATED, LOGGED, Mechanism
 from repro.sim.vector.engine import VectorCoreRunner
 from repro.sim.results import (
     BaselineProfile,
@@ -259,6 +262,7 @@ class _Run:
 
         # Compile (ACR) or use the plain programs.
         self.compile_stats: Optional[CompileStats] = None
+        tables = None
         if options.acr:
             with _profile.phase("compile"):
                 policy = options.slice_policy or ThresholdPolicy()
@@ -268,19 +272,18 @@ class _Run:
                 self.compile_stats = _sum_compile_stats(
                     [c.stats for c in compiled]
                 )
-                self.handler: Optional[AcrCheckpointHandler] = (
-                    AcrCheckpointHandler(self.config, tables)
-                )
         else:
             self.programs = sim.programs
-            self.handler = None
 
-        # Checkpointing machinery.
+        # Checkpointing machinery: the mechanism over this machine's
+        # memory and directory, costed by the models below.
         self.ckpt_enabled = options.scheme != "none"
-        self.store = CheckpointStore(
-            self.config.arch_state_bytes, n,
+        self.mech = Mechanism(
+            self.config, self.machine.memory, tables,
+            directory=self.machine.directory,
             log_observer=self._on_log_append if observing else None,
         )
+        self._mech_on_store = self.mech.on_store
         self.cost_model = CheckpointCostModel(
             self.config, self.machine.noc, self.machine.memsys, self.energy,
             metrics=self.metrics,
@@ -291,8 +294,8 @@ class _Run:
         self.coordinator = (
             LocalCoordinator(n) if options.scheme == "local" else GlobalCoordinator(n)
         )
-        if self.handler is not None and observing:
-            self.handler.attach_observability(
+        if self.mech.handler is not None and observing:
+            self.mech.handler.attach_observability(
                 self.trace, self.metrics, self._core_now
             )
 
@@ -394,26 +397,15 @@ class _Run:
         self.machine.directory.record_access(core, ev.address // self._line_bytes)
 
         if self.ckpt_enabled:
-            already = self.machine.directory.test_and_set_log(ev.address)
-            if not already:
-                entry = (
-                    self.handler.may_omit(core, ev.address)
-                    if self.handler is not None
-                    else None
-                )
-                if entry is not None:
-                    self.store.current_log.add_omitted(
-                        ev.address, entry, core, ev.old_value
-                    )
-                else:
-                    self.store.current_log.add_record(ev.address, ev.old_value, core)
+            charged = self._mech_on_store(ev)
+            if charged:
+                # The log write's bandwidth stall, then ASSOC-ADDR's extra
+                # instruction slot + AddrMap write, in this order (float
+                # addition is not associative).
+                if charged & LOGGED:
                     self._pending_overhead[core] += self._log_stall_ns
-
-        if self.handler is not None:
-            outcome = self.handler.on_store(core, ev.site, ev.address, ev.regs)
-            if outcome is AssocOutcome.RECORDED:
-                # ASSOC-ADDR: one extra instruction slot + AddrMap write.
-                self._pending_overhead[core] += self._cycle_ns
+                if charged & ASSOCIATED:
+                    self._pending_overhead[core] += self._cycle_ns
 
     # ------------------------------------------------------------- execution --
     def _run_core_to(self, core: int, target_useful_ns: float) -> None:
@@ -437,16 +429,13 @@ class _Run:
             self.n_stores += chunk.stores
             self.n_assoc += chunk.assoc
 
-    def _run_core_to_completion(self, core: int) -> None:
-        """Advance ``core`` until its program finishes."""
-        self._run_core_to(core, float("inf"))
-
     # ------------------------------------------------------------- boundaries --
     def _do_checkpoint(self, useful_mark_ns: float) -> None:
         """Establish a checkpoint at the current point."""
         n = self.config.num_cores
         clusters = self.coordinator.clusters(self.machine.directory)
-        log = self.store.current_log
+        handler = self.mech.handler
+        log = self.mech.store.current_log
 
         index = len(self.intervals)
         observing = self.trace is not None or self.metrics is not None
@@ -487,7 +476,7 @@ class _Run:
                 + self.energy.handler_op_pj
             ),
         )
-        if self.handler is not None:
+        if handler is not None:
             self.machine.ledger.add(
                 "acr.omit",
                 len(log.omitted)
@@ -547,17 +536,13 @@ class _Run:
                 m.counter("ckpt.count").inc()
                 m.histogram("ckpt.logged_bytes").observe(log.logged_bytes)
                 m.histogram("ckpt.boundary_ns").observe(boundary_ns_max)
-                if self.handler is not None:
+                if handler is not None:
                     m.histogram("addrmap.occupancy").observe(sum(
                         a.open_size + a.committed_size
-                        for a in self.handler.addrmaps
+                        for a in handler.addrmaps
                     ))
                 m.snapshot_interval(index)
-        self.store.establish(useful_mark_ns, wall_ns)
-        self.machine.directory.clear_log_bits()
-        self.machine.directory.clear_interval_tracking()
-        if self.handler is not None:
-            self.handler.on_checkpoint()
+        self.mech.establish(useful_mark_ns, wall_ns)
 
     # ------------------------------------------------------------- recoveries --
     def _do_recovery(
@@ -576,11 +561,12 @@ class _Run:
             participants = list(range(n))
 
         error = ErrorOccurrence(occurred_ns, detected_ns)
-        ckpt_times = [c.useful_ns for c in self.store.checkpoints]
+        store = self.mech.store
+        ckpt_times = [c.useful_ns for c in store.checkpoints]
         choice = choose_safe_checkpoint(error, ckpt_times)
-        logs = self.store.logs_to_rollback(choice.checkpoint_index)
+        logs = store.logs_to_rollback(choice.checkpoint_index)
         safe_wall = (
-            self.store.checkpoints[choice.checkpoint_index].wall_ns
+            store.checkpoints[choice.checkpoint_index].wall_ns
             if choice.checkpoint_index >= 0
             else 0.0
         )
@@ -646,7 +632,7 @@ class _Run:
         if not self.ckpt_enabled:
             with _profile.phase("simulate"):
                 for core in range(n):
-                    self._run_core_to_completion(core)
+                    self._run_core_to(core, float("inf"))
             return self._finish()
 
         profile = options.baseline
@@ -690,7 +676,7 @@ class _Run:
 
             # Drain any remainder (rounding in per-core targets).
             for core in range(n):
-                self._run_core_to_completion(core)
+                self._run_core_to(core, float("inf"))
         return self._finish()
 
     # ------------------------------------------------------------ accounting --
@@ -718,15 +704,16 @@ class _Run:
                 (demand_lines + evict_lines) * self.config.line_bytes
             ),
         )
-        if self.handler is not None:
+        handler = self.mech.handler
+        if handler is not None:
             ledger.add(
                 "acr.assoc",
-                self.handler.assoc_executed
+                handler.assoc_executed
                 * (energy.addrmap_access_pj + energy.handler_op_pj),
             )
             ledger.add(
                 "acr.lookup",
-                self.handler.omission_lookups * energy.addrmap_access_pj,
+                handler.omission_lookups * energy.addrmap_access_pj,
             )
 
         wall_ns = max(
@@ -773,7 +760,6 @@ class _Run:
                     key = f"fallback.{reason}"
                     vector_coverage[key] = vector_coverage.get(key, 0) + count
 
-        handler = self.handler
         return RunResult(
             label=self.options.label,
             scheme=self.options.scheme,
@@ -803,7 +789,7 @@ class _Run:
             ),
             omissions=handler.omissions if handler else 0,
             omission_lookups=handler.omission_lookups if handler else 0,
-            checkpoint_store=self.store,
+            checkpoint_store=self.mech.store,
             obs=obs,
             vector_coverage=vector_coverage,
         )

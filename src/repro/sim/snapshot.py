@@ -3,7 +3,8 @@
 ACR's own premise — recovery state is a consistent snapshot plus a small
 tail of work — applies to the *simulator* as much as to the simulated
 machine.  A :class:`SimSnapshot` captures the complete functional state
-of a mechanism-stack execution at an interval boundary:
+of a :class:`~repro.sim.mechanism.Mechanism`-driven execution at an
+interval boundary:
 
 * the memory image (written words, insertion-ordered),
 * the checkpoint store (retained checkpoints + the open interval log),

@@ -7,13 +7,13 @@ the core by replaying precomputed :class:`~repro.sim.vector.plans
 .KernelPlan` trace segments through one allocation-free loop that fuses
 what the classic path spreads over the interpreter dispatch, the
 load/store observer callbacks, the per-access event dataclasses and the
-cache/directory/handler method stack.  When neither tracer nor metrics
-are attached (``observed`` is False on the handler and the interval
-log), the ACR store-time protocol — AddrMap open/record/invalidate,
-committed lookups, operand-buffer reservations — and the log appends are
-inlined too, with pure counters batched per call: integer counter
-updates commute with the classic path, so only the *float* stall
-accumulators need the flush/refetch dance around interpreter fallbacks.
+cache/directory/handler method stack.  It is the one other copy of
+:meth:`~repro.sim.mechanism.Mechanism.on_store` (log bits, log appends,
+AddrMap lookups and records, operand-buffer reservations), inlined over
+the mechanism's state; ``_Run`` builds runners only for unobserved runs.
+Pure counters batch per call: integer counter updates commute with the
+classic path, so only the *float* stall accumulators need the
+flush/refetch dance around interpreter fallbacks.
 
 Bit-identity rules (conservative fallback to the classic interpreter
 otherwise):
@@ -52,7 +52,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.acr.handlers import AssocOutcome
 from repro.arch.buffers import AddrMapEntry
 from repro.ckpt.log import LogRecord, OmittedRecord
 from repro.isa.instructions import StoreInstr
@@ -63,7 +62,6 @@ from repro.sim.vector.plans import plans_for
 __all__ = ["VectorCoreRunner"]
 
 _INIT_MIX = 0x9E3779B97F4A7C15
-_RECORDED = AssocOutcome.RECORDED
 
 #: Executed (per-core, possibly ACR-compiled) program -> {kernel index ->
 #: covered-store metadata}.  The compiled program object is shared across
@@ -184,9 +182,10 @@ class VectorCoreRunner:
         plan_for = self.plans.plan
         assoc_counts = self._assoc_counts
         covered_meta = self._covered_meta
-        handler = run.handler
+        mech = run.mech
+        handler = mech.handler
 
-        memory = run.machine.memory
+        memory = mech.memory
         words = memory.words_map()
         seed = memory.seed
         l1_sets = self._l1_sets
@@ -202,48 +201,35 @@ class VectorCoreRunner:
 
         track = self._track_comm
         if track:
-            toucher, edges = run.machine.directory.comm_state()
+            toucher, edges = mech.directory.comm_state()
 
         ckpt = run.ckpt_enabled
-        may_omit = None
-        fast_log = False
         if ckpt:
-            log_bits = run.machine.directory.log_bit_set()
-            log = run.store.current_log
+            log_bits = mech.directory.log_bit_set()
+            log = mech.store.current_log
             log_stall = run._log_stall_ns
-            add_record = log.add_record
-            add_omitted = log.add_omitted
-            fast_log = not log.observed
-            if fast_log:
-                rec_append = log.records.append
-                om_append = log.omitted.append
-            if handler is not None:
-                may_omit = handler.may_omit
+            rec_append = log.records.append
+            om_append = log.omitted.append
 
-        h_fast = False
         if handler is not None:
-            h_fast = not handler.observed
             site_slices = handler.site_slice_map(core)
             addrmap = handler.addrmaps[core]
-            on_store = handler.on_store
             cycle_ns = run._cycle_ns
-            if h_fast:
-                # Inlined AddrMap / OperandBuffer state.  The open
-                # generation is rebound only by checkpoint commits and
-                # the committed list mutates in place, so per-call
-                # bindings are exact.
-                ogen, committed = addrmap.internal_state()
-                oentries = ogen.entries
-                oe_get = oentries.get
-                otombs = ogen.tombstones
-                am_cap = addrmap.capacity
-                n_comm = len(committed)
-                gl_get = committed[-1].entries.get if n_comm else None
-                gl_tombs = committed[-1].tombstones if n_comm else None
-                gp_get = committed[-2].entries.get if n_comm > 1 else None
-                opbuf = handler.operand_buffers[core]
-                opbuf_cap = opbuf.capacity_words
-                gen_words = handler._gen_words[core]
+            # Inlined AddrMap / OperandBuffer state.  The open generation
+            # is rebound only by checkpoint commits and the committed list
+            # mutates in place, so per-call bindings are exact.
+            ogen, committed = addrmap.internal_state()
+            oentries = ogen.entries
+            oe_get = oentries.get
+            otombs = ogen.tombstones
+            am_cap = addrmap.capacity
+            n_comm = len(committed)
+            gl_get = committed[-1].entries.get if n_comm else None
+            gl_tombs = committed[-1].tombstones if n_comm else None
+            gp_get = committed[-2].entries.get if n_comm > 1 else None
+            opbuf = handler.operand_buffers[core]
+            opbuf_cap = opbuf.capacity_words
+            gen_words = handler._gen_words[core]
         lookups_d = omissions_d = assoc_exec_d = 0
 
         pend_u = run._pending_useful[core]
@@ -330,7 +316,6 @@ class VectorCoreRunner:
                             )
                         covered = tuple(built)
                         covered_meta[k] = covered
-                    sites = plan.store_sites
                     rows = plan.rows()
 
                 row = None
@@ -432,13 +417,10 @@ class VectorCoreRunner:
                                 x = (addr * _INIT_MIX + seed) & MASK64
                                 x ^= x >> 29
                                 old = (x * _INIT_MIX) & MASK64
-                            if may_omit is None:
-                                if fast_log:
-                                    rec_append(LogRecord(addr, old, core))
-                                else:
-                                    add_record(addr, old, core)
+                            if handler is None:
+                                rec_append(LogRecord(addr, old, core))
                                 pend_o += log_stall
-                            elif h_fast and fast_log:
+                            else:
                                 # Inlined may_omit + committed_lookup:
                                 # scan committed generations youngest-
                                 # first; a tombstone ends the search.
@@ -461,26 +443,16 @@ class VectorCoreRunner:
                                 else:
                                     rec_append(LogRecord(addr, old, core))
                                     pend_o += log_stall
-                            else:
-                                entry = may_omit(core, addr)
-                                if entry is not None:
-                                    add_omitted(addr, entry, core, old)
-                                else:
-                                    add_record(addr, old, core)
-                                    pend_o += log_stall
                         words[addr] = value
                         if handling:
                             smeta = covered[s]
                             s += 1
                             if smeta is None:
-                                if h_fast:
-                                    # Plain store: mask any association
-                                    # (inlined AddrMap.invalidate).
-                                    oentries.pop(addr, None)
-                                    otombs.add(addr)
-                                else:
-                                    on_store(core, sites[s - 1], addr, row)
-                            elif h_fast:
+                                # Plain store: mask any association
+                                # (inlined AddrMap.invalidate).
+                                oentries.pop(addr, None)
+                                otombs.add(addr)
+                            else:
                                 # Inlined ACRStoreHandler.on_store,
                                 # RECORDED / REJECTED paths.
                                 sl, frontier, n_ops = smeta
@@ -523,11 +495,6 @@ class VectorCoreRunner:
                                     opbuf.words = nw if nw > 0 else 0
                                     oentries.pop(addr, None)
                                     otombs.add(addr)
-                            elif (
-                                on_store(core, sites[s - 1], addr, row)
-                                is _RECORDED
-                            ):
-                                pend_o += cycle_ns
 
             alu += budget * (plan.alu_per_iter + kernel.ghost_alu)
             loads += budget * plan.loads_per_iter

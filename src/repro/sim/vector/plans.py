@@ -246,23 +246,6 @@ class KernelPlan:
                     seen.add(addr)
         return out
 
-    def unique_store_addresses(self) -> List[int]:
-        """Sorted unique store addresses (first-write footprint)."""
-        if self.stores_per_iter == 0:
-            return []
-        return sorted(
-            {
-                int(self.addrs[i * self.accesses_per_iter + off])
-                for i in range(self.trip)
-                for off, (is_store, _, _) in enumerate(self.tmpl)
-                if is_store
-            }
-        )
-
-    def unique_lines(self) -> List[int]:
-        """Sorted unique cache lines the kernel touches (loads + stores)."""
-        return sorted({int(line) for line in self.lines})
-
 
 def _kernel_shape(
     kernel: Kernel,

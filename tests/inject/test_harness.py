@@ -81,6 +81,22 @@ class TestBitExactRecovery:
         assert r.checkpoints >= 0
 
 
+class TestEccAtLookup:
+    # The injector damages a committed AddrMap entry's operand snapshot;
+    # the handler's lookup ECC must refuse that entry when a first write
+    # asks for it, so the store logs normally and no corrupt Slice ever
+    # recomputes.  Without the refusal these seeds diverge.
+    @pytest.mark.parametrize("snapshots", [False, True],
+                             ids=["straight", "forked"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_damaged_entry_refused(self, seed, snapshots):
+        spec = TrialSpec("cg", config="ACR", seed=seed, target="addrmap")
+        r = run_trial(spec, snapshots=snapshots)
+        assert r.injection.kind == "addrmap"
+        assert r.ecc_lookup_hits == 1
+        assert r.outcome == "recovered-exact"
+
+
 class TestProvenance:
     def test_injection_fully_populated(self):
         r = trial(target="mem", seed=0)

@@ -1,7 +1,14 @@
-"""Per-key lockfile contracts: exclusion, staleness, heartbeats."""
+"""Per-key lockfile contracts: exclusion, staleness, dead owners,
+heartbeats."""
 
 import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.resilience.locks import KeyLock
 
 
@@ -22,8 +29,59 @@ def test_lockfile_records_owner_pid(tmp_path):
     path = tmp_path / "k.lock"
     lock = KeyLock(path)
     assert lock.try_acquire()
-    assert path.read_text().strip() == str(os.getpid())
+    assert path.read_text().strip() == f"{socket.gethostname()} {os.getpid()}"
     lock.release()
+
+
+_HOLDER = """
+import sys, time
+from repro.resilience.locks import KeyLock
+assert KeyLock(sys.argv[1]).try_acquire()
+print("held", flush=True)
+time.sleep(120)
+"""
+
+
+def test_sigkilled_owner_claim_is_broken_at_once(tmp_path):
+    # A runner killed with SIGKILL never releases its claim; the claim
+    # names a dead pid on this host, so the next attempt breaks it
+    # without waiting out the (fresh) mtime.
+    path = tmp_path / "k.lock"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", _HOLDER, str(path)],
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert child.stdout.readline().strip() == "held"
+        assert not KeyLock(path, stale_s=600.0).try_acquire()
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+        child.stdout.close()
+    assert path.exists()
+    lock = KeyLock(path, stale_s=600.0)
+    assert lock.try_acquire()
+    assert lock.owned
+    lock.release()
+
+
+def test_live_or_foreign_owner_claim_is_kept(tmp_path):
+    path = tmp_path / "k.lock"
+    sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
+    try:
+        # A live process on this host (not the caller) holds it.
+        path.write_text(f"{socket.gethostname()} {sleeper.pid}\n")
+        assert not KeyLock(path, stale_s=600.0).try_acquire()
+    finally:
+        sleeper.kill()
+        sleeper.wait(timeout=30)
+    # Another host's claim is never judged by local pids, even one that
+    # names a pid that is dead here.
+    path.write_text(f"not-{socket.gethostname()} {sleeper.pid}\n")
+    assert not KeyLock(path, stale_s=600.0).try_acquire()
+    assert path.exists()
 
 
 def test_stale_lock_is_broken_by_mtime(tmp_path):

@@ -2,20 +2,27 @@
 
 Hypothesis drives small randomized workloads through the full stack and
 checks the invariants that must hold for *any* program: clock and energy
-sanity, conservation between the ACR and baseline variants, and the
-accounting identities the paper's equations rest on.  Every example runs
-on both execution engines, so each engine gets the full example budget.
+sanity, conservation between the ACR and baseline variants, the
+accounting identities the paper's equations rest on, and the rollback
+law of the mechanism core.  Every simulator example runs on both
+execution engines, so each engine gets the full example budget.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import MachineConfig
 from repro.ckpt.checkpoint import RETAINED_CHECKPOINTS
+from repro.ckpt.recovery import RecoveryEngine
+from repro.compiler.embed import compile_program
 from repro.compiler.policy import ThresholdPolicy
 from repro.errors.injection import UniformErrors
+from repro.inject.harness import _RESTORES
+from repro.isa.interpreter import Interpreter, MemoryImage
+from repro.sim.mechanism import Mechanism
 from repro.sim.simulator import ENGINES, SimulationOptions, Simulator
 from repro.workloads.spec import BurstSpec, SliceLenBucket, WorkloadSpec
-from tests.conftest import recording_caches
+from tests.conftest import recording_caches, tiny_workload
 
 
 @st.composite
@@ -206,3 +213,74 @@ class TestSimulationInvariants:
             participants, _, after = boundaries[-1]
             assert sorted(participants) == [0, 1]
             assert after == [clean, clean]
+
+
+def rollback_violations(
+    spec, acr, steps_per_interval, apply=RecoveryEngine.apply_rollback
+):
+    """Drive a :class:`Mechanism` over ``spec`` and, after every step,
+    roll back to every retained safe checkpoint.
+
+    Returns how many of those rollbacks failed to restore the memory
+    image captured at that checkpoint's boundary (``-1``: the initial
+    image).  Words absent from an image hold their initial value.
+    """
+    cfg = MachineConfig(num_cores=2)
+    programs = spec.build_programs(2)
+    tables = None
+    if acr:
+        compiled = [compile_program(p, ThresholdPolicy(10)) for p in programs]
+        programs = [c.program for c in compiled]
+        tables = [c.slices for c in compiled]
+    mech = Mechanism(cfg, MemoryImage(seed=spec.seed), tables)
+    memory = mech.memory
+    interps = [Interpreter(p, memory, on_store=mech.on_store) for p in programs]
+    images = {-1: {}}
+    violations = steps = 0
+    while not all(it.done for it in interps):
+        for it in interps:
+            if not it.done:
+                it.step_iterations(8)
+        steps += 1
+        count = mech.store.count
+        before = memory.snapshot()
+        for safe in range(max(-1, count - RETAINED_CHECKPOINTS), count):
+            mech.rollback(safe, apply)
+            want = images[safe]
+            if any(
+                memory.read(a) != want.get(a, memory.initial_value(a))
+                for a in set(want) | set(memory.snapshot())
+            ):
+                violations += 1
+            memory.restore(before)
+        if steps % steps_per_interval == 0:
+            images[count] = memory.snapshot()
+            mech.establish(float(count + 1), float(count + 1))
+    return violations
+
+
+class TestMechanismRollback:
+    @given(
+        workload_specs(),
+        st.sampled_from(["BER", "ACR"]),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_rollback_restores_every_retained_boundary(
+        self, spec, config, steps_per_interval
+    ):
+        # Memory equals the safe image after rollback to any retained
+        # checkpoint, from any point of the run, with ACR's omitted
+        # values recomputed from their Slices.
+        assert rollback_violations(
+            spec, config == "ACR", steps_per_interval
+        ) == 0
+
+    @pytest.mark.parametrize("config", ["BER", "ACR"])
+    def test_misordered_logs_violate_the_law(self, config):
+        # The harness's seeded misorder-logs restore (oldest log first)
+        # must break the law above, or the property has no teeth.
+        misordered = _RESTORES["misorder-logs"]
+        assert rollback_violations(
+            tiny_workload(), config == "ACR", 3, misordered
+        ) > 0

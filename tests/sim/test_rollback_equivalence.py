@@ -5,9 +5,11 @@ back via the interval logs — with ACR's omitted values *recomputed* from
 their Slices and operand snapshots, never read from anywhere — must
 restore memory to the exact state captured at the safe checkpoint.
 
-A miniature checkpointing harness drives the real components (interpreter,
-compiler pass, AddrMap handler, checkpoint store, recovery engine) and
-snapshots memory at every checkpoint for comparison.
+A miniature checkpointing harness drives the real mechanism core
+(:class:`~repro.sim.mechanism.Mechanism`: directory log bits, AddrMap
+handler, checkpoint store, rollback) under real interpreters and the
+real compiler pass, and snapshots memory at every checkpoint for
+comparison.
 """
 
 from __future__ import annotations
@@ -16,23 +18,19 @@ from typing import Dict, List
 
 import pytest
 
-from repro.acr.handlers import AcrCheckpointHandler
 from repro.arch.config import MachineConfig
-from repro.arch.directory import Directory
-from repro.arch.memctrl import MemorySystem
-from repro.ckpt.checkpoint import CheckpointStore
 from repro.ckpt.recovery import RecoveryEngine
 from repro.compiler.embed import compile_program
 from repro.compiler.policy import ThresholdPolicy
-from repro.energy.model import EnergyModel
 from repro.isa.builder import chain_kernel
 from repro.isa.instructions import AddressPattern
 from repro.isa.interpreter import Interpreter, MemoryImage
 from repro.isa.program import Program
+from repro.sim.mechanism import Mechanism
 
 
 class MiniCkptHarness:
-    """Drives real components through checkpoint intervals."""
+    """Drives the mechanism core through checkpoint intervals."""
 
     def __init__(self, acr: bool, threshold: int = 10, threads: int = 2):
         self.config = MachineConfig(num_cores=threads)
@@ -64,47 +62,24 @@ class MiniCkptHarness:
             kernels_per_thread.append(kernels)
 
         programs = [Program(ks, t) for t, ks in enumerate(kernels_per_thread)]
+        tables = None
         if acr:
             compiled = [
                 compile_program(p, ThresholdPolicy(threshold)) for p in programs
             ]
             self.programs = [c.program for c in compiled]
-            self.handler = AcrCheckpointHandler(
-                self.config, [c.slices for c in compiled]
-            )
+            tables = [c.slices for c in compiled]
         else:
             self.programs = programs
-            self.handler = None
 
-        self.memory = MemoryImage(seed=5)
-        self.directory = Directory(threads)
-        self.store = CheckpointStore(self.config.arch_state_bytes, threads)
-        self.engine = RecoveryEngine(
-            self.config, MemorySystem(self.config), EnergyModel()
-        )
+        self.mech = Mechanism(self.config, MemoryImage(seed=5), tables)
+        self.memory = self.mech.memory
+        self.store = self.mech.store
         self.interpreters = [
-            Interpreter(p, self.memory, on_store=self._on_store)
+            Interpreter(p, self.memory, on_store=self.mech.on_store)
             for p in self.programs
         ]
         self.snapshots: List[Dict[int, int]] = []
-
-    def _on_store(self, ev) -> None:
-        if not self.directory.test_and_set_log(ev.address):
-            entry = (
-                self.handler.may_omit(ev.thread, ev.address)
-                if self.handler
-                else None
-            )
-            if entry is not None:
-                self.store.current_log.add_omitted(
-                    ev.address, entry, ev.thread, ev.old_value
-                )
-            else:
-                self.store.current_log.add_record(
-                    ev.address, ev.old_value, ev.thread
-                )
-        if self.handler:
-            self.handler.on_store(ev.thread, ev.site, ev.address, ev.regs)
 
     def run_kernels(self, count: int) -> None:
         """Every thread executes exactly ``count`` kernels."""
@@ -120,14 +95,11 @@ class MiniCkptHarness:
 
     def checkpoint(self) -> None:
         self.snapshots.append(self.memory.snapshot())
-        self.store.establish(float(self.store.count + 1), float(self.store.count + 1))
-        self.directory.clear_log_bits()
-        if self.handler:
-            self.handler.on_checkpoint()
+        time = float(self.store.count + 1)
+        self.mech.establish(time, time)
 
     def rollback_to(self, safe_index: int) -> None:
-        logs = self.store.logs_to_rollback(safe_index)
-        self.engine.apply_rollback(self.memory, logs)
+        self.mech.rollback(safe_index)
 
 
 @pytest.mark.parametrize("acr", [False, True], ids=["baseline", "acr"])
