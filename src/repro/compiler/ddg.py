@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.isa.instructions import AluInstr, LoadInstr, MoviInstr, StoreInstr
-from repro.isa.program import Kernel
+from repro.isa.program import Kernel, KernelShape
 
 __all__ = ["DataDependenceGraph"]
 
@@ -28,9 +28,13 @@ class _Node:
 
 
 class DataDependenceGraph:
-    """Def-use graph of one kernel body (single iteration scope)."""
+    """Def-use graph of one kernel body (single iteration scope).
 
-    def __init__(self, kernel: Kernel) -> None:
+    Accepts a :class:`KernelShape` as well: its template body has the
+    same registers as every kernel of the shape.
+    """
+
+    def __init__(self, kernel: Kernel | KernelShape) -> None:
         self.kernel = kernel
         self._nodes: List[_Node] = []
         last_def: Dict[int, int] = {}

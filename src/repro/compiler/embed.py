@@ -5,19 +5,26 @@ through the selection policy, build the :class:`SliceTable`, and rewrite
 the program so every covered store carries its ``ASSOC-ADDR`` companion
 (the ``assoc`` flag — costed as one extra instruction by the simulator,
 modelled after a store to L1-D per the paper's evaluation setup).
+
+Slicing and embedding are facts of a kernel's shape: each shape is
+sliced once per process, and the policy decides each of its stores once
+per pass, on the shape's first kernel (a policy reads a slice's length
+and frontier, which every kernel of the shape shares).  Per kernel the
+pass only binds that kernel's immediates into its Slices and re-binds
+the kernel to the shape's ``ASSOC-ADDR`` variant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.compiler.ddg import DataDependenceGraph
 from repro.compiler.policy import SelectionPolicy, ThresholdPolicy
 from repro.compiler.slicer import SliceRejection, extract_slice
 from repro.compiler.slices import Slice, SliceTable
-from repro.isa.instructions import AluInstr, Instruction, MoviInstr, StoreInstr
-from repro.isa.program import Kernel, Program
+from repro.isa.instructions import AluInstr, MoviInstr
+from repro.isa.program import Kernel, KernelShape, Program
 
 __all__ = ["CompileStats", "CompiledProgram", "compile_program"]
 
@@ -52,8 +59,9 @@ class CompileStats:
 class CompiledProgram:
     """A program with embedded slices.
 
-    ``program`` is a rewritten copy: covered stores have ``assoc=True``;
-    site ids are preserved (the rewrite keeps store order unchanged).
+    ``program`` is a rewritten copy: kernels with a covered store are
+    bound to their shape's variant with ``assoc=True`` on those stores,
+    with the same parameters and site ids.
 
     ``peers`` names the other cores' programs of the run this program
     belongs to (empty for single-core compilation).  They feed the
@@ -83,65 +91,77 @@ class CompiledProgram:
 
 
 class _StoreSlicing(NamedTuple):
-    """How one store of a dataflow shape slices: its body index, and
-    either the rejection or the slice's ALU/MOVI body indices, frontier
-    and result register."""
+    """How one store of a shape slices: either the rejection or the
+    slice's frontier, result register and instruction template (per
+    instruction: the shape's ALU object, or a MOVI's ``(dst, parameter
+    offset)``)."""
 
-    store_index: int
     rejection: Optional[SliceRejection]
-    body_indices: Tuple[int, ...] = ()
+    template: Tuple[Union[AluInstr, Tuple[int, int]], ...] = ()
     frontier: Tuple[int, ...] = ()
     result_reg: int = -1
 
 
-#: Register-dataflow shape -> the slicing of each store, in body order.
-#: Slicing reads only which registers each instruction defines and reads,
-#: so every kernel of one shape (whatever its immediates, opcodes and
-#: address patterns) slices alike.  Bounded by the number of distinct
-#: shapes a process compiles.
-_SLICINGS: Dict[tuple, Tuple[_StoreSlicing, ...]] = {}
+def _slice_shape(shape: KernelShape) -> Tuple[_StoreSlicing, ...]:
+    """The slicing of each store of ``shape``, in body order.
 
-
-def _dataflow_shape(kernel: Kernel) -> tuple:
-    """Per instruction: its class and the registers it defines and reads."""
-    shape: List[tuple] = []
-    for ins in kernel.body:
-        if isinstance(ins, AluInstr):
-            shape.append((AluInstr, ins.dst, ins.src_a, ins.src_b))
-        elif isinstance(ins, StoreInstr):
-            shape.append((StoreInstr, ins.src))
-        else:
-            shape.append((type(ins), ins.dst))
-    return tuple(shape)
-
-
-def _slicing(kernel: Kernel) -> Tuple[_StoreSlicing, ...]:
-    """The store slicings of ``kernel``'s shape, extracted on first sight."""
-    shape = _dataflow_shape(kernel)
-    hit = _SLICINGS.get(shape)
-    if hit is not None:
-        return hit
-    ddg = DataDependenceGraph(kernel)
+    Slicing reads only which registers each instruction defines and
+    reads, so it runs once on the shape's template body.
+    """
+    ddg = DataDependenceGraph(shape)
     outcomes = []
-    for idx, ins in enumerate(kernel.body):
-        if not isinstance(ins, StoreInstr):
-            continue
-        extraction = extract_slice(kernel, idx, ddg)
-        if extraction.slice is None:
-            outcomes.append(_StoreSlicing(idx, extraction.rejection))
+    for idx in shape.store_positions:
+        extraction = extract_slice(shape, idx, ddg)
+        sl = extraction.slice
+        if sl is None:
+            outcomes.append(_StoreSlicing(extraction.rejection))
             continue
         closure, _ = ddg.backward_closure(idx)
-        body_indices = tuple(
-            i for i in sorted(closure)
-            if isinstance(kernel.body[i], (AluInstr, MoviInstr))
+        template = tuple(
+            ins if isinstance(ins, AluInstr)
+            else (ins.dst, shape.param_offsets[i])
+            for i, ins in ((i, shape.body[i]) for i in sorted(closure))
+            if isinstance(ins, (AluInstr, MoviInstr))
         )
-        sl = extraction.slice
-        assert tuple(kernel.body[i] for i in body_indices) == sl.instructions
         outcomes.append(
-            _StoreSlicing(idx, None, body_indices, sl.frontier, sl.result_reg)
+            _StoreSlicing(None, template, sl.frontier, sl.result_reg)
         )
-    hit = _SLICINGS[shape] = tuple(outcomes)
-    return hit
+    return tuple(outcomes)
+
+
+def _bind_slice(outcome: _StoreSlicing, kernel: Kernel, j: int) -> Slice:
+    """Store ``j``'s Slice for one kernel: the shape's slice template with
+    the kernel's immediates and site id."""
+    params = kernel.params
+    return Slice(
+        site=kernel.site_base + j,
+        instructions=tuple([
+            ins if isinstance(ins, AluInstr) else MoviInstr(ins[0], params[ins[1]])
+            for ins in outcome.template
+        ]),
+        frontier=outcome.frontier,
+        result_reg=outcome.result_reg,
+    )
+
+
+def _decide(
+    shape: KernelShape,
+    slicing: Tuple[_StoreSlicing, ...],
+    kernel: Kernel,
+    policy: SelectionPolicy,
+) -> Tuple[List[bool], KernelShape]:
+    """Per store of ``shape``: embed it?  Asked of the policy on one of
+    its kernels' slices.  Also the shape its kernels then run as: stores
+    that are embedded, or already carry ASSOC-ADDR, carry it."""
+    flags = [
+        outcome.rejection is None
+        and bool(policy.accept(_bind_slice(outcome, kernel, j)))
+        for j, outcome in enumerate(slicing)
+    ]
+    return flags, shape.with_assoc([
+        flag or shape.key[pos][2]
+        for flag, pos in zip(flags, shape.store_positions)
+    ])
 
 
 def compile_program(
@@ -165,58 +185,40 @@ def compile_program(
         policy = ThresholdPolicy()
 
     table = SliceTable()
-    embedded_sites: set[int] = set()
     loop_carried = trivial = sliceable = 0
-
-    for kernel in program.kernels:
-        for outcome in _slicing(kernel):
-            if outcome.rejection is SliceRejection.LOOP_CARRIED:
-                loop_carried += 1
-                continue
-            if outcome.rejection is SliceRejection.TRIVIAL:
-                trivial += 1
-                continue
-            sliceable += 1
-            sl = Slice(
-                site=kernel.body[outcome.store_index].site,
-                instructions=tuple(
-                    kernel.body[i] for i in outcome.body_indices
-                ),
-                frontier=outcome.frontier,
-                result_reg=outcome.result_reg,
-            )
-            if policy.accept(sl):
-                table.add(sl)
-                embedded_sites.add(sl.site)
-
+    #: shape -> (per store: embed it?, the shape its kernels run as).
+    decisions: Dict[KernelShape, Tuple[List[bool], KernelShape]] = {}
     new_kernels: List[Kernel] = []
     for kernel in program.kernels:
-        body: List[Instruction] = []
-        changed = False
-        for ins in kernel.body:
-            if isinstance(ins, StoreInstr) and ins.site in embedded_sites:
-                ins = StoreInstr(ins.src, ins.pattern, ins.site, True)
-                changed = True
-            body.append(ins)
-        # A kernel with no embedded store is shared with the input
-        # program (kernels are immutable by contract).
-        new_kernels.append(
-            Kernel(
-                kernel.name, body, kernel.trip_count, kernel.phase,
-                kernel.ghost_alu,
+        shape = kernel.shape
+        slicing = shape.prepared("slicing", _slice_shape)
+        decided = decisions.get(shape)
+        if decided is None:
+            decided = decisions[shape] = _decide(shape, slicing, kernel, policy)
+        flags, variant = decided
+        for j, (outcome, flag) in enumerate(zip(slicing, flags)):
+            if outcome.rejection is SliceRejection.LOOP_CARRIED:
+                loop_carried += 1
+            elif outcome.rejection is SliceRejection.TRIVIAL:
+                trivial += 1
+            else:
+                sliceable += 1
+            if flag:
+                table.add(_bind_slice(outcome, kernel, j))
+        if variant is not shape:
+            kernel = Kernel.bind(
+                variant, kernel.params, kernel.name, kernel.trip_count,
+                kernel.phase, kernel.ghost_alu, kernel.site_base,
             )
-            if changed
-            else kernel
-        )
+        new_kernels.append(kernel)
 
+    # Kernels keep their site ids, so the program numbers sites alike.
     rewritten = Program(new_kernels, program.thread_id)
-    # The rewrite preserves store order, so site ids are stable.
-    assert rewritten.num_sites == program.num_sites
 
     stats = CompileStats(
         sites_total=program.num_sites,
         sites_sliceable=sliceable,
-        sites_embedded=len(embedded_sites),
+        sites_embedded=len(table),
         sites_loop_carried=loop_carried,
         sites_trivial=trivial,
         embedded_bytes=table.encoded_bytes,

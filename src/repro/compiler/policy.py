@@ -22,7 +22,13 @@ DEFAULT_SLICE_THRESHOLD = 10
 
 
 class SelectionPolicy(Protocol):
-    """Decides whether an extracted slice gets embedded into the binary."""
+    """Decides whether an extracted slice gets embedded into the binary.
+
+    ``accept`` must depend only on the slice's structure (its length and
+    frontier), which every kernel of one shape shares:
+    :func:`~repro.compiler.embed.compile_program` asks once per store of
+    each shape and applies the answer to all of the shape's kernels.
+    """
 
     def accept(self, sl: Slice) -> bool:
         """True to embed ``sl``."""

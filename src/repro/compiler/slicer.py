@@ -17,7 +17,7 @@ from typing import List, Optional, Set
 from repro.compiler.ddg import DataDependenceGraph
 from repro.compiler.slices import Slice
 from repro.isa.instructions import AluInstr, LoadInstr, MoviInstr, StoreInstr
-from repro.isa.program import Kernel
+from repro.isa.program import Kernel, KernelShape
 
 __all__ = ["SliceRejection", "SliceExtraction", "extract_slice"]
 
@@ -47,7 +47,7 @@ class SliceExtraction:
 
 
 def extract_slice(
-    kernel: Kernel,
+    kernel: Kernel | KernelShape,
     store_index: int,
     ddg: Optional[DataDependenceGraph] = None,
 ) -> SliceExtraction:

@@ -5,11 +5,17 @@ and appends instructions.  :func:`chain_kernel` is the workhorse used by the
 workload generators — it emits a loop whose store value is produced by an
 ALU chain of a *chosen depth*, which is exactly the knob that controls the
 extracted Slice length, and hence a benchmark's recomputability profile.
+
+A chain's structure depends only on its input count, depth, flavour and
+store count: :func:`chain_shape` assembles it once, and
+:func:`chain_kernel` binds each kernel's salt and address patterns as
+parameters without building instructions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import (
     AddressPattern,
@@ -19,27 +25,21 @@ from repro.isa.instructions import (
     MoviInstr,
     StoreInstr,
 )
-from repro.isa.interpreter import share_lowering
-from repro.isa.opcodes import Opcode
-from repro.isa.program import Kernel
-from repro.util.validation import check_non_negative, check_positive
+from repro.isa.opcodes import MASK64, Opcode
+from repro.isa.program import Kernel, KernelShape
+from repro.util.validation import check_non_negative
 
-__all__ = ["KernelBuilder", "chain_kernel"]
+__all__ = ["KernelBuilder", "chain_immediates", "chain_kernel", "chain_shape"]
 
 #: Opcode rotation used for synthetic chains. MUL appears to make values
 #: order-sensitive; SUB/XOR keep them from saturating.
 _CHAIN_OPS = (Opcode.ADD, Opcode.XOR, Opcode.MUL, Opcode.SUB, Opcode.ADD, Opcode.XOR)
 
-#: (inputs, chain_depth, salt, accumulate, copy_store) -> interned chain
-#: body and value register.  Bounded by the number of distinct chain
-#: shapes a process builds (a workload has one per thread and site).
-_CHAINS: Dict[tuple, Tuple[Tuple[Instruction, ...], int]] = {}
+#: Multiplier mixing a chain's salt into its second immediate.
+_SALT_MIX = 0x9E3779B97F4A7C15
 
-#: Chain instruction -> its one shared object.  Chains that differ only
-#: in their salt MOVI hold the same ALU instructions; interning them by
-#: value leaves one object per distinct instruction for every kernel,
-#: compile and plan to share.  Bounded like ``_CHAINS``.
-_INSTRS: Dict[Instruction, Instruction] = {}
+#: Address pattern of a template body (parameters replace it).
+_PLACEHOLDER = AddressPattern(0, 0, 1)
 
 
 class KernelBuilder:
@@ -127,60 +127,60 @@ def chain_kernel(
         Additional stores of the same chain value (model multi-output
         kernels without growing register pressure).
     """
+    stores = [store_pattern, *(extra_stores or ())]
+    shape = chain_shape(
+        len(input_patterns), chain_depth, accumulate, copy_store, len(stores)
+    )
+    params: List[int] = []
+    for p in input_patterns:
+        params += (p.base, p.stride, p.length, p.offset)
+    params += chain_immediates(
+        salt, bool(input_patterns), chain_depth, copy_store
+    )
+    for p in stores:
+        params += (p.base, p.stride, p.length, p.offset)
+    return Kernel.bind(
+        shape, tuple(params), name, trip_count, phase, ghost_alu
+    )
+
+
+def chain_immediates(
+    salt: int, has_inputs: bool, chain_depth: int, copy_store: bool
+) -> Tuple[int, ...]:
+    """The MOVI immediates of a chain, in body order."""
+    if copy_store:
+        return ()
+    imms: Tuple[int, ...] = () if has_inputs else (salt & MASK64,)
+    if chain_depth > 0:
+        imms += ((salt * _SALT_MIX) & MASK64,)
+    return imms
+
+
+@lru_cache(maxsize=None)
+def chain_shape(
+    n_inputs: int,
+    chain_depth: int,
+    accumulate: bool,
+    copy_store: bool,
+    n_stores: int,
+) -> KernelShape:
+    """The shape of a chain kernel: ``n_inputs`` loads (registers
+    ``0..n_inputs-1``), the MOVI/ALU chain, then ``n_stores`` stores of
+    its value."""
     check_non_negative("chain_depth", chain_depth)
-    check_positive("trip_count", trip_count)
-    if copy_store and not input_patterns:
+    if copy_store and not n_inputs:
         raise ValueError("copy_store requires at least one input pattern")
     if accumulate and copy_store:
         raise ValueError("accumulate and copy_store are mutually exclusive")
-
-    chain, value = _chain(
-        len(input_patterns), chain_depth, salt, accumulate, copy_store
-    )
-    # The loads take registers 0..n-1, as KernelBuilder.load allocates them.
-    body: List[Instruction] = [
-        LoadInstr(reg, pattern) for reg, pattern in enumerate(input_patterns)
-    ]
-    body.extend(chain)
-    body.append(StoreInstr(value, store_pattern))
-    for extra in extra_stores or ():
-        body.append(StoreInstr(value, extra))
-    return Kernel(name, body, trip_count, phase, ghost_alu)
-
-
-def _chain(
-    n_inputs: int,
-    chain_depth: int,
-    salt: int,
-    accumulate: bool,
-    copy_store: bool,
-) -> Tuple[Tuple[Instruction, ...], int]:
-    """The interned MOVI/ALU chain of one shape and its value register.
-
-    The chain reads the input registers ``0..n_inputs-1`` and depends on
-    nothing else, so every kernel of one shape (each rep of a workload
-    site) shares the same frozen instruction objects, and equal
-    instructions of different chains are one object too.
-    """
-    key = (n_inputs, chain_depth, salt, accumulate, copy_store)
-    hit = _CHAINS.get(key)
-    if hit is not None:
-        return hit
     builder = KernelBuilder("chain")
-    inputs = [builder.fresh_reg() for _ in range(n_inputs)]
-
+    inputs = [builder.load(_PLACEHOLDER) for _ in range(n_inputs)]
     if copy_store:
         value = inputs[0]
     else:
-        if inputs:
-            value = inputs[0]
-            depth_left = chain_depth
-        else:
-            value = builder.movi(salt & ((1 << 64) - 1))
-            depth_left = chain_depth
-        if depth_left > 0:
-            salt_reg = builder.movi((salt * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
-            for step in range(depth_left):
+        value = inputs[0] if inputs else builder.movi(0)
+        if chain_depth > 0:
+            salt_reg = builder.movi(0)
+            for step in range(chain_depth):
                 op = _CHAIN_OPS[step % len(_CHAIN_OPS)]
                 operand = (
                     inputs[step % len(inputs)] if len(inputs) > 1 and step % 2 else salt_reg
@@ -191,8 +191,6 @@ def _chain(
             # it is live-in, i.e. loop-carried, so the slice is unbounded.
             acc = builder.fresh_reg()
             value = builder.alu_into(Opcode.ADD, acc, acc, value)
-
-    chain = (tuple(_INSTRS.setdefault(ins, ins) for ins in builder._body), value)
-    share_lowering(chain[0])
-    _CHAINS[key] = chain
-    return chain
+    for _ in range(n_stores):
+        builder.store(value, _PLACEHOLDER)
+    return builder.build(1).shape

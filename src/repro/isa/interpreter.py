@@ -9,16 +9,18 @@ recomputation-correctness testing) independent from any particular
 microarchitecture.
 
 The interpreter supports chunked execution (`step_iterations`) so the
-simulator can pause threads at checkpoint-interval boundaries.
+simulator can pause threads at checkpoint-interval boundaries.  It runs
+each kernel from dispatch ops that :func:`kernel_ops` binds once per
+kernel: the kernel's parameters and site ids go into its shape's lowered
+template, which is built once per shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa.instructions import AluInstr, Instruction, LoadInstr, MoviInstr
-from repro.isa.opcodes import BINARY_SEMANTICS, MASK64
+from repro.isa.opcodes import MASK64
 from repro.isa.program import Program
 
 __all__ = [
@@ -28,79 +30,32 @@ __all__ = [
     "LoadEvent",
     "ExecChunk",
     "kernel_ops",
-    "share_lowering",
 ]
 
 _INIT_MIX = 0x9E3779B97F4A7C15
-
-#: ids of the instructions :func:`share_lowering` registered: the
-#: interned chain bodies of :func:`repro.isa.builder.chain_kernel`, which
-#: its chain memo keeps alive.  Bounded by that memo.
-_SHARED: Set[int] = set()
-
-#: id(instruction) -> (instruction, op, register width) for each
-#: registered instruction :func:`kernel_ops` has lowered.  Each entry
-#: holds its instruction alive, so its id cannot be recycled while the
-#: entry exists; the ``is`` check in :func:`kernel_ops` keeps it that way.
-_SHARED_OPS: Dict[int, Tuple[Instruction, tuple, int]] = {}
-
-
-def _lower(ins: Instruction) -> Tuple[tuple, int]:
-    """One instruction's dispatch op and the highest register it names.
-
-    Each op is a tuple with a small integer tag; the hot loop then avoids
-    isinstance checks, dataclass attribute lookups and per-access
-    ``AddressPattern.address`` calls.
-    """
-    if isinstance(ins, AluInstr):
-        return (
-            (1, BINARY_SEMANTICS[ins.op], ins.dst, ins.src_a, ins.src_b),
-            max(ins.dst, ins.src_a, ins.src_b),
-        )
-    if isinstance(ins, MoviInstr):
-        return (0, ins.dst, ins.imm & MASK64), ins.dst
-    p = ins.pattern
-    if isinstance(ins, LoadInstr):
-        return (2, ins.dst, p.base, p.stride, p.length, p.offset), ins.dst
-    return (
-        (3, ins.src, p.base, p.stride, p.length, p.offset, ins.site, ins.assoc),
-        ins.src,
-    )
-
-
-def share_lowering(instructions: Iterable[Instruction]) -> None:
-    """Have :func:`kernel_ops` lower these interned instructions once for
-    every kernel that holds them."""
-    _SHARED.update(map(id, instructions))
 
 
 def kernel_ops(program: Program, kernel_index: int) -> Tuple[int, List[tuple]]:
     """The ``(width, ops)`` dispatch form of one kernel of ``program``.
 
-    The single instruction lowering both engines use, cached per kernel
-    in ``program.op_cache``: whichever engine touches a kernel first pays
-    for it once.  Interned instructions reuse their shared op.
+    Each op is a tuple with a small integer tag; the hot loop then avoids
+    isinstance checks, dataclass attribute lookups and per-access
+    ``AddressPattern.address`` calls.  The single instruction lowering
+    both engines use: the kernel's shape holds the lowered template (its
+    ALU ops are shared by every kernel of the shape) and this binds the
+    kernel's parameters and site ids into it, cached per kernel in
+    ``program.op_cache`` so whichever engine touches a kernel first pays
+    for it once.
     """
     cached = program.op_cache.get(kernel_index)
-    if cached is not None:
-        return cached
-    shared = _SHARED_OPS
-    width = 0
-    ops: List[tuple] = []
-    for ins in program.kernels[kernel_index].body:
-        key = id(ins)
-        hit = shared.get(key)
-        if hit is not None and hit[0] is ins:
-            op, reg = hit[1], hit[2]
-        else:
-            op, reg = _lower(ins)
-            if key in _SHARED:
-                shared[key] = (ins, op, reg)
-        ops.append(op)
-        if reg > width:
-            width = reg
-    program.op_cache[kernel_index] = (width, ops)
-    return width, ops
+    if cached is None:
+        kernel = program.kernels[kernel_index]
+        shape = kernel.shape
+        cached = program.op_cache[kernel_index] = (
+            shape.width,
+            shape.ops(kernel.params, kernel.site_base),
+        )
+    return cached
 
 
 @dataclass(frozen=True, slots=True)

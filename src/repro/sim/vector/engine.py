@@ -54,7 +54,6 @@ from weakref import WeakKeyDictionary
 
 from repro.arch.buffers import AddrMapEntry
 from repro.ckpt.log import LogRecord, OmittedRecord
-from repro.isa.instructions import StoreInstr
 from repro.isa.interpreter import ExecChunk
 from repro.isa.opcodes import MASK64
 from repro.sim.vector.plans import plans_for
@@ -69,17 +68,6 @@ _INIT_MIX = 0x9E3779B97F4A7C15
 #: slice table (hence the Slice objects the handler serves) is part of
 #: it, so the metadata is stable for the program's lifetime.
 _COVERED_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
-
-#: Executed program -> {kernel index -> ASSOC-ADDR executions per iter}.
-_ASSOC_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
-
-
-def _shared_meta(cache: "WeakKeyDictionary", program) -> Dict[int, object]:
-    per_program = cache.get(program)
-    if per_program is None:
-        per_program = {}
-        cache[program] = per_program
-    return per_program
 
 
 class VectorCoreRunner:
@@ -101,13 +89,12 @@ class VectorCoreRunner:
         # trip counts are untouched), so the address/value/row streams
         # are identical and one plan set serves both the baseline and
         # every ACR configuration of a workload.  Only the ASSOC-ADDR
-        # instruction count differs; it comes from the executed program's
-        # own store flags (`_assoc_count`).
+        # instruction count differs; it comes from the executed kernel's
+        # shape.
         self.plans = plans_for(
             run.sim.programs[core], run.options.memory_seed, run.config.line_bytes
         )
-        self._assoc_counts = _shared_meta(_ASSOC_CACHE, self.program)
-        self._covered_meta = _shared_meta(_COVERED_CACHE, self.program)
+        self._covered_meta = _COVERED_CACHE.setdefault(self.program, {})
         #: Coverage accounting: iterations replayed from plans vs handed
         #: to the classic interpreter, the latter keyed by denial rule.
         self.replayed_iterations = 0
@@ -180,7 +167,6 @@ class VectorCoreRunner:
         kernels = self.program.kernels
         n_kernels = len(kernels)
         plan_for = self.plans.plan
-        assoc_counts = self._assoc_counts
         covered_meta = self._covered_meta
         mech = run.mech
         handler = mech.handler
@@ -499,13 +485,9 @@ class VectorCoreRunner:
             alu += budget * (plan.alu_per_iter + kernel.ghost_alu)
             loads += budget * plan.loads_per_iter
             stores += budget * spi
-            if handler is None:
-                assoc += budget * plan.assoc_per_iter
-            else:
-                ac = assoc_counts.get(k)
-                if ac is None:
-                    ac = self._assoc_count(k)
-                assoc += budget * ac
+            # The executed kernel's own count: the plan's kernel is the
+            # plain one, whose stores carry no ASSOC-ADDR.
+            assoc += budget * kernel.shape.assoc_count
             self._i = i1
             iterations += budget
             self.replayed_iterations += budget
@@ -534,18 +516,3 @@ class VectorCoreRunner:
         run._pending_useful[core] = pend_u
         run._pending_overhead[core] = pend_o
         return ExecChunk(iterations, alu, loads, stores, assoc)
-
-    def _assoc_count(self, k: int) -> int:
-        """ASSOC-ADDR executions per iteration of kernel ``k``.
-
-        Counted from the *executed* program's store flags (exact by
-        construction: the ACR compiler bakes ``assoc=True`` into exactly
-        the embedded-site stores).  The donor plan's count would be zero
-        for ACR-compiled programs, hence this side table.
-        """
-        count = 0
-        for ins in self.program.kernels[k].body:
-            if type(ins) is StoreInstr and ins.assoc:
-                count += 1
-        self._assoc_counts[k] = count
-        return count

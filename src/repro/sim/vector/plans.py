@@ -14,18 +14,16 @@ runs, configurations and engines.
 
 Address streams and large-trip straight-line bodies are evaluated as
 batched numpy operations (``uint64`` arithmetic wraps mod 2**64, matching
-the ISA's masked semantics); small or irregular bodies go through a
-*shape-keyed generated evaluator*: the body's structure (opcode/register
-sequence, with immediates and access patterns externalised as
-parameters) keys a cache of ``exec``-compiled specialised functions, so
-the thousands of same-shape kernels a workload generator emits share one
-evaluator with inlined ALU expressions and register locals.  The
-generated code handles every case the interpreter does (in-kernel
-aliasing through a store-forwarding overlay, loop-carried accumulators,
-partially-defined registers).  First-touch reductions over the store stream
-(:meth:`KernelPlan.first_store_occurrence`) expose, per store access,
-whether it is the kernel-locally first write to its address — the
-semantics the AddrMap/first-write unit tests pin.
+the ISA's masked semantics); small or irregular bodies go through their
+shape's *generated evaluator*: each
+:class:`~repro.isa.program.KernelShape` holds (built once per shape) an
+``exec``-compiled function of the kernel's ``params``, with inlined ALU
+expressions and register locals, and the counts, width, store flags and
+register stability every plan of the shape shares, so the thousands of
+same-shape kernels a workload generator emits each only bind their
+parameters.  The generated code handles every case the
+interpreter does (in-kernel aliasing through a store-forwarding overlay,
+loop-carried accumulators, partially-defined registers).
 """
 
 from __future__ import annotations
@@ -50,10 +48,9 @@ try:  # numpy accelerates large-trip plan evaluation; plans work without it
 except ImportError:  # pragma: no cover - numpy-less installs
     np = None  # type: ignore[assignment]
 
-from repro.isa.instructions import AluInstr, LoadInstr, MoviInstr
 from repro.isa.interpreter import kernel_ops
 from repro.isa.opcodes import MASK64, BINARY_SEMANTICS, Opcode
-from repro.isa.program import Kernel, Program
+from repro.isa.program import Kernel, KernelShape, Program
 
 __all__ = ["KernelPlan", "ProgramPlans", "plans_for"]
 
@@ -106,7 +103,7 @@ class KernelPlan:
 
     ``addrs``/``lines`` hold all memory accesses iteration-major (body
     order within an iteration); ``svalues`` holds the store stream's new
-    values, aligned with the stores of ``tmpl`` in the same order.  Every
+    values, aligned with the store accesses of ``store_flags``.  Every
     stream, and every register row, is a tuple of ints: plans live as
     long as their program, and CPython's collector untracks such tuples
     instead of rescanning them on every collection.
@@ -114,12 +111,10 @@ class KernelPlan:
 
     __slots__ = (
         "kernel",
-        "tmpl",
         "accesses_per_iter",
         "stores_per_iter",
         "alu_per_iter",
         "loads_per_iter",
-        "assoc_per_iter",
         "trip",
         "width",
         "addrs",
@@ -130,7 +125,6 @@ class KernelPlan:
         "store_sites",
         "overlap",
         "regs_stable",
-        "has_assoc",
         "_rows",
         "_cols",
         "_acc_rows",
@@ -138,31 +132,35 @@ class KernelPlan:
 
     def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        #: Per body access: (is_store, site, assoc) — static per position.
-        self.tmpl: Tuple[Tuple[bool, int, bool], ...] = ()
-        self.accesses_per_iter = 0
-        self.stores_per_iter = 0
-        self.alu_per_iter = 0
-        self.loads_per_iter = 0
-        self.assoc_per_iter = 0
+        shape = kernel.shape
+        self.accesses_per_iter = len(shape.store_flags)
+        self.stores_per_iter = shape.store_count
+        self.alu_per_iter = shape.alu_count
+        self.loads_per_iter = shape.load_count
+        self.width = shape.width
+        #: Per body access: is it a store?
+        self.store_flags = shape.store_flags
+        #: A handler observing a store's register file via the
+        #: end-of-iteration rows needs no register definition after the
+        #: first store of the body.
+        self.regs_stable = shape.regs_stable
         self.trip = kernel.trip_count
-        self.width = 0
+        #: Per body *store* (in order): its site id.
+        base = kernel.site_base
+        self.store_sites: Tuple[int, ...] = (
+            tuple(range(base, base + self.stores_per_iter))
+            if base >= 0
+            else (-1,) * self.stores_per_iter
+        )
         self.addrs: Tuple[int, ...] = ()
         self.lines: Tuple[int, ...] = ()
         self.svalues: Tuple[int, ...] = ()
         self.external_loads: FrozenSet[int] = frozenset()
-        #: Per body access: is it a store?  (The replay loop iterates
-        #: this flat tuple instead of indexing ``tmpl``.)
-        self.store_flags: Tuple[bool, ...] = ()
-        #: Per body *store* (in order): its site id.
-        self.store_sites: Tuple[int, ...] = ()
         #: The kernel both loads and stores some address.  Plan values are
         #: still exact against untouched memory, but a mid-kernel memory
         #: mutation (fault injection between segments) could be masked by
         #: the baked forwarding — such kernels always run interpreted.
         self.overlap = False
-        self.regs_stable = True
-        self.has_assoc = False
         self._rows: Optional[Tuple[Tuple[int, ...], ...]] = None
         #: numpy-evaluated plans: register -> 1-d column or 0-d constant.
         self._cols: Optional[Dict[int, Any]] = None
@@ -222,116 +220,6 @@ class KernelPlan:
             cached = self._acc_rows = tuple(out)
         return cached
 
-    # -- first-touch reductions ----------------------------------------------
-    def first_store_occurrence(self) -> List[bool]:
-        """Per store access (kernel order): first write to its address?
-
-        A first-touch reduction over the store stream: entry ``j`` is
-        True iff store ``j`` is the kernel's first store to that
-        address.  Interval-level first-write accounting composes this
-        with the directory's log bits (an address already handled earlier
-        in the interval is never "first" again until the boundary).
-        """
-        if not self.svalues:
-            return []
-        seen: set = set()
-        out: List[bool] = []
-        api = self.accesses_per_iter
-        for i in range(self.trip):
-            base = i * api
-            for off, (is_store, _, _) in enumerate(self.tmpl):
-                if is_store:
-                    addr = self.addrs[base + off]
-                    out.append(addr not in seen)
-                    seen.add(addr)
-        return out
-
-
-def _kernel_shape(
-    kernel: Kernel,
-) -> Tuple[
-    int,
-    tuple,
-    Tuple[int, ...],
-    Tuple[Tuple[bool, int, bool], ...],
-    int,
-    int,
-    int,
-    int,
-    bool,
-]:
-    """One pass over the body: codegen shape key, parameters, template.
-
-    The *shape key* captures everything structural about the body — the
-    tagged opcode/register sequence — while immediates and access-pattern
-    constants become positional ``params``.  Two kernels with equal keys
-    evaluate through the same generated function.
-    """
-    width = 0
-    alu = loads = stores = assoc = 0
-    key: List[tuple] = []
-    params: List[int] = []
-    tmpl: List[Tuple[bool, int, bool]] = []
-    seen_store = False
-    stable = True
-    for ins in kernel.body:
-        t = type(ins)
-        if t is AluInstr:
-            d, a, b = ins.dst, ins.src_a, ins.src_b
-            if d > width:
-                width = d
-            if a > width:
-                width = a
-            if b > width:
-                width = b
-            key.append((1, ins.op, d, a, b))
-            alu += 1
-            if seen_store:
-                stable = False
-        elif t is MoviInstr:
-            d = ins.dst
-            if d > width:
-                width = d
-            key.append((0, d))
-            params.append(ins.imm & MASK64)
-            alu += 1
-            if seen_store:
-                stable = False
-        elif t is LoadInstr:
-            d = ins.dst
-            if d > width:
-                width = d
-            p = ins.pattern
-            key.append((2, d))
-            params.extend((p.base, p.stride, p.length, p.offset))
-            tmpl.append((False, -1, False))
-            loads += 1
-            if seen_store:
-                stable = False
-        else:  # StoreInstr
-            s = ins.src
-            if s > width:
-                width = s
-            p = ins.pattern
-            key.append((3, s))
-            params.extend((p.base, p.stride, p.length, p.offset))
-            tmpl.append((True, ins.site, ins.assoc))
-            stores += 1
-            if ins.assoc:
-                assoc += 1
-            seen_store = True
-    return (
-        width,
-        (width, *key),
-        tuple(params),
-        tuple(tmpl),
-        alu,
-        loads,
-        stores,
-        assoc,
-        stable,
-    )
-
 
 _MASK_LIT = "0xFFFFFFFFFFFFFFFF"
 _MIX_LIT = "0x9E3779B97F4A7C15"
@@ -348,32 +236,29 @@ _ALU_EXPR = {
     Opcode.SHR: "r{a} >> (r{b} & 63)",
 }
 
-#: Shape key -> compiled evaluator.  Global: parameters are externalised,
-#: so one function serves every same-shape kernel in every program.
-_EVAL_CACHE: Dict[tuple, Callable[..., tuple]] = {}
 
-
-def _generate_evaluator(key: tuple) -> Callable[..., tuple]:
-    """``exec``-compile the specialised evaluator for one shape key.
+def _generate_evaluator(shape: KernelShape) -> Callable[..., tuple]:
+    """``exec``-compile the specialised evaluator of one shape.
 
     The function signature is ``f(trip, P, seed) -> (addrs, svalues,
     rows, external, load_set, overlay)`` with ``None`` for streams the
     shape cannot produce; rows are tuples (consumers only read/copy
-    them).
+    them).  ``P`` is a kernel's ``params``.
     """
-    width = key[0]
-    body_keys = key[1:]
-    has_load = any(k[0] == 2 for k in body_keys)
-    has_store = any(k[0] == 3 for k in body_keys)
+    width = shape.width
+    body_keys = shape.key
+    has_load = shape.load_count > 0
+    has_store = shape.store_count > 0
     forward = has_load and has_store
-    nparams = sum(
-        1 if k[0] == 0 else 4 if k[0] in (2, 3) else 0 for k in body_keys
-    )
+    nparams = shape.n_params
 
     lines: List[str] = ["def _eval(trip, P, seed):"]
     w = lines.append
     if nparams:
         w(f"    ({', '.join(f'p{i}' for i in range(nparams))},) = P")
+    for part, p in zip(body_keys, shape.param_offsets):
+        if part[0] == 0:
+            w(f"    p{p} &= {_MASK_LIT}")
     w("    A = []; Aa = A.append")
     if has_store:
         w("    S = []; Sa = S.append")
@@ -388,7 +273,7 @@ def _generate_evaluator(key: tuple) -> Callable[..., tuple]:
     p = 0
     for part in body_keys:
         tag = part[0]
-        if tag == 0:  # MOVI (immediate pre-masked in params)
+        if tag == 0:  # MOVI (immediate masked above)
             w(f"        r{part[1]} = p{p}")
             p += 1
         elif tag == 1:  # ALU
@@ -440,18 +325,14 @@ def _generate_evaluator(key: tuple) -> Callable[..., tuple]:
 
 def _run_codegen(
     plan: KernelPlan,
-    key: tuple,
+    evaluator: Callable[..., tuple],
     params: tuple,
     trip: int,
     seed: int,
     line_bytes: int,
 ) -> None:
     """Evaluate the kernel through its shape's generated function."""
-    fn = _EVAL_CACHE.get(key)
-    if fn is None:
-        fn = _generate_evaluator(key)
-        _EVAL_CACHE[key] = fn
-    addrs, svalues, rows, external, load_set, overlay = fn(
+    addrs, svalues, rows, external, load_set, overlay = evaluator(
         trip, params, seed & MASK64
     )
     plan.addrs = tuple(addrs)
@@ -475,42 +356,18 @@ def _build_plan(
 
     Large trips go through the batched numpy evaluator (address/value
     columns); everything else — small trips and numpy-ineligible bodies —
-    through the generated scalar evaluator.  ``program`` enables the
-    numpy path's op-cache reuse and may be omitted in tests.
+    through the shape's generated scalar evaluator, fed the kernel's
+    ``params``.  ``program`` enables the numpy path's op-cache reuse and
+    may be omitted in tests.
     """
     plan = KernelPlan(kernel)
-    (
-        width,
-        key,
-        params,
-        tmpl,
-        alu,
-        loads,
-        stores,
-        assoc,
-        stable,
-    ) = _kernel_shape(kernel)
-    plan.width = width
-    plan.tmpl = tmpl
-    plan.accesses_per_iter = loads + stores
-    plan.stores_per_iter = stores
-    plan.loads_per_iter = loads
-    plan.alu_per_iter = alu
-    plan.assoc_per_iter = assoc
-    plan.has_assoc = assoc > 0
-    plan.store_flags = tuple(t[0] for t in tmpl)
-    plan.store_sites = tuple(t[1] for t in tmpl if t[0])
-    # Register stability: a handler observing a store's register file via
-    # the end-of-iteration rows needs no register definition after the
-    # first store of the body.
-    plan.regs_stable = stable
-
     trip = kernel.trip_count
     if np is not None and trip >= NUMPY_MIN_TRIP and program is not None:
         _, ops = kernel_ops(program, kernel_index)
         if _try_build_numpy(plan, ops, trip, seed, line_bytes):
             return plan
-    _run_codegen(plan, key, params, trip, seed, line_bytes)
+    evaluator = kernel.shape.prepared("evaluator", _generate_evaluator)
+    _run_codegen(plan, evaluator, kernel.params, trip, seed, line_bytes)
     return plan
 
 
@@ -636,64 +493,6 @@ def _try_build_numpy(
         )
     plan._cols = cols
     return True
-
-
-def _build_scalar(
-    plan: KernelPlan,
-    ops: Sequence[tuple],
-    width: int,
-    trip: int,
-    seed: int,
-    line_bytes: int,
-) -> None:
-    """Reference evaluation: one scalar pass, no observers, no events.
-
-    Handles every body shape — in-kernel store-to-load forwarding through
-    an overlay, loop-carried registers (the file persists across
-    iterations, as in the interpreter), partially-defined registers.
-
-    Not on the production path (the generated evaluators are); kept as
-    the oracle the codegen unit tests pin shapes against.
-    """
-    regs = [0] * (width + 1)
-    rows: List[Tuple[int, ...]] = []
-    addrs: List[int] = []
-    svalues: List[int] = []
-    overlay: Dict[int, int] = {}
-    external: set = set()
-    load_addrs: set = set()
-    seed64 = seed & MASK64
-    for i in range(trip):
-        for op in ops:
-            tag = op[0]
-            if tag == 1:
-                regs[op[2]] = op[1](regs[op[3]], regs[op[4]])
-            elif tag == 2:
-                addr = op[2] + ((op[5] + i * op[3]) % op[4]) * 8
-                addrs.append(addr)
-                load_addrs.add(addr)
-                value = overlay.get(addr)
-                if value is None:
-                    external.add(addr)
-                    x = (addr * _INIT_MIX + seed64) & MASK64
-                    x ^= x >> 29
-                    value = (x * _INIT_MIX) & MASK64
-                regs[op[1]] = value
-            elif tag == 3:
-                addr = op[2] + ((op[5] + i * op[3]) % op[4]) * 8
-                addrs.append(addr)
-                value = regs[op[1]]
-                svalues.append(value)
-                overlay[addr] = value
-            else:
-                regs[op[1]] = op[2]
-        rows.append(tuple(regs))
-    plan.addrs = tuple(addrs)
-    plan.lines = tuple([a // line_bytes for a in addrs])
-    plan.svalues = tuple(svalues)
-    plan.external_loads = frozenset(external)
-    plan.overlap = not load_addrs.isdisjoint(overlay)
-    plan._rows = tuple(rows)
 
 
 class ProgramPlans:

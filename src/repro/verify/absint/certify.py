@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.isa.instructions import AluInstr, LoadInstr, MoviInstr, StoreInstr
+from repro.isa.instructions import LoadInstr, StoreInstr
 from repro.isa.program import Kernel, Program
-from repro.verify.absint.shapes import AccessRange, range_of, witness_address
+from repro.verify.absint.shapes import AccessRange, range_of
 
 __all__ = [
     "Denial",
@@ -53,7 +53,6 @@ __all__ = [
     "ProgramSummary",
     "SegmentCertificate",
     "certify_run",
-    "registers_renewed",
     "summarize_kernel",
     "summarize_program",
 ]
@@ -126,75 +125,21 @@ class SegmentCertificate:
         return self.denials[0].rule_id if self.denials else None
 
 
-def registers_renewed(kernel: Kernel) -> bool:
-    """Does every iteration of ``kernel`` define its whole register file
-    before reading it?
-
-    True iff no register is read before its same-iteration definition
-    and every register in ``[0, width]`` is defined in the body.  A
-    register that is never written would carry restored (possibly
-    corrupted) contents under classic execution but the plan-row value
-    under replay hand-off — architecturally visible.  Needs the body
-    alone, no footprints.
-    """
-    width = 0
-    defined: set = set()
-    for ins in kernel.body:
-        if isinstance(ins, AluInstr):
-            width = max(width, ins.dst, ins.src_a, ins.src_b)
-            if ins.src_a not in defined or ins.src_b not in defined:
-                return False
-            defined.add(ins.dst)
-        elif isinstance(ins, StoreInstr):
-            width = max(width, ins.src)
-            if ins.src not in defined:
-                return False
-        else:
-            width = max(width, ins.dst)
-            defined.add(ins.dst)
-    return all(r in defined for r in range(width + 1))
-
-
 def summarize_kernel(index: int, kernel: Kernel) -> KernelSummary:
     """Abstractly interpret one kernel body.
 
-    One pass collects the register-file width, each stream's footprint,
-    stability (no definition after the first store — must match the
-    plan builder's ``_kernel_shape`` semantics exactly); renewal comes
-    from :func:`registers_renewed`.
+    Each load's and store's footprint comes from its pattern; the
+    register-file width, stability (no definition after the first store)
+    and renewal are read from the kernel's shape, which the plan builder
+    reads too.
     """
     trip = kernel.trip_count
     loads: List[Tuple[int, AccessRange]] = []
     stores: List[Tuple[int, AccessRange]] = []
-    width = 0
-    seen_store = False
-    regs_stable = True
-    unstable_span: Optional[Tuple[int, int]] = None
-    first_store_idx: Optional[int] = None
     for pos, ins in enumerate(kernel.body):
-        if isinstance(ins, AluInstr):
-            width = max(width, ins.dst, ins.src_a, ins.src_b)
-            if seen_store and regs_stable:
-                regs_stable = False
-                unstable_span = (first_store_idx or 0, pos)
-        elif isinstance(ins, MoviInstr):
-            width = max(width, ins.dst)
-            if seen_store and regs_stable:
-                regs_stable = False
-                unstable_span = (first_store_idx or 0, pos)
-        elif isinstance(ins, LoadInstr):
-            width = max(width, ins.dst)
-            loads.append((pos, range_of(ins.pattern, trip)))
-            if seen_store and regs_stable:
-                regs_stable = False
-                unstable_span = (first_store_idx or 0, pos)
-        else:
-            assert isinstance(ins, StoreInstr)
-            width = max(width, ins.src)
-            stores.append((pos, range_of(ins.pattern, trip)))
-            if not seen_store:
-                seen_store = True
-                first_store_idx = pos
+        if isinstance(ins, (LoadInstr, StoreInstr)):
+            footprints = stores if isinstance(ins, StoreInstr) else loads
+            footprints.append((pos, range_of(ins.pattern, trip)))
     load_addrs = frozenset().union(*(r.addresses for _, r in loads)) \
         if loads else frozenset()
     store_addrs = frozenset().union(*(r.addresses for _, r in stores)) \
@@ -208,20 +153,21 @@ def summarize_kernel(index: int, kernel: Kernel) -> KernelSummary:
             pos for pos, r in stores if not r.addresses.isdisjoint(load_addrs)
         ]
         overlap_span = (min(offending), max(offending))
+    shape = kernel.shape
     return KernelSummary(
         index=index,
         name=kernel.name,
         trip=trip,
-        width=width,
+        width=shape.width,
         loads=tuple(loads),
         stores=tuple(stores),
         load_addrs=load_addrs,
         store_addrs=store_addrs,
         overlap=overlap,
         overlap_span=overlap_span,
-        regs_stable=regs_stable,
-        unstable_span=unstable_span,
-        regs_renewed=registers_renewed(kernel),
+        regs_stable=shape.regs_stable,
+        unstable_span=shape.unstable_span,
+        regs_renewed=shape.renewed,
     )
 
 

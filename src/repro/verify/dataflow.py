@@ -56,18 +56,12 @@ class KernelDataflow:
         self._defs_by_reg: Dict[int, List[int]] = {}
         self._reads: List[Tuple[int, ...]] = []
         self._defs: List[Optional[int]] = []
-        live_in: Set[int] = set()
         for idx, ins in enumerate(kernel.body):
-            reads = _reads_of(ins)
-            self._reads.append(reads)
-            for reg in reads:
-                if reg not in self._defs_by_reg:
-                    live_in.add(reg)
+            self._reads.append(_reads_of(ins))
             reg = _def_of(ins)
             self._defs.append(reg)
             if reg is not None:
                 self._defs_by_reg.setdefault(reg, []).append(idx)
-        self._live_in = frozenset(live_in)
 
     # -- per-instruction facts ----------------------------------------------
     def reads(self, index: int) -> Tuple[int, ...]:
@@ -100,7 +94,7 @@ class KernelDataflow:
     def du_chains(self) -> Dict[int, Tuple[int, ...]]:
         """Map definition index -> body indices whose reads bind to it."""
         chains: Dict[int, List[int]] = {}
-        for idx in range(len(self.kernel.body)):
+        for idx in range(len(self._reads)):
             for reg in self._reads[idx]:
                 d = self.reaching_def(idx, reg)
                 if d is not None:
@@ -110,7 +104,7 @@ class KernelDataflow:
     @property
     def live_in(self) -> FrozenSet[int]:
         """Registers read before any in-iteration definition."""
-        return self._live_in
+        return self.kernel.shape.live_in
 
     # -- slice-oriented helpers ----------------------------------------------
     def closure_of(self, index: int) -> Tuple[Set[int], Set[int]]:
@@ -118,4 +112,4 @@ class KernelDataflow:
         return self.ddg.backward_closure(index)
 
     def __len__(self) -> int:
-        return len(self.kernel.body)
+        return len(self._reads)

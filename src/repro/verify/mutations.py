@@ -216,16 +216,7 @@ def _fresh_register(program: Program) -> int:
     register file — sized ``max register + 1`` — from ballooning when
     the differential oracle replays the mutated program.
     """
-    width = 0
-    for kernel in program.kernels:
-        for ins in kernel.body:
-            if isinstance(ins, AluInstr):
-                width = max(width, ins.dst, ins.src_a, ins.src_b)
-            elif isinstance(ins, StoreInstr):
-                width = max(width, ins.src)
-            else:
-                width = max(width, ins.dst)
-    return width + 1
+    return max(kernel.shape.width for kernel in program.kernels) + 1
 
 
 def _replace_kernel_body(

@@ -352,8 +352,9 @@ def _check_frontier_aliasing(ctx: VerifyContext) -> Iterator[Diagnostic]:
         if loc is None:
             continue  # out-of-range site: ACR003's finding
         k_idx, s_idx = loc
-        kernel = ctx.program.kernels[k_idx]
-        store = kernel.body[s_idx]
+        # Kernels build their body on each access; take it once.
+        body = ctx.program.kernels[k_idx].body
+        store = body[s_idx]
         if not isinstance(store, StoreInstr):
             continue
         df = ctx.dataflow(k_idx)
@@ -365,7 +366,7 @@ def _check_frontier_aliasing(ctx: VerifyContext) -> Iterator[Diagnostic]:
                 i
                 for i in closure
                 if df.def_reg(i) == reg
-                and isinstance(kernel.body[i], LoadInstr)
+                and isinstance(body[i], LoadInstr)
             ]
             if len(closure_loads) > 1:
                 yield _diag(
@@ -387,7 +388,7 @@ def _check_frontier_aliasing(ctx: VerifyContext) -> Iterator[Diagnostic]:
                     where,
                 )
             elif reach not in closure or not isinstance(
-                kernel.body[reach], LoadInstr
+                body[reach], LoadInstr
             ):
                 yield _diag(
                     "ACR007",

@@ -16,9 +16,9 @@ timestep and recomputation correctness is a meaningful check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List
 
-from repro.isa.builder import chain_kernel
+from repro.isa.builder import chain_immediates, chain_kernel, chain_shape
 from repro.isa.instructions import AddressPattern
 from repro.isa.program import Kernel
 from repro.util.rng import derive_seed
@@ -28,7 +28,9 @@ __all__ = [
     "SiteAssignment",
     "assign_sites",
     "site_kernel",
+    "site_sweep",
     "shared_kernel",
+    "shared_sweep",
     "burst_kernels",
 ]
 
@@ -134,35 +136,48 @@ def site_kernel(
     every active word rewritten every ``~1/window_frac`` reps (the
     recomputability engine of the whole workload suite).
     """
+    return site_sweep(spec, assignment, thread)(
+        rep, active_words, window_offset, window_words
+    )
+
+
+def site_sweep(
+    spec: WorkloadSpec, assignment: SiteAssignment, thread: int
+) -> Callable[[int, int, int, int], Kernel]:
+    """``(rep, active_words, window_offset, window_words) -> Kernel``
+    for one site of one thread (see :func:`site_kernel`).
+
+    The site's shape, salt and bases are fixed per (thread, site), so
+    they are derived here once; each rep binds only its patterns.
+    """
     tbase = _thread_base(thread)
     store_base = tbase + assignment.index * _SITE_SLOT_BYTES
     input_base = tbase + _INPUT_AREA_OFFSET + assignment.index * _SITE_SLOT_BYTES
-    words = active_words
-    if assignment.sparse:
-        store = AddressPattern(store_base, 8, words * 8, offset=window_offset * 8)
-    else:
-        store = AddressPattern(store_base, 1, words, offset=window_offset)
-    # The rotating read offset makes loaded (hence stored) values vary.
-    inputs = [
-        AddressPattern(input_base, 1, words, offset=(rep + window_offset) % words)
-    ]
-    salt = derive_seed(spec.seed, f"{spec.name}/t{thread}/s{assignment.index}")
-    name = f"{spec.name}.s{assignment.index}.r{rep}"
-    if assignment.kind == "copy":
-        return chain_kernel(
-            name, store, inputs, 0, window_words, phase=rep, salt=salt,
-            copy_store=True, ghost_alu=spec.ghost_alu,
-        )
-    if assignment.kind == "accum":
-        return chain_kernel(
-            name, store, inputs, 3, window_words, phase=rep, salt=salt,
-            accumulate=True, ghost_alu=spec.ghost_alu,
-        )
+    copy = assignment.kind == "copy"
+    accumulate = assignment.kind == "accum"
     # Slice length = chain depth + 1 (the salt MOVI).
-    return chain_kernel(
-        name, store, inputs, assignment.slice_len - 1, window_words, phase=rep,
-        salt=salt, ghost_alu=spec.ghost_alu,
+    depth = 0 if copy else 3 if accumulate else assignment.slice_len - 1
+    shape = chain_shape(1, depth, accumulate, copy, 1)
+    imms = () if copy else chain_immediates(
+        derive_seed(spec.seed, f"{spec.name}/t{thread}/s{assignment.index}"),
+        True, depth, False,
     )
+    sparse = assignment.sparse
+    prefix = f"{spec.name}.s{assignment.index}.r"
+    ghost = spec.ghost_alu
+    bind = Kernel.bind
+
+    def kernel(rep: int, words: int, offset: int, window: int) -> Kernel:
+        # The rotating read offset makes loaded (hence stored) values vary.
+        store = (
+            (store_base, 8, words * 8, offset * 8)
+            if sparse
+            else (store_base, 1, words, offset)
+        )
+        params = (input_base, 1, words, (rep + offset) % words, *imms, *store)
+        return bind(shape, params, f"{prefix}{rep}", window, rep, ghost)
+
+    return kernel
 
 
 def shared_kernel(
@@ -176,21 +191,23 @@ def shared_kernel(
     slot store is a *copy* store: shared data is never sliceable (the
     paper confines Slices to thread-local data).
     """
+    return shared_sweep(spec, cluster, member)(rep)
+
+
+def shared_sweep(
+    spec: WorkloadSpec, cluster: int, member: int
+) -> Callable[[int], Kernel]:
+    """``rep -> Kernel``: one member's :func:`shared_kernel` per rep,
+    which differ only in name and phase."""
     shared_base = _SHARED_BASE + cluster * _SHARED_SLOT_BYTES
     trips = 8
     read_stride = max(1, spec.shared_words // trips)
-    builder_inputs = [AddressPattern(shared_base, read_stride, spec.shared_words)]
     slot_base = shared_base + (spec.shared_words + member * 8) * 8
-    store = AddressPattern(slot_base, 1, 8)
-    return chain_kernel(
-        f"{spec.name}.shared.r{rep}",
-        store,
-        builder_inputs,
-        0,
-        trips,
-        phase=rep,
-        copy_store=True,
-    )
+    shape = chain_shape(1, 0, False, True, 1)
+    params = (shared_base, read_stride, spec.shared_words, 0, slot_base, 1, 8, 0)
+    prefix = f"{spec.name}.shared.r"
+    bind = Kernel.bind
+    return lambda rep: bind(shape, params, f"{prefix}{rep}", trips, rep)
 
 
 def burst_kernels(
@@ -230,18 +247,19 @@ def burst_kernels(
                 offset=pass_index,
             )
         ]
-        salt = derive_seed(
-            spec.seed, f"{spec.name}/burst{burst_id}/t{thread}/u{sub}/p{pass_index}"
-        )
         name = f"{spec.name}.burst{burst_id}.u{sub}.r{rep}"
         if burst.kind == "copy":
             kernels.append(
                 chain_kernel(
-                    name, store, inputs, 0, sub_words, phase=rep, salt=salt,
+                    name, store, inputs, 0, sub_words, phase=rep,
                     copy_store=True,
                 )
             )
         else:
+            salt = derive_seed(
+                spec.seed,
+                f"{spec.name}/burst{burst_id}/t{thread}/u{sub}/p{pass_index}",
+            )
             if n_sub > 1:
                 length = burst.len_lo + round(
                     sub * (burst.len_hi - burst.len_lo) / (n_sub - 1)

@@ -188,8 +188,8 @@ class WorkloadSpec:
         from repro.workloads.kernels import (
             assign_sites,
             burst_kernels,
-            shared_kernel,
-            site_kernel,
+            shared_sweep,
+            site_sweep,
         )
 
         check_positive("num_cores", num_cores)
@@ -215,6 +215,8 @@ class WorkloadSpec:
             # the core count (max-of-n skew), which is what degrades
             # coordinated-global scalability (§V-D4).
             rng = DeterministicRng(self.seed, f"{self.name}/windows/t{thread}")
+            sweeps = [site_sweep(self, a, thread) for a in assignments]
+            shared = shared_sweep(self, cluster, member)
             offsets = [0] * len(assignments)
             kernels: List[Kernel] = []
             ramp_reps = max(1, int(self.ramp_frac * n_reps))
@@ -256,7 +258,9 @@ class WorkloadSpec:
                     1.0 - math.cos(2.0 * math.pi * rep / wave_period)
                 )
                 active_frac = 1.0 if widen else ramp * wave
-                for assignment in assignments if not skip_sites else ():
+                for assignment, sweep in (
+                    zip(assignments, sweeps) if not skip_sites else ()
+                ):
                     active = max(2, round(assignment.words * active_frac))
                     jitter = 1.0 + self.window_noise * (2.0 * rng.random() - 1.0)
                     if widen:
@@ -267,26 +271,8 @@ class WorkloadSpec:
                             min(active, round(active * self.window_frac * jitter)),
                         )
                     start = offsets[assignment.index] % active
-                    kernels.append(
-                        site_kernel(
-                            self,
-                            assignment,
-                            thread=thread,
-                            rep=rep,
-                            active_words=active,
-                            window_offset=start,
-                            window_words=win_words,
-                        )
-                    )
+                    kernels.append(sweep(rep, active, start, win_words))
                     offsets[assignment.index] = (start + win_words) % active
-                kernels.append(
-                    shared_kernel(
-                        self,
-                        thread=thread,
-                        rep=rep,
-                        cluster=cluster,
-                        member=member,
-                    )
-                )
+                kernels.append(shared(rep))
             programs.append(Program(kernels, thread))
         return programs

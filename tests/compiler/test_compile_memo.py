@@ -1,13 +1,13 @@
 """Shape-keyed compile against a from-scratch reference.
 
-``compile_program`` slices each register-dataflow shape once and rebuilds
-every kernel's Slices from that kernel's own instructions and site ids.
-The reference here is the unmemoized pass: a fresh
-``DataDependenceGraph`` and ``extract_slice`` for every store of every
-kernel.  Both must agree on the Slice table, the statistics and the
-rewritten program, including for kernels that share a shape but differ
-in immediates, opcodes and address patterns, and for programs compiled
-after the memo is warm.
+``compile_program`` slices each kernel shape once and rebuilds every
+kernel's Slices from that kernel's own immediates and site ids.  The
+reference here is the per-kernel pass: a fresh ``DataDependenceGraph``
+and ``extract_slice`` for every store of every kernel.  Both must agree
+on the Slice table, the statistics and the rewritten program, including
+for kernels that share a register-dataflow shape but differ in
+immediates, opcodes and address patterns, and for programs compiled
+after their shapes are already sliced.
 """
 
 from __future__ import annotations
@@ -95,11 +95,6 @@ def _assert_matches_reference(program, policy):
     assert compiled.program.kernels == ref_program.kernels
     assert compiled.program.thread_id == ref_program.thread_id
     assert compiled.program.store_sites == ref_program.store_sites
-    # Each Slice holds its own kernel's instruction objects.
-    for sl in compiled.slices:
-        body = program.site_kernel(sl.site).body
-        for ins in sl.instructions:
-            assert any(ins is other for other in body)
     # A kernel with no embedded store is the input program's object.
     for plain, rewritten in zip(program.kernels, compiled.program.kernels):
         embedded = any(
@@ -157,7 +152,7 @@ class TestShapeKeyedCompile:
     def test_second_program_after_warm_memo(self, kernels, seed):
         policy = ThresholdPolicy(5)
         _assert_matches_reference(Program(kernels, 0), policy)
-        # Every shape of the second program is already memoized.
+        # Every shape of the second program is already sliced.
         variants = [_same_shape_variant(k, seed + 1) for k in kernels]
         _assert_matches_reference(Program(variants[::-1], 2), policy)
 

@@ -1,26 +1,25 @@
-"""Interned chain bodies and the shared instruction lowering.
+"""Shared chain shapes and the shape-bound instruction lowering.
 
-``chain_kernel`` hands every kernel of one chain shape the same frozen
-MOVI/ALU objects, interns chain instructions by value (so chains that
-differ only in their salt MOVI share their ALU objects), and
-``kernel_ops`` lowers those once per process.  These tests pin all of it
+``chain_kernel`` binds every kernel of one chain structure to the same
+interned :class:`~repro.isa.program.KernelShape` (chains that differ
+only in their salt, patterns, trip or phase share it, and with it its
+ALU instruction objects), and ``kernel_ops`` binds each kernel's
+parameters into the shape's lowered template.  These tests pin all of it
 against from-scratch references that live only here: a plain
 ``KernelBuilder`` build and a plain per-instruction lowering.  Compile
-output and trace plans of interned programs must equal those of the
-un-interned build, and plan streams must be tuples of ints equal to the
-scalar oracle's.
+output and trace plans of shape-built programs must equal those of the
+instruction-by-instruction build, and plan streams must be tuples of
+ints equal to the scalar oracle's.
 """
 
 from __future__ import annotations
 
 import gc
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.embed import compile_program
 from repro.compiler.policy import ThresholdPolicy
-from repro.isa import interpreter as interpreter_mod
 from repro.isa.builder import KernelBuilder, chain_kernel
 from repro.isa.instructions import (
     LINE_BYTES,
@@ -28,11 +27,10 @@ from repro.isa.instructions import (
     AluInstr,
     LoadInstr,
     MoviInstr,
-    StoreInstr,
 )
 from repro.isa.interpreter import Interpreter, MemoryImage, kernel_ops
 from repro.isa.opcodes import BINARY_SEMANTICS, MASK64, Opcode
-from repro.isa.program import Kernel, Program
+from repro.isa.program import Program
 from repro.sim.vector.plans import KernelPlan, _build_plan
 from tests.compiler.test_compile_memo import _reference_compile, _table_rows
 from tests.compiler.test_slice_properties import random_kernels
@@ -118,7 +116,8 @@ def chain_args(draw):
 
 
 def _shared(ins):
-    return isinstance(ins, (AluInstr, MoviInstr))
+    """Instructions a shape holds itself (the rest carry parameters)."""
+    return isinstance(ins, AluInstr)
 
 
 class TestChainInterning:
@@ -138,6 +137,7 @@ class TestChainInterning:
                             for i in range(len(args["input_patterns"]))],
         )
         rep1 = chain_kernel("rep1", **moved)
+        assert rep0.shape is rep1.shape
         assert len(rep0.body) == len(rep1.body)
         pairs = list(zip(rep0.body, rep1.body))
         for a, b in pairs:
@@ -166,6 +166,7 @@ class TestChainInterning:
                     chain_depth=4, trip_count=3, salt=77)
         a = Program([chain_kernel("a", **args)]).kernels[0]
         b = Program([chain_kernel("b", **args)]).kernels[0]
+        assert a.shape is b.shape
         alu = [(x, y) for x, y in zip(a.body, b.body) if _shared(x)]
         assert alu and all(x is y for x, y in alu)
 
@@ -193,35 +194,8 @@ class TestSharedLowering:
         for ins, op_a, op_b in zip(p.kernels[0].body, ops_a, ops_b):
             if _shared(ins):
                 assert op_a is op_b
-                assert interpreter_mod._SHARED_OPS[id(ins)][0] is ins
             else:
                 assert op_a is not op_b
-
-    def test_recycled_id_gets_its_own_tuple(self):
-        store = StoreInstr(0, AddressPattern(0, 1, 8))
-
-        def lowered_op(ins):
-            program = Program([Kernel("k", [MoviInstr(0, 5), ins, store], 1)])
-            return kernel_ops(program, 0)[1][1]
-
-        first = AluInstr(Opcode.ADD, 0, 0, 0)
-        assert lowered_op(first)[1] is BINARY_SEMANTICS[Opcode.ADD]
-        freed = id(first)
-        assert freed not in interpreter_mod._SHARED_OPS
-        del first
-        gc.collect()
-        # Allocate until an un-interned instruction lands on the freed id.
-        keep = []
-        for _ in range(10_000):
-            second = AluInstr(Opcode.MUL, 0, 0, 0)
-            if id(second) == freed:
-                break
-            keep.append(second)
-        else:
-            pytest.skip("the allocator never reused the freed id")
-        op = lowered_op(second)
-        assert op[1] is BINARY_SEMANTICS[Opcode.MUL]
-        assert op == _reference_ops(Kernel("k", [second], 1))[1][0]
 
     def test_interpreter_runs_interned_kernels(self):
         args = dict(store_pattern=AddressPattern(0, 1, 16),

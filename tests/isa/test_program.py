@@ -1,9 +1,11 @@
 """Tests for repro.isa.program."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa.builder import KernelBuilder, chain_kernel
-from repro.isa.instructions import AddressPattern, LoadInstr, StoreInstr
+from repro.isa.instructions import AddressPattern, StoreInstr
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Kernel, Program, StoreSite
 
@@ -43,6 +45,43 @@ class TestKernel:
     def test_live_in_registers_simple(self):
         k = simple_kernel()
         assert k.live_in_registers() == set()
+
+    @pytest.mark.parametrize("field", [
+        "name", "shape", "params", "trip_count", "phase", "ghost_alu",
+        "site_base",
+    ])
+    def test_kernel_fields_are_frozen(self, field):
+        k = Program([simple_kernel(), simple_kernel("b")]).kernels[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(k, field, getattr(k, field))
+        assert k.site_base == 1 and k.body[-1].site == 1
+
+    @pytest.mark.parametrize("field", [
+        "key", "body", "width", "regs_stable", "store_count", "slicing",
+        "evaluator",
+    ])
+    def test_shape_fields_are_frozen(self, field):
+        shape = simple_kernel().shape
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(shape, field, None)
+
+    def test_kernels_of_one_structure_share_a_shape(self):
+        a, b = simple_kernel("a", trip=4), simple_kernel("b", trip=9, ghost=3)
+        assert a.shape is b.shape
+        assert Kernel("c", a.body, 2).shape is a.shape
+        assert (a.params, a.body) == (b.params, b.body)
+
+    def test_bound_kernel_round_trips_through_its_body(self):
+        k = Program([simple_kernel(), simple_kernel("b", ghost=2)]).kernels[1]
+        again = Kernel(k.name, k.body, k.trip_count, k.phase, k.ghost_alu)
+        assert again == k
+        assert Kernel.bind(k.shape, k.params, k.name, k.trip_count, k.phase,
+                           k.ghost_alu, k.site_base) == k
+
+    def test_wrong_parameter_count_rejected(self):
+        shape = simple_kernel().shape
+        with pytest.raises(ValueError):
+            Kernel.bind(shape, (1, 2, 3), "short", 1)
 
     def test_live_in_registers_accumulator(self):
         k = chain_kernel(
@@ -127,7 +166,7 @@ class TestProgram:
 
 
 class TestSharedFootprint:
-    """Construction shares what is equal, and changes no value."""
+    """Construction numbers sites and changes no value."""
 
     def _pair(self):
         args = ([AddressPattern(1 << 20, 1, 8)], 2, 4)
@@ -135,15 +174,6 @@ class TestSharedFootprint:
             chain_kernel(name, AddressPattern(0, 1, 8), *args, salt=salt)
             for name, salt in (("a", 1), ("b", 2))
         ]
-
-    def test_equal_loads_and_store_patterns_are_one_object(self):
-        a, b = self._pair()
-        assert a.body[0] is not b.body[0]
-        ka, kb = Program([a, b]).kernels
-        assert isinstance(ka.body[0], LoadInstr)
-        assert ka.body[0] is kb.body[0]
-        assert ka.body[-1].pattern is kb.body[-1].pattern
-        assert (ka.body[-1].site, kb.body[-1].site) == (0, 1)
 
     def test_values_equal_an_unshared_build(self):
         a, b = self._pair()

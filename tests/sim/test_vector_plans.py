@@ -1,7 +1,7 @@
 """Plan evaluator oracle: codegen and numpy paths vs the scalar reference.
 
-``plans._build_scalar`` is the deliberately-simple oracle kept off the
-production path; the shape-keyed generated evaluators and the batched
+``_build_scalar`` here is the deliberately-simple oracle, off the
+production path; the shapes' generated evaluators and the batched
 numpy evaluator must reproduce its every output stream — addresses,
 lines, store values, register rows, external-load sets and the overlap
 bit — for any body shape.  Divergence here would surface as an engine
@@ -11,31 +11,89 @@ mismatch far downstream, so it is pinned at the source.
 from __future__ import annotations
 
 import random
+from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
 from repro.isa.instructions import LINE_BYTES, AddressPattern
 from repro.isa.interpreter import kernel_ops
 from repro.isa.program import Program
+from repro.isa.opcodes import MASK64
 from repro.sim.vector.plans import (
     NUMPY_MIN_TRIP,
     KernelPlan,
     _build_plan,
-    _build_scalar,
-    _kernel_shape,
 )
 from tests.sim.test_engine_equivalence import _random_kernel
 
 SEED = 0
 
 
+_INIT_MIX = 0x9E3779B97F4A7C15
+
+
+def _build_scalar(
+    plan: KernelPlan,
+    ops: Sequence[tuple],
+    width: int,
+    trip: int,
+    seed: int,
+    line_bytes: int,
+) -> None:
+    """Reference evaluation: one scalar pass, no observers, no events.
+
+    Handles every body shape — in-kernel store-to-load forwarding through
+    an overlay, loop-carried registers (the file persists across
+    iterations, as in the interpreter), partially-defined registers.
+    The oracle the plan evaluators are pinned against.
+    """
+    regs = [0] * (width + 1)
+    rows: List[Tuple[int, ...]] = []
+    addrs: List[int] = []
+    svalues: List[int] = []
+    overlay: Dict[int, int] = {}
+    external: set = set()
+    load_addrs: set = set()
+    seed64 = seed & MASK64
+    for i in range(trip):
+        for op in ops:
+            tag = op[0]
+            if tag == 1:
+                regs[op[2]] = op[1](regs[op[3]], regs[op[4]])
+            elif tag == 2:
+                addr = op[2] + ((op[5] + i * op[3]) % op[4]) * 8
+                addrs.append(addr)
+                load_addrs.add(addr)
+                value = overlay.get(addr)
+                if value is None:
+                    external.add(addr)
+                    x = (addr * _INIT_MIX + seed64) & MASK64
+                    x ^= x >> 29
+                    value = (x * _INIT_MIX) & MASK64
+                regs[op[1]] = value
+            elif tag == 3:
+                addr = op[2] + ((op[5] + i * op[3]) % op[4]) * 8
+                addrs.append(addr)
+                value = regs[op[1]]
+                svalues.append(value)
+                overlay[addr] = value
+            else:
+                regs[op[1]] = op[2]
+        rows.append(tuple(regs))
+    plan.addrs = tuple(addrs)
+    plan.lines = tuple([a // line_bytes for a in addrs])
+    plan.svalues = tuple(svalues)
+    plan.external_loads = frozenset(external)
+    plan.overlap = not load_addrs.isdisjoint(overlay)
+    plan._rows = tuple(rows)
+
+
 def _scalar_reference(kernel):
     """Evaluate ``kernel`` through the oracle into a fresh plan."""
     plan = KernelPlan(kernel)
-    width = _kernel_shape(kernel)[0]
-    plan.width = width
+    width = kernel.shape.width
     # kernel_ops needs a program; a single-kernel wrapper does (the
-    # program rewrite only renumbers store sites, never addresses).
+    # program only numbers store sites, never moves addresses).
     _, ops = kernel_ops(Program([kernel], 0), 0)
     _build_scalar(plan, ops, width, kernel.trip_count, SEED, LINE_BYTES)
     return plan
@@ -94,8 +152,7 @@ class TestCodegenMatchesScalarOracle:
         for seed in (0, 1, 0xDEADBEEF):
             plan = _build_plan(kernel, seed, LINE_BYTES)
             oracle = KernelPlan(kernel)
-            width = _kernel_shape(kernel)[0]
-            oracle.width = width
+            width = kernel.shape.width
             _, ops = kernel_ops(Program([kernel], 0), 0)
             _build_scalar(oracle, ops, width, kernel.trip_count, seed, LINE_BYTES)
             _assert_streams_match(plan, oracle, f"seed={seed}")
@@ -155,7 +212,9 @@ def test_plans_work_without_numpy():
             [AddressPattern(1 << 20, 1, 32)], 3, 32)], 0)
         plan = plans.plans_for(program, 0, 64).plan(0)
         assert len(plan.addrs) == 64 and len(plan.svalues) == 32
-        assert plan.first_store_occurrence().count(True) == 32
+        # Every store is the first write to its word.
+        assert plan.store_flags == (False, True)
+        assert len(set(plan.addrs[1::2])) == 32
         """
     )
     src = Path(__file__).resolve().parents[2] / "src"
@@ -297,7 +356,7 @@ class TestStaticPlanAgreement:
         from repro.isa.interpreter import Interpreter, MemoryImage
 
         program = Program([kernel], 0)
-        width = _kernel_shape(program.kernels[0])[0]
+        width = program.kernels[0].shape.width
         outcomes = []
         for regs in ([0] * (width + 1),
                      [rng.getrandbits(64) for _ in range(width + 1)]):
@@ -311,17 +370,15 @@ class TestStaticPlanAgreement:
         return outcomes[0] == outcomes[1]
 
     def test_renewal_makes_the_entering_register_file_dead(self):
-        """``registers_renewed`` (read from the body alone) means a
+        """``KernelShape.renewed`` (read from the body alone) means a
         kernel's entering register file is dead: when it holds, any
         entering register file must produce the same stores and
         registers as the zero file."""
-        from repro.verify.absint.certify import registers_renewed
-
         rng = random.Random(7100)
         verdicts = set()
         for i in range(120):
             kernel = _random_kernel(rng, f"renew{i}", 1 << 22)
-            renewed = registers_renewed(kernel)
+            renewed = kernel.shape.renewed
             verdicts.add(renewed)
             if renewed:
                 assert self._entering_file_is_dead(kernel, rng), kernel.name
@@ -333,12 +390,11 @@ class TestStaticPlanAgreement:
         from repro.isa.instructions import AluInstr, MoviInstr, StoreInstr
         from repro.isa.opcodes import Opcode
         from repro.isa.program import Kernel
-        from repro.verify.absint.certify import registers_renewed
 
         gap = Kernel("gap", [
             MoviInstr(0, 5),
             AluInstr(Opcode.ADD, 2, 0, 0),
             StoreInstr(2, AddressPattern(1 << 22, 1, 8)),
         ], 4)
-        assert not registers_renewed(gap)
+        assert not gap.shape.renewed
         assert not self._entering_file_is_dead(gap, random.Random(1))
