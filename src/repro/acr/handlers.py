@@ -131,7 +131,8 @@ class AcrCheckpointHandler:
     ) -> AssocOutcome:
         """Handle one dynamic store on ``core``.
 
-        ``regs`` is the live register file (operand snapshot source).
+        ``regs`` is the register file at the store (operand snapshot
+        source).
         """
         sl = self._site_slices[core].get(site)
         if sl is None:

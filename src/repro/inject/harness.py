@@ -732,9 +732,9 @@ def _compiled(
 
     The raw build is memoized by :data:`_BUILD_FIELDS`, and ACR compiles
     it through the simulator's per-program compile cache.  Programs are
-    immutable after construction, and op caches attach to them, so
-    sharing them across trials and recipes is both sound and the point:
-    a fork never rebuilds or recompiles.
+    immutable after construction, so sharing them across trials and
+    recipes is both sound and the point: a fork never rebuilds or
+    recompiles.
     """
     key = tuple(getattr(spec, name) for name in _BUILD_FIELDS)
     workload = get_workload(spec.workload)

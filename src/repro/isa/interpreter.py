@@ -10,18 +10,22 @@ microarchitecture.
 
 The interpreter supports chunked execution (`step_iterations`) so the
 simulator can pause threads at checkpoint-interval boundaries.  It runs
-each kernel from dispatch ops that :func:`kernel_ops` binds once per
-kernel: the kernel's parameters and site ids go into its shape's lowered
-template, which is built once per shape.
+each kernel through its shape's *stepper*: one ``exec``-compiled loop
+per :class:`~repro.isa.program.KernelShape`, with registers in locals
+and ALU expressions, addresses and memory accesses inlined, to which a
+kernel passes its ``params`` and first site id.  An ``ASSOC-ADDR``
+variant shares its plain shape's stepper: the flag changes no value or
+event, only the ``assoc`` count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, cast
 
-from repro.isa.opcodes import MASK64
-from repro.isa.program import Program
+from repro.isa.opcodes import ALU_EXPR, INIT_MIX, MASK64
+from repro.isa.opcodes import address_expr, initial_value_lines
+from repro.isa.program import KernelShape, Program
 
 __all__ = [
     "MemoryImage",
@@ -29,33 +33,7 @@ __all__ = [
     "StoreEvent",
     "LoadEvent",
     "ExecChunk",
-    "kernel_ops",
 ]
-
-_INIT_MIX = 0x9E3779B97F4A7C15
-
-
-def kernel_ops(program: Program, kernel_index: int) -> Tuple[int, List[tuple]]:
-    """The ``(width, ops)`` dispatch form of one kernel of ``program``.
-
-    Each op is a tuple with a small integer tag; the hot loop then avoids
-    isinstance checks, dataclass attribute lookups and per-access
-    ``AddressPattern.address`` calls.  The single instruction lowering
-    both engines use: the kernel's shape holds the lowered template (its
-    ALU ops are shared by every kernel of the shape) and this binds the
-    kernel's parameters and site ids into it, cached per kernel in
-    ``program.op_cache`` so whichever engine touches a kernel first pays
-    for it once.
-    """
-    cached = program.op_cache.get(kernel_index)
-    if cached is None:
-        kernel = program.kernels[kernel_index]
-        shape = kernel.shape
-        cached = program.op_cache[kernel_index] = (
-            shape.width,
-            shape.ops(kernel.params, kernel.site_base),
-        )
-    return cached
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,12 +46,11 @@ class LoadEvent:
 
 @dataclass(frozen=True, slots=True)
 class StoreEvent:
-    """A dynamic store.
+    """A dynamic store, observed after its memory write.
 
-    ``regs`` is the *live* register file of the executing kernel at the
-    moment of the store; observers that need operand values (the ACR
-    checkpoint handler snapshotting Slice inputs) must copy them out
-    immediately — the list mutates as execution continues.
+    ``regs`` is a snapshot of the executing kernel's register file at
+    the store (a fresh list per event): the operand values the ACR
+    checkpoint handler copies out for a Slice.
     """
 
     thread: int
@@ -116,9 +93,9 @@ class MemoryImage:
 
     def initial_value(self, address: int) -> int:
         """The value an address holds before any store touches it."""
-        x = (address * _INIT_MIX + self.seed) & MASK64
+        x = (address * INIT_MIX + self.seed) & MASK64
         x ^= x >> 29
-        return (x * _INIT_MIX) & MASK64
+        return (x * INIT_MIX) & MASK64
 
     def read(self, address: int) -> int:
         """Read the word at ``address``."""
@@ -157,6 +134,74 @@ class MemoryImage:
         return len(self._words)
 
 
+def _generate_stepper(shape: KernelShape) -> Callable[..., None]:
+    """``exec``-compile the stepper of one shape.
+
+    ``step(regs, i0, n, P, words, seed, on_load, on_store, thread,
+    site_base)`` runs iterations ``i0 .. i0 + n - 1`` of the kernel with
+    parameters ``P`` over the memory image's word dict ``words`` and
+    leaves the register file in ``regs``.  Store ``j`` is site
+    ``site_base + j`` (-1 throughout when ``site_base`` is).  Each load
+    reports after its read, each store after its write, which is masked
+    to 64 bits as :meth:`MemoryImage.write` masks it.
+    """
+    names = "".join(f"r{r}, " for r in range(shape.width + 1))
+    lines = ["def step(regs, i0, n, P, words, seed, on_load, on_store, "
+             "thread, site_base):"]
+    w = lines.append
+    if shape.n_params:
+        w("    " + "".join(f"p{i}, " for i in range(shape.n_params)) + "= P")
+    for part, p in zip(shape.key, shape.param_offsets):
+        if part[0] == 0:
+            w(f"    p{p} &= {MASK64:#x}")
+    for j in range(1, shape.store_count):
+        w(f"    s{j} = site_base + {j} if site_base >= 0 else -1")
+    w(f"    {names}= regs")
+    w("    get = words.get")
+    w("    for i in range(i0, i0 + n):")
+    site = "site_base"
+    j = 0
+    for part, p in zip(shape.key, shape.param_offsets):
+        tag = part[0]
+        if tag == 0:  # MOVI (immediate masked above)
+            w(f"        r{part[1]} = p{p}")
+        elif tag == 1:  # ALU
+            _, op, dst, a, b = part
+            w(f"        r{dst} = " + ALU_EXPR[op].format(a=a, b=b))
+        elif tag == 2:  # LOAD
+            dst = f"r{part[1]}"
+            w(f"        a = {address_expr(p)}")
+            w(f"        {dst} = get(a)")
+            w(f"        if {dst} is None:")
+            lines.extend("            " + line for line in initial_value_lines(dst))
+            w("        if on_load is not None:")
+            w("            on_load(LoadEvent(thread, a))")
+        else:  # STORE
+            src = f"r{part[1]}"
+            w(f"        a = {address_expr(p)}")
+            w("        old = get(a)")
+            w("        if old is None:")
+            lines.extend("            " + line for line in initial_value_lines("old"))
+            w(f"        words[a] = {src} & {MASK64:#x}")
+            w("        if on_store is not None:")
+            w(f"            on_store(StoreEvent(thread, {site}, a, old, {src}, i,"
+              f" [{names}]))")
+            j += 1
+            site = f"s{j}"
+    w(f"    regs[:] = {names}")
+    namespace: Dict[str, object] = {"LoadEvent": LoadEvent, "StoreEvent": StoreEvent}
+    exec("\n".join(lines), namespace)  # noqa: S102 - trusted generated code
+    return cast(Callable[..., None], namespace["step"])
+
+
+def _build_stepper(shape: KernelShape) -> Callable[..., None]:
+    """A shape's stepper: its plain shape's, which is generated once."""
+    if shape.assoc_count:  # the flag reaches no generated line
+        plain = shape.with_assoc((False,) * shape.store_count)
+        return plain.prepared("stepper", _build_stepper)
+    return _generate_stepper(shape)
+
+
 class Interpreter:
     """Executes one thread's :class:`Program` over a shared memory image.
 
@@ -183,7 +228,6 @@ class Interpreter:
         self._kernel_index = 0
         self._iteration = 0
         self._regs: List[int] = []
-        self._ops: List[tuple] = []
         self._prepare_kernel()
 
     # -- state ---------------------------------------------------------------
@@ -216,8 +260,7 @@ class Interpreter:
     def restore_arch_state(self, state: Tuple[int, int, List[int]]) -> None:
         """Rewind (or fast-forward) to a state from :meth:`arch_state`.
 
-        The register file is replaced wholesale; the kernel's compiled
-        ops are re-resolved through the program's op cache.
+        The register file is replaced wholesale.
         """
         kernel_index, iteration, regs = state
         if kernel_index < 0 or kernel_index > len(self.program.kernels):
@@ -229,11 +272,10 @@ class Interpreter:
             self._regs = list(regs)
 
     def _prepare_kernel(self) -> None:
-        """Size the register file and load the kernel's dispatch ops."""
+        """Size the register file for the current kernel."""
         if self._kernel_index < len(self.program.kernels):
-            width, ops = kernel_ops(self.program, self._kernel_index)
+            width = self.program.kernels[self._kernel_index].shape.width
             self._regs = [0] * (width + 1)
-            self._ops = ops
             self._iteration = 0
 
     # -- execution -------------------------------------------------------------
@@ -246,62 +288,35 @@ class Interpreter:
         if max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         iterations = alu = loads = stores = assoc = 0
-        memory = self.memory
+        kernels = self.program.kernels
+        n_kernels = len(kernels)
+        thread = self.program.thread_id
+        words = self.memory.words_map()
+        seed = self.memory.seed
         on_load = self.on_load
         on_store = self.on_store
-        thread = self.program.thread_id
-
-        mem_read = memory.read
-        mem_write = memory.write
-        while iterations < max_iterations and not self.done:
-            kernel = self.program.kernels[self._kernel_index]
-            ops = self._ops
-            remaining_here = kernel.trip_count - self._iteration
-            budget = min(remaining_here, max_iterations - iterations)
+        k, i, regs = self._kernel_index, self._iteration, self._regs
+        while iterations < max_iterations and k < n_kernels:
+            kernel = kernels[k]
+            shape = kernel.shape
+            trip = kernel.trip_count
+            budget = min(trip - i, max_iterations - iterations)
+            step = shape.stepper or shape.prepared("stepper", _build_stepper)
+            step(regs, i, budget, kernel.params, words, seed, on_load,
+                 on_store, thread, kernel.site_base)
             # Ghost instructions: charged, never interpreted (see Kernel).
-            alu += budget * kernel.ghost_alu
-            regs = self._regs
-            i = self._iteration
-            for _ in range(budget):
-                for op in ops:
-                    tag = op[0]
-                    if tag == 1:  # ALU
-                        regs[op[2]] = op[1](regs[op[3]], regs[op[4]])
-                        alu += 1
-                    elif tag == 2:  # LOAD
-                        addr = op[2] + ((op[5] + i * op[3]) % op[4]) * 8
-                        regs[op[1]] = mem_read(addr)
-                        loads += 1
-                        if on_load is not None:
-                            on_load(LoadEvent(thread, addr))
-                    elif tag == 3:  # STORE
-                        addr = op[2] + ((op[5] + i * op[3]) % op[4]) * 8
-                        new_value = regs[op[1]]
-                        old_value = mem_write(addr, new_value)
-                        stores += 1
-                        if op[7]:
-                            assoc += 1
-                        if on_store is not None:
-                            on_store(
-                                StoreEvent(
-                                    thread,
-                                    op[6],
-                                    addr,
-                                    old_value,
-                                    new_value,
-                                    i,
-                                    regs,
-                                )
-                            )
-                    else:  # MOVI
-                        regs[op[1]] = op[2]
-                        alu += 1
-                i += 1
-            self._iteration = i
+            alu += budget * (shape.alu_count + kernel.ghost_alu)
+            loads += budget * shape.load_count
+            stores += budget * shape.store_count
+            assoc += budget * shape.assoc_count
             iterations += budget
-            if self._iteration >= kernel.trip_count:
-                self._kernel_index += 1
-                self._prepare_kernel()
+            i += budget
+            if i >= trip:
+                k += 1
+                if k < n_kernels:
+                    i = 0
+                    regs = [0] * (kernels[k].shape.width + 1)
+        self._kernel_index, self._iteration, self._regs = k, i, regs
         return ExecChunk(iterations, alu, loads, stores, assoc)
 
     def run_to_completion(self, chunk: int = 4096) -> ExecChunk:

@@ -12,12 +12,14 @@ A kernel is a :class:`KernelShape` plus a flat ``params`` tuple.  The
 shape is the body's structure — opcodes, registers, which stores carry
 ``ASSOC-ADDR`` — and everything derived from structure alone: the
 instruction counts, the register-file width and stability, the live-in
-set, the lowered dispatch-op template, the compiler's per-store slicing
-and the plan evaluator.  ``params`` holds what varies between kernels of
-one shape, in body order: each MOVI's immediate, and each load's and
-store's ``(base, stride, length, offset)``.  Shapes are interned in one
-process-wide table, so each layer prepares a shape once and every kernel
-of it only binds its parameters.
+set, the compiler's per-store slicing, the plan evaluator and the
+interpreter's stepper (one ``exec``-compiled loop, which an
+``ASSOC-ADDR`` variant shares with its plain shape).  ``params`` holds
+what varies between kernels of one shape, in body order: each MOVI's
+immediate, and each load's and store's ``(base, stride, length,
+offset)``.  Shapes are interned in one process-wide table, so each
+layer prepares a shape once and every kernel of it only binds its
+parameters.
 
 Store sites
 -----------
@@ -50,7 +52,6 @@ from repro.isa.instructions import (
     MoviInstr,
     StoreInstr,
 )
-from repro.isa.opcodes import BINARY_SEMANTICS, MASK64
 from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["Kernel", "KernelShape", "Program", "StoreSite", "shape_count"]
@@ -95,8 +96,8 @@ class KernelShape:
     register file never depends on the entering one.
 
     Obtain shapes through :meth:`intern`; fields are read-only.  Layers
-    above the ISA keep their per-shape preparation in the write-once
-    ``slicing`` and ``evaluator`` slots through :meth:`prepared`.
+    keep their per-shape preparation in the write-once ``slicing``,
+    ``evaluator`` and ``stepper`` slots through :meth:`prepared`.
     """
 
     key: tuple
@@ -114,15 +115,14 @@ class KernelShape:
     unstable_span: Optional[Tuple[int, int]] = field(init=False)
     live_in: FrozenSet[int] = field(init=False)
     renewed: bool = field(init=False)
-    _ops: Tuple[Optional[tuple], ...] = field(init=False)
     slicing: Any = field(init=False)
     evaluator: Any = field(init=False)
+    stepper: Any = field(init=False)
 
     def __post_init__(self) -> None:
         key = self.key
         body: List[Instruction] = []
         offsets: List[int] = []
-        ops: List[Optional[tuple]] = []
         stores: List[int] = []
         n_params = width = 0
         defined: set = set()
@@ -136,19 +136,16 @@ class KernelShape:
             if tag == 1:
                 _, op, dst, a, b = part
                 body.append(AluInstr(op, dst, a, b))
-                ops.append((1, BINARY_SEMANTICS[op], dst, a, b))
                 reads = (a, b)
             elif tag == 3:
                 dst, reads = -1, (part[1],)
                 body.append(StoreInstr(part[1], _NO_PATTERN, -1, part[2]))
-                ops.append(None)
                 stores.append(pos)
             else:
                 dst = part[1]
                 body.append(
                     MoviInstr(dst, 0) if tag == 0 else LoadInstr(dst, _NO_PATTERN)
                 )
-                ops.append(None)
             live_in.update(r for r in reads if r not in defined)
             width = max(width, dst, *reads)
             if dst >= 0:
@@ -171,9 +168,9 @@ class KernelShape:
             ("unstable_span", unstable),
             ("live_in", frozenset(live_in)),
             ("renewed", not live_in and defined >= set(range(width + 1))),
-            ("_ops", tuple(ops)),
             ("slicing", None),
             ("evaluator", None),
+            ("stepper", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -192,9 +189,9 @@ class KernelShape:
     def prepared(self, slot: str, build: Callable[["KernelShape"], Any]) -> Any:
         """A layer's preparation of this shape, built on first use.
 
-        ``slot`` is ``"slicing"`` or ``"evaluator"``; ``build`` must be a
-        pure function of the shape, so a second caller reads the first's
-        result.
+        ``slot`` is ``"slicing"``, ``"evaluator"`` or ``"stepper"``;
+        ``build`` must be a pure function of the shape, so a second
+        caller reads the first's result.
         """
         value = getattr(self, slot)
         if value is None:
@@ -209,30 +206,6 @@ class KernelShape:
         for pos, flag in zip(self.store_positions, flags):
             key[pos] = (3, key[pos][1], bool(flag))
         return KernelShape.intern(tuple(key))
-
-    def ops(self, params: Sequence[int], site_base: int) -> List[tuple]:
-        """The dispatch ops of a kernel of this shape (see
-        :func:`repro.isa.interpreter.kernel_ops`): the shape's ALU ops,
-        with ``params`` and the site ids bound into the others."""
-        out: List[tuple] = []
-        p = 0
-        site = site_base
-        for part, op in zip(self.key, self._ops):
-            tag = part[0]
-            if tag == 1:
-                out.append(op)
-            elif tag == 0:
-                out.append((0, part[1], params[p] & MASK64))
-                p += 1
-            elif tag == 2:
-                out.append((2, part[1], *params[p:p + 4]))
-                p += 4
-            else:
-                out.append((3, part[1], *params[p:p + 4], site, part[2]))
-                p += 4
-                if site >= 0:
-                    site += 1
-        return out
 
     def __reduce__(self) -> tuple:
         return (KernelShape.intern, (self.key,))
@@ -432,11 +405,6 @@ class Program:
         self.kernels: List[Kernel] = []
         #: Per kernel: the site id of its first store (a prefix sum).
         self._starts: List[int] = []
-        #: Per-kernel precompiled dispatch tuples, filled lazily by
-        #: :func:`repro.isa.interpreter.kernel_ops`; keyed by kernel index.
-        #: Lives on the program so repeated runs over the same program
-        #: skip the binding.
-        self.op_cache: Dict[int, tuple] = {}
         next_site = 0
         append = self.kernels.append
         for kernel in kernels:

@@ -10,18 +10,18 @@ The harness has exactly five interesting phases per task —
 
 and a :class:`PhaseProfiler` accumulates seconds (and entry counts) per
 phase.  Like :mod:`repro.obs.telemetry.emit`, activation is ambient:
-instrumented code calls the module-level :func:`phase` context manager,
-which costs one ``is None`` check when no profiler is active, so the
-plain path stays untouched.  Entering a phase with telemetry enabled
-also emits a ``phase_changed`` frame, and the per-task totals ride home
-on the ``task_finished`` frame for campaign-wide attribution
-(:meth:`PhaseProfiler.attribution_table`).
+instrumented code calls the module-level :func:`phase`, which returns
+one shared null context when no profiler is active, so the plain path
+pays one ``is None`` check and builds nothing.  Entering a phase with
+telemetry enabled also emits a ``phase_changed`` frame, and the
+per-task totals ride home on the ``task_finished`` frame for
+campaign-wide attribution (:meth:`PhaseProfiler.attribution_table`).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Dict, Iterator, Optional
 
 from repro.obs.telemetry import emit as _emit_mod
@@ -117,15 +117,16 @@ def activate(profiler: PhaseProfiler) -> Iterator[PhaseProfiler]:
         _ACTIVE = prev
 
 
-@contextmanager
-def phase(name: str) -> Iterator[None]:
+#: What :func:`phase` returns when no profiler is active.
+_NO_PHASE: AbstractContextManager = nullcontext()
+
+
+def phase(name: str) -> AbstractContextManager:
     """Time one phase entry on the ambient profiler — free when none."""
     prof = _ACTIVE
     if prof is None:
-        yield
-        return
-    with prof.phase(name):
-        yield
+        return _NO_PHASE
+    return prof.phase(name)
 
 
 def count(name: str, n: int = 1) -> None:

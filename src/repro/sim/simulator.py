@@ -97,7 +97,7 @@ ENGINES = ("interp", "vector")
 #: Program -> {policy -> CompiledProgram}.  ACR compilation is a pure
 #: function of (program, policy); runs sweeping configurations over the
 #: same programs (and both engines) share one compiled copy — which also
-#: shares the op cache and the vector engine's trace plans.
+#: shares the vector engine's trace plans.
 _COMPILE_CACHE: "WeakKeyDictionary[Program, dict]" = WeakKeyDictionary()
 
 
@@ -137,7 +137,7 @@ class SimulationOptions:
     baseline: Optional[BaselineProfile] = None
     memory_seed: int = 0
     chunk_iterations: int = 64
-    #: Execution engine: ``"interp"`` (classic per-instruction loop) or
+    #: Execution engine: ``"interp"`` (classic interpreter) or
     #: ``"vector"`` (plan-replay engine, bit-identical results).  Runs
     #: with observability attached always use the classic loop — the
     #: tracer needs per-access events the vector engine never creates.

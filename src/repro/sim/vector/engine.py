@@ -5,7 +5,7 @@ A :class:`VectorCoreRunner` is a drop-in replacement for one core's
 it exposes the same ``done`` / ``step_iterations`` surface but advances
 the core by replaying precomputed :class:`~repro.sim.vector.plans
 .KernelPlan` trace segments through one allocation-free loop that fuses
-what the classic path spreads over the interpreter dispatch, the
+what the classic path spreads over the interpreter's steppers, the
 load/store observer callbacks, the per-access event dataclasses and the
 cache/directory/handler method stack.  It is the one other copy of
 :meth:`~repro.sim.mechanism.Mechanism.on_store` (log bits, log appends,
@@ -55,12 +55,10 @@ from weakref import WeakKeyDictionary
 from repro.arch.buffers import AddrMapEntry
 from repro.ckpt.log import LogRecord, OmittedRecord
 from repro.isa.interpreter import ExecChunk
-from repro.isa.opcodes import MASK64
+from repro.isa.opcodes import INIT_MIX, MASK64
 from repro.sim.vector.plans import plans_for
 
 __all__ = ["VectorCoreRunner"]
-
-_INIT_MIX = 0x9E3779B97F4A7C15
 
 #: Executed (per-core, possibly ACR-compiled) program -> {kernel index ->
 #: covered-store metadata}.  The compiled program object is shared across
@@ -400,9 +398,9 @@ class VectorCoreRunner:
                             log_bits.add(addr)
                             old = words.get(addr)
                             if old is None:
-                                x = (addr * _INIT_MIX + seed) & MASK64
+                                x = (addr * INIT_MIX + seed) & MASK64
                                 x ^= x >> 29
-                                old = (x * _INIT_MIX) & MASK64
+                                old = (x * INIT_MIX) & MASK64
                             if handler is None:
                                 rec_append(LogRecord(addr, old, core))
                                 pend_o += log_stall

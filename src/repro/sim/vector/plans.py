@@ -14,15 +14,14 @@ runs, configurations and engines.
 
 Address streams and large-trip straight-line bodies are evaluated as
 batched numpy operations (``uint64`` arithmetic wraps mod 2**64, matching
-the ISA's masked semantics); small or irregular bodies go through their
-shape's *generated evaluator*: each
+the ISA's masked semantics) from the shape key and ``params``; small or
+irregular bodies go through their shape's *generated evaluator*: each
 :class:`~repro.isa.program.KernelShape` holds (built once per shape) an
-``exec``-compiled function of the kernel's ``params``, with inlined ALU
-expressions and register locals, and the counts, width, store flags and
-register stability every plan of the shape shares, so the thousands of
-same-shape kernels a workload generator emits each only bind their
-parameters.  The generated code handles every case the
-interpreter does (in-kernel aliasing through a store-forwarding overlay,
+``exec``-compiled function of the kernel's ``params``, spelled in the
+interpreter steppers' vocabulary (:mod:`repro.isa.opcodes`), and the
+counts, width, store flags and register stability every plan of the
+shape shares.  The generated code handles every case the interpreter
+does (in-kernel aliasing through a store-forwarding overlay,
 loop-carried accumulators, partially-defined registers).
 """
 
@@ -48,26 +47,21 @@ try:  # numpy accelerates large-trip plan evaluation; plans work without it
 except ImportError:  # pragma: no cover - numpy-less installs
     np = None  # type: ignore[assignment]
 
-from repro.isa.interpreter import kernel_ops
-from repro.isa.opcodes import MASK64, BINARY_SEMANTICS, Opcode
+from repro.isa.opcodes import ALU_EXPR, INIT_MIX, MASK64, Opcode
+from repro.isa.opcodes import address_expr, initial_value_lines
 from repro.isa.program import Kernel, KernelShape, Program
 
 __all__ = ["KernelPlan", "ProgramPlans", "plans_for"]
 
-_INIT_MIX = 0x9E3779B97F4A7C15
 if np is not None:
     _U64 = np.uint64
-    _MIX_U64 = _U64(_INIT_MIX)
+    _MIX_U64 = _U64(INIT_MIX)
     _SHIFT29 = _U64(29)
     _SIX_THREE = _U64(63)
 
 #: Below this trip count the per-array numpy dispatch overhead outweighs
 #: the vector win and the scalar evaluator is used instead.
 NUMPY_MIN_TRIP = 24
-
-#: Reverse map from a binary-semantics function to its opcode (the op
-#: cache stores functions; the numpy evaluator needs the opcode back).
-_FUNC_TO_OPCODE = {fn: op for op, fn in BINARY_SEMANTICS.items()}
 
 
 def _np_alu(op: Opcode, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,22 +215,6 @@ class KernelPlan:
         return cached
 
 
-_MASK_LIT = "0xFFFFFFFFFFFFFFFF"
-_MIX_LIT = "0x9E3779B97F4A7C15"
-
-#: Opcode -> inlined expression template (matches repro.isa.opcodes).
-_ALU_EXPR = {
-    Opcode.ADD: "(r{a} + r{b}) & " + _MASK_LIT,
-    Opcode.SUB: "(r{a} - r{b}) & " + _MASK_LIT,
-    Opcode.MUL: "(r{a} * r{b}) & " + _MASK_LIT,
-    Opcode.AND: "r{a} & r{b}",
-    Opcode.OR: "r{a} | r{b}",
-    Opcode.XOR: "r{a} ^ r{b}",
-    Opcode.SHL: "(r{a} << (r{b} & 63)) & " + _MASK_LIT,
-    Opcode.SHR: "r{a} >> (r{b} & 63)",
-}
-
-
 def _generate_evaluator(shape: KernelShape) -> Callable[..., tuple]:
     """``exec``-compile the specialised evaluator of one shape.
 
@@ -258,7 +236,7 @@ def _generate_evaluator(shape: KernelShape) -> Callable[..., tuple]:
         w(f"    ({', '.join(f'p{i}' for i in range(nparams))},) = P")
     for part, p in zip(body_keys, shape.param_offsets):
         if part[0] == 0:
-            w(f"    p{p} &= {_MASK_LIT}")
+            w(f"    p{p} &= {MASK64:#x}")
     w("    A = []; Aa = A.append")
     if has_store:
         w("    S = []; Sa = S.append")
@@ -278,10 +256,10 @@ def _generate_evaluator(shape: KernelShape) -> Callable[..., tuple]:
             p += 1
         elif tag == 1:  # ALU
             _, op, dst, a, b = part
-            w(f"        r{dst} = " + _ALU_EXPR[op].format(a=a, b=b))
+            w(f"        r{dst} = " + ALU_EXPR[op].format(a=a, b=b))
         elif tag == 2:  # LOAD: params are (base, stride, length, offset)
             dst = part[1]
-            w(f"        a = p{p} + ((p{p + 3} + i * p{p + 1}) % p{p + 2}) * 8")
+            w(f"        a = {address_expr(p)}")
             p += 4
             w("        Aa(a)")
             if forward:
@@ -289,18 +267,14 @@ def _generate_evaluator(shape: KernelShape) -> Callable[..., tuple]:
                 w("        v = og(a)")
                 w("        if v is None:")
                 w("            Ea(a)")
-                w(f"            x = (a * {_MIX_LIT} + seed) & {_MASK_LIT}")
-                w("            x ^= x >> 29")
-                w(f"            v = (x * {_MIX_LIT}) & {_MASK_LIT}")
+                lines.extend("            " + x for x in initial_value_lines("v"))
                 w(f"        r{dst} = v")
             else:  # no stores in the body: every load reads the initialiser
                 w("        Ea(a)")
-                w(f"        x = (a * {_MIX_LIT} + seed) & {_MASK_LIT}")
-                w("        x ^= x >> 29")
-                w(f"        r{dst} = (x * {_MIX_LIT}) & {_MASK_LIT}")
+                lines.extend("        " + x for x in initial_value_lines(f"r{dst}"))
         else:  # STORE
             src = part[1]
-            w(f"        a = p{p} + ((p{p + 3} + i * p{p + 1}) % p{p + 2}) * 8")
+            w(f"        a = {address_expr(p)}")
             p += 4
             w("        Aa(a)")
             w(f"        Sa(r{src})")
@@ -346,40 +320,34 @@ def _run_codegen(
 
 
 def _build_plan(
-    kernel: Kernel,
-    seed: int,
-    line_bytes: int,
-    program: Optional[Program] = None,
-    kernel_index: int = 0,
+    kernel: Kernel, seed: int, line_bytes: int, vectorize: bool = False
 ) -> KernelPlan:
     """Evaluate one kernel into a :class:`KernelPlan`.
 
-    Large trips go through the batched numpy evaluator (address/value
-    columns); everything else — small trips and numpy-ineligible bodies —
-    through the shape's generated scalar evaluator, fed the kernel's
-    ``params``.  ``program`` enables the numpy path's op-cache reuse and
-    may be omitted in tests.
+    With ``vectorize``, large trips go through the batched numpy
+    evaluator; the rest (and, for tests that pin each path, every plan
+    built without it) through the shape's generated evaluator.
     """
     plan = KernelPlan(kernel)
     trip = kernel.trip_count
-    if np is not None and trip >= NUMPY_MIN_TRIP and program is not None:
-        _, ops = kernel_ops(program, kernel_index)
-        if _try_build_numpy(plan, ops, trip, seed, line_bytes):
+    if vectorize and np is not None and trip >= NUMPY_MIN_TRIP:
+        if _try_build_numpy(plan, kernel, trip, seed, line_bytes):
             return plan
     evaluator = kernel.shape.prepared("evaluator", _generate_evaluator)
     _run_codegen(plan, evaluator, kernel.params, trip, seed, line_bytes)
     return plan
 
 
-def _address_column(op: tuple, trip: int) -> np.ndarray:
-    """The access-pattern address stream of one load/store op."""
-    base, stride, length, offset = op[2], op[3], op[4], op[5]
+def _address_column(params: Tuple[int, ...], p: int, trip: int) -> np.ndarray:
+    """The address stream of the load/store whose ``(base, stride,
+    length, offset)`` start at ``params[p]``."""
+    base, stride, length, offset = params[p:p + 4]
     idx = (offset + stride * np.arange(trip, dtype=np.int64)) % length
     return base + idx * 8
 
 
 def _try_build_numpy(
-    plan: KernelPlan, ops: Sequence[tuple], trip: int, seed: int, line_bytes: int
+    plan: KernelPlan, kernel: Kernel, trip: int, seed: int, line_bytes: int
 ) -> bool:
     """Batched evaluation for large straight-line bodies.
 
@@ -389,14 +357,17 @@ def _try_build_numpy(
     self-accumulation (``acc += value`` into an otherwise-undefined
     register, which vectorizes as a prefix sum).
     """
+    shape = kernel.shape
+    params = kernel.params
+    body = tuple(zip(shape.key, shape.param_offsets))
     # Pass 1: addresses, and the alias pre-check.
     addr_cols: List[np.ndarray] = []
     load_addr_arrays: List[np.ndarray] = []
     store_addr_arrays: List[np.ndarray] = []
-    for op in ops:
-        tag = op[0]
+    for part, p in body:
+        tag = part[0]
         if tag == 2 or tag == 3:
-            col = _address_column(op, trip)
+            col = _address_column(params, p, trip)
             addr_cols.append(col)
             (load_addr_arrays if tag == 2 else store_addr_arrays).append(col)
     if store_addr_arrays and load_addr_arrays:
@@ -406,12 +377,12 @@ def _try_build_numpy(
             return False
 
     defined_anywhere = set()
-    for op in ops:
-        tag = op[0]
+    for part in shape.key:
+        tag = part[0]
         if tag == 0 or tag == 2:
-            defined_anywhere.add(op[1])
+            defined_anywhere.add(part[1])
         elif tag == 1:
-            defined_anywhere.add(op[2])
+            defined_anywhere.add(part[2])
 
     # Pass 2: register columns.
     cols: Dict[int, object] = {}
@@ -426,19 +397,19 @@ def _try_build_numpy(
             return None  # loop-carried: previous-iteration value
         return _U64(0)  # never defined: architectural zero
 
-    for op in ops:
-        tag = op[0]
+    for part, p in body:
+        tag = part[0]
         if tag == 0:  # MOVI
-            cols[op[1]] = _U64(op[2])
-            defined.add(op[1])
+            cols[part[1]] = _U64(params[p] & MASK64)
+            defined.add(part[1])
         elif tag == 2:  # LOAD (alias-free: values are the initialiser's)
-            cols[op[1]] = _initial_values(
+            cols[part[1]] = _initial_values(
                 addr_cols[acc_idx].astype(np.uint64), seed
             )
-            defined.add(op[1])
+            defined.add(part[1])
             acc_idx += 1
         elif tag == 3:  # STORE
-            src = col_of(op[1])
+            src = col_of(part[1])
             if src is None:
                 return False
             if not isinstance(src, np.ndarray):
@@ -446,10 +417,7 @@ def _try_build_numpy(
             svalue_cols.append(src)
             acc_idx += 1
         else:  # ALU
-            fn, dst, a, b = op[1], op[2], op[3], op[4]
-            opcode = _FUNC_TO_OPCODE.get(fn)
-            if opcode is None:
-                return False
+            _, opcode, dst, a, b = part
             ca = col_of(a)
             cb = col_of(b)
             if ca is None:
@@ -513,8 +481,7 @@ class ProgramPlans:
                     self.program.kernels[kernel_index],
                     self.seed,
                     self.line_bytes,
-                    program=self.program,
-                    kernel_index=kernel_index,
+                    vectorize=True,
                 )
             self._plans[kernel_index] = plan
         return plan

@@ -1,15 +1,13 @@
-"""Shared chain shapes and the shape-bound instruction lowering.
+"""Shared chain shapes.
 
 ``chain_kernel`` binds every kernel of one chain structure to the same
 interned :class:`~repro.isa.program.KernelShape` (chains that differ
 only in their salt, patterns, trip or phase share it, and with it its
-ALU instruction objects), and ``kernel_ops`` binds each kernel's
-parameters into the shape's lowered template.  These tests pin all of it
-against from-scratch references that live only here: a plain
-``KernelBuilder`` build and a plain per-instruction lowering.  Compile
-output and trace plans of shape-built programs must equal those of the
-instruction-by-instruction build, and plan streams must be tuples of
-ints equal to the scalar oracle's.
+ALU instruction objects).  These tests pin it against a from-scratch
+reference that lives only here, a plain ``KernelBuilder`` build:
+compile output, trace plans and interpreted memory of shape-built
+programs must equal those of the instruction-by-instruction build, and
+plan streams must be tuples of ints equal to the scalar oracle's.
 """
 
 from __future__ import annotations
@@ -25,11 +23,10 @@ from repro.isa.instructions import (
     LINE_BYTES,
     AddressPattern,
     AluInstr,
-    LoadInstr,
     MoviInstr,
 )
-from repro.isa.interpreter import Interpreter, MemoryImage, kernel_ops
-from repro.isa.opcodes import BINARY_SEMANTICS, MASK64, Opcode
+from repro.isa.interpreter import Interpreter, MemoryImage
+from repro.isa.opcodes import MASK64, Opcode
 from repro.isa.program import Program
 from repro.sim.vector.plans import KernelPlan, _build_plan
 from tests.compiler.test_compile_memo import _reference_compile, _table_rows
@@ -65,27 +62,6 @@ def _fresh_chain_kernel(name, store_pattern, input_patterns, chain_depth,
     for extra in extra_stores or ():
         builder.store(value, extra)
     return builder.build(trip_count, ghost_alu=ghost_alu)
-
-
-def _reference_ops(kernel):
-    """Plain lowering of every instruction: the dispatch-tuple format."""
-    width, ops = 0, []
-    for ins in kernel.body:
-        if isinstance(ins, AluInstr):
-            width = max(width, ins.dst, ins.src_a, ins.src_b)
-            ops.append((1, BINARY_SEMANTICS[ins.op], ins.dst, ins.src_a,
-                        ins.src_b))
-        elif isinstance(ins, MoviInstr):
-            width = max(width, ins.dst)
-            ops.append((0, ins.dst, ins.imm & MASK64))
-        else:
-            reg = ins.dst if isinstance(ins, LoadInstr) else ins.src
-            width = max(width, reg)
-            p = ins.pattern
-            head = (2, ins.dst) if isinstance(ins, LoadInstr) else (3, ins.src)
-            tail = () if isinstance(ins, LoadInstr) else (ins.site, ins.assoc)
-            ops.append(head + (p.base, p.stride, p.length, p.offset) + tail)
-    return width, ops
 
 
 def _pattern(draw, base):
@@ -172,31 +148,6 @@ class TestChainInterning:
 
 
 class TestSharedLowering:
-    @given(st.lists(st.one_of(random_kernels(),
-                              chain_args().map(
-                                  lambda a: chain_kernel("c", **a))),
-                    min_size=1, max_size=4))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_reference(self, kernels):
-        program = Program(kernels, 0)
-        for idx, kernel in enumerate(program.kernels):
-            assert kernel_ops(program, idx) == _reference_ops(kernel)
-            # Cached per program: a second call returns the same lists.
-            assert kernel_ops(program, idx) is program.op_cache[idx]
-
-    def test_interned_instructions_share_one_tuple(self):
-        args = dict(store_pattern=AddressPattern(0, 1, 8),
-                    input_patterns=[AddressPattern(1 << 20, 1, 8)],
-                    chain_depth=3, trip_count=2, salt=123)
-        p = Program([chain_kernel("a", **args), chain_kernel("b", **args)])
-        _, ops_a = kernel_ops(p, 0)
-        _, ops_b = kernel_ops(p, 1)
-        for ins, op_a, op_b in zip(p.kernels[0].body, ops_a, ops_b):
-            if _shared(ins):
-                assert op_a is op_b
-            else:
-                assert op_a is not op_b
-
     def test_interpreter_runs_interned_kernels(self):
         args = dict(store_pattern=AddressPattern(0, 1, 16),
                     input_patterns=[AddressPattern(1 << 20, 1, 16),
@@ -251,6 +202,7 @@ class TestInternedBuildMatchesReference:
     @given(salted_programs(), st.integers(1, 12), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_compile_ops_and_plans(self, chains, threshold, seed):
+        """Compile output, plans and interpreted memory."""
         interned = Program(
             [chain_kernel(f"k{i}", **a) for i, a in enumerate(chains)], 1
         )
@@ -264,12 +216,15 @@ class TestInternedBuildMatchesReference:
         assert _table_rows(compiled.slices) == _table_rows(ref_table)
         assert compiled.stats == ref_stats
         assert compiled.program.kernels == ref_program.kernels
+        memories = (MemoryImage(seed), MemoryImage(seed))
+        for program, memory in zip((interned, fresh), memories):
+            Interpreter(program, memory).run_to_completion()
+        assert memories[0].snapshot() == memories[1].snapshot()
         for k in range(len(chains)):
-            assert kernel_ops(interned, k) == kernel_ops(fresh, k)
             plan = _build_plan(interned.kernels[k], seed, LINE_BYTES,
-                               program=interned, kernel_index=k)
+                               vectorize=True)
             ref = _build_plan(fresh.kernels[k], seed, LINE_BYTES,
-                              program=fresh, kernel_index=k)
+                              vectorize=True)
             _assert_int_tuples(plan)
             assert _plan_doc(plan) == _plan_doc(ref)
 
@@ -281,11 +236,10 @@ class TestInternedBuildMatchesReference:
     def test_plan_streams_are_int_tuples_equal_to_oracle(self, kernels):
         program = Program(kernels, 0)
         for k, kernel in enumerate(program.kernels):
-            # With the program: trips >= NUMPY_MIN_TRIP take the numpy
-            # evaluator; without it, always the generated one.
+            # Vectorized: trips >= NUMPY_MIN_TRIP take the numpy
+            # evaluator; otherwise, always the generated one.
             for plan in (
-                _build_plan(kernel, 0, LINE_BYTES, program=program,
-                            kernel_index=k),
+                _build_plan(kernel, 0, LINE_BYTES, vectorize=True),
                 _build_plan(kernel, 0, LINE_BYTES),
             ):
                 oracle = _scalar_reference(kernel)
@@ -303,7 +257,7 @@ class TestInternedBuildMatchesReference:
         for trip in (8, 48):  # generated and numpy evaluators
             program = Program([chain_kernel("gc", trip_count=trip, **args)])
             plan = _build_plan(program.kernels[0], 0, LINE_BYTES,
-                               program=program, kernel_index=0)
+                               vectorize=True)
             plan.rows()
             gc.collect()
             for stream in (plan.addrs, plan.lines, plan.svalues,

@@ -2,12 +2,12 @@
 
 Every layer prepares a :class:`~repro.isa.program.KernelShape` once and
 then only binds each kernel's parameters: the compile pass (slicing,
-embedding, Slice tables, statistics), the trace plans, the interpreter's
-dispatch ops and the vector-safety certificates.  The references here
-walk each kernel's own instruction list and read no shape attribute:
-``DataDependenceGraph``/``extract_slice`` per store, a plain
-per-instruction lowering fed to the scalar plan oracle, and the
-certifier's body walk.  Inputs are random kernels (with same-shape
+embedding, Slice tables, statistics), the trace plans and the
+vector-safety certificates (the interpreter's steppers have their own
+reference in ``test_stepper``).  The references here walk each kernel's
+own instruction list and read no shape attribute:
+``DataDependenceGraph``/``extract_slice`` per store, the scalar plan
+oracle's body walk, and the certifier's body walk.  Inputs are random kernels (with same-shape
 variants and chain kernels), randomized multi-core programs, the
 built-in workloads and their ACR009–ACR012 mutants.
 """
@@ -29,9 +29,8 @@ from repro.isa.instructions import (
     MoviInstr,
     StoreInstr,
 )
-from repro.isa.interpreter import kernel_ops
 from repro.isa.program import Program
-from repro.sim.vector.plans import KernelPlan, _build_plan
+from repro.sim.vector.plans import _build_plan
 from repro.verify.absint import certify
 from repro.verify.absint.shapes import AccessRange, range_of
 from repro.verify.mutations import seed_defect
@@ -43,9 +42,9 @@ from tests.compiler.test_compile_memo import (
     _table_rows,
 )
 from tests.compiler.test_slice_properties import random_kernels
-from tests.isa.test_interning import _reference_ops, chain_args
+from tests.isa.test_interning import chain_args
 from tests.sim.test_engine_equivalence import _random_programs
-from tests.sim.test_vector_plans import _build_scalar
+from tests.sim.test_vector_plans import _scalar_reference
 
 VECTOR_RULES = ("ACR009", "ACR010", "ACR011", "ACR012")
 
@@ -85,14 +84,6 @@ def _reference_template(kernel):
         store_flags=tuple(flags),
         store_sites=tuple(sites), regs_stable=stable,
     )
-
-
-def _reference_plan(kernel, seed):
-    """The scalar oracle over the plain lowering."""
-    width, ops = _reference_ops(kernel)
-    plan = KernelPlan(kernel)
-    _build_scalar(plan, ops, width, kernel.trip_count, seed, LINE_BYTES)
-    return plan
 
 
 def _reference_summary(index, kernel):
@@ -168,7 +159,7 @@ _STREAMS = ("addrs", "lines", "svalues", "external_loads", "overlap")
 
 
 def _assert_layers_match(programs, policy, seed=0):
-    """Compile, ops, plans and certificates of ``programs`` equal the
+    """Compile, plans and certificates of ``programs`` equal the
     references; returns the compiled programs."""
     compiled = []
     for program in programs:
@@ -179,16 +170,12 @@ def _assert_layers_match(programs, policy, seed=0):
         assert cp.program.kernels == ref_program.kernels
         assert cp.program.store_sites == ref_program.store_sites
         compiled.append(cp)
-        for run in (program, cp.program):
-            for k, kernel in enumerate(run.kernels):
-                assert kernel_ops(run, k) == _reference_ops(kernel)
-        for k, kernel in enumerate(program.kernels):
-            ref = _reference_plan(kernel, seed)
+        for kernel in program.kernels:
+            ref = _scalar_reference(kernel, seed)
             template = _reference_template(kernel)
             for plan in (
                 _build_plan(kernel, seed, LINE_BYTES),
-                _build_plan(kernel, seed, LINE_BYTES, program=program,
-                            kernel_index=k),
+                _build_plan(kernel, seed, LINE_BYTES, vectorize=True),
             ):
                 for name in _STREAMS:
                     assert getattr(plan, name) == getattr(ref, name), name

@@ -11,14 +11,20 @@ mismatch far downstream, so it is pinned at the source.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.isa.instructions import LINE_BYTES, AddressPattern
-from repro.isa.interpreter import kernel_ops
+from repro.isa.instructions import (
+    LINE_BYTES,
+    AddressPattern,
+    AluInstr,
+    LoadInstr,
+    MoviInstr,
+)
+from repro.isa.interpreter import MemoryImage
 from repro.isa.program import Program
-from repro.isa.opcodes import MASK64
+from repro.isa.opcodes import MASK64, apply_alu
 from repro.sim.vector.plans import (
     NUMPY_MIN_TRIP,
     KernelPlan,
@@ -29,56 +35,48 @@ from tests.sim.test_engine_equivalence import _random_kernel
 SEED = 0
 
 
-_INIT_MIX = 0x9E3779B97F4A7C15
-
-
 def _build_scalar(
-    plan: KernelPlan,
-    ops: Sequence[tuple],
-    width: int,
-    trip: int,
-    seed: int,
-    line_bytes: int,
+    plan: KernelPlan, kernel, seed: int, line_bytes: int
 ) -> None:
-    """Reference evaluation: one scalar pass, no observers, no events.
+    """Reference evaluation: one scalar walk over ``kernel.body``, no
+    observers, no events.
 
     Handles every body shape — in-kernel store-to-load forwarding through
     an overlay, loop-carried registers (the file persists across
     iterations, as in the interpreter), partially-defined registers.
     The oracle the plan evaluators are pinned against.
     """
-    regs = [0] * (width + 1)
+    body = kernel.body
+    regs = [0] * (kernel.shape.width + 1)
     rows: List[Tuple[int, ...]] = []
     addrs: List[int] = []
     svalues: List[int] = []
     overlay: Dict[int, int] = {}
     external: set = set()
     load_addrs: set = set()
-    seed64 = seed & MASK64
-    for i in range(trip):
-        for op in ops:
-            tag = op[0]
-            if tag == 1:
-                regs[op[2]] = op[1](regs[op[3]], regs[op[4]])
-            elif tag == 2:
-                addr = op[2] + ((op[5] + i * op[3]) % op[4]) * 8
+    untouched = MemoryImage(seed)
+    for i in range(kernel.trip_count):
+        for ins in body:
+            if isinstance(ins, AluInstr):
+                regs[ins.dst] = apply_alu(ins.op, regs[ins.src_a],
+                                          regs[ins.src_b])
+            elif isinstance(ins, MoviInstr):
+                regs[ins.dst] = ins.imm & MASK64
+            elif isinstance(ins, LoadInstr):
+                addr = ins.pattern.address(i)
                 addrs.append(addr)
                 load_addrs.add(addr)
                 value = overlay.get(addr)
                 if value is None:
                     external.add(addr)
-                    x = (addr * _INIT_MIX + seed64) & MASK64
-                    x ^= x >> 29
-                    value = (x * _INIT_MIX) & MASK64
-                regs[op[1]] = value
-            elif tag == 3:
-                addr = op[2] + ((op[5] + i * op[3]) % op[4]) * 8
+                    value = untouched.initial_value(addr)
+                regs[ins.dst] = value
+            else:
+                addr = ins.pattern.address(i)
                 addrs.append(addr)
-                value = regs[op[1]]
+                value = regs[ins.src]
                 svalues.append(value)
                 overlay[addr] = value
-            else:
-                regs[op[1]] = op[2]
         rows.append(tuple(regs))
     plan.addrs = tuple(addrs)
     plan.lines = tuple([a // line_bytes for a in addrs])
@@ -88,14 +86,10 @@ def _build_scalar(
     plan._rows = tuple(rows)
 
 
-def _scalar_reference(kernel):
+def _scalar_reference(kernel, seed=SEED):
     """Evaluate ``kernel`` through the oracle into a fresh plan."""
     plan = KernelPlan(kernel)
-    width = kernel.shape.width
-    # kernel_ops needs a program; a single-kernel wrapper does (the
-    # program only numbers store sites, never moves addresses).
-    _, ops = kernel_ops(Program([kernel], 0), 0)
-    _build_scalar(plan, ops, width, kernel.trip_count, SEED, LINE_BYTES)
+    _build_scalar(plan, kernel, seed, LINE_BYTES)
     return plan
 
 
@@ -126,8 +120,9 @@ class TestCodegenMatchesScalarOracle:
             )
 
     def test_numpy_path_matches_scalar_oracle(self):
-        """Kernels at/above the numpy threshold, built *with* a program
-        (the numpy-eligibility condition), against the oracle."""
+        """Kernels at/above the numpy threshold, built with
+        ``vectorize`` (the numpy-eligibility condition), against the
+        oracle."""
         rng = random.Random(77)
         checked = 0
         for k in range(60):
@@ -136,7 +131,7 @@ class TestCodegenMatchesScalarOracle:
                 continue
             program = Program([kernel], 0)
             plan = _build_plan(
-                program.kernels[0], SEED, LINE_BYTES, program=program, kernel_index=0
+                program.kernels[0], SEED, LINE_BYTES, vectorize=True
             )
             _assert_streams_match(
                 plan, _scalar_reference(program.kernels[0]), f"k={k}"
@@ -151,10 +146,7 @@ class TestCodegenMatchesScalarOracle:
         kernel = _random_kernel(rng, "seeded", 1 << 24)
         for seed in (0, 1, 0xDEADBEEF):
             plan = _build_plan(kernel, seed, LINE_BYTES)
-            oracle = KernelPlan(kernel)
-            width = kernel.shape.width
-            _, ops = kernel_ops(Program([kernel], 0), 0)
-            _build_scalar(oracle, ops, width, kernel.trip_count, seed, LINE_BYTES)
+            oracle = _scalar_reference(kernel, seed)
             _assert_streams_match(plan, oracle, f"seed={seed}")
 
 
