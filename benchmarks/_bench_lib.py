@@ -32,11 +32,9 @@ BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 #: Persistent result-cache directory ("" = no on-disk cache).
 _cache_env = os.environ.get("REPRO_BENCH_CACHE", "")
 BENCH_CACHE = Path(_cache_env) if _cache_env else None
-#: Per-task wall-clock timeout in seconds ("" = none).
+#: Seconds before an unheartbeaten per-key claim is broken ("" = 600).
 _timeout_env = os.environ.get("REPRO_BENCH_TIMEOUT", "")
-BENCH_TIMEOUT = float(_timeout_env) if _timeout_env else None
-#: Retries per failed/timed-out/killed supervised task.
-BENCH_RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "2"))
+BENCH_TIMEOUT = float(_timeout_env) if _timeout_env else 600.0
 #: Resume from the completion journal (needs REPRO_BENCH_CACHE).
 BENCH_RESUME = os.environ.get("REPRO_BENCH_RESUME", "") not in ("", "0")
 

@@ -18,10 +18,8 @@ Scale knobs (environment):
   (default 1 = serial; parallel results are bit-identical);
 * ``REPRO_BENCH_CACHE``  — persistent result-cache directory (unset = no
   on-disk cache; a warm cache makes re-runs near-instant);
-* ``REPRO_BENCH_TIMEOUT`` — per-task wall-clock timeout in seconds for
-  supervised workers (unset = none);
-* ``REPRO_BENCH_RETRIES`` — retries per failed/timed-out/killed task
-  (default 2; deterministic backoff);
+* ``REPRO_BENCH_TIMEOUT`` — seconds a per-key claim may go without a
+  heartbeat before a waiting runner breaks it (unset = 600);
 * ``REPRO_BENCH_RESUME`` — non-empty/non-zero skips tasks the completion
   journal already records (needs ``REPRO_BENCH_CACHE``).
 """
@@ -39,13 +37,11 @@ from _bench_lib import (
     BENCH_JOBS,
     BENCH_REPS,
     BENCH_RESUME,
-    BENCH_RETRIES,
     BENCH_SCALE,
     BENCH_TIMEOUT,
     REPORT_DIR,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.resilience.policy import ResiliencePolicy
 
 
 @pytest.fixture(scope="session")
@@ -58,9 +54,7 @@ def runner() -> ExperimentRunner:
         reps=BENCH_REPS,
         jobs=BENCH_JOBS,
         cache_dir=BENCH_CACHE,
-        resilience=ResiliencePolicy(
-            max_retries=BENCH_RETRIES, timeout_s=BENCH_TIMEOUT
-        ),
+        lock_stale_s=BENCH_TIMEOUT,
         resume=BENCH_RESUME,
         engine=BENCH_ENGINE,
     )

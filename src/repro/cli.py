@@ -67,7 +67,6 @@ from repro.inject.campaign import build_trials, run_campaign
 from repro.inject.harness import CONFIGS, DEFECTS, TARGET_KINDS
 from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.tracer import RecordingTracer
-from repro.resilience.policy import ResiliencePolicy
 from repro.sim.simulator import ENGINES
 from repro.util.tables import format_table
 from repro.verify.absint.certify import certify_run
@@ -131,32 +130,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_resilience(parser)
 
 
-def _add_resilience(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--timeout", type=float, default=None,
+def _add_timeout(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--timeout", type=float, default=600.0,
                         metavar="SECONDS",
-                        help="per-task wall-clock timeout for supervised "
-                             "workers (default: none)")
-    parser.add_argument("--max-retries", type=int, default=None,
-                        metavar="N",
-                        help="retries per failed/timed-out/killed task "
-                             "(default: 2; deterministic backoff)")
+                        help="how long a per-key claim may go without a "
+                             "heartbeat before a waiting runner presumes "
+                             "its owner hung and breaks it; it must exceed "
+                             "the longest single key, or that key is "
+                             "simulated twice (default: 600; this is no "
+                             "longer a per-task deadline)")
+
+
+def _add_resilience(parser: argparse.ArgumentParser) -> None:
+    _add_timeout(parser)
     parser.add_argument("--resume", action="store_true",
                         help="skip tasks the completion journal already "
                              "records (requires --cache-dir); the final "
                              "report is bit-identical to an uninterrupted "
                              "run")
-
-
-def _policy(args) -> Optional["ResiliencePolicy"]:
-    """A ResiliencePolicy when any knob deviates from the defaults."""
-    if args.timeout is None and args.max_retries is None:
-        return None
-    kwargs = {}
-    if args.timeout is not None:
-        kwargs["timeout_s"] = args.timeout
-    if args.max_retries is not None:
-        kwargs["max_retries"] = args.max_retries
-    return ResiliencePolicy(**kwargs)
 
 
 def _check_resume(args) -> None:
@@ -223,18 +214,15 @@ def _runner(args) -> ExperimentRunner:
     return ExperimentRunner(
         num_cores=args.cores, region_scale=args.scale, reps=args.reps,
         jobs=args.jobs, cache_dir=args.cache_dir,
-        resilience=_policy(args), resume=args.resume,
+        lock_stale_s=args.timeout, resume=args.resume,
         engine=args.engine,
     )
 
 
 def _print_resilience(runner: ExperimentRunner) -> None:
-    """The supervised-execution footer: zeros are printed, not elided."""
+    """The crash-tolerance footer: zeros are printed, not elided."""
     print(runner.progress.resilience_line())
     print(runner.progress.cache_line())
-    report = runner.last_failure_report
-    if report is not None and report.tasks:
-        print(report.summary_table())
 
 
 def cmd_report(args) -> int:
@@ -644,7 +632,7 @@ def cmd_inject(args) -> int:
     _check_resume(args)
     runner = ExperimentRunner(
         jobs=args.jobs, cache_dir=args.cache_dir,
-        resilience=_policy(args), resume=args.resume,
+        lock_stale_s=args.timeout, resume=args.resume,
         snapshots=not args.no_fork,
         snapshot_dir=args.snapshot_dir,
     )
@@ -751,7 +739,7 @@ def cmd_serve(args) -> int:
         args.cache_dir,
         args.socket,
         jobs=args.jobs,
-        resilience=_policy(args),
+        lock_stale_s=args.timeout,
         echo=lambda line: print(f"serve: {line}", file=sys.stderr),
     )
     try:
@@ -1038,13 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "versioned)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes per campaign")
-    p.add_argument("--timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-task wall-clock timeout for supervised "
-                        "workers (default: none)")
-    p.add_argument("--max-retries", type=int, default=None, metavar="N",
-                   help="retries per failed/timed-out/killed task "
-                        "(default: 2; deterministic backoff)")
+    _add_timeout(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

@@ -3,7 +3,7 @@
 ``configs``  — the nine evaluated configurations (§IV): NoCkpt, Ckpt and
                ReCkpt in error-free/erroneous and global/local variants;
 ``runner``   — builds workload programs once, runs configurations on
-               demand (serially or over a process pool) and resolves
+               demand (inline or over forked workers) and resolves
                them through memo → persistent cache → simulator;
 ``cache``    — the content-addressed on-disk result cache;
 ``progress`` — per-run timing and cache hit/miss observability;

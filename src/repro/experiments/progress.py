@@ -11,7 +11,7 @@ Sources, in increasing cost order:
 ``memo``   — the in-process memo dictionary (free);
 ``disk``   — the persistent :class:`~repro.experiments.cache.ResultCache`;
 ``sim``    — a fresh simulation, executed in-process;
-``worker`` — a fresh simulation, executed in a pool worker process.
+``worker`` — a fresh simulation, executed in a forked fan-out worker.
 """
 
 from __future__ import annotations
@@ -61,10 +61,8 @@ class ProgressTracker:
     disk_misses: int = 0
     events_captured: int = 0
     events_dropped: int = 0
-    # Supervised-execution accounting (repro.resilience): a clean run
-    # reports visible zeros, so silence is an assertion, not a gap.
-    retried: int = 0
-    timed_out: int = 0
+    # Crash-tolerance accounting (repro.resilience): a clean run reports
+    # visible zeros, so silence is an assertion, not a gap.
     worker_deaths: int = 0
     degraded_to_serial: int = 0
     resumed: int = 0
@@ -117,25 +115,16 @@ class ProgressTracker:
         self.events_dropped += dropped
 
     # -------------------------------------------------------------- resilience --
-    def record_retry(self) -> None:
-        """Count one supervised-task retry (any failure cause)."""
-        self.retried += 1
-        if self.echo is not None:
-            self.echo("[retry ] supervised task re-queued")
-
-    def record_timeout(self) -> None:
-        """Count one watchdog-enforced wall-clock timeout."""
-        self.timed_out += 1
-
     def record_worker_death(self) -> None:
-        """Count one pool worker that died mid-task."""
+        """Count one fan-out worker killed by a signal (it is respawned)."""
         self.worker_deaths += 1
 
     def record_degraded(self) -> None:
-        """Count one circuit-breaker trip (pool → serial execution)."""
+        """Count one fan-out whose workers kept dying (the rest of its
+        keys resolve in-process)."""
         self.degraded_to_serial += 1
         if self.echo is not None:
-            self.echo("[degrade] pool abandoned; continuing serially")
+            self.echo("[degrade] workers keep dying; continuing serially")
 
     def record_resumed(self, n: int = 1) -> None:
         """Count tasks skipped because the completion journal already
@@ -274,10 +263,9 @@ class ProgressTracker:
         )
 
     def resilience_line(self) -> str:
-        """One-line supervised-execution summary (zeros on clean runs)."""
+        """One-line crash-tolerance summary (zeros on clean runs)."""
         return (
-            f"resilience: {self.retried} retried, {self.timed_out} timed "
-            f"out, {self.worker_deaths} worker deaths, "
+            f"resilience: {self.worker_deaths} worker deaths, "
             f"{self.degraded_to_serial} degraded-to-serial, "
             f"{self.resumed} resumed from journal"
         )
@@ -304,8 +292,6 @@ class ProgressTracker:
         self.disk_misses = 0
         self.events_captured = 0
         self.events_dropped = 0
-        self.retried = 0
-        self.timed_out = 0
         self.worker_deaths = 0
         self.degraded_to_serial = 0
         self.resumed = 0

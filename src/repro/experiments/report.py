@@ -1,8 +1,8 @@
 """Full paper regeneration: every figure and table in one report.
 
-``python -m repro.experiments.report [--scale S] [--cores N] [--jobs J]``
-prints the whole evaluation section.  The benchmark harness calls the
-same generators; this entry point exists for humans.
+``acr-repro report [--scale S] [--cores N] [--jobs J]`` prints the whole
+evaluation section through :func:`generate_report`; the benchmark
+harness calls the same generators.
 
 :func:`paper_run_matrix` enumerates every (workload, request) pair the
 report needs, so the runner can resolve them up front — in parallel when
@@ -12,7 +12,6 @@ before the (cheap, memo-served) generators assemble their tables.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -34,7 +33,7 @@ from repro.experiments.figures import (
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables_ import table1_configuration, table2_threshold_sweep
 
-__all__ = ["generate_report", "paper_run_matrix", "main"]
+__all__ = ["generate_report", "paper_run_matrix"]
 
 #: Sweep domains shared by the figure generators' default arguments.
 _THRESHOLDS = (10, 20, 30, 40, 50)
@@ -134,47 +133,3 @@ def generate_report(
     summary = runner.progress.summary_table()
     emit("run_summary", summary)
     print(f"[report generated in {time.time() - t0:.1f}s]", file=stream)
-
-
-def main(argv=None) -> None:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload region scale (speed knob)")
-    parser.add_argument("--cores", type=int, default=8)
-    parser.add_argument("--reps", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for independent runs")
-    parser.add_argument("--cache-dir", type=str, default=None,
-                        help="persistent result cache directory")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-task wall-clock timeout for supervised "
-                             "workers (default: none)")
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="retries per failed/timed-out/killed task")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip journaled completions (needs --cache-dir)")
-    parser.add_argument("--out", type=str, default=None,
-                        help="also write each artifact to <out>/<name>.txt")
-    parser.add_argument("--scalability", action="store_true",
-                        help="include the 8/16/32-core study (slow)")
-    args = parser.parse_args(argv)
-    if args.resume and args.cache_dir is None:
-        parser.error("--resume needs --cache-dir")
-    from repro.resilience.policy import ResiliencePolicy
-
-    runner = ExperimentRunner(
-        num_cores=args.cores, region_scale=args.scale, reps=args.reps,
-        jobs=args.jobs, cache_dir=args.cache_dir,
-        resilience=ResiliencePolicy(
-            max_retries=args.max_retries, timeout_s=args.timeout
-        ),
-        resume=args.resume,
-    )
-    generate_report(
-        runner, include_scalability=args.scalability, out_dir=args.out
-    )
-
-
-if __name__ == "__main__":
-    main()

@@ -11,11 +11,10 @@ first:
 2. the **persistent cache** (``cache_dir``) — serialised results keyed by
    a content hash of everything that determines the run, so repeated
    full-paper regenerations across invocations cost almost nothing;
-3. the **simulator** — either inline, or fanned out over a supervised
-   worker pool (``jobs > 1``; :mod:`repro.resilience`) for independent
-   pairs via :meth:`ExperimentRunner.run_many` — with per-task
-   timeouts, retries with deterministic backoff, dead-worker respawn
-   and a write-ahead completion journal for ``resume``.
+3. the **simulator** — either inline, or fanned out over ``jobs``
+   forked workers (``jobs > 1``) that each run the inline path over the
+   same key list and publish through the cache (:meth:`_fan_out`); a
+   write-ahead completion journal makes either path resumable.
 
 Every miss is simulated under its **claim** — one advisory
 :class:`~repro.resilience.locks.KeyLock` per key beside the cache entry —
@@ -25,8 +24,9 @@ once between them: a key whose claim is held elsewhere is waited on
 until its entry is published, and re-claimed if its owner vanished.
 
 Parallel runs are bit-identical to serial ones: the simulation is
-deterministic, workers return the full serialised result, and both paths
-share the same cache keys (a test pins this).
+deterministic, a worker is this runner forked, and the parent reads
+every result back from the cache the workers published it to (a test
+pins this).
 
 Scale knobs: ``region_scale``/``reps`` shrink the workloads uniformly —
 overheads and reductions are ratios, so they are stable across scales
@@ -36,6 +36,7 @@ keep a full paper regeneration to minutes.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import nullcontext
 from pathlib import Path
@@ -44,6 +45,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -64,17 +66,13 @@ from repro.experiments.configs import ConfigRequest, make_options
 from repro.experiments.progress import ProgressTracker, _Timer
 from repro.inject.harness import TrialResult, TrialSpec, run_trial
 from repro.isa.program import Program
-from repro.obs.events import MACHINE, CampaignResumed
+from repro.obs.events import MACHINE, CampaignResumed, PoolDegraded, WorkerDied
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry.emit import task_telemetry
 from repro.obs.tracer import Tracer
 from repro.resilience.journal import CompletionJournal, JournalRecord
 from repro.resilience.locks import KeyLock
-from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.report import FailureReport
-from repro.resilience.supervisor import SupervisedTask, Supervisor
 from repro.sim.results import (
-    BaselineProfile,
     RunResult,
     energy_overhead,
     time_overhead,
@@ -91,83 +89,187 @@ _CLAIM_POLL_S = 0.05
 
 _Item = TypeVar("_Item")
 
-#: One unit of pool work: everything a worker needs to rebuild the
-#: simulator and execute the run, plus the baseline profile (None for
-#: NoCkpt runs — they *are* the profile) and the execution engine.
-_WorkerTask = Tuple[
-    str,
-    ConfigRequest,
-    MachineConfig,
-    float,
-    Optional[int],
-    Optional[List[float]],
-    str,
-]
-
-#: Per-worker-process simulator memo, keyed by the full build recipe.
-#: Lives at module scope so one pool worker serving several requests of
-#: the same workload builds its programs once.
-_WORKER_SIMULATORS: Dict[Tuple, Simulator] = {}
+#: Consecutive worker deaths, with no key published in between, after
+#: which a fan-out stops forking and resolves the rest in this process.
+_DEATHS_BEFORE_INLINE = 3
+#: How long a worker told to stop may take to reach a point where it
+#: takes SIGTERM (its next simulation or pause) before it is SIGKILLed.
+_STOP_GRACE_S = 2.0
+#: Where a fan-out without a cache keeps its scratch one: memory-backed,
+#: when the host has it, since every key costs a claim file and an entry
+#: file and creating a file there costs a tenth of what it does on disk.
+_SCRATCH_ROOT = "/dev/shm"
 
 
-def _worker_simulator(
-    workload: str,
-    machine: MachineConfig,
-    region_scale: float,
-    reps: Optional[int],
-) -> Simulator:
-    """Build (or reuse) this worker process's simulator for a workload."""
-    key = (workload, machine, region_scale, reps)
-    sim = _WORKER_SIMULATORS.get(key)
-    if sim is None:
-        spec = get_workload(workload)
-        programs = spec.build_programs(
-            machine.num_cores, region_scale=region_scale, reps=reps
-        )
-        sim = Simulator(programs, machine)
-        _WORKER_SIMULATORS[key] = sim
-    return sim
+def _run_label(pair: Tuple[str, ConfigRequest]) -> str:
+    return f"{pair[0]}/{pair[1].config}"
 
 
-def _trial_execute(
-    task: Tuple[TrialSpec, bool, Optional[str]]
-) -> Tuple[TrialSpec, dict, float]:
-    """Pool entry point for fault-injection trials.
+def _trial_label(spec: TrialSpec) -> str:
+    return f"{spec.workload}/inject:{spec.config}#{spec.seed}"
 
-    A trial is self-contained (the spec names its workload, scale and
-    machine shape), so the task is the spec plus the execution-plan
-    knobs: whether to run on the forked-snapshot plan, and the snapshot
-    store directory (None: in-process golden memo only — the harness
-    keeps it at module scope, so one pool worker serving many trials of
-    a recipe runs its golden pass once either way).
-    Like :func:`_worker_execute` the result crosses the process boundary
-    serialised.
+
+class _PipeTelemetry:
+    """A forked worker's telemetry: each frame goes up the worker's pipe
+    to the parent's aggregator.  The worker's own cache I/O phases stay
+    unattributed (its profiler is never read)."""
+
+    def __init__(self, conn: Any) -> None:
+        from repro.obs.telemetry.profile import PhaseProfiler
+
+        self.conn = conn
+        self.profiler = PhaseProfiler()
+
+    def on_frame(self, frame: Any) -> None:
+        self.conn.send(("frame", frame.to_dict()))
+
+
+class _Workers:
+    """The parent side of one fan-out: forked workers, their exit
+    sentinels and their one-way pipes (see ExperimentRunner._fan_out).
+
+    A pipe carries telemetry frames, one ``published`` note per key the
+    worker stored, and at most one ``failed`` note naming the task whose
+    exception ends the worker — never tasks or results.
     """
-    spec, snapshots, snapshot_dir = task
-    store = (
-        SnapshotStore(Path(snapshot_dir)) if snapshot_dir is not None
-        else None
-    )
-    with _Timer() as timer:
-        result = run_trial(spec, snapshots=snapshots, snapshot_store=store)
-    return spec, result.to_dict(), timer.seconds
 
+    def __init__(
+        self,
+        runner: "ExperimentRunner",
+        target: Callable[[int, Any], None],
+        count: int,
+        keys: int,
+    ) -> None:
+        import multiprocessing
 
-def _worker_execute(task: _WorkerTask) -> Tuple[str, ConfigRequest, dict, float]:
-    """Pool entry point: run one configuration, return its serialised
-    result (:meth:`RunResult.to_payload`, not ``RunResult`` — the
-    checkpoint store never crosses the process boundary, and columnar
-    JSON-safe payloads keep pickling cheap)."""
-    workload, request, machine, region_scale, reps, baseline_cores, engine = task
-    with _Timer() as timer:
-        sim = _worker_simulator(workload, machine, region_scale, reps)
-        baseline = (
-            BaselineProfile(list(baseline_cores))
-            if baseline_cores is not None
-            else None
+        self.runner = runner
+        self.target = target
+        self.keys = keys
+        self.ctx = multiprocessing.get_context("fork")
+        self.live: Dict[int, Tuple[Any, Any]] = {}
+        self.published: set = set()
+        self.deaths = 0
+        self.failure: Optional[str] = None
+        self._t0 = time.monotonic()
+        for index in range(count):
+            self._spawn(index)
+
+    def _spawn(self, index: int) -> None:
+        recv, send = self.ctx.Pipe(duplex=False)
+        proc = self.ctx.Process(
+            target=self.target, args=(index, send),
+            name=f"acr-worker-{index}", daemon=True,
         )
-        result = sim.run(make_options(request, baseline, engine=engine))
-    return workload, request, result.to_payload(), timer.seconds
+        proc.start()
+        send.close()
+        self.live[index] = (proc, recv)
+
+    def run(self) -> None:
+        """Watch the workers until one exits cleanly (every key reads
+        back) or they keep dying; a task exception raises, once."""
+        runner = self.runner
+        while True:
+            if runner.telemetry is not None:
+                runner.telemetry.update_pool(
+                    len(self.live), len(self.live),
+                    self.keys - len(self.published),
+                )
+            for index, proc, code in self._sweep(None):
+                if code == 0:
+                    return
+                if code > 0:
+                    raise RuntimeError(
+                        self.failure
+                        or f"worker pid {proc.pid} exited with status {code}"
+                    )
+                self.deaths += 1
+                runner.progress.record_worker_death()
+                runner.resilience_metrics.counter(
+                    "resilience.worker_deaths"
+                ).inc()
+                runner._trace(WorkerDied(
+                    ts_ns=self._now_ns(), core=MACHINE,
+                    label=proc.name, pid=proc.pid,
+                ))
+                if self.deaths >= _DEATHS_BEFORE_INLINE:
+                    runner.progress.record_degraded()
+                    runner.resilience_metrics.counter(
+                        "resilience.degraded"
+                    ).inc()
+                    runner._trace(PoolDegraded(
+                        ts_ns=self._now_ns(), core=MACHINE,
+                        failures=self.deaths,
+                    ))
+                    return
+                self._spawn(index)
+
+    def stop(self) -> None:
+        """Stop every live worker (see ExperimentRunner._work for where
+        it takes SIGTERM), SIGKILL any still there after
+        ``_STOP_GRACE_S``, and reap them all, folding their last notes.
+        A frozen (SIGSTOPped) worker is continued, so it takes its
+        SIGTERM at once."""
+        import signal
+
+        for proc, _conn in self.live.values():
+            if proc.exitcode is None:  # unreaped: its pid is not reused
+                proc.terminate()
+                os.kill(proc.pid, signal.SIGCONT)
+        deadline = time.monotonic() + _STOP_GRACE_S
+        while self.live and time.monotonic() < deadline:
+            self._sweep(deadline - time.monotonic())
+        for proc, _conn in self.live.values():
+            proc.kill()
+        while self.live:
+            self._sweep(None)
+
+    def _sweep(self, timeout: Optional[float]) -> List[Tuple[int, Any, int]]:
+        """Wait for a note or an exit, fold every waiting note and reap
+        every exited worker; returns the exits as (index, process, code).
+        """
+        from multiprocessing.connection import wait
+
+        wait(
+            [proc.sentinel for proc, _conn in self.live.values()]
+            + [conn for _proc, conn in self.live.values()],
+            timeout,
+        )
+        exits = []
+        for index, (proc, conn) in list(self.live.items()):
+            code = proc.exitcode  # reaps an exited worker
+            self._drain(index, conn)
+            if code is not None:
+                conn.close()
+                del self.live[index]
+                exits.append((index, proc, code))
+        return exits
+
+    def _drain(self, index: int, conn: Any) -> None:
+        runner = self.runner
+        while True:
+            try:
+                if not conn.poll():
+                    return
+                note = conn.recv()
+            except (EOFError, OSError):
+                return
+            if note[0] == "frame":
+                if runner.telemetry is not None:
+                    runner.telemetry.on_frame_dict(note[1], worker=index)
+            elif note[0] == "published":
+                _tag, key, kind, label, seconds = note
+                self.published.add(key)
+                self.deaths = 0
+                workload, config = label.split("/", 1)
+                runner.progress.record(workload, config, "worker", seconds)
+                runner.progress.record_miss()
+                if kind == KIND_TRIAL and runner.snapshots:
+                    runner.progress.record_forked()
+            else:
+                self.failure = note[1]
+
+    def _now_ns(self) -> float:
+        return (time.monotonic() - self._t0) * 1e9
 
 
 class ExperimentRunner:
@@ -182,7 +284,7 @@ class ExperimentRunner:
         jobs: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         progress: Optional[ProgressTracker] = None,
-        resilience: Optional[ResiliencePolicy] = None,
+        lock_stale_s: float = 600.0,
         journal_path: Optional[Union[str, Path]] = None,
         resume: bool = False,
         engine: str = "interp",
@@ -194,6 +296,7 @@ class ExperimentRunner:
         check_positive("num_cores", num_cores)
         check_positive("region_scale", region_scale)
         check_positive("jobs", jobs)
+        check_positive("lock_stale_s", lock_stale_s)
         self.num_cores = num_cores
         self.region_scale = region_scale
         self.reps = reps
@@ -240,19 +343,18 @@ class ExperimentRunner:
         #: None (the default) keeps every execution path frame-free and
         #: byte-identical (pinned by test and benchmark guardrail).
         self.telemetry = telemetry
-        # -- supervised execution (repro.resilience) -----------------------
-        self.resilience = resilience or ResiliencePolicy()
+        # -- crash tolerance (repro.resilience) ------------------------------
+        #: How old (by mtime) a per-key claim must be before a waiting
+        #: runner presumes its owner hung and breaks it (``--timeout``).
+        self.lock_stale_s = lock_stale_s
         self.resilience_metrics = MetricsRegistry()
         if cache is None and self.cache is not None:
             self.cache.metrics = self.resilience_metrics
-        #: Optional Tracer receiving harness-level events (task_retried,
-        #: worker_died, pool_degraded, campaign_resumed).
+        #: Optional Tracer receiving harness-level events (worker_died,
+        #: pool_degraded, campaign_resumed).
         self.resilience_tracer: Optional[Tracer] = None
-        #: Attempt histories of the most recent supervised fan-out.
-        self.last_failure_report: Optional[FailureReport] = None
-        #: Test/ops hooks forwarded to the Supervisor (see its docs).
-        self.supervisor_hooks: Dict[str, Callable] = {}
-        self._active_supervisor: Optional[Supervisor] = None
+        #: In a fan-out worker, the pipe its ``published`` notes go up.
+        self._pipe: Any = None
         # The write-ahead completion journal lives beside the cache by
         # default; an explicit path works cache-less (accounting only).
         if journal_path is None and self.cache is not None:
@@ -319,23 +421,19 @@ class ExperimentRunner:
         pairs: Iterable[Tuple[str, ConfigRequest]],
         jobs: Optional[int] = None,
     ) -> List[RunResult]:
-        """Resolve many (workload, request) pairs, fanning independent
-        simulations out over a process pool when ``jobs > 1``.
+        """Resolve many (workload, request) pairs, fanning the misses out
+        over ``jobs`` forked workers when ``jobs > 1`` (:meth:`_fan_out`).
 
         Results are returned in input order and are identical to what the
-        serial :meth:`run` path produces (workers ship serialised results
-        back; the checkpoint store stays worker-side).  Pairs already in
-        the memo or the persistent cache are never re-simulated, and a
-        miss is simulated only under its claim (:meth:`_claimed`).
-
-        With ``jobs > 1`` the fan-out runs under a
-        :class:`~repro.resilience.supervisor.Supervisor`: hung tasks
-        time out, dead workers respawn and their tasks retry with
-        deterministic backoff, and repeated pool failures degrade to
-        serial execution — none of which changes the results (tasks are
-        deterministic; chaos tests pin bit-exactness).  Completed
-        results are installed (and journaled) as they arrive, so a
-        ``KeyboardInterrupt`` loses only in-flight work.
+        serial :meth:`run` path produces (workers publish through the
+        cache and the parent reads every result back; the checkpoint store
+        stays worker-side).  Pairs already in the memo or the persistent
+        cache are never re-simulated, and a miss is simulated only under
+        its claim (:meth:`_claimed`).  Dead workers are respawned and
+        none of that changes the results (simulations are deterministic;
+        chaos tests pin bit-exactness).  Each result is stored and
+        journaled the moment it completes, so a ``KeyboardInterrupt``
+        loses only in-flight work.
         """
         ordered = list(dict.fromkeys(pairs))
         jobs = self.jobs if jobs is None else jobs
@@ -363,12 +461,12 @@ class ExperimentRunner:
     ) -> List[TrialResult]:
         """Resolve fault-injection :class:`TrialSpec`\\ s through the same
         three layers as simulation runs: memo → persistent cache →
-        execute (inline, or over a process pool when ``jobs > 1``), each
+        execute (inline, or over forked workers when ``jobs > 1``), each
         miss under its claim.
 
         Trials are self-contained — each spec carries its own workload,
         scale and machine shape — so the runner's ``num_cores`` /
-        ``region_scale`` knobs do not apply here; only its cache, pool
+        ``region_scale`` knobs do not apply here; only its cache, workers
         and progress plumbing do.  Results come back in input order and
         are bit-identical across the serial and parallel paths (a test
         pins this).
@@ -383,61 +481,50 @@ class ExperimentRunner:
                 (trial_cache_key(s) for s in ordered),
                 pending_count=len(pending),
             )
-        if pending:
-            self._claimed(
-                pending, trial_cache_key, self._lookup_trial,
-                lambda won: self._execute_trials(won, jobs),
+        if pending and jobs > 1:
+            self._fan_out(
+                pending, jobs, lambda spec: [trial_cache_key(spec)],
+                _trial_label, self._lookup_trial, self._claim_trials,
+                self._read_back_trial,
             )
+        elif pending:
+            self._claim_trials(pending)
         return [self._trial_results[s] for s in ordered]
+
+    def _claim_trials(self, pending: Sequence[TrialSpec]) -> None:
+        self._claimed(
+            pending, trial_cache_key, self._lookup_trial,
+            self._execute_trials,
+        )
 
     def _execute_trial_inline(self, spec: TrialSpec) -> None:
         """Run one trial in-process and store it in every layer."""
-        scope = self._task_scope(
-            f"{spec.workload}/inject:{spec.config}#{spec.seed}"
-        )
+        scope = self._task_scope(_trial_label(spec))
         with scope, _Timer() as timer:
             result = run_trial(
                 spec,
                 snapshots=self.snapshots,
                 snapshot_store=self.snapshot_store,
             )
-        self._install_trial(spec, result, "sim", timer.seconds)
+        self._install_trial(spec, result, timer.seconds)
 
-    def _execute_trials(
-        self, pending: Sequence[TrialSpec], jobs: int
-    ) -> None:
-        """Execute claimed trials inline, or over the supervised pool."""
-        if jobs <= 1:
-            for spec in pending:
-                self._execute_trial_inline(spec)
-            return
-        tasks = [
-            SupervisedTask(
-                key=trial_cache_key(spec),
-                fn=_trial_execute,
-                payload=(
-                    spec,
-                    self.snapshots,
-                    (str(self.snapshot_dir)
-                     if self.snapshot_dir is not None else None),
-                ),
-                label=f"{spec.workload}/inject:{spec.config}#{spec.seed}",
-            )
-            for spec in pending
-        ]
+    def _execute_trials(self, pending: Sequence[TrialSpec]) -> None:
+        """Execute claimed trials inline."""
+        for spec in pending:
+            self._execute_trial_inline(spec)
 
-        def install(task: SupervisedTask, result: Any, history) -> None:
-            spec, payload, seconds = result
-            self._install_trial(
-                spec,
-                TrialResult.from_dict(payload),
-                "worker",
-                seconds,
-                attempts=len(history.attempts),
-            )
-
-        with self._supervisor(jobs) as sup:
-            sup.run(tasks, on_complete=install)
+    def _read_back_trial(self, spec: TrialSpec) -> bool:
+        """Memoise a trial a fan-out worker published (its note already
+        counted it, so no disk hit is recorded); ``False`` if it does
+        not decode — the inline pass then quarantines and re-executes."""
+        payload = self.cache.load_payload(trial_cache_key(spec), KIND_TRIAL)
+        if payload is None:
+            return False
+        try:
+            self._trial_results[spec] = TrialResult.from_dict(payload)
+        except (ValueError, TypeError, KeyError):
+            return False
+        return True
 
     def _lookup_trial(self, spec: TrialSpec) -> Optional[TrialResult]:
         """Memo, then persistent cache; ``None`` means 'must execute'.
@@ -474,13 +561,11 @@ class ExperimentRunner:
         self,
         spec: TrialSpec,
         result: TrialResult,
-        source: str,
         seconds: float,
-        attempts: int = 1,
     ) -> None:
         """Record progress and store a fresh trial result in every layer."""
         self.progress.record(
-            spec.workload, f"inject:{spec.config}", source, seconds
+            spec.workload, f"inject:{spec.config}", "sim", seconds
         )
         if self.snapshots:
             self.progress.record_forked()
@@ -490,8 +575,7 @@ class ExperimentRunner:
             with self._phase("cache-io"):
                 self.cache.store_payload(key, result.to_dict(), KIND_TRIAL)
         self._published(
-            key, KIND_TRIAL, f"{spec.workload}/inject:{spec.config}",
-            attempts, seconds,
+            key, KIND_TRIAL, f"{spec.workload}/inject:{spec.config}", seconds
         )
 
     def run_traced(
@@ -634,7 +718,6 @@ class ExperimentRunner:
         workload: str,
         request: ConfigRequest,
         result: RunResult,
-        attempts: int = 1,
         seconds: float = 0.0,
     ) -> None:
         """Install a fresh result into the memo, the persistent cache
@@ -644,9 +727,7 @@ class ExperimentRunner:
         if self.cache is not None:
             with self._phase("cache-io"):
                 self.cache.store(key, result)
-        self._published(
-            key, KIND_RUN, f"{workload}/{request.config}", attempts, seconds
-        )
+        self._published(key, KIND_RUN, f"{workload}/{request.config}", seconds)
 
     # -- telemetry plumbing ---------------------------------------------------
     def _task_scope(self, label: str):
@@ -658,37 +739,18 @@ class ExperimentRunner:
         return task_telemetry(label, self.telemetry.on_frame)
 
     def _phase(self, name: str):
-        """Time one parent-side phase (cache I/O happens in this
-        process even for pooled campaigns) on the campaign profiler."""
+        """Time one phase of this process (cache I/O) on the campaign
+        profiler."""
         if self.telemetry is None:
             return nullcontext()
         return self.telemetry.profiler.phase(name)
 
     # -- resilience plumbing -------------------------------------------------
-    def _supervisor(self, jobs: int) -> Supervisor:
-        """A configured supervised pool, registered as active so chaos
-        tests and ops tooling can reach the live workers."""
-        sup = Supervisor(
-            self.resilience,
-            jobs,
-            progress=self.progress,
-            tracer=self.resilience_tracer,
-            metrics=self.resilience_metrics,
-            telemetry=self.telemetry,
-            hooks=self.supervisor_hooks,
-        )
-        self._active_supervisor = sup
-
-        original_close = sup.close
-
-        def close(force: bool = False) -> None:
-            original_close(force)
-            if self._active_supervisor is sup:
-                self._active_supervisor = None
-            self.last_failure_report = sup.failure_report
-
-        sup.close = close  # type: ignore[method-assign]
-        return sup
+    def _trace(self, event: Any) -> None:
+        """Emit one harness-level event to the resilience tracer."""
+        tracer = self.resilience_tracer
+        if tracer is not None and getattr(tracer, "enabled", False):
+            tracer.emit(event)
 
     def _credit_resume(
         self, keys: Iterable[str], pending_count: int
@@ -706,37 +768,39 @@ class ExperimentRunner:
         self.resilience_metrics.counter("resilience.resumed_tasks").inc(
             len(fresh)
         )
-        tracer = self.resilience_tracer
-        if tracer is not None and getattr(tracer, "enabled", False):
-            tracer.emit(
-                CampaignResumed(
-                    ts_ns=0.0,
-                    core=MACHINE,
-                    journaled=len(fresh),
-                    pending=pending_count,
-                )
+        self._trace(
+            CampaignResumed(
+                ts_ns=0.0,
+                core=MACHINE,
+                journaled=len(fresh),
+                pending=pending_count,
             )
+        )
 
     def _published(
-        self, key: str, kind: str, label: str, attempts: int, seconds: float
+        self, key: str, kind: str, label: str, seconds: float
     ) -> None:
         """A fresh result for ``key`` is stored: journal it, release its
-        claim right away, and heartbeat the claims still held.
+        claim right away, and heartbeat the claims still held; in a
+        fan-out worker, also note it to the parent.
 
         Heartbeating per completed task bounds a waiting peer's
         staleness clock by the longest *single* task rather than the
-        whole fan-out (one utime per held claim).
+        whole batch (one utime per held claim).  Every key takes one
+        attempt: nothing is retried.
         """
         if self.journal is not None:
             self.journal.append(
                 JournalRecord(
                     key=key, kind=kind, label=label,
-                    attempts=attempts, seconds=seconds,
+                    attempts=1, seconds=seconds,
                 )
             )
         self._release_claim(key)
         for claim in self._claims.values():
             claim.heartbeat()
+        if self._pipe is not None:
+            self._pipe.send(("published", key, kind, label, seconds))
 
     def _release_claim(self, key: str) -> None:
         claim = self._claims.pop(key, None)
@@ -781,7 +845,7 @@ class ExperimentRunner:
                 key = key_of(item)
                 claim = KeyLock(
                     self.cache.lock_path(key),
-                    stale_s=self.resilience.lock_stale_s,
+                    stale_s=self.lock_stale_s,
                 )
                 if not claim.try_acquire():
                     waiting.append(item)
@@ -812,9 +876,7 @@ class ExperimentRunner:
         (dependents need its per-core useful-time profile to place
         boundaries and errors), then all remaining pairs run fully
         independently — each phase under its claims.  With ``jobs > 1``
-        one supervisor spans both phases, so surviving workers keep
-        their warm simulator memos (it spawns no worker until a claim
-        is won).
+        both phases, in that order, are one fan-out's key list.
         """
         baseline_reqs: Dict[Tuple[str, ConfigRequest], None] = {}
         for wl, req in pending:
@@ -834,53 +896,214 @@ class ExperimentRunner:
         ]
         phase2 = [(wl, req) for wl, req in pending if not req.is_baseline]
 
-        pool = self._supervisor(jobs) if jobs > 1 else nullcontext()
-        with pool as sup:
-            for phase in (phase1, phase2):
-                self._claimed(
-                    phase,
-                    lambda pair: self.cache_key(*pair),
-                    lambda pair: self.lookup(*pair),
-                    lambda pairs: self._execute_runs(pairs, sup),
-                )
-
-    def _execute_runs(
-        self,
-        pairs: Sequence[Tuple[str, ConfigRequest]],
-        sup: Optional[Supervisor],
-    ) -> None:
-        """Execute claimed pairs inline, or through the supervisor,
-        installing each result (memo + cache + journal) the moment it
-        completes.  Every dependent's baseline is already in the memo."""
-        if sup is None:
-            for wl, req in pairs:
-                self._simulate(wl, req)
+        if jobs > 1:
+            self._fan_out(
+                phase1 + phase2, jobs, self._run_claims, _run_label,
+                lambda pair: self.lookup(*pair),
+                lambda pairs: self._resolve_runs(pairs, 1),
+                self._read_back_run,
+            )
             return
-        tasks: List[SupervisedTask] = []
+        for phase in (phase1, phase2):
+            self._claimed(
+                phase,
+                lambda pair: self.cache_key(*pair),
+                lambda pair: self.lookup(*pair),
+                self._execute_runs,
+            )
+
+    def _execute_runs(self, pairs: Sequence[Tuple[str, ConfigRequest]]) -> None:
+        """Execute claimed pairs inline, installing each result (memo +
+        cache + journal) the moment it completes.  Every dependent's
+        baseline is already in the memo."""
         for wl, req in pairs:
-            base = self._resolved_baseline(wl, req)
-            profile = list(base.per_core_useful_ns) if base is not None else None
-            tasks.append(
-                SupervisedTask(
-                    key=self.cache_key(wl, req),
-                    fn=_worker_execute,
-                    payload=(
-                        wl, req, self.machine, self.region_scale, self.reps,
-                        profile, self.engine,
-                    ),
-                    label=f"{wl}/{req.config}",
-                )
-            )
+            self._simulate(wl, req)
 
-        def install(task: SupervisedTask, result: Any, history) -> None:
-            wl, req, payload, seconds = result
-            self.progress.record(wl, req.config, "worker", seconds)
-            self._store(
-                wl, req, RunResult.from_payload(payload),
-                attempts=len(history.attempts), seconds=seconds,
-            )
+    def _run_claims(self, pair: Tuple[str, ConfigRequest]) -> List[str]:
+        """The keys resolving ``pair`` may claim: its baseline's (for a
+        dependent), then its own."""
+        workload, request = pair
+        own = self.cache_key(workload, request)
+        if request.is_baseline:
+            return [own]
+        base = ConfigRequest("NoCkpt", memory_seed=request.memory_seed)
+        return [self.cache_key(workload, base), own]
 
-        sup.run(tasks, on_complete=install)
+    def _read_back_run(self, pair: Tuple[str, ConfigRequest]) -> bool:
+        """Memoise a run a fan-out worker published (its note already
+        counted it, so no disk hit is recorded); ``False`` on a miss."""
+        result = self.cache.load(self.cache_key(*pair))
+        if result is None:
+            return False
+        self._results[pair] = result
+        return True
+
+    # -- fan-out ---------------------------------------------------------------
+    def _fan_out(
+        self,
+        items: List[_Item],
+        jobs: int,
+        claims_of: Callable[[_Item], List[str]],
+        label_of: Callable[[_Item], str],
+        lookup: Callable[[_Item], Any],
+        resolve: Callable[[List[_Item]], None],
+        read_back: Callable[[_Item], bool],
+    ) -> None:
+        """Resolve the missed ``items`` over ``jobs`` forked workers.
+
+        Each worker is this runner forked with ``jobs=1`` semantics: it
+        walks its own stripe of ``items``, then all of them from the
+        other end, one key at a time through ``resolve`` (the inline
+        path: claim, simulate, publish), so it returns only once every
+        key is in the cache (:meth:`_work`).  ``claims_of`` names the
+        keys resolving an item may claim, its own last.  A runner
+        without a cache fans out through a scratch one for the call's
+        duration.  The parent only watches:
+
+        * a clean exit ends the fan-out, and the other workers stop;
+        * a death by signal is reaped — which lets a peer break its
+          claim at once (see ``KeyLock._orphaned``) — counted and
+          respawned; after ``_DEATHS_BEFORE_INLINE`` deaths with no key
+          published in between the workers stop and the rest resolves
+          in this process;
+        * a task exception fails the fan-out once, naming the task:
+          simulations are deterministic, so a retry buys nothing.
+
+        A hung worker needs no watchdog: its claim stops being
+        heartbeaten, goes stale (``lock_stale_s``), and a peer breaks
+        it.  At the end every key is read back from the cache into the
+        memo (``read_back`` for keys a worker noted, the inline
+        ``lookup``/``resolve`` for the rest).
+        """
+        import tempfile
+
+        scratch = None
+        if self.cache is None:
+            scratch = tempfile.TemporaryDirectory(
+                prefix="acr-fan-out-",
+                dir=_SCRATCH_ROOT if os.access(_SCRATCH_ROOT, os.W_OK) else None,
+            )
+            self.cache = ResultCache(scratch.name)
+        try:
+            claims = {item: claims_of(item) for item in items}
+            count = min(jobs, len(items))
+            workers = _Workers(
+                self,
+                lambda index, conn: self._work(
+                    items[index::count] + items[::-1], conn,
+                    claims.__getitem__, resolve, label_of,
+                ),
+                count,
+                len(items),
+            )
+            try:
+                workers.run()
+            finally:
+                workers.stop()
+            rest = []
+            with self._phase("cache-io"):
+                for item in items:
+                    key = claims[item][-1]
+                    if key not in workers.published or not read_back(item):
+                        rest.append(item)
+            rest = [item for item in rest if lookup(item) is None]
+            if rest:
+                resolve(rest)
+        finally:
+            if scratch is not None:
+                self.cache = None
+                scratch.cleanup()
+
+    def _work(
+        self,
+        order: List[_Item],
+        conn: Any,
+        claims_of: Callable[[_Item], List[str]],
+        resolve: Callable[[List[_Item]], None],
+        label_of: Callable[[_Item], str],
+    ) -> None:
+        """A forked worker's body: resolve ``order`` one key at a time,
+        taking free keys rather than waiting on held ones.
+
+        An item already in the cache is skipped.  One with a claim a
+        live peer holds (its own, or its baseline's) is put off to a
+        later pass, so a worker done with its stripe takes the keys no
+        one has started instead of waiting on a peer's current one.  A
+        pass that puts off every item sleeps one claim poll.  A held claim
+        whose owner dies or goes stale reads as free again, and the
+        inline path breaks it.
+
+        SIGTERM — the parent's stop — is blocked except while a task
+        simulates (inside its ``_task_scope``) and while the worker sleeps
+        between passes.  There the worker holds only the claims it has
+        registered, so it releases them and dies by the signal; it is
+        never stopped mid-claim (a claim file cut off before it names
+        its owner would stand until it goes stale) or while it stores,
+        journals and notes a result.  A task exception prints its
+        traceback, sends one ``failed`` note and exits with status 1.
+        """
+        import signal
+        import sys
+        import traceback
+        from contextlib import contextmanager
+
+        term = {signal.SIGTERM}
+        task_scope = self._task_scope
+
+        @contextmanager
+        def stoppable(label: str) -> Iterator[None]:
+            with task_scope(label):
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, term)
+                try:
+                    yield
+                finally:
+                    signal.pthread_sigmask(signal.SIG_BLOCK, term)
+
+        def stopped(signum: int, frame: Any) -> None:
+            for claim in self._claims.values():
+                claim.release()
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        signal.pthread_sigmask(signal.SIG_BLOCK, term)
+        signal.signal(signal.SIGTERM, stopped)
+        self._task_scope = stoppable
+        self._pipe = conn
+        self.progress = ProgressTracker()
+        self.resilience_tracer = None
+        if self.telemetry is not None:
+            self.telemetry = _PipeTelemetry(conn)
+        cache = self.cache
+        while order:
+            held: List[_Item] = []
+            for item in order:
+                claims = claims_of(item)
+                if claims[-1] in cache:
+                    continue
+                if any(
+                    KeyLock(
+                        cache.lock_path(key),
+                        stale_s=self.lock_stale_s,
+                    ).held()
+                    for key in claims
+                ):
+                    held.append(item)
+                    continue
+                try:
+                    resolve([item])
+                except Exception as exc:
+                    traceback.print_exc()
+                    conn.send((
+                        "failed",
+                        f"task {label_of(item)} failed: "
+                        f"{type(exc).__name__}: {exc}",
+                    ))
+                    sys.exit(1)
+            if len(held) == len(order):
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, term)
+                time.sleep(_CLAIM_POLL_S)
+                signal.pthread_sigmask(signal.SIG_BLOCK, term)
+            order = held
 
     # -- derived metrics ------------------------------------------------------
     def time_overhead(self, workload: str, request: ConfigRequest) -> float:

@@ -105,13 +105,6 @@ class CampaignReport:
 
     results: List[TrialResult]
     tallies: Dict[str, _ConfigTally] = field(init=False)
-    #: Attempt histories of the supervised fan-out that produced the
-    #: results (:class:`~repro.resilience.report.FailureReport`, or None
-    #: when the campaign ran without one).  Deliberately **excluded**
-    #: from :meth:`to_json_dict`: the JSON artifact describes *what was
-    #: computed* (bit-identical across disturbed and undisturbed runs),
-    #: never *how bumpy the computing was*.
-    failure_report: Optional[Any] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.tallies = {}
@@ -207,6 +200,4 @@ class CampaignReport:
 def run_campaign(runner, specs: Sequence[TrialSpec]) -> CampaignReport:
     """Resolve ``specs`` through an :class:`ExperimentRunner` (duck-typed
     to avoid an import cycle) and aggregate the report."""
-    report = CampaignReport(list(runner.run_trials(specs)))
-    report.failure_report = getattr(runner, "last_failure_report", None)
-    return report
+    return CampaignReport(list(runner.run_trials(specs)))

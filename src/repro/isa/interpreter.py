@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, cast
 
 from repro.isa.opcodes import ALU_EXPR, INIT_MIX, MASK64
-from repro.isa.opcodes import address_expr, initial_value_lines
+from repro.isa.opcodes import address_expr, exec_generated, initial_value_lines
 from repro.isa.program import KernelShape, Program
 
 __all__ = [
@@ -190,7 +190,7 @@ def _generate_stepper(shape: KernelShape) -> Callable[..., None]:
             site = f"s{j}"
     w(f"    regs[:] = {names}")
     namespace: Dict[str, object] = {"LoadEvent": LoadEvent, "StoreEvent": StoreEvent}
-    exec("\n".join(lines), namespace)  # noqa: S102 - trusted generated code
+    exec_generated("stepper", "\n".join(lines), namespace)
     return cast(Callable[..., None], namespace["step"])
 
 

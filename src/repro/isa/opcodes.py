@@ -6,16 +6,20 @@ producing *real*, order-sensitive values — the property recomputation
 correctness tests rely on.
 It also spells those semantics, an access's address and the memory
 image's initialiser as source for the per-shape functions other layers
-``exec``-compile (the interpreter's steppers, the plan evaluators).
+generate (the interpreter's steppers, the plan evaluators), and
+compiles that source (:func:`exec_generated`).
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
+import linecache
 from typing import Callable, Dict, List
 
 __all__ = ["Opcode", "ALU_OPCODES", "apply_alu", "MASK64", "INIT_MIX",
-           "ALU_EXPR", "address_expr", "initial_value_lines"]
+           "ALU_EXPR", "address_expr", "initial_value_lines",
+           "exec_generated"]
 
 MASK64 = (1 << 64) - 1
 
@@ -140,3 +144,20 @@ def initial_value_lines(target: str) -> List[str]:
         "x ^= x >> 29",
         f"{target} = (x * {_MIX_LIT}) & {_MASK_LIT}",
     ]
+
+
+def exec_generated(kind: str, source: str, namespace: Dict[str, object]) -> None:
+    """Compile and run generated ``source`` into ``namespace`` under a
+    filename of its own, ``<kind:digest>``.
+
+    The source is registered with :mod:`linecache` (mtime ``None``, so
+    ``checkcache`` keeps it): a traceback through generated code quotes
+    the generated line, and a profile keeps each function its own row
+    instead of folding every one into ``<string>:1``.
+    """
+    digest = hashlib.sha256(source.encode()).hexdigest()[:12]
+    filename = f"<{kind}:{digest}>"
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
+    )
+    exec(compile(source, filename, "exec"), namespace)  # noqa: S102

@@ -29,7 +29,6 @@ from repro.obs.events import (
     RecoveryBegin,
     RecoveryEnd,
     SliceRecompute,
-    TaskRetried,
     TraceEvent,
     WorkerDied,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "SliceRecompute",
     "RecoveryBegin",
     "RecoveryEnd",
-    "TaskRetried",
     "WorkerDied",
     "PoolDegraded",
     "CampaignResumed",

@@ -21,10 +21,10 @@ The event vocabulary mirrors the paper's mechanisms:
   in live state, and the recovered state either matched the golden
   re-execution bit-exactly or did not (§III-B's consistent recovery
   line, checked rather than assumed);
-* ``TaskRetried``/``WorkerDied``/``PoolDegraded``/``CampaignResumed`` —
-  the supervised execution layer (``repro.resilience``): harness-level
-  recovery applied to the experiment engine itself.  These stamp
-  harness wall time (ns since the supervisor started) rather than
+* ``WorkerDied``/``PoolDegraded``/``CampaignResumed`` — the
+  experiment engine's own crash tolerance (``repro.resilience``):
+  harness-level recovery applied to the harness itself.  These stamp
+  harness wall time (ns since the fan-out started) rather than
   simulated time, and always carry the machine-wide core id.
 
 ``EVENT_TYPES`` maps wire names back to classes; the JSONL linter and
@@ -52,7 +52,6 @@ __all__ = [
     "FaultInjected",
     "RecoveryVerified",
     "RecoveryDiverged",
-    "TaskRetried",
     "WorkerDied",
     "PoolDegraded",
     "CampaignResumed",
@@ -234,25 +233,9 @@ class RecoveryDiverged(TraceEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class TaskRetried(TraceEvent):
-    """A supervised task's attempt failed; a retry was scheduled.
-
-    ``reason`` is the failed attempt's outcome (``error``, ``timeout``
-    or ``worker-died``); ``backoff_s`` the deterministic delay before
-    the next attempt.
-    """
-
-    label: str
-    attempt: int
-    reason: str
-    backoff_s: float
-
-    name: ClassVar[str] = "task_retried"
-
-
-@dataclass(frozen=True, slots=True)
 class WorkerDied(TraceEvent):
-    """A pool worker process died (SIGKILL, OOM, crash) mid-task."""
+    """A fan-out worker process was killed by a signal (SIGKILL, OOM);
+    ``label`` names the worker, which is respawned."""
 
     label: str
     pid: int
@@ -262,8 +245,8 @@ class WorkerDied(TraceEvent):
 
 @dataclass(frozen=True, slots=True)
 class PoolDegraded(TraceEvent):
-    """The circuit breaker tripped after ``failures`` consecutive
-    pool-level failures; remaining tasks run serially in-process."""
+    """Fan-out workers died ``failures`` times in a row with no key
+    published in between; the remaining keys resolve in-process."""
 
     failures: int
 
@@ -295,7 +278,6 @@ _EVENT_CLASSES: Tuple[Type[TraceEvent], ...] = (
     FaultInjected,
     RecoveryVerified,
     RecoveryDiverged,
-    TaskRetried,
     WorkerDied,
     PoolDegraded,
     CampaignResumed,

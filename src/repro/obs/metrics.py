@@ -50,9 +50,6 @@ DEFAULT_BUCKETS: Dict[str, Tuple[float, ...]] = {
     "recovery.slice_length": (1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0),
     "recovery.slice_recompute_ns": tuple(float(2**k) for k in range(0, 12)),
     "recovery.total_ns": tuple(float(10**k) for k in range(0, 10)),
-    # Supervised-execution (harness wall-clock) scales: ~4 ms .. ~2 min.
-    "resilience.attempt_seconds": tuple(2.0**k / 256.0 for k in range(0, 15)),
-    "resilience.backoff_seconds": tuple(2.0**k / 256.0 for k in range(0, 15)),
 }
 
 

@@ -2,10 +2,10 @@
 
 :class:`CampaignTelemetry` is the parent-side fold over every telemetry
 channel a campaign has: frames streamed out of workers (or emitted
-inline), pool gauges reported by the supervisor each sweep, the
-:class:`~repro.experiments.progress.ProgressTracker`'s cache/resilience
-counters, and the parent's own :class:`PhaseProfiler` (cache I/O happens
-in the parent).  It maintains rolling gauges (worker utilization, queue
+inline), pool gauges reported by the fan-out parent as its workers
+come and go, the :class:`~repro.experiments.progress.ProgressTracker`'s
+cache/resilience counters, and the parent's own :class:`PhaseProfiler`
+(its own cache I/O).  It maintains rolling gauges (worker utilization, queue
 depth, active tasks), cumulative counters (sim-iterations, log records),
 ``profile.*`` histograms, and periodically serialises the whole state as
 a JSONL snapshot beside the completion journal
@@ -82,7 +82,7 @@ class CampaignTelemetry:
         # Cumulative counters folded off heartbeat/metrics-delta frames.
         self.counters: Dict[str, int] = {}
         self._last_instructions: Dict[str, int] = {}
-        # Pool gauges (supervisor sweep; zeros for inline execution).
+        # Pool gauges (fan-out parent; zeros for inline execution).
         self.workers = 0
         self.busy = 0
         self.queue_depth = 0
@@ -140,7 +140,7 @@ class CampaignTelemetry:
         self._changed()
 
     def on_frame_dict(self, doc: Any, worker: int = -1) -> None:
-        """Fold one wire dict in (the supervisor's pipe-side path); a
+        """Fold one wire dict in (a worker pipe's or the daemon's); a
         frame that fails to decode is counted malformed and dropped."""
         try:
             frame = frame_from_dict(doc)
@@ -150,7 +150,8 @@ class CampaignTelemetry:
         self.on_frame(frame, worker=worker)
 
     def update_pool(self, workers: int, busy: int, queue_depth: int) -> None:
-        """Pool gauges, reported by the supervisor once per sweep."""
+        """Pool gauges, reported by the fan-out parent as workers come
+        and go and keys are published."""
         self.workers = workers
         self.busy = busy
         self.queue_depth = queue_depth
@@ -200,8 +201,6 @@ class CampaignTelemetry:
                 "disk_hits": progress.disk_hits,
                 "disk_misses": progress.disk_misses,
                 "hit_rate": round(progress.hit_rate, 4),
-                "retried": progress.retried,
-                "timed_out": progress.timed_out,
                 "worker_deaths": progress.worker_deaths,
                 "degraded_to_serial": progress.degraded_to_serial,
                 "resumed": progress.resumed,

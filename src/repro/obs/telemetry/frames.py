@@ -3,9 +3,10 @@
 Where :mod:`repro.obs.events` records what the *simulated machine* did
 (post-hoc, riding on ``RunResult.obs``), a telemetry frame reports what
 the *harness* is doing right now: a worker picked a task up, crossed an
-interval boundary, changed execution phase, or finished.  Frames cross
-the supervisor's worker pipes as plain dicts while the task is still
-running, so the campaign aggregator sees progress during a run, not
+interval boundary, changed execution phase, or finished.  A fan-out
+worker sends its frames up its one-way pipe to the parent as plain
+dicts while the task is still running (the daemon forwards them over its
+socket), so the campaign aggregator sees progress during a run, not
 after it.
 
 Frames are **advisory**: they never feed results, the simulator emits
@@ -158,7 +159,7 @@ def _check_str_dict(name: str, value: Any, number: bool) -> None:
 def frame_from_dict(doc: Any) -> TelemetryFrame:
     """Decode one wire dict; raises ``ValueError`` on any drift.
 
-    The receiver (the supervisor's parent side) treats a failure here as
+    The receiver (a fan-out parent, or a daemon client) treats a failure here as
     "count it malformed and drop it" — a worker on a different code
     version must never crash the campaign.
     """

@@ -101,9 +101,7 @@ def render_snapshot(snap: Dict[str, Any]) -> str:
             f"{progress.get('simulated', 0)} simulated"
         )
         lines.append(
-            f"resilience: {progress.get('retried', 0)} retried, "
-            f"{progress.get('timed_out', 0)} timed out, "
-            f"{progress.get('worker_deaths', 0)} worker deaths, "
+            f"resilience: {progress.get('worker_deaths', 0)} worker deaths, "
             f"{progress.get('resumed', 0)} resumed"
         )
     return "\n".join(lines)

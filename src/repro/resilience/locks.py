@@ -77,9 +77,9 @@ class KeyLock:
 
         Staleness is judged by mtime, so an owner legitimately holding
         the lock longer than ``stale_s`` would get broken by a waiting
-        peer.  Long-running owners call this periodically (the
-        supervised pool touches its locks per completed task); a no-op
-        without ownership, best-effort like everything else here.
+        peer.  A runner touches the claims it still holds each time it
+        publishes a key; a no-op without ownership, best-effort like
+        everything else here.
         """
         if not self.owned:
             return
@@ -102,7 +102,15 @@ class KeyLock:
     def _orphaned(self) -> bool:
         """One reading: the lock is older than ``stale_s``, or names a
         gone process on this host (a claim from another host, or an
-        unreadable file, never does)."""
+        unreadable file, never does).
+
+        Liveness is ``os.kill(pid, 0)``, which **succeeds on a zombie**:
+        a SIGKILLed child reads as alive until its parent reaps it with
+        ``waitpid``.  So a dead worker's claim is broken at once only
+        after the runner that forked it reaps it (the fan-out does so as
+        soon as the worker's sentinel fires); until then a waiting peer
+        would sit out the whole ``stale_s`` bound.
+        """
         mtime = self._mtime()
         if mtime is None:
             return False
@@ -117,6 +125,12 @@ class KeyLock:
         except (OSError, ValueError):
             pass
         return False
+
+    def held(self) -> bool:
+        """Whether a live owner holds the lock now: one reading, which
+        never breaks it.  An orphaned lock reads as free, since the next
+        :meth:`try_acquire` breaks it."""
+        return self._mtime() is not None and not self._orphaned()
 
     def _break_if_stale(self) -> None:
         """Expire a lock whose owner is dead or long gone.

@@ -39,7 +39,6 @@ from repro.experiments.progress import ProgressTracker
 from repro.experiments.runner import ExperimentRunner
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry.aggregate import CampaignTelemetry
-from repro.resilience.policy import ResiliencePolicy
 from repro.service.campaigns import CampaignSpec, campaign_report
 from repro.service.protocol import decode_stream, encode_frame
 from repro.util.atomicio import append_line
@@ -116,14 +115,14 @@ class CampaignDaemon:
         cache_dir: Union[str, Path],
         socket_path: Union[str, Path],
         jobs: int = 1,
-        resilience: Optional[ResiliencePolicy] = None,
+        lock_stale_s: float = 600.0,
         echo=None,
     ) -> None:
         self.socket_path = check_socket_path(socket_path)
         self.metrics = MetricsRegistry()
         self.cache = ResultCache(cache_dir, metrics=self.metrics)
         self.jobs = jobs
-        self.resilience = resilience or ResiliencePolicy()
+        self.lock_stale_s = lock_stale_s
         self.echo = echo or (lambda line: None)
         self._stop = threading.Event()
         self._state_lock = threading.Lock()
@@ -263,7 +262,7 @@ class CampaignDaemon:
                 jobs=self.jobs,
                 cache=self.cache,
                 progress=progress,
-                resilience=self.resilience,
+                lock_stale_s=self.lock_stale_s,
                 engine=spec.engine,
                 telemetry=telemetry,
             )

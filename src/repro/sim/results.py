@@ -383,7 +383,7 @@ class RunResult:
                                 self.recoveries.to_rows())
 
     def to_payload(self) -> Dict[str, Any]:
-        """The wire form the result cache and the worker pool carry:
+        """The form the result cache stores:
         :meth:`to_dict` with ``intervals`` and ``recoveries`` stored as
         one list per field (columns) instead of one dict per row."""
         return self._serialised(self.intervals.to_columns(),

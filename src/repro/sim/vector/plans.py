@@ -48,7 +48,7 @@ except ImportError:  # pragma: no cover - numpy-less installs
     np = None  # type: ignore[assignment]
 
 from repro.isa.opcodes import ALU_EXPR, INIT_MIX, MASK64, Opcode
-from repro.isa.opcodes import address_expr, initial_value_lines
+from repro.isa.opcodes import address_expr, exec_generated, initial_value_lines
 from repro.isa.program import Kernel, KernelShape, Program
 
 __all__ = ["KernelPlan", "ProgramPlans", "plans_for"]
@@ -293,7 +293,7 @@ def _generate_evaluator(shape: KernelShape) -> Callable[..., tuple]:
         )
     )
     namespace: Dict[str, object] = {}
-    exec("\n".join(lines), namespace)  # noqa: S102 - trusted generated code
+    exec_generated("plan-evaluator", "\n".join(lines), namespace)
     return cast(Callable[..., tuple], namespace["_eval"])
 
 

@@ -17,6 +17,10 @@ slicing and chain corpora; and the built-in workloads, compiled.
 
 from __future__ import annotations
 
+import cProfile
+import linecache
+import pstats
+import traceback
 from typing import List, Tuple
 
 import pytest
@@ -365,3 +369,53 @@ class TestSharedStepper:
         del generated[:]
         assert len(build_and_run()) == len(kernels)
         assert generated == []
+
+
+class TestGeneratedSource:
+    """Each stepper (and plan evaluator) is compiled under a filename of
+    its own, ``<stepper:digest>``, with its source in ``linecache``."""
+
+    @staticmethod
+    def _kernels():
+        store, load = AddressPattern(0, 1, 4), AddressPattern(4096, 1, 4)
+        short = chain_kernel("short", store, [load], 2, 4)
+        deep = chain_kernel("deep", store, [load], 5, 4)
+        assert short.shape is not deep.shape
+        return short, deep
+
+    def test_profile_lists_each_stepper_as_its_own_row(self):
+        profile = cProfile.Profile()
+        profile.enable()
+        Interpreter(Program(list(self._kernels())),
+                    MemoryImage(1)).run_to_completion()
+        profile.disable()
+        rows = [key for key in pstats.Stats(profile).stats
+                if key[0].startswith("<stepper:") and key[2] == "step"]
+        assert len(rows) == 2
+        assert len({filename for filename, _line, _name in rows}) == 2
+
+    def test_traceback_quotes_the_generated_line(self):
+        def observer(event):
+            raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError) as exc:
+            Interpreter(Program([self._kernels()[0]]), MemoryImage(1),
+                        on_store=observer).run_to_completion()
+        linecache.checkcache()  # what traceback printing does first
+        frames = [frame for frame in traceback.extract_tb(exc.value.__traceback__)
+                  if frame.filename.startswith("<stepper:")]
+        assert len(frames) == 1
+        assert frames[0].line.startswith("on_store(StoreEvent(")
+        assert "on_store(StoreEvent(" in "".join(
+            traceback.format_exception(exc.value)
+        )
+
+    def test_plan_evaluator_source_is_registered(self):
+        from repro.sim.vector.plans import _generate_evaluator
+
+        evaluator = _generate_evaluator(self._kernels()[1].shape)
+        filename = evaluator.__code__.co_filename
+        assert filename.startswith("<plan-evaluator:")
+        linecache.checkcache()
+        assert linecache.getline(filename, 1).startswith("def _eval(")
+

@@ -124,12 +124,12 @@ class TestSnapshots:
         progress = ProgressTracker()
         progress.record("bt", "Ckpt_E", "sim", 0.5)
         progress.record_miss()
-        progress.record_retry()
+        progress.record_worker_death()
         snap = CampaignTelemetry(progress=progress).snapshot()
         assert snap["progress"]["runs"] == 1
         assert snap["progress"]["simulated"] == 1
         assert snap["progress"]["disk_misses"] == 1
-        assert snap["progress"]["retried"] == 1
+        assert snap["progress"]["worker_deaths"] == 1
 
     def test_no_progress_means_empty_subdict(self):
         assert CampaignTelemetry().snapshot()["progress"] == {}

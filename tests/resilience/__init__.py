@@ -1,1 +1,1 @@
-"""Tests for the supervised, resumable execution layer."""
+"""Tests for the crash-tolerant, resumable execution layer."""

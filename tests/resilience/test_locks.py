@@ -162,3 +162,25 @@ def test_heartbeat_is_noop_when_not_owned(tmp_path):
     lock.heartbeat()  # must not resurrect or raise
     assert not path.exists()
     lock.release()
+
+
+def test_held_reads_without_breaking(tmp_path):
+    path = tmp_path / "k.lock"
+    probe = KeyLock(path, stale_s=600.0)
+    assert not probe.held()  # no claim file
+    owner = KeyLock(path)
+    assert owner.try_acquire()
+    assert probe.held()
+    owner.release()
+    # A claim naming a gone process reads as free, and stays on disk
+    # until an acquirer breaks it.
+    sleeper = subprocess.Popen([sys.executable, "-c", "pass"])
+    sleeper.wait(timeout=30)
+    path.write_text(f"{socket.gethostname()} {sleeper.pid}\n")
+    assert not probe.held()
+    assert path.exists()
+    # So does a stale one, whoever it names.
+    path.write_text(f"{socket.gethostname()} {os.getpid()}\n")
+    os.utime(path, (0, 0))
+    assert not probe.held()
+    assert path.exists()

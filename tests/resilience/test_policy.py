@@ -1,82 +1,17 @@
-"""Backoff determinism: reruns schedule byte-identical retry delays."""
+"""The claim staleness bound: the one fault-handling setting left."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.resilience.policy import ResiliencePolicy
-
-
-def test_default_schedule_is_pinned():
-    # Literal values: any drift in the hash, the cap order or the jitter
-    # formula breaks reproducibility of recorded campaigns.
-    policy = ResiliencePolicy()
-    assert policy.schedule("deadbeef") == [
-        0.062111027544664334,
-        0.08977937980888445,
-    ]
+from repro.experiments.runner import ExperimentRunner
 
 
-def test_seeded_schedule_is_pinned():
-    policy = ResiliencePolicy(
-        seed=7, max_retries=4, backoff_base_s=0.1, backoff_max_s=0.3
-    )
-    # The cap applies to the raw exponential *before* jitter, so the
-    # jittered delay may exceed backoff_max_s by at most the jitter
-    # fraction.
-    assert policy.schedule("cafe") == [
-        0.10087820540603352,
-        0.22170151566262183,
-        0.3361357793048227,
-        0.3281519953594303,
-    ]
-
-
-def test_rerun_schedules_identically():
-    a = ResiliencePolicy(seed=3)
-    b = ResiliencePolicy(seed=3)
-    for key in ("a", "b", "0123abcd"):
-        assert a.schedule(key) == b.schedule(key)
-
-
-def test_distinct_tasks_decorrelate():
-    policy = ResiliencePolicy()
-    assert policy.backoff_s("task-a", 1) != policy.backoff_s("task-b", 1)
-
-
-def test_seed_changes_the_schedule():
-    assert (
-        ResiliencePolicy(seed=0).schedule("k")
-        != ResiliencePolicy(seed=1).schedule("k")
-    )
-
-
-@given(
-    key=st.text(min_size=1, max_size=32),
-    attempt=st.integers(min_value=1, max_value=10),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-def test_backoff_stays_within_jitter_band(key, attempt, seed):
-    policy = ResiliencePolicy(seed=seed, max_retries=10)
-    raw = min(
-        policy.backoff_max_s,
-        policy.backoff_base_s * policy.backoff_factor ** (attempt - 1),
-    )
-    value = policy.backoff_s(key, attempt)
-    assert raw * (1 - policy.jitter_fraction) <= value
-    assert value <= raw * (1 + policy.jitter_fraction)
-
-
-def test_max_attempts():
-    assert ResiliencePolicy(max_retries=0).max_attempts == 1
-    assert ResiliencePolicy(max_retries=3).max_attempts == 4
+def test_default_bound_is_ten_minutes():
+    assert ExperimentRunner().lock_stale_s == 600.0
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        ResiliencePolicy(max_retries=-1)
+        ExperimentRunner(lock_stale_s=0.0)
     with pytest.raises(ValueError):
-        ResiliencePolicy(timeout_s=0.0)
-    with pytest.raises(ValueError):
-        ResiliencePolicy(jitter_fraction=1.5)
-    with pytest.raises(ValueError):
-        ResiliencePolicy().backoff_s("k", 0)
+        ExperimentRunner(lock_stale_s=-1.0)
+

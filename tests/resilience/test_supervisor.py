@@ -1,26 +1,26 @@
-"""Supervisor unit tests: retries, watchdog, respawn, circuit breaker.
+"""How the parent of a ``jobs > 1`` fan-out supervises its workers.
 
-The task functions are module-level (they cross the worker pipe by
-reference) and coordinate across attempts through marker files — the
-first attempt misbehaves, later attempts find the marker and succeed.
+There is no supervisor object: the parent forks N runners, watches
+their exit sentinels and one-way pipes, and only reaps, counts and
+respawns.  The contracts pinned here:
+
+* workers that keep dying (three deaths, no key published in between)
+  hand the rest to the parent, which resolves it in-process with the
+  same results;
+* every key a worker publishes reaches the parent as one ``published``
+  note, so the parent's progress records (and echoes) each key once;
+* a worker SIGKILLed mid-key is reaped, counted, traced and respawned,
+  and its key is resolved by a live worker.
 """
 
 import os
 import signal
-import time
 
 import pytest
 
-from repro.experiments.progress import ProgressTracker
-from repro.obs.metrics import MetricsRegistry
+from repro.experiments.runner import ExperimentRunner
 from repro.obs.tracer import RecordingTracer
-from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.report import OUTCOME_OK
-from repro.resilience.supervisor import (
-    SupervisedTask,
-    Supervisor,
-    TaskFailedError,
-)
+from tests.resilience.chaos import PAIRS, SHAPE, as_dicts
 
 chaos = pytest.mark.skipif(
     not hasattr(signal, "SIGKILL"),
@@ -28,185 +28,86 @@ chaos = pytest.mark.skipif(
 )
 
 
-# ------------------------------------------------------------- task functions
-def _square(n):
-    return n * n
-
-
-def _fail_once(payload):
-    marker, value = payload
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("tried\n")
-        raise RuntimeError("transient failure")
-    return value
-
-
-def _always_fail(payload):
-    raise ValueError("doomed")
-
-
-def _suicide_once(payload):
-    marker, value = payload
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("killed\n")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return value
-
-
-def _hang_once(payload):
-    marker, value = payload
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("hung\n")
-        time.sleep(60.0)
-    return value
-
-
-def _die_unless_parent(payload):
-    parent_pid, value = payload
-    if os.getpid() != parent_pid:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return value
-
-
-def _tasks(fn, payloads):
-    return [
-        SupervisedTask(key=f"task-{i:02x}", fn=fn, payload=p, label=f"t{i}")
-        for i, p in enumerate(payloads)
-    ]
-
-
-def _fast_policy(**kw):
-    kw.setdefault("backoff_base_s", 0.01)
-    kw.setdefault("backoff_max_s", 0.05)
-    return ResiliencePolicy(**kw)
-
-
-# ------------------------------------------------------------------ contracts
-def test_happy_path_returns_all_results():
-    progress = ProgressTracker()
-    with Supervisor(_fast_policy(), jobs=2, progress=progress) as sup:
-        results = sup.run(_tasks(_square, [2, 3, 4, 5]))
-    assert results == {"task-00": 4, "task-01": 9, "task-02": 16, "task-03": 25}
-    assert sup.failure_report.clean
-    assert progress.retried == 0
-    assert progress.worker_deaths == 0
-
-
-def test_on_complete_fires_per_task():
-    seen = []
-    with Supervisor(_fast_policy(), jobs=2) as sup:
-        sup.run(
-            _tasks(_square, [1, 2, 3]),
-            on_complete=lambda task, result, history: seen.append(
-                (task.key, result, history.ok)
-            ),
-        )
-    assert sorted(seen) == [
-        ("task-00", 1, True), ("task-01", 4, True), ("task-02", 9, True),
-    ]
-
-
-def test_task_error_retries_with_deterministic_backoff(tmp_path):
-    policy = _fast_policy()
-    progress = ProgressTracker()
-    metrics = MetricsRegistry()
-    tasks = _tasks(_fail_once, [(str(tmp_path / "m0"), 7)])
-    with Supervisor(policy, jobs=1, progress=progress, metrics=metrics) as sup:
-        results = sup.run(tasks)
-    assert results == {"task-00": 7}
-    (history,) = sup.failure_report.tasks
-    assert [a.outcome for a in history.attempts] == ["error", OUTCOME_OK]
-    # The recorded backoff is exactly what the policy schedules — a
-    # rerun would wait the identical delay.
-    assert history.attempts[0].backoff_s == policy.backoff_s("task-00", 1)
-    assert progress.retried == 1
-    assert metrics.counter("resilience.retries").value == 1
-
-
-def test_exhausted_retries_raise_with_full_history():
-    with Supervisor(_fast_policy(max_retries=1), jobs=1) as sup:
-        with pytest.raises(TaskFailedError) as exc:
-            sup.run(_tasks(_always_fail, [None]))
-    (history,) = exc.value.report.failed_tasks
-    assert len(history.attempts) == 2
-    assert all(a.outcome == "error" for a in history.attempts)
-    assert "doomed" in history.attempts[0].detail
-
-
-def test_other_tasks_complete_before_the_failure_is_raised():
-    tasks = [
-        SupervisedTask(key="good", fn=_square, payload=3, label="good"),
-        SupervisedTask(key="bad", fn=_always_fail, payload=None, label="bad"),
-    ]
-    done = []
-    with Supervisor(_fast_policy(max_retries=0), jobs=2) as sup:
-        with pytest.raises(TaskFailedError):
-            sup.run(tasks, on_complete=lambda t, r, h: done.append(t.key))
-    assert done == ["good"]
-
-
-def test_closed_supervisor_refuses_to_run():
-    sup = Supervisor(_fast_policy(), jobs=1)
-    sup.close()
-    with pytest.raises(RuntimeError):
-        sup.run(_tasks(_square, [1]))
-
-
-# ---------------------------------------------------------------------- chaos
 @chaos
 @pytest.mark.chaos
-def test_sigkilled_worker_respawns_and_task_retries(tmp_path):
-    progress = ProgressTracker()
-    tracer = RecordingTracer()
-    tasks = _tasks(_suicide_once, [(str(tmp_path / "m0"), 11)])
-    with Supervisor(
-        _fast_policy(), jobs=1, progress=progress, tracer=tracer
-    ) as sup:
-        results = sup.run(tasks)
-    assert results == {"task-00": 11}
-    assert progress.worker_deaths == 1
-    assert progress.retried == 1
-    assert sup.failure_report.pool_respawns >= 1
-    names = [type(e).__name__ for e in tracer.events]
-    assert "WorkerDied" in names and "TaskRetried" in names
-    (history,) = sup.failure_report.tasks
-    assert [a.outcome for a in history.attempts] == ["worker-died", OUTCOME_OK]
+def test_circuit_breaker_degrades_to_serial(monkeypatch):
+    serial = ExperimentRunner(**SHAPE).run_many(PAIRS)
+    parent = os.getpid()
+    real = ExperimentRunner._simulate
+
+    def die_unless_parent(self, wl, req):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real(self, wl, req)
+
+    monkeypatch.setattr(ExperimentRunner, "_simulate", die_unless_parent)
+    runner = ExperimentRunner(jobs=2, **SHAPE)
+    results = runner.run_many(PAIRS)
+
+    assert as_dicts(results) == as_dicts(serial)
+    assert runner.progress.worker_deaths == 3
+    assert runner.progress.degraded_to_serial == 1
+    # Every completion is attributed to the parent process.
+    assert runner.progress.by_source() == {
+        "disk": 0, "sim": len(PAIRS), "worker": 0,
+    }
 
 
-@chaos
-@pytest.mark.chaos
-def test_hung_task_times_out_and_retries(tmp_path):
-    progress = ProgressTracker()
-    tasks = _tasks(_hang_once, [(str(tmp_path / "m0"), 13)])
-    with Supervisor(
-        _fast_policy(timeout_s=0.5), jobs=1, progress=progress
-    ) as sup:
-        results = sup.run(tasks)
-    assert results == {"task-00": 13}
-    assert progress.timed_out == 1
-    (history,) = sup.failure_report.tasks
-    assert [a.outcome for a in history.attempts] == ["timeout", OUTCOME_OK]
+def test_on_complete_fires_per_task(tmp_path):
+    echoed = []
+    runner = ExperimentRunner(jobs=2, cache_dir=tmp_path / "cache", **SHAPE)
+    runner.progress.echo = echoed.append
+    runner.run_many(PAIRS)
 
-
-@chaos
-@pytest.mark.chaos
-def test_circuit_breaker_degrades_to_serial():
-    progress = ProgressTracker()
-    payloads = [(os.getpid(), v) for v in (1, 2, 3, 4)]
-    policy = _fast_policy(max_retries=3, pool_failure_threshold=2)
-    with Supervisor(policy, jobs=2, progress=progress) as sup:
-        results = sup.run(_tasks(_die_unless_parent, payloads))
-    assert sup.degraded
-    assert results == {f"task-{i:02x}": v for i, v in enumerate((1, 2, 3, 4))}
-    assert sup.failure_report.degraded_to_serial
-    assert progress.degraded_to_serial == 1
-    assert progress.worker_deaths >= 2
-    # Serial completions are attributed to the parent process.
-    assert any(
-        a.where == "serial" and a.outcome == OUTCOME_OK
-        for t in sup.failure_report.tasks
-        for a in t.attempts
+    noted = [r for r in runner.progress.records if r.source == "worker"]
+    assert sorted((r.workload, r.config) for r in noted) == sorted(
+        (wl, req.config) for wl, req in PAIRS
     )
+    assert all(r.seconds > 0 for r in noted)
+    assert len(echoed) == len(PAIRS)
+
+
+@chaos
+@pytest.mark.chaos
+def test_sigkilled_worker_respawns_and_task_retries(tmp_path, monkeypatch):
+    serial = ExperimentRunner(**SHAPE).run_many(PAIRS)
+    marker = tmp_path / "killed"
+    simulated = tmp_path / "simulated"
+    parent = os.getpid()
+    real = ExperimentRunner._simulate
+
+    def suicide_once(self, wl, req):
+        # The first worker to start a key records its pid and dies
+        # mid-key, holding the key's claim.
+        if os.getpid() != parent:
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                pass
+            else:
+                os.write(fd, f"{os.getpid()} {wl}/{req.config}".encode())
+                os.close(fd)
+                os.kill(os.getpid(), signal.SIGKILL)
+        real(self, wl, req)
+        with open(simulated, "a") as fh:
+            fh.write(f"{os.getpid()} {wl}/{req.config}\n")
+
+    monkeypatch.setattr(ExperimentRunner, "_simulate", suicide_once)
+    runner = ExperimentRunner(jobs=2, cache_dir=tmp_path / "cache", **SHAPE)
+    tracer = RecordingTracer()
+    runner.resilience_tracer = tracer
+    results = runner.run_many(PAIRS)
+
+    assert as_dicts(results) == as_dicts(serial)
+    assert runner.progress.worker_deaths == 1
+    assert runner.progress.degraded_to_serial == 0
+    # The parent simulated nothing: the survivor and the respawned
+    # worker resolved every key, the killed one included.
+    assert runner.progress.by_source()["worker"] == len(PAIRS)
+    killed_pid, killed_label = marker.read_text().split()
+    [died] = [e for e in tracer.events if type(e).__name__ == "WorkerDied"]
+    assert died.pid == int(killed_pid)
+    done = [line.split() for line in simulated.read_text().splitlines()]
+    assert len(done) == len(PAIRS)
+    [(by, _label)] = [d for d in done if d[1] == killed_label]
+    assert by not in (killed_pid, str(parent))

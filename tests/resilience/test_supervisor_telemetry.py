@@ -1,11 +1,11 @@
-"""Supervisor telemetry streaming: frames over worker pipes, chaos.
+"""Fan-out telemetry: frames cross the workers' one-way pipes.
 
-Task functions are module-level (they cross the worker pipe by
-reference).  Emission inside them is ambient — the worker loop installs
-the pipe sink around each execution — so the same functions prove both
-directions: frames stream when a :class:`CampaignTelemetry` is attached,
-and the very same code runs silent (``telemetry_active() is False``)
-when it is not.
+A forked worker installs a frame sink exactly when its parent runner has
+a :class:`CampaignTelemetry` attached, and sends each frame up its pipe;
+the parent folds them into its aggregator.  When the workers keep dying
+and the parent resolves the rest in-process, its own inline telemetry
+streams the same lifecycle.  Telemetry is advisory: results are the same
+with and without it.
 """
 
 import os
@@ -13,11 +13,11 @@ import signal
 
 import pytest
 
+from repro.experiments.runner import ExperimentRunner
 from repro.obs.telemetry.aggregate import CampaignTelemetry
-from repro.obs.telemetry.emit import emit, telemetry_active
-from repro.obs.telemetry.frames import TaskHeartbeat
-from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.supervisor import SupervisedTask, Supervisor
+from repro.obs.telemetry.emit import telemetry_active
+from repro.sim.simulator import Simulator
+from tests.resilience.chaos import PAIRS, SHAPE, as_dicts, trial_specs
 
 chaos = pytest.mark.skipif(
     not hasattr(signal, "SIGKILL"),
@@ -25,104 +25,79 @@ chaos = pytest.mark.skipif(
 )
 
 
-# ------------------------------------------------------------- task functions
-def _beating_task(n):
-    """Emit a few heartbeats, report whether telemetry was active."""
-    for i in range(3):
-        emit(TaskHeartbeat, interval=i, instructions=(i + 1) * 100)
-    return (telemetry_active(), n * n)
+def _observe_sinks(monkeypatch, path):
+    """Record, from inside each simulation, whether a sink is installed
+    (one is only while a task runs)."""
+    real_run = Simulator.run
+
+    def observed_run(self, options):
+        with open(path, "a") as fh:
+            fh.write(f"{telemetry_active()}\n")
+        return real_run(self, options)
+
+    monkeypatch.setattr(Simulator, "run", observed_run)
 
 
-def _suicide_once_then_beat(payload):
-    marker, value = payload
-    emit(TaskHeartbeat, interval=0, instructions=100)
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("killed\n")
-        os.kill(os.getpid(), signal.SIGKILL)
-    emit(TaskHeartbeat, interval=1, instructions=200)
-    return value
+def test_frames_stream_through_worker_pipes(tmp_path):
+    specs = trial_specs()
+    runner = ExperimentRunner(jobs=2, cache_dir=tmp_path / "cache")
+    telemetry = CampaignTelemetry(progress=runner.progress)
+    runner.telemetry = telemetry
+    runner.run_trials(specs)
 
-
-def _tasks(fn, payloads):
-    return [
-        SupervisedTask(key=f"task-{i:02x}", fn=fn, payload=p, label=f"t{i}")
-        for i, p in enumerate(payloads)
-    ]
-
-
-def _fast_policy(**kw):
-    kw.setdefault("max_retries", 2)
-    kw.setdefault("backoff_base_s", 0.01)
-    kw.setdefault("timeout_s", 30.0)
-    return ResiliencePolicy(**kw)
-
-
-def test_frames_stream_through_worker_pipes():
-    telemetry = CampaignTelemetry()
-    with Supervisor(jobs=2, telemetry=telemetry) as sup:
-        results = sup.run(_tasks(_beating_task, [2, 3, 4]))
-    # Every task saw an installed sink inside the worker process ...
-    assert all(active for active, _ in results.values())
-    assert sorted(sq for _, sq in results.values()) == [4, 9, 16]
-    # ... and its lifecycle + heartbeats reached the parent aggregator.
-    assert telemetry.tasks_started == 3
-    assert telemetry.tasks_finished == 3
+    # Every task's lifecycle reached the parent aggregator ...
+    assert telemetry.tasks_started == telemetry.tasks_finished == len(specs)
     assert telemetry.malformed == 0
     assert telemetry.active == {}
-    # 3 tasks x (started + 3 heartbeats + finished), phase frames aside.
-    assert telemetry.frames >= 15
-    assert telemetry.counters["instructions"] == 3 * 300
-    assert telemetry.metrics.counter("telemetry.heartbeats").value == 9
-    # Pool gauges were reported by the supervisor sweep.
+    # ... next to the published notes, one per key ...
+    assert runner.progress.by_source()["worker"] == len(specs)
+    assert runner.progress.disk_misses == len(specs)
+    assert runner.progress.forked_trials == len(specs)
+    # ... and the parent reported its pool gauges.
     assert telemetry.workers == 2
 
 
-def test_no_telemetry_means_no_sink_in_workers():
-    with Supervisor(jobs=2) as sup:
-        results = sup.run(_tasks(_beating_task, [5]))
-    [(active, sq)] = results.values()
-    assert active is False  # emit() was a no-op inside the worker
-    assert sq == 25
-
-
-def test_results_identical_with_and_without_telemetry():
-    with Supervisor(jobs=2) as sup:
-        plain = sup.run(_tasks(_beating_task, [2, 3]))
-    with Supervisor(jobs=2, telemetry=CampaignTelemetry()) as sup:
-        streamed = sup.run(_tasks(_beating_task, [2, 3]))
-    assert {k: v[1] for k, v in plain.items()} == {
-        k: v[1] for k, v in streamed.items()
-    }
-
-
 @chaos
-def test_sigkilled_worker_mid_stream_campaign_survives(tmp_path):
-    telemetry = CampaignTelemetry()
-    marker = str(tmp_path / "killed.marker")
-    with Supervisor(
-        policy=_fast_policy(), jobs=2, telemetry=telemetry
-    ) as sup:
-        results = sup.run(_tasks(_suicide_once_then_beat, [(marker, 99)]))
-    assert results["task-00"] == 99
-    # The killed attempt streamed its started frame (and maybe a beat)
-    # before dying; the retry completed the lifecycle.  No stale entry
-    # may survive and nothing may read as malformed.
-    assert telemetry.tasks_started >= 2
-    assert telemetry.tasks_finished == 1
+@pytest.mark.chaos
+def test_degraded_serial_path_still_streams_frames(monkeypatch):
+    parent = os.getpid()
+    real = ExperimentRunner._simulate
+
+    def die_unless_parent(self, wl, req):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real(self, wl, req)
+
+    monkeypatch.setattr(ExperimentRunner, "_simulate", die_unless_parent)
+    runner = ExperimentRunner(jobs=2, **SHAPE)
+    telemetry = CampaignTelemetry(progress=runner.progress)
+    runner.telemetry = telemetry
+    runner.run_many(PAIRS)
+
+    assert runner.progress.degraded_to_serial == 1
+    # The in-process path streams its frames straight into the
+    # aggregator (no worker lived long enough to send one).
+    assert telemetry.tasks_started == telemetry.tasks_finished == len(PAIRS)
     assert telemetry.malformed == 0
     assert telemetry.active == {}
 
 
-def test_degraded_serial_path_still_streams_frames():
-    telemetry = CampaignTelemetry()
-    sup = Supervisor(jobs=2, telemetry=telemetry)
-    sup._degrade()  # trip the breaker directly: pure-serial execution
-    with sup:
-        results = sup.run(_tasks(_beating_task, [6]))
-    [(active, sq)] = results.values()
-    assert active is True  # the serial scope installs the sink in-process
-    assert sq == 36
-    assert telemetry.tasks_started == 1
-    assert telemetry.tasks_finished == 1
-    assert telemetry.counters["instructions"] == 300
+def test_no_telemetry_means_no_sink_in_workers(tmp_path, monkeypatch):
+    sinks = tmp_path / "sinks"
+    _observe_sinks(monkeypatch, sinks)
+    ExperimentRunner(jobs=2, **SHAPE).run_many(PAIRS)
+    # emit() was a no-op inside every worker.
+    assert set(sinks.read_text().split()) == {"False"}
+
+
+def test_results_identical_with_and_without_telemetry(tmp_path, monkeypatch):
+    sinks = tmp_path / "sinks"
+    _observe_sinks(monkeypatch, sinks)
+    plain = ExperimentRunner(jobs=2, **SHAPE).run_many(PAIRS)
+    sinks.unlink()
+
+    runner = ExperimentRunner(jobs=2, **SHAPE)
+    runner.telemetry = CampaignTelemetry(progress=runner.progress)
+    streamed = runner.run_many(PAIRS)
+    assert set(sinks.read_text().split()) == {"True"}
+    assert as_dicts(streamed) == as_dicts(plain)

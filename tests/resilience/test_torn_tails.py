@@ -19,7 +19,6 @@ from repro.experiments.runner import ExperimentRunner
 from repro.obs.telemetry.aggregate import CampaignTelemetry
 from repro.obs.telemetry.monitor import replay
 from repro.obs.telemetry.snapshots import read_snapshots
-from repro.resilience.policy import ResiliencePolicy
 
 
 def _specs(trials=2):
@@ -33,10 +32,6 @@ def _runner(**kw):
     kw.setdefault("num_cores", 2)
     kw.setdefault("region_scale", 0.05)
     kw.setdefault("reps", 2)
-    kw.setdefault(
-        "resilience",
-        ResiliencePolicy(backoff_base_s=0.01, backoff_max_s=0.05),
-    )
     return ExperimentRunner(**kw)
 
 

@@ -1,7 +1,7 @@
-"""Chaos coverage for the campaign service's execution path: SIGKILL the
-whole worker pool mid-campaign over the shared disk cache (the one
-result store the daemon hands its runners) and assert the two headline
-contracts —
+"""Chaos coverage for the campaign service's execution path: SIGKILL
+every worker of a ``jobs=2`` fan-out mid-key — found through the claim
+files over the shared disk cache (the one result store the daemon hands
+its runners) — and assert the two headline contracts —
 
 * **zero completed results lost**: every campaign key is servable from
   the cache afterwards;
@@ -10,23 +10,19 @@ contracts —
 """
 
 import json
-import os
 import signal
 
 import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentRunner
-from repro.resilience.policy import ResiliencePolicy
 from repro.service.campaigns import CampaignSpec, campaign_report
+from tests.resilience.chaos import signal_claim_owners
 
 chaos = pytest.mark.skipif(
     not hasattr(signal, "SIGKILL"),
     reason="chaos tests need SIGKILL",
 )
-
-_FAST = dict(backoff_base_s=0.01, backoff_max_s=0.05)
-
 
 def _runner(**kw):
     return ExperimentRunner(num_cores=2, region_scale=0.05, reps=2, **kw)
@@ -42,19 +38,10 @@ def test_whole_pool_sigkill_mid_campaign_report_bit_identical(tmp_path):
     solo = campaign_report(_runner(), spec)
 
     cache = ResultCache(tmp_path / "cache")
-    runner = _runner(
-        jobs=2, cache=cache, resilience=ResiliencePolicy(**_FAST)
-    )
-    worker_kills = []
-
-    def murder(worker, task):
-        # Kill the ENTIRE pool (both workers), once each.
-        if len(worker_kills) < 2 and worker.process.pid is not None:
-            worker_kills.append(worker.process.pid)
-            os.kill(worker.process.pid, signal.SIGKILL)
-
-    runner.supervisor_hooks["on_dispatch"] = murder
-    disturbed = campaign_report(runner, spec)
+    runner = _runner(jobs=2, cache=cache)
+    # Kill the ENTIRE pool: two workers, each mid-key.
+    with signal_claim_owners(cache.root, signal.SIGKILL, 2) as worker_kills:
+        disturbed = campaign_report(runner, spec)
     assert len(worker_kills) == 2
     assert runner.progress.worker_deaths >= 1
     assert json.dumps(disturbed, sort_keys=True) == json.dumps(

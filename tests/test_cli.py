@@ -352,7 +352,7 @@ class TestInjectCommand:
             ]
 
         assert stable(parallel) == stable(serial)
-        assert "resilience: 0 retried" in serial
+        assert "resilience: 0 worker deaths" in serial
 
 
 class TestAnalyzeCommand:
