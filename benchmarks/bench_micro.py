@@ -136,8 +136,8 @@ def test_telemetry_disabled_zero_overhead():
     Side A runs with telemetry fully disabled: the module-global sink is
     ``None``, ``_Run`` samples a single False, and the per-checkpoint
     emission never executes.  Side B runs the *enabled* streaming path —
-    ``task_telemetry`` with a discarding sink, so every heartbeat,
-    metrics delta and phase transition is built and dispatched.  Holding
+    ``task_telemetry`` with a discarding sink, so every boundary event
+    pair and phase transition is built and dispatched.  Holding
     even the enabled delta under the guardrail bounds the disabled path
     a fortiori, and catches instrumentation leaking into the hot loop.
     """
@@ -159,7 +159,7 @@ def test_telemetry_disabled_zero_overhead():
         sim.run(opts)
 
     def run_streaming():
-        with task_telemetry("bench", lambda frame: None):
+        with task_telemetry("bench", lambda task, event: None):
             sim.run(opts)
 
     run_plain()  # warm-up (compile caches, allocator)

@@ -30,7 +30,6 @@ from repro.ckpt.log import IntervalLog
 from repro.compiler.slices import Slice, SliceTable
 from repro.isa.interpreter import MemoryImage
 from repro.obs.events import AddrMapEvict, AddrMapHit, AddrMapInsert
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 __all__ = ["AssocOutcome", "AcrCheckpointHandler", "AcrRecoveryHandler"]
@@ -82,24 +81,21 @@ class AcrCheckpointHandler:
         self.ecc_lookup_hits = 0
         # Observability (attached by the simulator; None = fast path).
         self._tracer: Optional[Tracer] = None
-        self._metrics: Optional[MetricsRegistry] = None
         self._clock: Optional[Callable[[int], float]] = None
 
     # -- observability --------------------------------------------------------
     def attach_observability(
         self,
         tracer: Optional[Tracer],
-        metrics: Optional[MetricsRegistry],
         clock: Callable[[int], float],
     ) -> None:
-        """Wire the handler into the run's tracer/metrics.
+        """Wire the handler into the run's event sink.
 
         ``clock`` maps a core id to its current simulated wall time (the
         handler has no clock of its own).  A disabled tracer is dropped
         here so the per-store guards stay a single ``is not None`` test.
         """
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-        self._metrics = metrics
         self._clock = clock
 
     def slice_for_site(self, core: int, site: int) -> Optional[Slice]:
@@ -161,8 +157,6 @@ class AcrCheckpointHandler:
             return AssocOutcome.REJECTED
         self._gen_words[core][-1] += n_ops
         self.assoc_executed += 1
-        if self._metrics is not None:
-            self._metrics.counter("addrmap.inserts").inc()
         if self._tracer is not None:
             self._tracer.emit(AddrMapInsert(
                 ts_ns=self._clock(core), core=core,
@@ -171,9 +165,7 @@ class AcrCheckpointHandler:
         return AssocOutcome.RECORDED
 
     def _observe_evict(self, core: int, address: int, reason: str) -> None:
-        """Emit/count one AddrMap eviction (no-op when unobserved)."""
-        if self._metrics is not None:
-            self._metrics.counter(f"addrmap.evict.{reason}").inc()
+        """Emit one AddrMap eviction (no-op when unobserved)."""
         if self._tracer is not None:
             self._tracer.emit(AddrMapEvict(
                 ts_ns=self._clock(core), core=core,
@@ -201,8 +193,6 @@ class AcrCheckpointHandler:
                 addrmap.invalidate(address)
                 return None
             self.omissions += 1
-            if self._metrics is not None:
-                self._metrics.counter("addrmap.hits").inc()
             if self._tracer is not None:
                 self._tracer.emit(AddrMapHit(
                     ts_ns=self._clock(core), core=core, address=address,

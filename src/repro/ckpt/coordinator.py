@@ -20,7 +20,7 @@ are exactly the scalability advantages §V-E attributes to local schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Sequence
 
 from repro.arch.config import MachineConfig
 from repro.arch.hierarchy import CoreCacheHierarchy
@@ -28,7 +28,6 @@ from repro.arch.memctrl import MemorySystem
 from repro.arch.noc import MeshNoc
 from repro.energy.accounting import EnergyLedger
 from repro.energy.model import EnergyModel
-from repro.obs.metrics import MetricsRegistry
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -78,15 +77,11 @@ class CheckpointCostModel:
         noc: MeshNoc,
         memsys: MemorySystem,
         energy: EnergyModel,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config
         self.noc = noc
         self.memsys = memsys
         self.energy = energy
-        #: Optional observability sink: per-cluster boundary costs feed
-        #: the ``ckpt.flushed_bytes`` / ``ckpt.barrier_ns`` histograms.
-        self.metrics = metrics
 
     def boundary_cost(
         self,
@@ -127,9 +122,6 @@ class CheckpointCostModel:
             "ckpt.barrier",
             2 * hops * len(participants) * self.energy.noc_hop_pj,
         )
-        if self.metrics is not None:
-            self.metrics.histogram("ckpt.flushed_bytes").observe(flushed_bytes)
-            self.metrics.histogram("ckpt.barrier_ns").observe(barrier_ns)
         return BoundaryCost(
             barrier_ns=barrier_ns,
             flush_ns=flush_ns,

@@ -32,7 +32,6 @@ from repro.energy.accounting import EnergyLedger
 from repro.energy.model import EnergyModel
 from repro.isa.interpreter import MemoryImage
 from repro.obs.events import SliceRecompute
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 __all__ = ["RecoveryCosts", "RecoveryEngine"]
@@ -76,7 +75,6 @@ class RecoveryEngine:
         participants: Sequence[int],
         ledger: EnergyLedger,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         ts_ns: float = 0.0,
     ) -> RecoveryCosts:
         """Cost of restoring via ``logs`` (newest-first) on ``participants``.
@@ -84,10 +82,9 @@ class RecoveryEngine:
         Only records belonging to participant cores are restored — under
         coordinated local checkpointing, non-communicating cores do not
         roll back.  Energy is accumulated into ``ledger`` under ``rec.*``
-        buckets.  When observability is attached, every omitted value's
-        regeneration emits a :class:`SliceRecompute` event (stamped at
-        ``ts_ns``, the recovery's wall time) and feeds the slice-length /
-        recompute-latency histograms.
+        buckets.  With a ``tracer``, every omitted value's regeneration
+        emits a :class:`SliceRecompute` event (stamped at ``ts_ns``, the
+        recovery's wall time).
         """
         cfg = self.config
         # Normalize once at entry: a caller passing duplicate core ids
@@ -133,7 +130,6 @@ class RecoveryEngine:
         recomputed = 0
         recompute_instrs = 0
         cycle = cfg.cycle_ns
-        observe = tracer is not None or metrics is not None
         for log in logs:
             for rec in log.omitted:
                 if rec.core not in members:
@@ -145,20 +141,12 @@ class RecoveryEngine:
                 values_per_core[rec.core] = values_per_core.get(rec.core, 0) + 1
                 recomputed += 1
                 recompute_instrs += length
-                if observe:
-                    slice_ns = length * cycle + cfg.addrmap_access_ns
-                    if tracer is not None:
-                        tracer.emit(SliceRecompute(
-                            ts_ns=ts_ns, core=rec.core,
-                            slice_id=rec.entry.slice_.site, ns=slice_ns,
-                        ))
-                    if metrics is not None:
-                        metrics.histogram(
-                            "recovery.slice_length"
-                        ).observe(length)
-                        metrics.histogram(
-                            "recovery.slice_recompute_ns"
-                        ).observe(slice_ns)
+                if tracer is not None:
+                    tracer.emit(SliceRecompute(
+                        ts_ns=ts_ns, core=rec.core,
+                        slice_id=rec.entry.slice_.site, length=length,
+                        ns=length * cycle + cfg.addrmap_access_ns,
+                    ))
         exec_ns = max(
             (
                 instrs * cycle + values_per_core[core] * cfg.addrmap_access_ns

@@ -134,26 +134,21 @@ def trial_cache_key(spec: Any) -> str:
 class ResultCache:
     """On-disk store of serialised run results, keyed by content hash.
 
-    Quarantines are counted (``quarantined``), mirrored into ``metrics``
-    as the ``cache.quarantined`` counter when a
-    :class:`~repro.obs.metrics.MetricsRegistry` is attached, and reported
-    through the optional ``on_quarantine`` hook — corruption must be
-    visible, not just survivable.
+    Quarantines are counted (``quarantined``) and reported through the
+    optional ``on_quarantine`` hook — corruption must be visible, not
+    just survivable.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         on_quarantine: Optional[Callable[[Path], None]] = None,
-        metrics: Optional[Any] = None,
     ) -> None:
         self.root = Path(root)
         #: Corrupt entries deleted by this cache instance so far.
         self.quarantined = 0
         #: Called with the quarantined path after each deletion.
         self.on_quarantine = on_quarantine
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry` mirror.
-        self.metrics = metrics
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except FileExistsError as exc:
@@ -293,12 +288,10 @@ class ResultCache:
 
     def _quarantine(self, path: Path) -> None:
         """Remove a corrupt entry so the rewrite starts clean, and make
-        the deletion visible (count, metrics counter, hook).  A path that
+        the deletion visible (count, hook).  A path that
         is already gone counts as nothing-to-quarantine."""
         if not atomicio.quarantine(path):
             return
         self.quarantined += 1
-        if self.metrics is not None:
-            self.metrics.counter("cache.quarantined").inc()
         if self.on_quarantine is not None:
             self.on_quarantine(path)

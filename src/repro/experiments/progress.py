@@ -12,6 +12,9 @@ Sources, in increasing cost order:
 ``disk``   — the persistent :class:`~repro.experiments.cache.ResultCache`;
 ``sim``    — a fresh simulation, executed in-process;
 ``worker`` — a fresh simulation, executed in a forked fan-out worker.
+
+The crash-tolerance counters fold the runner's harness events
+(:meth:`ProgressTracker.emit`).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.obs.events import CampaignResumed, PoolDegraded, WorkerDied
 from repro.util.tables import format_table
 
 __all__ = ["RunRecord", "ProgressTracker"]
@@ -61,8 +65,9 @@ class ProgressTracker:
     disk_misses: int = 0
     events_captured: int = 0
     events_dropped: int = 0
-    # Crash-tolerance accounting (repro.resilience): a clean run reports
-    # visible zeros, so silence is an assertion, not a gap.
+    # Crash-tolerance accounting (repro.resilience), folded off the
+    # harness events: a clean run reports visible zeros, so silence is
+    # an assertion, not a gap.
     worker_deaths: int = 0
     degraded_to_serial: int = 0
     resumed: int = 0
@@ -115,21 +120,19 @@ class ProgressTracker:
         self.events_dropped += dropped
 
     # -------------------------------------------------------------- resilience --
-    def record_worker_death(self) -> None:
-        """Count one fan-out worker killed by a signal (it is respawned)."""
-        self.worker_deaths += 1
-
-    def record_degraded(self) -> None:
-        """Count one fan-out whose workers kept dying (the rest of its
-        keys resolve in-process)."""
-        self.degraded_to_serial += 1
-        if self.echo is not None:
-            self.echo("[degrade] workers keep dying; continuing serially")
-
-    def record_resumed(self, n: int = 1) -> None:
-        """Count tasks skipped because the completion journal already
-        holds them (``--resume``)."""
-        self.resumed += n
+    def emit(self, event: object) -> None:
+        """Fold one harness event: a fan-out worker killed by a signal
+        (it is respawned), a fan-out whose workers kept dying (the rest
+        of its keys resolve in-process), or tasks skipped because the
+        completion journal already holds them (``--resume``)."""
+        if isinstance(event, WorkerDied):
+            self.worker_deaths += 1
+        elif isinstance(event, PoolDegraded):
+            self.degraded_to_serial += 1
+            if self.echo is not None:
+                self.echo("[degrade] workers keep dying; continuing serially")
+        elif isinstance(event, CampaignResumed):
+            self.resumed += event.journaled
 
     def record_vector_coverage(self, replayed: int, fallback: int) -> None:
         """Accumulate one vector-engine run's coverage counters."""

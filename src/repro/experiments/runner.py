@@ -67,8 +67,7 @@ from repro.experiments.progress import ProgressTracker, _Timer
 from repro.inject.harness import TrialResult, TrialSpec, run_trial
 from repro.isa.program import Program
 from repro.obs.events import MACHINE, CampaignResumed, PoolDegraded, WorkerDied
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry.emit import task_telemetry
+from repro.obs.telemetry.emit import frame_dict, task_telemetry
 from repro.obs.tracer import Tracer
 from repro.resilience.journal import CompletionJournal, JournalRecord
 from repro.resilience.locks import KeyLock
@@ -120,8 +119,8 @@ class _PipeTelemetry:
         self.conn = conn
         self.profiler = PhaseProfiler()
 
-    def on_frame(self, frame: Any) -> None:
-        self.conn.send(("frame", frame.to_dict()))
+    def on_event(self, task: str, event: Any) -> None:
+        self.conn.send(("frame", frame_dict(task, event)))
 
 
 class _Workers:
@@ -183,19 +182,11 @@ class _Workers:
                         or f"worker pid {proc.pid} exited with status {code}"
                     )
                 self.deaths += 1
-                runner.progress.record_worker_death()
-                runner.resilience_metrics.counter(
-                    "resilience.worker_deaths"
-                ).inc()
                 runner._trace(WorkerDied(
                     ts_ns=self._now_ns(), core=MACHINE,
                     label=proc.name, pid=proc.pid,
                 ))
                 if self.deaths >= _DEATHS_BEFORE_INLINE:
-                    runner.progress.record_degraded()
-                    runner.resilience_metrics.counter(
-                        "resilience.degraded"
-                    ).inc()
                     runner._trace(PoolDegraded(
                         ts_ns=self._now_ns(), core=MACHINE,
                         failures=self.deaths,
@@ -327,8 +318,8 @@ class ExperimentRunner:
         self.progress = progress if progress is not None else ProgressTracker()
         # A caller-provided cache object (e.g. the campaign daemon's
         # shared cache) wins over ``cache_dir``; the caller then owns
-        # its quarantine/metrics wiring.  A cache built here reports its
-        # quarantines through this runner's progress + metrics.
+        # its quarantine wiring.  A cache built here reports its
+        # quarantines through this runner's progress.
         self.cache: Optional[ResultCache] = cache
         if self.cache is None and cache_dir is not None:
             # The callback holds the tracker, not ``self``: a runner that
@@ -347,9 +338,6 @@ class ExperimentRunner:
         #: How old (by mtime) a per-key claim must be before a waiting
         #: runner presumes its owner hung and breaks it (``--timeout``).
         self.lock_stale_s = lock_stale_s
-        self.resilience_metrics = MetricsRegistry()
-        if cache is None and self.cache is not None:
-            self.cache.metrics = self.resilience_metrics
         #: Optional Tracer receiving harness-level events (worker_died,
         #: pool_degraded, campaign_resumed).
         self.resilience_tracer: Optional[Tracer] = None
@@ -732,11 +720,11 @@ class ExperimentRunner:
     # -- telemetry plumbing ---------------------------------------------------
     def _task_scope(self, label: str):
         """Wrap one inline task execution in its telemetry scope
-        (``task_started``/heartbeats/``task_finished`` straight into the
-        aggregator) — a no-op context when telemetry is off."""
+        (``task_started``/boundaries/``task_finished`` straight into
+        the aggregator) — a no-op context when telemetry is off."""
         if self.telemetry is None:
             return nullcontext()
-        return task_telemetry(label, self.telemetry.on_frame)
+        return task_telemetry(label, self.telemetry.on_event)
 
     def _phase(self, name: str):
         """Time one phase of this process (cache I/O) on the campaign
@@ -747,7 +735,9 @@ class ExperimentRunner:
 
     # -- resilience plumbing -------------------------------------------------
     def _trace(self, event: Any) -> None:
-        """Emit one harness-level event to the resilience tracer."""
+        """Emit one harness-level event: the progress tracker folds it
+        into its footer counters, then the resilience tracer sees it."""
+        self.progress.emit(event)
         tracer = self.resilience_tracer
         if tracer is not None and getattr(tracer, "enabled", False):
             tracer.emit(event)
@@ -756,7 +746,7 @@ class ExperimentRunner:
         self, keys: Iterable[str], pending_count: int
     ) -> None:
         """Count tasks the journal says are already done (each key
-        credited once per runner) and surface the resume through obs."""
+        credited once per runner), as one ``campaign_resumed`` event."""
         fresh = [
             k for k in keys
             if k in self._resume_keys and k not in self._resume_credited
@@ -764,10 +754,6 @@ class ExperimentRunner:
         if not fresh:
             return
         self._resume_credited.update(fresh)
-        self.progress.record_resumed(len(fresh))
-        self.resilience_metrics.counter("resilience.resumed_tasks").inc(
-            len(fresh)
-        )
         self._trace(
             CampaignResumed(
                 ts_ns=0.0,

@@ -76,12 +76,11 @@ from repro.isa.program import Program
 from repro.obs.events import (
     MACHINE,
     FaultInjected,
+    IntervalBoundary,
     RecoveryDiverged,
     RecoveryVerified,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import emit as _telemetry_mod
-from repro.obs.telemetry.frames import TaskHeartbeat
 from repro.obs.tracer import Tracer
 from repro.sim.mechanism import Mechanism
 from repro.sim.simulator import _compile_cached
@@ -387,7 +386,7 @@ class _MechanismPass:
         self.arch_snapshots: List[List[Tuple[int, int, List[int]]]] = []
         self.steps = 0
         self.n_instructions = 0
-        # Advisory heartbeat channel (repro.obs.telemetry): sampled once
+        # Advisory telemetry channel (repro.obs.telemetry): sampled once
         # here so a disabled campaign pays a single module-global read.
         self._telemetry = _telemetry_mod.telemetry_active()
 
@@ -410,11 +409,12 @@ class _MechanismPass:
         """Establish the next checkpoint (boundary protocol)."""
         time = self.steps / self.spec.steps_per_interval
         if self._telemetry:
-            _telemetry_mod.emit(
-                TaskHeartbeat,
-                interval=self.mech.store.count,
+            # The campaign's heartbeat; a pass has no cost model, so no
+            # checkpoint_end follows it.
+            _telemetry_mod.emit(IntervalBoundary(
+                ts_ns=time, core=MACHINE, index=self.mech.store.count,
                 instructions=self.n_instructions,
-            )
+            ))
         self.arch_snapshots.append(
             [it.arch_state() for it in self.interpreters]
         )
@@ -891,7 +891,6 @@ def fork(
 def run_trial(
     spec: TrialSpec,
     tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
     snapshots: bool = False,
     snapshot_store: Optional[SnapshotStore] = None,
 ) -> TrialResult:
@@ -947,9 +946,6 @@ def run_trial(
                     target=injection.kind, address=injection.address,
                     bit=injection.bit,
                 ))
-            if metrics is not None:
-                metrics.counter("inject.faults").inc()
-                metrics.counter(f"inject.target.{injection.kind}").inc()
         faulty.step()
         if injection is not None and faulty.steps == detection_step:
             break
@@ -971,15 +967,6 @@ def run_trial(
         sample: Sequence[Divergence] = (),
         detail: str = "",
     ) -> TrialResult:
-        if metrics is not None:
-            metrics.counter("inject.trials").inc()
-            metrics.counter(
-                "inject." + outcome.replace("-", "_")
-            ).inc()
-            if faulty.mech.ecc_lookup_hits:
-                metrics.counter("inject.ecc_lookup_hits").inc(
-                    faulty.mech.ecc_lookup_hits
-                )
         return TrialResult(
             spec=spec,
             outcome=outcome,
@@ -1040,9 +1027,6 @@ def run_trial(
                     interval=div.interval, expected=div.expected,
                     actual=div.actual,
                 ))
-    if metrics is not None:
-        metrics.histogram("inject.restored_records").observe(restored)
-        metrics.histogram("inject.recomputed_values").observe(recomputed)
 
     outcome = "recovered-exact" if count == 0 else "diverged"
     return _result(

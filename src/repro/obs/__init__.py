@@ -1,10 +1,13 @@
-"""Observability: event tracing, metrics and trace exporters.
+"""Observability: one event vocabulary, and the folds over it.
 
 This package is the profiling layer of the reproduction — per-event
 visibility into the write path (which stores were amnesic and why),
 the AddrMap (inserts, evictions, omission hits), checkpoint boundaries
-and the recovery handler, plus aggregate counters/histograms that ride
-on ``RunResult.obs`` through the result cache.
+and the recovery handler.  Each fact is emitted once, as a
+:class:`TraceEvent`, into one sink per run; the run's
+:class:`MetricsRegistry` (riding on ``RunResult.obs`` through the result
+cache), the campaign telemetry and the progress footers are folds over
+those events.
 
 The layer is zero-overhead when disabled: the default
 :class:`NullTracer` makes the simulator keep its untraced hot path
@@ -25,12 +28,16 @@ from repro.obs.events import (
     CheckpointEnd,
     IntervalBoundary,
     LogWrite,
+    PhaseChanged,
     PoolDegraded,
     RecoveryBegin,
     RecoveryEnd,
     SliceRecompute,
+    TaskFinished,
+    TaskStarted,
     TraceEvent,
     WorkerDied,
+    event_from_dict,
 )
 from repro.obs.export import (
     chrome_trace,
@@ -46,7 +53,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     ObsReport,
 )
-from repro.obs.tracer import NullTracer, RecordingTracer, Tracer
+from repro.obs.tracer import NullTracer, RecordingTracer, TeeTracer, Tracer
 
 __all__ = [
     # events
@@ -64,11 +71,16 @@ __all__ = [
     "WorkerDied",
     "PoolDegraded",
     "CampaignResumed",
+    "TaskStarted",
+    "PhaseChanged",
+    "TaskFinished",
     "EVENT_TYPES",
+    "event_from_dict",
     # tracers
     "Tracer",
     "NullTracer",
     "RecordingTracer",
+    "TeeTracer",
     # metrics
     "Counter",
     "Histogram",

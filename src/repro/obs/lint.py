@@ -1,16 +1,17 @@
 """JSONL schema linter (library + ``python -m repro.obs.lint``).
 
-One record per line, each a JSON object of one of three kinds, told
+One record per line, each a JSON object of one of two kinds, told
 apart by their discriminator key:
 
-* trace events — ``"name"`` from :data:`repro.obs.events.EVENT_TYPES`;
-* telemetry frames — ``"frame"`` from
-  :data:`repro.obs.telemetry.frames.FRAME_TYPES`;
+* trace events — ``"name"`` from :data:`repro.obs.events.EVENT_TYPES`,
+  checked by the strict decoder :func:`repro.obs.events.event_from_dict`
+  itself, so the linter and every receiver agree on what a valid event
+  is;
 * telemetry snapshots — ``"kind": "telemetry-snapshot"`` with exactly
   :data:`repro.obs.telemetry.snapshots.SNAPSHOT_FIELDS` plus the
   version stamp.
 
-The CI smoke steps run this over freshly exported traces and telemetry
+The smoke tests run this over freshly exported traces and telemetry
 streams so the JSONL contracts cannot drift silently from their
 dataclasses — the checks are derived from the dataclass fields (or the
 published field tuple), never hand-listed.
@@ -20,12 +21,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.obs.events import EVENT_TYPES, TraceEvent
-from repro.obs.telemetry.frames import frame_from_dict
+from repro.obs.events import event_from_dict
 from repro.obs.telemetry.snapshots import (
     SNAPSHOT_FIELDS,
     SNAPSHOT_KIND,
@@ -34,51 +33,17 @@ from repro.obs.telemetry.snapshots import (
 
 __all__ = [
     "lint_event_dict",
-    "lint_frame_dict",
     "lint_snapshot_dict",
     "lint_record",
     "lint_jsonl",
     "main",
 ]
 
-#: Per-event required keys (the wire name plus every dataclass field).
-_SCHEMAS: Dict[str, Tuple[Type[TraceEvent], frozenset]] = {
-    name: (cls, frozenset(f.name for f in fields(cls)))
-    for name, cls in EVENT_TYPES.items()
-}
-
 
 def lint_event_dict(obj: object, where: str = "event") -> List[str]:
     """Problems with one decoded JSONL event object (empty == valid)."""
-    if not isinstance(obj, dict):
-        return [f"{where}: not a JSON object"]
-    name = obj.get("name")
-    if name not in _SCHEMAS:
-        return [f"{where}: unknown event name {name!r}"]
-    _, required = _SCHEMAS[name]
-    errors: List[str] = []
-    present = set(obj) - {"name"}
-    for missing in sorted(required - present):
-        errors.append(f"{where}: {name} missing field {missing!r}")
-    for extra in sorted(present - required):
-        errors.append(f"{where}: {name} has unknown field {extra!r}")
-    ts = obj.get("ts_ns")
-    if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
-        errors.append(f"{where}: ts_ns must be a non-negative number")
-    core = obj.get("core")
-    if not isinstance(core, int) or isinstance(core, bool) or core < -1:
-        errors.append(f"{where}: core must be an int >= -1")
-    return errors
-
-
-def lint_frame_dict(obj: object, where: str = "frame") -> List[str]:
-    """Problems with one telemetry-frame object (empty == valid).
-
-    Delegates to the strict receiver-side decoder so the linter and the
-    campaign aggregator can never disagree about what a valid frame is.
-    """
     try:
-        frame_from_dict(obj)
+        event_from_dict(obj)
     except ValueError as exc:
         return [f"{where}: {exc}"]
     return []
@@ -106,16 +71,13 @@ def lint_snapshot_dict(obj: object, where: str = "snapshot") -> List[str]:
 
 def lint_record(obj: object, where: str = "record") -> List[str]:
     """Dispatch one decoded JSONL object to its kind's linter."""
-    if isinstance(obj, dict):
-        if "frame" in obj:
-            return lint_frame_dict(obj, where)
-        if obj.get("kind") == SNAPSHOT_KIND:
-            return lint_snapshot_dict(obj, where)
+    if isinstance(obj, dict) and obj.get("kind") == SNAPSHOT_KIND:
+        return lint_snapshot_dict(obj, where)
     return lint_event_dict(obj, where)
 
 
 def lint_jsonl(path: Union[str, Path]) -> Tuple[int, List[str]]:
-    """Lint a JSONL file (events, frames and/or snapshots may be mixed);
+    """Lint a JSONL file (events and snapshots may be mixed);
     returns ``(record_count, problems)``."""
     path = Path(path)
     errors: List[str] = []
@@ -157,5 +119,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 1 if failed else 0
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via CI smoke
+if __name__ == "__main__":  # pragma: no cover - exercised via the smoke tests
     sys.exit(main())

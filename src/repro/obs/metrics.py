@@ -1,13 +1,15 @@
 """Counters, fixed-bucket histograms and the per-run metrics registry.
 
-The registry is the aggregate side of the observability layer: where
-the tracer streams *events*, the registry keeps O(1)-sized summaries —
+The registry is the aggregate side of the observability layer, and a
+fold over the event stream: it is itself a
+:class:`~repro.obs.tracer.Tracer`, and :meth:`MetricsRegistry.emit`
+turns each :mod:`repro.obs.events` event into O(1)-sized summaries —
 monotonic counters (log writes taken/skipped, AddrMap traffic) and
 fixed-bucket histograms (checkpoint bytes, slice lengths, AddrMap
-occupancy, recompute latency).  At every checkpoint the simulator calls
-:meth:`MetricsRegistry.snapshot_interval`, recording the counter deltas
-of the closing interval, so per-interval behaviour survives into the
-aggregate without keeping the event stream.
+occupancy, recompute latency).  Each ``checkpoint_end`` closes the
+interval (:meth:`MetricsRegistry.snapshot_interval`), recording the
+counter deltas of the closing interval, so per-interval behaviour
+survives into the aggregate without keeping the event stream.
 
 The whole registry serialises to plain JSON (strict inverse, like the
 rest of :mod:`repro.sim.results`): an :class:`ObsReport` rides on
@@ -22,6 +24,16 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.events import (
+    AddrMapEvict,
+    AddrMapHit,
+    AddrMapInsert,
+    CheckpointEnd,
+    LogWrite,
+    RecoveryEnd,
+    SliceRecompute,
+    TraceEvent,
+)
 from repro.util.tables import format_table
 from repro.util.validation import require_fields
 
@@ -116,7 +128,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Per-run collection of counters, histograms and interval snapshots."""
+    """Per-run collection of counters, histograms and interval snapshots,
+    filled by folding the run's events (:meth:`emit`)."""
+
+    #: A registry is an event sink (the Tracer protocol).
+    enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -152,6 +168,50 @@ class MetricsRegistry:
             )
             h = self._histograms[name] = Histogram(name, edges)
         return h
+
+    # -- the fold -------------------------------------------------------------
+    def emit(self, event: TraceEvent) -> None:
+        """Fold one event in (events no metric reads are ignored)."""
+        kind = type(event)
+        if kind is LogWrite:
+            taken = "taken" if event.taken else "skipped"
+            self.counter(f"log.writes_{taken}").inc()
+            self.counter(f"log.bytes_{taken}").inc(event.size_bytes)
+        elif kind is AddrMapInsert:
+            self.counter("addrmap.inserts").inc()
+        elif kind is AddrMapEvict:
+            self.counter(f"addrmap.evict.{event.reason}").inc()
+        elif kind is AddrMapHit:
+            self.counter("addrmap.hits").inc()
+        elif kind is SliceRecompute:
+            self.histogram("recovery.slice_length").observe(event.length)
+            self.histogram("recovery.slice_recompute_ns").observe(event.ns)
+        elif kind is RecoveryEnd:
+            self.counter("recovery.count").inc()
+            self.counter("recovery.restored_records").inc(
+                event.restored_records
+            )
+            self.counter("recovery.recomputed_values").inc(
+                event.recomputed_values
+            )
+            # Waste plus the costed episode, summed as the simulator sums
+            # them (``duration_ns``, a difference of wall times, can differ).
+            self.histogram("recovery.total_ns").observe(
+                event.waste_ns + (event.rollback_ns + event.recompute_ns)
+            )
+        elif kind is CheckpointEnd:
+            for nbytes in event.cluster_flushed_bytes:
+                self.histogram("ckpt.flushed_bytes").observe(nbytes)
+            for ns in event.cluster_barrier_ns:
+                self.histogram("ckpt.barrier_ns").observe(ns)
+            self.counter("ckpt.count").inc()
+            self.histogram("ckpt.logged_bytes").observe(event.logged_bytes)
+            self.histogram("ckpt.boundary_ns").observe(event.boundary_ns)
+            if event.addrmap_occupancy >= 0:
+                self.histogram("addrmap.occupancy").observe(
+                    event.addrmap_occupancy
+                )
+            self.snapshot_interval(event.index)
 
     # -- interval aggregation -------------------------------------------------
     def snapshot_interval(self, index: int) -> Dict[str, int]:

@@ -1,9 +1,13 @@
 """Campaign-level live telemetry (advisory, results-neutral).
 
-Layers, bottom-up:
+Telemetry speaks the one event vocabulary of :mod:`repro.obs.events`:
+a task's lifecycle (``task_started``, ``phase_changed``,
+``task_finished``) and the simulator's per-boundary
+``interval_boundary``/``checkpoint_end`` pair, each tagged with the
+task that emitted it.  Layers, bottom-up:
 
-* :mod:`~repro.obs.telemetry.frames` — typed frames on the wire;
-* :mod:`~repro.obs.telemetry.emit` — ambient per-process emission;
+* :mod:`~repro.obs.telemetry.emit` — ambient per-process emission and
+  the wire frame (one task-tagged event);
 * :mod:`~repro.obs.telemetry.profile` — per-task phase self-profiling;
 * :mod:`~repro.obs.telemetry.aggregate` — campaign-wide fold;
 * :mod:`~repro.obs.telemetry.snapshots` — durable JSONL snapshots;
@@ -21,21 +25,12 @@ from repro.obs.telemetry.aggregate import CampaignTelemetry
 # submodule (re-binding it to the function would shadow the module for
 # every ``from repro.obs.telemetry import emit`` importer).
 from repro.obs.telemetry.emit import (
-    FrameSink,
+    EventSink,
     current_task,
     frame_context,
+    frame_dict,
     task_telemetry,
     telemetry_active,
-)
-from repro.obs.telemetry.frames import (
-    FRAME_TYPES,
-    MetricsDelta,
-    PhaseChanged,
-    TaskFinished,
-    TaskHeartbeat,
-    TaskStarted,
-    TelemetryFrame,
-    frame_from_dict,
 )
 from repro.obs.telemetry.monitor import Monitor, render_snapshot, replay
 from repro.obs.telemetry.profile import PHASES, PhaseProfiler
@@ -49,19 +44,12 @@ from repro.obs.telemetry.snapshots import (
 
 __all__ = [
     "CampaignTelemetry",
-    "FrameSink",
+    "EventSink",
     "current_task",
     "frame_context",
+    "frame_dict",
     "task_telemetry",
     "telemetry_active",
-    "FRAME_TYPES",
-    "MetricsDelta",
-    "PhaseChanged",
-    "TaskFinished",
-    "TaskHeartbeat",
-    "TaskStarted",
-    "TelemetryFrame",
-    "frame_from_dict",
     "Monitor",
     "render_snapshot",
     "replay",

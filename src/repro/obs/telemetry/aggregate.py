@@ -1,14 +1,15 @@
 """Campaign-wide telemetry aggregation.
 
-:class:`CampaignTelemetry` is the parent-side fold over every telemetry
-channel a campaign has: frames streamed out of workers (or emitted
-inline), pool gauges reported by the fan-out parent as its workers
-come and go, the :class:`~repro.experiments.progress.ProgressTracker`'s
-cache/resilience counters, and the parent's own :class:`PhaseProfiler`
-(its own cache I/O).  It maintains rolling gauges (worker utilization, queue
-depth, active tasks), cumulative counters (sim-iterations, log records),
-``profile.*`` histograms, and periodically serialises the whole state as
-a JSONL snapshot beside the completion journal
+:class:`CampaignTelemetry` is the parent-side fold over a campaign's
+event stream: task-tagged :mod:`repro.obs.events` events streamed out
+of workers (or emitted inline), pool gauges reported by the fan-out
+parent as its workers come and go, the
+:class:`~repro.experiments.progress.ProgressTracker`'s cache/resilience
+counters, and the parent's own :class:`PhaseProfiler` (its own cache
+I/O).  It maintains rolling gauges (worker utilization, queue depth,
+active tasks), cumulative counters (sim-iterations, log records) and
+the campaign's phase attribution, and periodically serialises the
+whole state as a JSONL snapshot beside the completion journal
 (:mod:`repro.obs.telemetry.snapshots`).
 
 Everything here is advisory and receiver-side tolerant: a malformed
@@ -22,24 +23,26 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry.frames import (
-    MetricsDelta,
+from repro.obs.events import (
+    CheckpointEnd,
+    IntervalBoundary,
     PhaseChanged,
     TaskFinished,
-    TaskHeartbeat,
     TaskStarted,
-    TelemetryFrame,
-    frame_from_dict,
+    TraceEvent,
+    event_from_dict,
 )
 from repro.obs.telemetry.profile import PhaseProfiler
 from repro.obs.telemetry.snapshots import SnapshotWriter
 
 __all__ = ["CampaignTelemetry"]
 
+#: The wire frame's keys (see :func:`repro.obs.telemetry.emit.frame_dict`).
+_FRAME_KEYS = frozenset(("task", "event"))
+
 
 class CampaignTelemetry:
-    """Merge frames + progress + pool gauges into campaign-wide state.
+    """Merge events + progress + pool gauges into campaign-wide state.
 
     ``progress`` (optional) is the runner's ProgressTracker — its cache
     and resilience counters ride along in every snapshot.  With
@@ -57,9 +60,8 @@ class CampaignTelemetry:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.progress = progress
-        self.metrics = MetricsRegistry()
         #: Campaign-wide phase attribution: the parent's own phases
-        #: (cache I/O) plus every ``task_finished`` frame's totals.
+        #: (cache I/O) plus every ``task_finished`` event's totals.
         self.profiler = PhaseProfiler()
         self.writer: Optional[SnapshotWriter] = (
             SnapshotWriter(snapshot_path, min_interval_s=snapshot_interval_s,
@@ -77,9 +79,10 @@ class CampaignTelemetry:
         self.tasks_started = 0
         self.tasks_finished = 0
         self.tasks_failed = 0
-        #: Live tasks: label -> {worker, pid, interval, phase, since}.
+        #: Live tasks: label -> {worker, pid, interval, phase}.
         self.active: Dict[str, Dict[str, Any]] = {}
-        # Cumulative counters folded off heartbeat/metrics-delta frames.
+        # Cumulative counters folded off interval-boundary and
+        # checkpoint-end events.
         self.counters: Dict[str, int] = {}
         self._last_instructions: Dict[str, int] = {}
         # Pool gauges (fan-out parent; zeros for inline execution).
@@ -89,65 +92,66 @@ class CampaignTelemetry:
         self._closed = False
 
     # ------------------------------------------------------------- ingestion --
-    def on_frame(self, frame: TelemetryFrame, worker: int = -1) -> None:
-        """Fold one decoded frame in (the inline-execution sink)."""
+    def on_event(self, task: str, event: TraceEvent, worker: int = -1) -> None:
+        """Fold one event of ``task`` in (the inline-execution sink)."""
         self.frames += 1
-        task = frame.task
-        if isinstance(frame, TaskStarted):
+        if isinstance(event, TaskStarted):
             self.tasks_started += 1
-            self.metrics.counter("telemetry.tasks_started").inc()
             self.active[task] = {
-                "worker": worker, "pid": frame.pid,
-                "interval": -1, "phase": "", "since": frame.ts_s,
+                "worker": worker, "pid": event.pid, "interval": -1,
+                "phase": "",
             }
-        elif isinstance(frame, TaskHeartbeat):
+        elif isinstance(event, IntervalBoundary):
             entry = self.active.setdefault(
                 task,
-                {"worker": worker, "pid": -1, "interval": -1, "phase": "",
-                 "since": frame.ts_s},
+                {"worker": worker, "pid": -1, "interval": -1, "phase": ""},
             )
-            entry["interval"] = frame.interval
+            entry["interval"] = event.index
             last = self._last_instructions.get(task, 0)
             # Cumulative per run; a nested run (a dependent's inline
             # baseline) restarts the count — treat a drop as a restart.
             delta = (
-                frame.instructions - last
-                if frame.instructions >= last
-                else frame.instructions
+                event.instructions - last
+                if event.instructions >= last
+                else event.instructions
             )
-            self._last_instructions[task] = frame.instructions
+            self._last_instructions[task] = event.instructions
             self._count("instructions", delta)
-            self.metrics.counter("telemetry.heartbeats").inc()
-        elif isinstance(frame, PhaseChanged):
+        elif isinstance(event, CheckpointEnd):
+            # The closing interval's totals.
+            self._count("logged_records", event.logged_records)
+            self._count("omitted_records", event.omitted_records)
+            self._count("logged_bytes", event.logged_bytes)
+            self._count("flushed_bytes", event.flushed_bytes)
+        elif isinstance(event, PhaseChanged):
             entry = self.active.get(task)
             if entry is not None:
-                entry["phase"] = frame.phase
-        elif isinstance(frame, MetricsDelta):
-            for name, value in frame.counters.items():
-                self._count(name, value)
-        elif isinstance(frame, TaskFinished):
+                entry["phase"] = event.phase
+        elif isinstance(event, TaskFinished):
             self.tasks_finished += 1
-            if not frame.ok:
+            if not event.ok:
                 self.tasks_failed += 1
             self.active.pop(task, None)
             self._last_instructions.pop(task, None)
-            self.profiler.merge(frame.phase_seconds, frame.phase_counts)
-            for name, seconds in frame.phase_seconds.items():
-                self.metrics.histogram(f"profile.{name}").observe(seconds)
-            self.metrics.histogram("telemetry.task_seconds").observe(
-                frame.seconds
-            )
+            self.profiler.merge(event.phase_seconds, event.phase_counts)
         self._changed()
 
     def on_frame_dict(self, doc: Any, worker: int = -1) -> None:
-        """Fold one wire dict in (a worker pipe's or the daemon's); a
-        frame that fails to decode is counted malformed and dropped."""
+        """Fold one wire frame in (a worker pipe's or the daemon's): a
+        ``{"task": label, "event": event dict}`` object, decoded
+        strictly; one that fails to decode is counted malformed and
+        dropped."""
         try:
-            frame = frame_from_dict(doc)
+            if not isinstance(doc, dict) or set(doc) != _FRAME_KEYS:
+                raise ValueError("a frame is a {task, event} object")
+            task = doc["task"]
+            if not isinstance(task, str):
+                raise ValueError("a frame's task must be a string")
+            event = event_from_dict(doc["event"])
         except ValueError:
             self.malformed += 1
             return
-        self.on_frame(frame, worker=worker)
+        self.on_event(task, event, worker=worker)
 
     def update_pool(self, workers: int, busy: int, queue_depth: int) -> None:
         """Pool gauges, reported by the fan-out parent as workers come

@@ -13,8 +13,8 @@ phase.  Like :mod:`repro.obs.telemetry.emit`, activation is ambient:
 instrumented code calls the module-level :func:`phase`, which returns
 one shared null context when no profiler is active, so the plain path
 pays one ``is None`` check and builds nothing.  Entering a phase with
-telemetry enabled also emits a ``phase_changed`` frame, and the
-per-task totals ride home on the ``task_finished`` frame for
+telemetry enabled also emits a ``phase_changed`` event, and the
+per-task totals ride home on the ``task_finished`` event for
 campaign-wide attribution (:meth:`PhaseProfiler.attribution_table`).
 """
 
@@ -24,8 +24,8 @@ import time
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Dict, Iterator, Optional
 
+from repro.obs.events import PhaseChanged
 from repro.obs.telemetry import emit as _emit_mod
-from repro.obs.telemetry.frames import PhaseChanged
 from repro.util.tables import format_table
 
 __all__ = ["PHASES", "PhaseProfiler", "activate", "active", "phase", "count"]
@@ -53,7 +53,7 @@ class PhaseProfiler:
         self, seconds: Dict[str, float], counts: Optional[Dict[str, int]] = None
     ) -> None:
         """Fold another profiler's totals (e.g. off a ``task_finished``
-        frame) into this one."""
+        event) into this one."""
         for name, s in seconds.items():
             self.seconds[name] = self.seconds.get(name, 0.0) + s
         for name, n in (counts or {}).items():
@@ -63,7 +63,7 @@ class PhaseProfiler:
     def phase(self, name: str) -> Iterator[None]:
         """Time one phase entry (emits ``phase_changed`` when telemetry
         is enabled)."""
-        _emit_mod.emit(PhaseChanged, phase=name)
+        _emit_mod.emit_harness(PhaseChanged, phase=name)
         t0 = time.perf_counter()
         try:
             yield

@@ -35,7 +35,7 @@ __all__ = [
 TELEMETRY_SCHEMA_VERSION = 1
 
 #: The ``kind`` discriminator (telemetry snapshots share the JSONL
-#: linter with trace events and frames).
+#: linter with trace events).
 SNAPSHOT_KIND = "telemetry-snapshot"
 
 #: Exactly the keys every snapshot carries besides ``v``/``kind`` — the

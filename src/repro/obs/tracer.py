@@ -14,15 +14,18 @@ untraced fast path at construction.  :class:`RecordingTracer` captures
 events in memory with an optional capacity bound; overflowing events
 are counted as *dropped* rather than silently discarded, so the
 "events captured / dropped" summary is always truthful.
+:class:`TeeTracer` hands each event to several sinks in turn: a traced
+run's simulator emits into one tee of its metrics registry (which folds
+every event) and the caller's tracer (which may drop some).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import List, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.obs.events import TraceEvent
 
-__all__ = ["Tracer", "NullTracer", "RecordingTracer"]
+__all__ = ["Tracer", "NullTracer", "RecordingTracer", "TeeTracer"]
 
 
 @runtime_checkable
@@ -82,3 +85,17 @@ class RecordingTracer:
         """Drop the buffer and reset the drop counter."""
         self.events.clear()
         self.dropped = 0
+
+
+class TeeTracer:
+    """Hands each event to every sink of ``sinks``, in order."""
+
+    enabled = True
+
+    def __init__(self, sinks: Sequence[Tracer]) -> None:
+        self.sinks = tuple(sinks)
+
+    def emit(self, event: TraceEvent) -> None:
+        """Deliver ``event`` to each sink."""
+        for sink in self.sinks:
+            sink.emit(event)

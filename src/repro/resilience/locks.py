@@ -10,7 +10,8 @@ recomputing (``ExperimentRunner._claimed``).  The guarantees are deliberately
 atomic and idempotent; a duplicated simulation is waste, not a bug), so
 every failure mode degrades to "simulate anyway":
 
-* acquisition is ``O_CREAT | O_EXCL`` — atomic on every platform;
+* acquisition hard-links a private file already holding the owner
+  line to the lock path — atomic, and it fails when the path exists;
 * the lockfile records its owner as ``host pid``; a lock whose owner is
   a dead process on this host is broken at once, so a runner killed
   with SIGKILL does not block its peers;
@@ -30,7 +31,8 @@ __all__ = ["KeyLock"]
 
 
 class KeyLock:
-    """An advisory exclusive lock backed by one ``O_EXCL`` lockfile."""
+    """An advisory exclusive lock backed by one exclusively linked
+    lockfile."""
 
     def __init__(
         self, path: Union[str, Path], stale_s: float = 600.0
@@ -41,22 +43,42 @@ class KeyLock:
 
     # ---------------------------------------------------------------- acquire --
     def try_acquire(self) -> bool:
-        """One non-blocking attempt (stale locks are broken first)."""
+        """One non-blocking attempt (stale locks are broken first).
+
+        The claim is published whole, by linking a private file that
+        already names the owner: a runner stopped in between leaves no
+        claim, never an ownerless one peers would wait out.
+        """
         self._break_if_stale()
+        tmp = self.path.with_name(
+            f"{self.path.name}.{os.getpid()}.{id(self):x}.tmp"
+        )
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
+            fd = os.open(tmp, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
         except OSError:
             # Unwritable cache directory etc. — locking is best-effort,
             # so behave as if we own the lock and let the caller run.
             self.owned = False
             return True
         try:
-            os.write(fd, f"{socket.gethostname()} {os.getpid()}\n".encode())
+            try:
+                os.write(
+                    fd, f"{socket.gethostname()} {os.getpid()}\n".encode()
+                )
+            finally:
+                os.close(fd)
+            os.link(tmp, self.path)
+        except FileExistsError:
+            return False
+        except OSError:
+            self.owned = False
+            return True
         finally:
-            os.close(fd)
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         self.owned = True
         return True
 

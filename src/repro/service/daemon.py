@@ -18,10 +18,12 @@ a peer waits for the published entry instead of re-simulating it —
 total simulations == unique canonical keys.
 
 Telemetry frames stream back over the wire: the submitting connection
-(``stream``) and any global ``watch`` subscribers receive every frame a
-campaign emits, so ``acr-repro monitor --attach`` renders a remote
-campaign live.  A client that disappears mid-stream is dropped, never
-crashed into — the campaign completes and stores regardless.
+(``stream``) and any global ``watch`` subscribers receive every event a
+campaign emits, as a task-tagged frame, so ``acr-repro monitor
+--attach`` renders a remote campaign live; with no subscriber, an
+event is folded and never encoded.  A client that disappears mid-stream
+is dropped, never crashed into — the campaign completes and stores
+regardless.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from typing import Any, Dict, List, Optional, Union
 from repro.experiments.cache import ResultCache
 from repro.experiments.progress import ProgressTracker
 from repro.experiments.runner import ExperimentRunner
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry.aggregate import CampaignTelemetry
+from repro.obs.telemetry.emit import frame_dict
 from repro.service.campaigns import CampaignSpec, campaign_report
 from repro.service.protocol import decode_stream, encode_frame
 from repro.util.atomicio import append_line
@@ -92,17 +94,17 @@ class _Connection:
 
 
 class _ForwardingTelemetry(CampaignTelemetry):
-    """Campaign telemetry that also forwards each wire frame dict to the
-    service's subscribers (the submitting client + global watchers)."""
+    """Campaign telemetry that also forwards each event to the service's
+    subscribers (the submitting client + global watchers)."""
 
     def __init__(self, forward, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self._forward = forward
 
-    def on_frame(self, frame, worker: int = -1) -> None:
-        super().on_frame(frame, worker=worker)
+    def on_event(self, task, event, worker: int = -1) -> None:
+        super().on_event(task, event, worker=worker)
         try:
-            self._forward(frame.to_dict())
+            self._forward(task, event)
         except Exception:
             pass  # advisory: a broken subscriber must not kill a run
 
@@ -119,8 +121,7 @@ class CampaignDaemon:
         echo=None,
     ) -> None:
         self.socket_path = check_socket_path(socket_path)
-        self.metrics = MetricsRegistry()
-        self.cache = ResultCache(cache_dir, metrics=self.metrics)
+        self.cache = ResultCache(cache_dir)
         self.jobs = jobs
         self.lock_stale_s = lock_stale_s
         self.echo = echo or (lambda line: None)
@@ -251,7 +252,9 @@ class CampaignDaemon:
             self.campaigns_active += 1
         progress = ProgressTracker()
         telemetry = _ForwardingTelemetry(
-            lambda doc: self._forward_frame(conn if stream else None, doc),
+            lambda task, event: self._forward_frame(
+                conn if stream else None, task, event
+            ),
             progress=progress,
         )
         try:
@@ -298,10 +301,10 @@ class CampaignDaemon:
 
     # -------------------------------------------------------------- telemetry --
     def _forward_frame(
-        self, submitter: Optional[_Connection], doc: Dict[str, Any]
+        self, submitter: Optional[_Connection], task: str, event: Any
     ) -> None:
-        """Fan one frame dict out to the submitter and every watcher."""
-        wire = {"op": "frame", "frame": doc}
+        """Fan one task-tagged event out, as a wire frame, to the
+        submitter and every watcher (encoded only when someone listens)."""
         targets: List[_Connection] = []
         with self._state_lock:
             if submitter is not None and submitter.alive:
@@ -310,6 +313,9 @@ class CampaignDaemon:
                 c for c in self._connections
                 if c.watching and c.alive and c is not submitter
             )
+        if not targets:
+            return
+        wire = {"op": "frame", "frame": frame_dict(task, event)}
         for target in targets:
             target.send(wire)
 

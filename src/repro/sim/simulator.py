@@ -73,8 +73,7 @@ from repro.obs.events import (
 from repro.obs.metrics import MetricsRegistry, ObsReport
 from repro.obs.telemetry import emit as _telemetry_mod
 from repro.obs.telemetry import profile as _profile
-from repro.obs.telemetry.frames import MetricsDelta, TaskHeartbeat
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import TeeTracer, Tracer
 from repro.sim.machine import Machine
 from repro.sim.mechanism import ASSOCIATED, LOGGED, Mechanism
 from repro.sim.vector.engine import VectorCoreRunner
@@ -243,17 +242,23 @@ class _Run:
         n = self.config.num_cores
 
         # Observability: hoist the enabled-check once so a disabled
-        # tracer (the default) keeps every hot path un-instrumented.
+        # tracer (the default) keeps every hot path un-instrumented.  An
+        # observed run's one sink is its metrics registry, teed first
+        # with any tracer so it folds every event a capped tracer drops.
         tracer = options.tracer
-        self.trace: Optional[Tracer] = (
+        self.tracer: Optional[Tracer] = (
             tracer if (tracer is not None and tracer.enabled) else None
         )
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry()
-            if (options.collect_metrics or self.trace is not None)
+            if (options.collect_metrics or self.tracer is not None)
             else None
         )
-        observing = self.trace is not None or self.metrics is not None
+        self.trace: Optional[Tracer] = (
+            self.metrics if self.tracer is None
+            else TeeTracer((self.metrics, self.tracer))
+        )
+        observing = self.trace is not None
 
         # Telemetry rides a separate ambient channel (never the Tracer —
         # that would force the classic engine and bypass the cache);
@@ -285,8 +290,7 @@ class _Run:
         )
         self._mech_on_store = self.mech.on_store
         self.cost_model = CheckpointCostModel(
-            self.config, self.machine.noc, self.machine.memsys, self.energy,
-            metrics=self.metrics,
+            self.config, self.machine.noc, self.machine.memsys, self.energy
         )
         self.recovery_engine = RecoveryEngine(
             self.config, self.machine.memsys, self.energy
@@ -295,9 +299,7 @@ class _Run:
             LocalCoordinator(n) if options.scheme == "local" else GlobalCoordinator(n)
         )
         if self.mech.handler is not None and observing:
-            self.mech.handler.attach_observability(
-                self.trace, self.metrics, self._core_now
-            )
+            self.mech.handler.attach_observability(self.trace, self._core_now)
 
         # Per-core clocks (ns).
         self.useful = [0.0] * n
@@ -365,24 +367,15 @@ class _Run:
 
     def _on_log_append(self, rec, omitted: bool) -> None:
         """Observe one first-modification reaching the interval log."""
-        metrics = self.metrics
-        if metrics is not None:
-            if omitted:
-                metrics.counter("log.writes_skipped").inc()
-                metrics.counter("log.bytes_skipped").inc(LOG_RECORD_BYTES)
-            else:
-                metrics.counter("log.writes_taken").inc()
-                metrics.counter("log.bytes_taken").inc(LOG_RECORD_BYTES)
-        if self.trace is not None:
-            core = rec.core
-            self.trace.emit(LogWrite(
-                ts_ns=self._core_now(core),
-                core=core,
-                address=rec.address,
-                line=rec.address // self._line_bytes,
-                size_bytes=LOG_RECORD_BYTES,
-                taken=not omitted,
-            ))
+        core = rec.core
+        self.trace.emit(LogWrite(
+            ts_ns=self._core_now(core),
+            core=core,
+            address=rec.address,
+            line=rec.address // self._line_bytes,
+            size_bytes=LOG_RECORD_BYTES,
+            taken=not omitted,
+        ))
 
     def _on_load(self, ev: LoadEvent) -> None:
         core = ev.thread
@@ -438,19 +431,24 @@ class _Run:
         log = self.mech.store.current_log
 
         index = len(self.intervals)
-        observing = self.trace is not None or self.metrics is not None
+        trace = self.trace
+        # The boundary's events go to the run's sink and, with telemetry
+        # on, to the ambient one (the campaign's heartbeat).
+        announce = trace is not None or self._telemetry
         wall_before = 0.0
-        if observing:
+        if announce:
             wall_before = max(
                 self.useful[c] + self.overhead[c] for c in range(n)
             )
-            if self.trace is not None:
-                self.trace.emit(CheckpointBegin(
+            if trace is not None:
+                trace.emit(CheckpointBegin(
                     ts_ns=wall_before, core=-1, index=index,
                 ))
 
         boundary_ns_max = 0.0
         flushed_bytes = 0
+        cluster_flushed: List[int] = []
+        cluster_barrier: List[float] = []
         for cluster in clusters:
             members = sorted(cluster)
             # Implicit barrier: members wait for the slowest member.
@@ -465,6 +463,8 @@ class _Run:
             boundary_ns_max = max(boundary_ns_max, cost.total_ns)
             flushed_bytes += cost.flushed_bytes
             self._flushed_lines_total += cost.flushed_lines
+            cluster_flushed.append(cost.flushed_bytes)
+            cluster_barrier.append(cost.barrier_ns)
 
         # Log energy for the records of the closing interval: old-value
         # read plus record append, both DRAM traffic.
@@ -498,50 +498,36 @@ class _Run:
                 footprint_bytes=len(self.machine.memory) * 8,
             )
         )
-        if self._telemetry:
-            # Interval boundaries are the simulator's natural heartbeat:
-            # one liveness frame plus the closing interval's counters.
-            _telemetry_mod.emit(
-                TaskHeartbeat,
-                interval=index,
+        if announce:
+            boundary = IntervalBoundary(
+                ts_ns=useful_mark_ns, core=-1, index=index,
                 instructions=self.n_instructions,
             )
-            _telemetry_mod.emit(
-                MetricsDelta,
-                interval=index,
-                counters={
-                    "logged_records": len(log.records),
-                    "omitted_records": len(log.omitted),
-                    "logged_bytes": log.logged_bytes,
-                    "flushed_bytes": flushed_bytes,
-                },
+            end = CheckpointEnd(
+                ts_ns=wall_ns,
+                core=-1,
+                index=index,
+                duration_ns=wall_ns - wall_before,
+                logged_records=len(log.records),
+                omitted_records=len(log.omitted),
+                logged_bytes=log.logged_bytes,
+                flushed_bytes=flushed_bytes,
+                boundary_ns=boundary_ns_max,
+                cluster_flushed_bytes=tuple(cluster_flushed),
+                cluster_barrier_ns=tuple(cluster_barrier),
+                addrmap_occupancy=(
+                    sum(a.open_size + a.committed_size
+                        for a in handler.addrmaps)
+                    if handler is not None else -1
+                ),
             )
-        if observing:
-            if self.trace is not None:
-                self.trace.emit(IntervalBoundary(
-                    ts_ns=useful_mark_ns, core=-1, index=index,
-                ))
-                self.trace.emit(CheckpointEnd(
-                    ts_ns=wall_ns,
-                    core=-1,
-                    index=index,
-                    duration_ns=wall_ns - wall_before,
-                    logged_records=len(log.records),
-                    omitted_records=len(log.omitted),
-                    logged_bytes=log.logged_bytes,
-                    flushed_bytes=flushed_bytes,
-                ))
-            if self.metrics is not None:
-                m = self.metrics
-                m.counter("ckpt.count").inc()
-                m.histogram("ckpt.logged_bytes").observe(log.logged_bytes)
-                m.histogram("ckpt.boundary_ns").observe(boundary_ns_max)
-                if handler is not None:
-                    m.histogram("addrmap.occupancy").observe(sum(
-                        a.open_size + a.committed_size
-                        for a in handler.addrmaps
-                    ))
-                m.snapshot_interval(index)
+            if self._telemetry:
+                _telemetry_mod.emit(boundary)
+                _telemetry_mod.emit(end)
+            if trace is not None:
+                trace.emit(boundary)
+                # Closes the registry's interval.
+                trace.emit(end)
         self.mech.establish(useful_mark_ns, wall_ns)
 
     # ------------------------------------------------------------- recoveries --
@@ -582,7 +568,7 @@ class _Run:
             ))
         costs = self.recovery_engine.recovery_costs(
             logs, participants, self.machine.ledger,
-            tracer=self.trace, metrics=self.metrics, ts_ns=wall_now,
+            tracer=self.trace, ts_ns=wall_now,
         )
         new_wall = wall_now + waste_ns + costs.total_ns
         for c in participants:
@@ -596,15 +582,9 @@ class _Run:
                 waste_ns=waste_ns,
                 rollback_ns=costs.rollback_ns,
                 recompute_ns=costs.recompute_ns,
+                restored_records=costs.restored_records,
+                recomputed_values=costs.recomputed_values,
             ))
-        if self.metrics is not None:
-            m = self.metrics
-            m.counter("recovery.count").inc()
-            m.counter("recovery.restored_records").inc(costs.restored_records)
-            m.counter("recovery.recomputed_values").inc(costs.recomputed_values)
-            m.histogram("recovery.total_ns").observe(
-                waste_ns + costs.total_ns
-            )
 
         self.recoveries.append(
             RecoveryStats(
@@ -738,8 +718,8 @@ class _Run:
         if self.metrics is not None:
             obs = ObsReport(
                 metrics=self.metrics,
-                events_captured=getattr(self.trace, "captured", 0),
-                events_dropped=getattr(self.trace, "dropped", 0),
+                events_captured=getattr(self.tracer, "captured", 0),
+                events_dropped=getattr(self.tracer, "dropped", 0),
             )
 
         # Vector-engine coverage: aggregate the per-core counters when

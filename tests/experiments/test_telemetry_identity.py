@@ -67,20 +67,21 @@ class TestInjectTrialIdentity:
         plain = run_trial(_spec())
 
         frames = []
-        with task_telemetry("cg/inject:ACR", frames.append):
+        with task_telemetry("cg/inject:ACR",
+                            lambda task, event: frames.append(event)):
             streamed = run_trial(_spec())
 
         assert _canon(plain) == _canon(streamed)
-        # The instrumented pass emitted heartbeats from inside the
-        # mechanism loop (lifecycle frames aside).
+        # The instrumented pass emitted heartbeats (interval boundaries)
+        # from inside the mechanism loop (lifecycle frames aside).
         names = [type(f).__name__ for f in frames]
         assert "TaskStarted" in names
         assert "TaskFinished" in names
-        assert names.count("TaskHeartbeat") >= 1
+        assert names.count("IntervalBoundary") >= 1
 
     def test_trial_emits_nothing_when_disabled(self):
         frames = []
-        with task_telemetry("probe", frames.append):
+        with task_telemetry("probe", lambda task, event: frames.append(event)):
             pass
         baseline = len(frames)  # lifecycle only
         run_trial(_spec())  # no ambient sink: must not leak frames

@@ -34,14 +34,17 @@ def golden_events():
         LogWrite(ts_ns=15.0, core=1, address=128, line=2, size_bytes=16,
                  taken=False),
         CheckpointBegin(ts_ns=20.0, core=-1, index=0),
-        IntervalBoundary(ts_ns=20.0, core=-1, index=0),
+        IntervalBoundary(ts_ns=20.0, core=-1, index=0, instructions=40),
         CheckpointEnd(ts_ns=25.0, core=-1, index=0, duration_ns=5.0,
                       logged_records=1, omitted_records=1, logged_bytes=16,
-                      flushed_bytes=128),
+                      flushed_bytes=128, boundary_ns=5.0,
+                      cluster_flushed_bytes=(128,), cluster_barrier_ns=(1.0,),
+                      addrmap_occupancy=1),
         RecoveryBegin(ts_ns=30.0, core=0, error_index=0, safe_checkpoint=0),
-        SliceRecompute(ts_ns=30.0, core=0, slice_id=7, ns=4.5),
+        SliceRecompute(ts_ns=30.0, core=0, slice_id=7, length=3, ns=4.5),
         RecoveryEnd(ts_ns=40.0, core=0, error_index=0, duration_ns=10.0,
-                    waste_ns=5.0, rollback_ns=3.0, recompute_ns=2.0),
+                    waste_ns=5.0, rollback_ns=3.0, recompute_ns=2.0,
+                    restored_records=1, recomputed_values=1),
     ]
 
 

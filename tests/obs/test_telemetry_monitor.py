@@ -2,17 +2,22 @@
 
 import io
 
+from repro.obs.events import MACHINE, IntervalBoundary, TaskStarted
 from repro.obs.telemetry.aggregate import CampaignTelemetry
-from repro.obs.telemetry.frames import TaskHeartbeat, TaskStarted
 from repro.obs.telemetry.monitor import Monitor, render_snapshot, replay
 from repro.obs.telemetry.snapshots import SnapshotWriter
 
 
+def _beat(interval, instructions):
+    return IntervalBoundary(ts_ns=1.5, core=MACHINE, index=interval,
+                            instructions=instructions)
+
+
 def _telemetry():
     tele = CampaignTelemetry()
-    tele.on_frame(TaskStarted(ts_s=1.0, task="bt/Ckpt_E", pid=7), worker=0)
-    tele.on_frame(TaskHeartbeat(ts_s=1.5, task="bt/Ckpt_E", interval=2,
-                                instructions=5000))
+    tele.on_event("bt/Ckpt_E", TaskStarted(ts_ns=1.0, core=MACHINE, pid=7),
+                  worker=0)
+    tele.on_event("bt/Ckpt_E", _beat(2, 5000))
     tele.update_pool(workers=2, busy=1, queue_depth=3)
     return tele
 
@@ -33,7 +38,7 @@ class TestRenderSnapshot:
     def test_active_list_caps_at_four(self):
         tele = CampaignTelemetry()
         for i in range(6):
-            tele.on_frame(TaskStarted(ts_s=1.0, task=f"t{i}", pid=i))
+            tele.on_event(f"t{i}", TaskStarted(ts_ns=1.0, core=MACHINE, pid=i))
         block = render_snapshot(tele.snapshot())
         assert "(+2 more)" in block
 
@@ -68,15 +73,12 @@ class TestMonitor:
                           clock=lambda: clock_t[0])
         tele = _telemetry()
         monitor.attach(tele)
-        tele.on_frame(TaskHeartbeat(ts_s=2.0, task="bt/Ckpt_E", interval=3,
-                                    instructions=6000))
+        tele.on_event("bt/Ckpt_E", _beat(3, 6000))
         assert monitor.renders == 1
-        tele.on_frame(TaskHeartbeat(ts_s=2.1, task="bt/Ckpt_E", interval=4,
-                                    instructions=7000))
+        tele.on_event("bt/Ckpt_E", _beat(4, 7000))
         assert monitor.renders == 1  # within refresh window
         clock_t[0] = 1.0
-        tele.on_frame(TaskHeartbeat(ts_s=2.2, task="bt/Ckpt_E", interval=5,
-                                    instructions=8000))
+        tele.on_event("bt/Ckpt_E", _beat(5, 8000))
         assert monitor.renders == 2
 
     def test_finish_always_renders_plain(self, monkeypatch):
@@ -105,7 +107,7 @@ class TestReplay:
         tele = _telemetry()
         writer = SnapshotWriter(tmp_path / "t.jsonl", min_interval_s=0.0)
         writer.write(tele.snapshot())
-        tele.on_frame(TaskStarted(ts_s=3.0, task="is/Ckpt_E", pid=8))
+        tele.on_event("is/Ckpt_E", TaskStarted(ts_ns=3.0, core=MACHINE, pid=8))
         writer.write(tele.snapshot())
         out = io.StringIO()
         assert replay(tmp_path / "t.jsonl", stream=out) == 0

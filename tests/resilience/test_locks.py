@@ -184,3 +184,30 @@ def test_held_reads_without_breaking(tmp_path):
     os.utime(path, (0, 0))
     assert not probe.held()
     assert path.exists()
+
+
+def test_interrupted_acquire_leaves_no_ownerless_claim(tmp_path, monkeypatch):
+    # A runner stopped while writing its owner line (a Ctrl-C landing
+    # mid-acquire) must not leave a claim without an owner: peers could
+    # not tell it orphaned and would wait out the whole stale bound.
+    import repro.resilience.locks as locks
+
+    path = tmp_path / "k.lock"
+    real_write = os.write
+
+    def interrupted(fd, data):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(locks.os, "write", interrupted)
+    try:
+        KeyLock(path, stale_s=600.0).try_acquire()
+    except KeyboardInterrupt:
+        pass
+    monkeypatch.setattr(locks.os, "write", real_write)
+
+    peer = KeyLock(path, stale_s=600.0)
+    assert peer.try_acquire()
+    assert path.read_text().strip() == f"{socket.gethostname()} {os.getpid()}"
+    peer.release()
+    # Nothing else is left beside the claim path either.
+    assert list(tmp_path.iterdir()) == []

@@ -19,6 +19,7 @@ import pytest
 
 from repro.experiments.cache import KIND_RUN, ResultCache
 from repro.experiments.runner import ExperimentRunner
+from repro.obs.telemetry.aggregate import CampaignTelemetry
 from repro.resilience.locks import KeyLock
 from repro.service import (
     CampaignClient,
@@ -108,7 +109,13 @@ class TestSubmit:
             )
         assert report["runs"]
         assert frames, "stream=True produced no telemetry frames"
-        assert all("frame" in doc for doc in frames)
+        # Each frame is one task-tagged event that decodes strictly.
+        telemetry = CampaignTelemetry()
+        for doc in frames:
+            telemetry.on_frame_dict(doc)
+        assert telemetry.malformed == 0
+        assert telemetry.frames == len(frames)
+        assert telemetry.tasks_finished == telemetry.tasks_started > 0
 
     @pytest.mark.parametrize(
         "field, value", [("num_cores", "8"), ("region_scale", "x"),

@@ -144,20 +144,15 @@ class TestRewiredCallSites:
 
     def test_cache_counts_quarantines(self, tmp_path):
         from repro.experiments.cache import ResultCache
-        from repro.obs.metrics import MetricsRegistry
 
         seen = []
-        metrics = MetricsRegistry()
-        cache = ResultCache(
-            tmp_path, on_quarantine=seen.append, metrics=metrics
-        )
+        cache = ResultCache(tmp_path, on_quarantine=seen.append)
         key = "ab" * 32
         path = cache.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("not json at all")
         assert cache.load(key) is None
         assert cache.quarantined == 1
-        assert metrics.counter("cache.quarantined").value == 1
         assert seen == [path]
         # Quarantining an already-gone entry counts nothing.
         cache.quarantine(key)
