@@ -35,8 +35,6 @@ BENCH_CACHE = Path(_cache_env) if _cache_env else None
 #: Seconds before an unheartbeaten per-key claim is broken ("" = 600).
 _timeout_env = os.environ.get("REPRO_BENCH_TIMEOUT", "")
 BENCH_TIMEOUT = float(_timeout_env) if _timeout_env else 600.0
-#: Resume from the completion journal (needs REPRO_BENCH_CACHE).
-BENCH_RESUME = os.environ.get("REPRO_BENCH_RESUME", "") not in ("", "0")
 
 
 def run_once(benchmark, fn):

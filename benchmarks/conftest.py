@@ -17,11 +17,10 @@ Scale knobs (environment):
 * ``REPRO_BENCH_JOBS``   — worker processes for independent runs
   (default 1 = serial; parallel results are bit-identical);
 * ``REPRO_BENCH_CACHE``  — persistent result-cache directory (unset = no
-  on-disk cache; a warm cache makes re-runs near-instant);
+  on-disk cache; a warm cache makes re-runs near-instant, and a re-run
+  after an interrupted one simulates only what it left unfinished);
 * ``REPRO_BENCH_TIMEOUT`` — seconds a per-key claim may go without a
-  heartbeat before a waiting runner breaks it (unset = 600);
-* ``REPRO_BENCH_RESUME`` — non-empty/non-zero skips tasks the completion
-  journal already records (needs ``REPRO_BENCH_CACHE``).
+  heartbeat before a waiting runner breaks it (unset = 600).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from _bench_lib import (
     BENCH_ENGINE,
     BENCH_JOBS,
     BENCH_REPS,
-    BENCH_RESUME,
     BENCH_SCALE,
     BENCH_TIMEOUT,
     REPORT_DIR,
@@ -55,7 +53,6 @@ def runner() -> ExperimentRunner:
         jobs=BENCH_JOBS,
         cache_dir=BENCH_CACHE,
         lock_stale_s=BENCH_TIMEOUT,
-        resume=BENCH_RESUME,
         engine=BENCH_ENGINE,
     )
 

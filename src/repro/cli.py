@@ -127,7 +127,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "instruction interpreter or the vectorized "
                              "trace-replay engine (bit-identical results, "
                              "several times faster)")
-    _add_resilience(parser)
+    _add_timeout(parser)
 
 
 def _add_timeout(parser: argparse.ArgumentParser) -> None:
@@ -141,23 +141,6 @@ def _add_timeout(parser: argparse.ArgumentParser) -> None:
                              "longer a per-task deadline)")
 
 
-def _add_resilience(parser: argparse.ArgumentParser) -> None:
-    _add_timeout(parser)
-    parser.add_argument("--resume", action="store_true",
-                        help="skip tasks the completion journal already "
-                             "records (requires --cache-dir); the final "
-                             "report is bit-identical to an uninterrupted "
-                             "run")
-
-
-def _check_resume(args) -> None:
-    if args.resume and args.cache_dir is None:
-        raise ValueError(
-            "--resume needs --cache-dir (the completion journal lives "
-            "beside the result cache)"
-        )
-
-
 def _add_telemetry(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--live", action="store_true",
                         help="stream live campaign telemetry to a "
@@ -168,7 +151,7 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
                         help="write periodic telemetry snapshots (JSONL) "
                              "here; with --live/--cache-dir and no PATH, "
                              "defaults to telemetry.jsonl beside the "
-                             "completion journal")
+                             "result cache")
 
 
 def _telemetry_for(args, runner: ExperimentRunner):
@@ -210,12 +193,10 @@ def _finish_telemetry(runner: ExperimentRunner, telemetry) -> None:
 
 
 def _runner(args) -> ExperimentRunner:
-    _check_resume(args)
     return ExperimentRunner(
         num_cores=args.cores, region_scale=args.scale, reps=args.reps,
         jobs=args.jobs, cache_dir=args.cache_dir,
-        lock_stale_s=args.timeout, resume=args.resume,
-        engine=args.engine,
+        lock_stale_s=args.timeout, engine=args.engine,
     )
 
 
@@ -629,10 +610,9 @@ def cmd_inject(args) -> int:
         detection_latency_fraction=args.latency,
         defect=args.defect,
     )
-    _check_resume(args)
     runner = ExperimentRunner(
         jobs=args.jobs, cache_dir=args.cache_dir,
-        lock_stale_s=args.timeout, resume=args.resume,
+        lock_stale_s=args.timeout,
         snapshots=not args.no_fork,
         snapshot_dir=args.snapshot_dir,
     )
@@ -991,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run every trial straight through from step 0 "
                         "instead of forking from golden snapshots "
                         "(bit-identical, slower; for debugging)")
-    _add_resilience(p)
+    _add_timeout(p)
     _add_telemetry(p)
     p.add_argument("--json", type=str, default=None,
                    help="also write the machine-readable report here")
@@ -1006,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", type=str, default=None,
                    metavar="SNAPSHOTS",
                    help="telemetry snapshot JSONL (telemetry.jsonl beside "
-                        "the completion journal, or --snapshots PATH)")
+                        "the result cache, or --snapshots PATH)")
     p.add_argument("--attach", type=str, default=None, metavar="SOCKET",
                    help="subscribe to the campaign daemon at this Unix "
                         "socket and render its frames live")

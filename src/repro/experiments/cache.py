@@ -171,11 +171,6 @@ class ResultCache:
         racing."""
         return self.path_for(key).with_suffix(".lock")
 
-    def journal_path(self) -> Path:
-        """The write-ahead completion journal beside this cache (see
-        :class:`repro.resilience.journal.CompletionJournal`)."""
-        return self.root / "journal.jsonl"
-
     def telemetry_path(self) -> Path:
         """The campaign-telemetry snapshot stream beside this cache (see
         :class:`repro.obs.telemetry.snapshots.SnapshotWriter`)."""

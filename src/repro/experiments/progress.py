@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.obs.events import CampaignResumed, PoolDegraded, WorkerDied
+from repro.obs.events import PoolDegraded, WorkerDied
 from repro.util.tables import format_table
 
 __all__ = ["RunRecord", "ProgressTracker"]
@@ -70,7 +70,6 @@ class ProgressTracker:
     # an assertion, not a gap.
     worker_deaths: int = 0
     degraded_to_serial: int = 0
-    resumed: int = 0
     # Vector-engine coverage (iterations, summed over inline sims that
     # reported it): how much of the executed work replayed from plans
     # versus falling back to the classic loop.
@@ -122,17 +121,14 @@ class ProgressTracker:
     # -------------------------------------------------------------- resilience --
     def emit(self, event: object) -> None:
         """Fold one harness event: a fan-out worker killed by a signal
-        (it is respawned), a fan-out whose workers kept dying (the rest
-        of its keys resolve in-process), or tasks skipped because the
-        completion journal already holds them (``--resume``)."""
+        (it is respawned) or a fan-out whose workers kept dying (the
+        rest of its keys resolve in-process)."""
         if isinstance(event, WorkerDied):
             self.worker_deaths += 1
         elif isinstance(event, PoolDegraded):
             self.degraded_to_serial += 1
             if self.echo is not None:
                 self.echo("[degrade] workers keep dying; continuing serially")
-        elif isinstance(event, CampaignResumed):
-            self.resumed += event.journaled
 
     def record_vector_coverage(self, replayed: int, fallback: int) -> None:
         """Accumulate one vector-engine run's coverage counters."""
@@ -269,8 +265,7 @@ class ProgressTracker:
         """One-line crash-tolerance summary (zeros on clean runs)."""
         return (
             f"resilience: {self.worker_deaths} worker deaths, "
-            f"{self.degraded_to_serial} degraded-to-serial, "
-            f"{self.resumed} resumed from journal"
+            f"{self.degraded_to_serial} degraded-to-serial"
         )
 
     def cache_line(self) -> str:
@@ -297,7 +292,6 @@ class ProgressTracker:
         self.events_dropped = 0
         self.worker_deaths = 0
         self.degraded_to_serial = 0
-        self.resumed = 0
         self.vector_replayed = 0
         self.vector_fallback = 0
         self.forked_trials = 0

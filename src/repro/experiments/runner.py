@@ -13,8 +13,11 @@ first:
    full-paper regenerations across invocations cost almost nothing;
 3. the **simulator** — either inline, or fanned out over ``jobs``
    forked workers (``jobs > 1``) that each run the inline path over the
-   same key list and publish through the cache (:meth:`_fan_out`); a
-   write-ahead completion journal makes either path resumable.
+   same key list and publish through the cache (:meth:`_fan_out`).
+
+A stored cache entry is a key's only completion record: a re-run
+against the same ``cache_dir`` is the resume, since every key with an
+entry reads back instead of simulating.
 
 Every miss is simulated under its **claim** — one advisory
 :class:`~repro.resilience.locks.KeyLock` per key beside the cache entry —
@@ -66,10 +69,9 @@ from repro.experiments.configs import ConfigRequest, make_options
 from repro.experiments.progress import ProgressTracker, _Timer
 from repro.inject.harness import TrialResult, TrialSpec, run_trial
 from repro.isa.program import Program
-from repro.obs.events import MACHINE, CampaignResumed, PoolDegraded, WorkerDied
+from repro.obs.events import MACHINE, PoolDegraded, WorkerDied
 from repro.obs.telemetry.emit import frame_dict, task_telemetry
 from repro.obs.tracer import Tracer
-from repro.resilience.journal import CompletionJournal, JournalRecord
 from repro.resilience.locks import KeyLock
 from repro.sim.results import (
     RunResult,
@@ -276,8 +278,6 @@ class ExperimentRunner:
         cache_dir: Optional[Union[str, Path]] = None,
         progress: Optional[ProgressTracker] = None,
         lock_stale_s: float = 600.0,
-        journal_path: Optional[Union[str, Path]] = None,
-        resume: bool = False,
         engine: str = "interp",
         telemetry=None,
         snapshots: bool = True,
@@ -339,28 +339,10 @@ class ExperimentRunner:
         #: runner presumes its owner hung and breaks it (``--timeout``).
         self.lock_stale_s = lock_stale_s
         #: Optional Tracer receiving harness-level events (worker_died,
-        #: pool_degraded, campaign_resumed).
+        #: pool_degraded).
         self.resilience_tracer: Optional[Tracer] = None
         #: In a fan-out worker, the pipe its ``published`` notes go up.
         self._pipe: Any = None
-        # The write-ahead completion journal lives beside the cache by
-        # default; an explicit path works cache-less (accounting only).
-        if journal_path is None and self.cache is not None:
-            journal_path = self.cache.journal_path()
-        self.journal: Optional[CompletionJournal] = (
-            CompletionJournal(journal_path) if journal_path is not None
-            else None
-        )
-        self.resume = resume
-        self._resume_keys: Dict[str, JournalRecord] = {}
-        self._resume_credited: set = set()
-        if resume:
-            if self.journal is None:
-                raise ValueError(
-                    "resume=True needs a completion journal — configure "
-                    "cache_dir (or journal_path)"
-                )
-            self._resume_keys = self.journal.load()
         #: Claims this runner currently holds, by cache key; heartbeaten
         #: per completed task so long-running owners are not broken as
         #: stale by waiting peers.
@@ -419,9 +401,9 @@ class ExperimentRunner:
         cache are never re-simulated, and a miss is simulated only under
         its claim (:meth:`_claimed`).  Dead workers are respawned and
         none of that changes the results (simulations are deterministic;
-        chaos tests pin bit-exactness).  Each result is stored and
-        journaled the moment it completes, so a ``KeyboardInterrupt``
-        loses only in-flight work.
+        chaos tests pin bit-exactness).  Each result is stored the
+        moment it completes, so a ``KeyboardInterrupt`` loses only
+        in-flight work.
         """
         ordered = list(dict.fromkeys(pairs))
         jobs = self.jobs if jobs is None else jobs
@@ -432,11 +414,6 @@ class ExperimentRunner:
             for wl, req in ordered
             if self.lookup(wl, req) is None
         ]
-        if self.resume:
-            self._credit_resume(
-                (self.cache_key(wl, req) for wl, req in ordered),
-                pending_count=len(pending),
-            )
         if pending:
             self._resolve_runs(pending, jobs)
         return [self._results[(wl, req)] for wl, req in ordered]
@@ -464,11 +441,6 @@ class ExperimentRunner:
         check_positive("jobs", jobs)
 
         pending = [s for s in ordered if self._lookup_trial(s) is None]
-        if self.resume:
-            self._credit_resume(
-                (trial_cache_key(s) for s in ordered),
-                pending_count=len(pending),
-            )
         if pending and jobs > 1:
             self._fan_out(
                 pending, jobs, lambda spec: [trial_cache_key(spec)],
@@ -708,8 +680,8 @@ class ExperimentRunner:
         result: RunResult,
         seconds: float = 0.0,
     ) -> None:
-        """Install a fresh result into the memo, the persistent cache
-        and the completion journal, then release its claim."""
+        """Install a fresh result into the memo and the persistent
+        cache, then release its claim."""
         self._results[(workload, request)] = result
         key = self.cache_key(workload, request)
         if self.cache is not None:
@@ -742,32 +714,11 @@ class ExperimentRunner:
         if tracer is not None and getattr(tracer, "enabled", False):
             tracer.emit(event)
 
-    def _credit_resume(
-        self, keys: Iterable[str], pending_count: int
-    ) -> None:
-        """Count tasks the journal says are already done (each key
-        credited once per runner), as one ``campaign_resumed`` event."""
-        fresh = [
-            k for k in keys
-            if k in self._resume_keys and k not in self._resume_credited
-        ]
-        if not fresh:
-            return
-        self._resume_credited.update(fresh)
-        self._trace(
-            CampaignResumed(
-                ts_ns=0.0,
-                core=MACHINE,
-                journaled=len(fresh),
-                pending=pending_count,
-            )
-        )
-
     def _published(
         self, key: str, kind: str, label: str, seconds: float
     ) -> None:
-        """A fresh result for ``key`` is stored: journal it, release its
-        claim right away, and heartbeat the claims still held; in a
+        """A fresh result for ``key`` is stored: release its claim
+        right away, and heartbeat the claims still held; in a
         fan-out worker, also note it to the parent.
 
         Heartbeating per completed task bounds a waiting peer's
@@ -775,13 +726,6 @@ class ExperimentRunner:
         whole batch (one utime per held claim).  Every key takes one
         attempt: nothing is retried.
         """
-        if self.journal is not None:
-            self.journal.append(
-                JournalRecord(
-                    key=key, kind=kind, label=label,
-                    attempts=1, seconds=seconds,
-                )
-            )
         self._release_claim(key)
         for claim in self._claims.values():
             claim.heartbeat()
@@ -900,7 +844,7 @@ class ExperimentRunner:
 
     def _execute_runs(self, pairs: Sequence[Tuple[str, ConfigRequest]]) -> None:
         """Execute claimed pairs inline, installing each result (memo +
-        cache + journal) the moment it completes.  Every dependent's
+        cache) the moment it completes.  Every dependent's
         baseline is already in the memo."""
         for wl, req in pairs:
             self._simulate(wl, req)
@@ -1024,8 +968,8 @@ class ExperimentRunner:
         between passes.  There the worker holds only the claims it has
         registered, so it releases them and dies by the signal; it is
         never stopped mid-claim (a claim file cut off before it names
-        its owner would stand until it goes stale) or while it stores,
-        journals and notes a result.  A task exception prints its
+        its owner would stand until it goes stale) or while it stores
+        and notes a result.  A task exception prints its
         traceback, sends one ``failed`` note and exits with status 1.
         """
         import signal

@@ -23,7 +23,6 @@ from repro.obs.events import (
     AddrMapEvict,
     AddrMapHit,
     AddrMapInsert,
-    CampaignResumed,
     CheckpointBegin,
     CheckpointEnd,
     IntervalBoundary,
@@ -70,7 +69,6 @@ __all__ = [
     "RecoveryEnd",
     "WorkerDied",
     "PoolDegraded",
-    "CampaignResumed",
     "TaskStarted",
     "PhaseChanged",
     "TaskFinished",

@@ -21,7 +21,7 @@ The event vocabulary mirrors the paper's mechanisms:
   in live state, and the recovered state either matched the golden
   re-execution bit-exactly or did not (§III-B's consistent recovery
   line, checked rather than assumed);
-* ``WorkerDied``/``PoolDegraded``/``CampaignResumed`` — the
+* ``WorkerDied``/``PoolDegraded`` — the
   experiment engine's own crash tolerance (``repro.resilience``):
   harness-level recovery applied to the harness itself;
 * ``TaskStarted``/``PhaseChanged``/``TaskFinished`` — one task's
@@ -67,7 +67,6 @@ __all__ = [
     "RecoveryDiverged",
     "WorkerDied",
     "PoolDegraded",
-    "CampaignResumed",
     "TaskStarted",
     "PhaseChanged",
     "TaskFinished",
@@ -290,17 +289,6 @@ class PoolDegraded(TraceEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class CampaignResumed(TraceEvent):
-    """A run resumed against a completion journal: ``journaled`` of the
-    requested tasks were already done, ``pending`` remained."""
-
-    journaled: int
-    pending: int
-
-    name: ClassVar[str] = "campaign_resumed"
-
-
-@dataclass(frozen=True, slots=True)
 class TaskStarted(TraceEvent):
     """A task began executing (``pid`` of the executing process)."""
 
@@ -352,7 +340,6 @@ _EVENT_CLASSES: Tuple[Type[TraceEvent], ...] = (
     RecoveryDiverged,
     WorkerDied,
     PoolDegraded,
-    CampaignResumed,
     TaskStarted,
     PhaseChanged,
     TaskFinished,

@@ -9,7 +9,7 @@ counters, and the parent's own :class:`PhaseProfiler` (its own cache
 I/O).  It maintains rolling gauges (worker utilization, queue depth,
 active tasks), cumulative counters (sim-iterations, log records) and
 the campaign's phase attribution, and periodically serialises the
-whole state as a JSONL snapshot beside the completion journal
+whole state as a JSONL snapshot beside the result cache
 (:mod:`repro.obs.telemetry.snapshots`).
 
 Everything here is advisory and receiver-side tolerant: a malformed
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.events import (
     CheckpointEnd,
@@ -84,7 +84,10 @@ class CampaignTelemetry:
         # Cumulative counters folded off interval-boundary and
         # checkpoint-end events.
         self.counters: Dict[str, int] = {}
-        self._last_instructions: Dict[str, int] = {}
+        #: Last cumulative instruction count per (worker, task): fan-out
+        #: workers share a ``workload/config`` label across keys, so a
+        #: label alone would mix two workers' runs.
+        self._last_instructions: Dict[Tuple[int, str], int] = {}
         # Pool gauges (fan-out parent; zeros for inline execution).
         self.workers = 0
         self.busy = 0
@@ -107,7 +110,8 @@ class CampaignTelemetry:
                 {"worker": worker, "pid": -1, "interval": -1, "phase": ""},
             )
             entry["interval"] = event.index
-            last = self._last_instructions.get(task, 0)
+            run = (worker, task)
+            last = self._last_instructions.get(run, 0)
             # Cumulative per run; a nested run (a dependent's inline
             # baseline) restarts the count — treat a drop as a restart.
             delta = (
@@ -115,7 +119,7 @@ class CampaignTelemetry:
                 if event.instructions >= last
                 else event.instructions
             )
-            self._last_instructions[task] = event.instructions
+            self._last_instructions[run] = event.instructions
             self._count("instructions", delta)
         elif isinstance(event, CheckpointEnd):
             # The closing interval's totals.
@@ -132,7 +136,7 @@ class CampaignTelemetry:
             if not event.ok:
                 self.tasks_failed += 1
             self.active.pop(task, None)
-            self._last_instructions.pop(task, None)
+            self._last_instructions.pop((worker, task), None)
             self.profiler.merge(event.phase_seconds, event.phase_counts)
         self._changed()
 
@@ -207,7 +211,6 @@ class CampaignTelemetry:
                 "hit_rate": round(progress.hit_rate, 4),
                 "worker_deaths": progress.worker_deaths,
                 "degraded_to_serial": progress.degraded_to_serial,
-                "resumed": progress.resumed,
                 "vector_replayed": progress.vector_replayed,
                 "vector_fallback": progress.vector_fallback,
                 "events_dropped": progress.events_dropped,

@@ -8,7 +8,7 @@ blocks, so the dashboard is safe to leave on everywhere.
 
 :func:`replay` renders a recorded ``telemetry.jsonl`` snapshot stream
 (the file :class:`~repro.obs.telemetry.snapshots.SnapshotWriter` leaves
-beside the completion journal) for post-mortem inspection of campaigns
+beside the result cache) for post-mortem inspection of campaigns
 that died mid-flight.
 
 Both paths render from the *snapshot dict*, never from live aggregator
@@ -101,8 +101,7 @@ def render_snapshot(snap: Dict[str, Any]) -> str:
             f"{progress.get('simulated', 0)} simulated"
         )
         lines.append(
-            f"resilience: {progress.get('worker_deaths', 0)} worker deaths, "
-            f"{progress.get('resumed', 0)} resumed"
+            f"resilience: {progress.get('worker_deaths', 0)} worker deaths"
         )
     return "\n".join(lines)
 

@@ -1,15 +1,15 @@
-"""Periodic campaign-telemetry snapshots: JSONL beside the journal.
+"""Periodic campaign-telemetry snapshots: JSONL beside the result cache.
 
 The aggregator's rolling state is serialised every ``min_interval_s``
 (plus once at close) into an append-only JSONL file that lives beside
-the completion journal, so a campaign that dies — or is SIGKILLed by a
+the result cache, so a campaign that dies — or is SIGKILLed by a
 chaos test — leaves a post-mortem trail that ``acr-repro monitor
 --replay`` can render and future HTTP subscribers can tail.
 
-Durability mirrors :mod:`repro.resilience.journal` exactly: whole-line
-``O_APPEND`` writes, a torn **final** line is silently ignored, an
-undecodable interior line is skipped with a warning, and a schema
-version mismatch discards the whole file with a warning.
+Writes are :func:`repro.util.atomicio.append_line`'s whole-line
+``O_APPEND`` appends.  The reader ignores a torn **final** line
+silently, skips an undecodable interior line with a warning, and
+discards the whole file with a warning on a schema version mismatch.
 """
 
 from __future__ import annotations
@@ -83,9 +83,10 @@ class SnapshotWriter:
         """Unconditionally append one version-stamped snapshot line
         (atomic at line level: a single ``O_APPEND`` write).
 
-        A torn tail left by a crashed campaign is repaired first (the
-        journal's contract): this snapshot starts on a fresh line
-        instead of merging into — and corrupting — the torn record.
+        A torn tail left by a crashed campaign is repaired first
+        (:func:`~repro.util.atomicio.append_line`): this snapshot starts
+        on a fresh line instead of merging into — and corrupting — the
+        torn record.
         """
         doc = {"v": TELEMETRY_SCHEMA_VERSION, "kind": SNAPSHOT_KIND}
         doc.update(snapshot)
@@ -107,7 +108,7 @@ class SnapshotWriter:
 def read_snapshots(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Every committed snapshot, in write order.
 
-    Tolerant by construction (the journal's contract): no file ⇒ empty;
+    Tolerant by construction: no file ⇒ empty;
     torn final line ⇒ ignored; corrupt interior line ⇒ skipped with a
     warning; any schema-version mismatch ⇒ the whole file is discarded
     with a warning (replay degrades to nothing, never a crash).

@@ -28,11 +28,9 @@ regardless.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -43,7 +41,6 @@ from repro.obs.telemetry.aggregate import CampaignTelemetry
 from repro.obs.telemetry.emit import frame_dict
 from repro.service.campaigns import CampaignSpec, campaign_report
 from repro.service.protocol import decode_stream, encode_frame
-from repro.util.atomicio import append_line
 
 __all__ = ["CampaignDaemon", "check_socket_path"]
 
@@ -156,7 +153,6 @@ class CampaignDaemon:
         listener.settimeout(_ACCEPT_POLL_S)
         self._listener = listener
         self.echo(f"serving on {self.socket_path} (jobs={self.jobs})")
-        self._audit("serve", socket=str(self.socket_path))
         try:
             while not self._stop.is_set():
                 try:
@@ -183,7 +179,6 @@ class CampaignDaemon:
                 pass
             for thread in self._handlers:
                 thread.join(timeout=5.0)
-            self._audit("stopped")
             self.echo("service stopped")
 
     # -------------------------------------------------------------- handlers --
@@ -230,7 +225,6 @@ class CampaignDaemon:
             conn.send({"op": "accepted", "watch": True})
             return True
         if op == "shutdown":
-            self._audit("shutdown")
             conn.send({"op": "bye"})
             self.stop()
             return False
@@ -277,19 +271,11 @@ class CampaignDaemon:
             # see this campaign's totals.
             self._account(progress)
             conn.send({"op": "result", "report": report})
-            self._audit(
-                "campaign",
-                sha256=report["sha256"],
-                keys=keys,
-                simulated=progress.simulated,
-                disk_hits=progress.disk_hits,
-            )
         except Exception as exc:  # a bad campaign must not kill the daemon
             self._account(progress)
             conn.send(
                 {"op": "error", "message": f"{type(exc).__name__}: {exc}"}
             )
-            self._audit("campaign-error", error=str(exc))
 
     def _account(self, progress: ProgressTracker) -> None:
         """Fold one finished campaign into the daemon's totals (called
@@ -336,16 +322,3 @@ class CampaignDaemon:
             "quarantined": self.cache.quarantined,
             "wire_malformed": malformed,
         }
-
-    def _audit(self, event: str, **fields: Any) -> None:
-        """One line in the service audit journal beside the cache
-        (same torn-tail-tolerant JSONL contract as every other stream)."""
-        doc = {"v": 1, "event": event, "ts_s": time.time()}
-        doc.update(fields)
-        try:
-            append_line(
-                self.cache.root / "service.jsonl",
-                json.dumps(doc, sort_keys=True),
-            )
-        except OSError:
-            pass  # auditing is advisory

@@ -2,7 +2,8 @@
 
 One message is one ``\\n``-terminated canonical-JSON object carrying a
 version stamp (``"v"``) and an operation (``"op"``).  The framing is the
-journal's durability model applied to a socket: whole-line writes, so a
+JSONL streams' durability model (:mod:`repro.util.atomicio`) applied to
+a socket: whole-line writes, so a
 reader can always resynchronise on the next newline, and a connection
 torn mid-message costs exactly the unterminated tail
 (:func:`decode_stream` reports it as ``torn`` rather than raising —
@@ -114,7 +115,7 @@ def decode_stream(
     line in order, the unterminated tail bytes (a torn frame — the
     caller keeps them and prepends the next read; empty when the buffer
     ended on a line boundary), and how many complete-but-undecodable
-    lines were dropped.  Mirrors the journal reader's tolerance: a torn
+    lines were dropped.  Mirrors the snapshot reader's tolerance: a torn
     tail is never an error and a corrupt line never poisons the lines
     after it.
     """

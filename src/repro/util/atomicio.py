@@ -2,8 +2,8 @@
 
 Three on-disk durability idioms grew up independently in the result
 cache (:mod:`repro.experiments.cache`), the simulator snapshot store
-(:mod:`repro.sim.snapshot`) and the JSONL appenders (the completion
-journal and the telemetry snapshot stream).  This module is their single
+(:mod:`repro.sim.snapshot`) and the JSONL appender (the telemetry
+snapshot stream).  This module is their single
 home; the semantics are exactly what the original call sites pinned:
 
 * **atomic publication** — :func:`atomic_write_text` /
@@ -114,8 +114,8 @@ def append_line(path: Union[str, Path], line: str) -> None:
     here) with a single ``O_APPEND`` write, repairing a torn tail first.
 
     Atomic at line level: concurrent appenders interleave whole records
-    and a crash can tear at most the final line — the durability model
-    the completion journal and the telemetry snapshot stream share.
+    and a crash can tear at most the final line — the telemetry
+    snapshot stream's durability model.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

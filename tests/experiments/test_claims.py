@@ -3,13 +3,13 @@ the runners that share one cache directory.
 
 Runs and trials, inline (``jobs=1``) and pooled (``jobs=2``), take one
 claim per miss — a :class:`~repro.resilience.locks.KeyLock` on
-``cache.lock_path(key)``.  The journal beside the cache gets one record
-per simulation, so "one journal record per key" is the exactly-once
-proof.  Claims held by a peer are simulated here: a live claim is waited
-on, a released or stale one is re-claimed.
+``cache.lock_path(key)``.  A witness logs every cache store (see
+:func:`tests.resilience.chaos.store_witness`), so "each entry stored
+exactly once" is the exactly-once proof.  Claims held by a peer are
+simulated here: a live claim is waited on, a released or stale one is
+re-claimed.
 """
 
-import json
 import multiprocessing
 import os
 import threading
@@ -23,6 +23,7 @@ from repro.experiments.runner import ExperimentRunner
 from repro.inject.campaign import build_trials
 from repro.resilience.locks import KeyLock
 from repro.sim.simulator import Simulator
+from tests.resilience.chaos import once_each, store_witness
 
 _SHAPE = dict(num_cores=2, region_scale=0.05, reps=2)
 
@@ -50,13 +51,6 @@ def _trials():
 
 def _runner(cache_dir, **kw):
     return ExperimentRunner(cache_dir=cache_dir, **_SHAPE, **kw)
-
-
-def _journaled(cache_dir):
-    """Journal records per cache key (one per simulation)."""
-    path = cache_dir / "journal.jsonl"
-    lines = path.read_text().splitlines() if path.exists() else []
-    return Counter(json.loads(line)["key"] for line in lines if line)
 
 
 def _claim_files(cache_dir):
@@ -91,17 +85,19 @@ class TestExactlyOnce:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_two_runners_simulate_each_run_once(self, tmp_path, jobs):
         cache_dir = tmp_path / "cache"
-        _run_pair(cache_dir, jobs)
+        with store_witness(tmp_path / "stored") as stored:
+            _run_pair(cache_dir, jobs)
         keys = {_runner(None).cache_key(wl, req) for wl, req in _PAIRS}
-        assert _journaled(cache_dir) == Counter(dict.fromkeys(keys, 1))
+        assert stored() == Counter(dict.fromkeys(keys, 1))
+        assert stored() == once_each(cache_dir)
         assert _claim_files(cache_dir) == []
 
     def test_two_runners_execute_each_trial_once(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        _run_pair(cache_dir, jobs=2, trials=True)
-        journaled = _journaled(cache_dir)
-        assert len(journaled) == len(set(_trials()))
-        assert set(journaled.values()) == {1}
+        with store_witness(tmp_path / "stored") as stored:
+            _run_pair(cache_dir, jobs=2, trials=True)
+        assert len(stored()) == len(set(_trials()))
+        assert stored() == once_each(cache_dir)
         assert _claim_files(cache_dir) == []
 
 
@@ -209,17 +205,20 @@ class TestClaims:
         runner = _runner(tmp_path / "cache")
         claims = _peer_claims(runner, [theirs])
         thread = threading.Thread(target=runner.run_many, args=([mine, theirs],))
-        thread.start()
-        try:
-            _wait_for(lambda: runner.cache_key(*mine) in runner.cache)
-            time.sleep(0.2)
-            assert thread.is_alive()  # still waiting on the live claim
-            _publish(runner, theirs)
-        finally:
-            claims[theirs].release()
-        thread.join(timeout=60.0)
+        with store_witness(tmp_path / "stored") as stored:
+            thread.start()
+            try:
+                _wait_for(lambda: runner.cache_key(*mine) in runner.cache)
+                time.sleep(0.2)
+                assert thread.is_alive()  # still waiting on the live claim
+                assert list(stored()) == [runner.cache_key(*mine)]
+                _publish(runner, theirs)
+            finally:
+                claims[theirs].release()
+            thread.join(timeout=60.0)
         assert not thread.is_alive()
-        assert list(_journaled(runner.cache.root)) == [runner.cache_key(*mine)]
+        # The peer's publish is the only store of ``theirs``.
+        assert stored() == once_each(runner.cache.root)
         assert runner.progress.by_source()["sim"] == 1
         assert runner.progress.by_source()["disk"] == 1
 
@@ -271,20 +270,23 @@ class TestOrphanedClaims:
                 errors.append(exc)
 
         threads = [threading.Thread(target=wait, args=(w,)) for w in waiters]
-        for t in threads:
-            t.start()
-        try:
-            time.sleep(0.2)
-            claims[orphan].release()  # the peer "crashes" on this key
-            _wait_for(lambda: peer.cache_key(*orphan) in peer.cache)
-            time.sleep(0.2)
-            assert all(t.is_alive() for t in threads)
-            _publish(peer, live)
-        finally:
-            claims[live].release()
-        for t in threads:
-            t.join(timeout=60.0)
+        with store_witness(tmp_path / "stored") as stored:
+            for t in threads:
+                t.start()
+            try:
+                time.sleep(0.2)
+                claims[orphan].release()  # the peer "crashes" on this key
+                _wait_for(lambda: peer.cache_key(*orphan) in peer.cache)
+                time.sleep(0.2)
+                assert all(t.is_alive() for t in threads)
+                assert stored() == Counter({peer.cache_key(*orphan): 1})
+                _publish(peer, live)
+            finally:
+                claims[live].release()
+            for t in threads:
+                t.join(timeout=60.0)
         assert not errors, errors
-        assert _journaled(cache_dir) == Counter({peer.cache_key(*orphan): 1})
+        # The peer's publish is the only store of ``live``.
+        assert stored() == once_each(cache_dir)
         assert sum(w.progress.by_source()["sim"] for w in waiters) == 1
         assert _claim_files(cache_dir) == []

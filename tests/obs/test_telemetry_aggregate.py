@@ -77,6 +77,28 @@ class TestFrameFolding:
         tele.on_event(*_beat(instructions=40))
         assert tele.counters["instructions"] == 1040
 
+    def test_same_label_workers_count_instructions_apart(self):
+        # Fan-out workers share a ``workload/config`` label across keys:
+        # two workers' interleaved boundary streams under one label must
+        # sum to both runs' totals, whatever the interleaving, and one
+        # worker finishing must not restart the other's count.
+        tele = CampaignTelemetry()
+        for worker, instructions in ((0, 100), (1, 1000), (0, 200),
+                                     (1, 2000), (0, 300)):
+            tele.on_frame_dict(
+                frame_dict(*_beat(task="cg/Ckpt_E",
+                                  instructions=instructions)),
+                worker=worker,
+            )
+        tele.on_frame_dict(frame_dict(*_finished(task="cg/Ckpt_E")),
+                           worker=0)
+        tele.on_frame_dict(
+            frame_dict(*_beat(task="cg/Ckpt_E", instructions=3000)),
+            worker=1,
+        )
+        assert tele.malformed == 0
+        assert tele.counters["instructions"] == 300 + 3000
+
     def test_metrics_delta_folds_counters(self):
         tele = CampaignTelemetry()
         tele.on_event(*_end(interval=0, logged_records=5))

@@ -22,7 +22,7 @@ def make_event(ts=1.5, core=0):
 
 class TestEvents:
     def test_registry_is_consistent(self):
-        assert len(EVENT_TYPES) == 19
+        assert len(EVENT_TYPES) == 18
         for name, cls in EVENT_TYPES.items():
             assert cls.name == name
             assert issubclass(cls, TraceEvent)

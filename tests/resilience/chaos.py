@@ -1,10 +1,15 @@
-"""Chaos helpers: the fan-out tests' shared data, and a way to signal
-fan-out workers through the claims they hold.
+"""Chaos helpers: the fan-out tests' shared data, a way to signal
+fan-out workers through the claims they hold, and a witness of every
+cache store.
 
 A worker simulates a key only under its claim, and the claim file names
 its owner as ``host pid`` — so a test that wants to kill (or freeze) a
 worker *mid-key* watches the cache directory for claim files and signals
 their owners.  This process is never signalled, nor is one pid twice.
+
+A fresh result's only durable record is its cache entry, so "each entry
+was stored exactly once" is the exactly-once proof: :func:`store_witness`
+logs every store, in this process and every runner forked from it.
 """
 
 from __future__ import annotations
@@ -14,13 +19,16 @@ import socket
 import tempfile
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List
+from typing import Callable, Iterator, List
 
+from repro.experiments.cache import ResultCache
 from repro.experiments.configs import ConfigRequest
 from repro.experiments.runner import ExperimentRunner
 from repro.inject.campaign import build_trials
+from repro.util.atomicio import append_line
 
 #: The longest a worker holds a claimed key for the watcher: past it
 #: the key runs, and the test's count of signalled owners tells.
@@ -51,6 +59,38 @@ def trial_specs():
 
 def as_dicts(results):
     return [r.to_dict() for r in results]
+
+
+def once_each(cache_root) -> Counter:
+    """One store per entry under ``cache_root``: what a witness reads
+    when every key was simulated exactly once."""
+    return Counter(path.stem for path in Path(cache_root).glob("*/*.json"))
+
+
+@contextmanager
+def store_witness(path) -> Iterator[Callable[[], Counter]]:
+    """While the block runs, every ``ResultCache.store_payload`` appends
+    its key to ``path`` (one whole line) before it stores — in this
+    process and in every runner forked from it, which inherit the
+    wrapper.
+
+    Yields a reader: the keys stored so far, counted.
+    """
+    path = Path(path)
+    real = ResultCache.store_payload
+
+    def witnessed(self, key, result, kind):
+        append_line(path, key)
+        return real(self, key, result, kind)
+
+    def stored() -> Counter:
+        return Counter(path.read_text().split() if path.exists() else ())
+
+    ResultCache.store_payload = witnessed
+    try:
+        yield stored
+    finally:
+        ResultCache.store_payload = real
 
 
 @contextmanager

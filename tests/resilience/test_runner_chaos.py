@@ -1,4 +1,4 @@
-"""Engine-level resilience: chaos campaigns, resume, interrupt flush.
+"""Engine-level resilience: chaos campaigns, re-runs, interrupt flush.
 
 The headline contracts of this layer:
 
@@ -7,10 +7,10 @@ The headline contracts of this layer:
   claim is broken at once, not after the staleness bound;
 * a worker frozen mid-key (SIGSTOP) costs the staleness bound: its claim
   goes stale, a peer breaks it, and the frozen worker is reaped;
-* an interrupted campaign resumed from the completion journal executes
-  only the remaining tasks and still reports bit-identically;
+* an interrupted campaign re-run against the same cache executes only
+  the tasks without an entry and still reports bit-identically;
 * a ``KeyboardInterrupt`` mid-fan-out leaves every completed result in
-  the cache and the journal, and no claim behind, before re-raising;
+  the cache, and no claim behind, before re-raising;
 * two invocations sharing a cache directory elect one simulator per key
   through the per-key claim.
 """
@@ -29,7 +29,11 @@ from repro.experiments.configs import ConfigRequest
 from repro.experiments.runner import ExperimentRunner
 from repro.inject.campaign import build_trials, run_campaign
 from repro.resilience.locks import KeyLock
-from tests.resilience.chaos import signal_claim_owners
+from tests.resilience.chaos import (
+    once_each,
+    signal_claim_owners,
+    store_witness,
+)
 
 chaos = pytest.mark.skipif(
     not hasattr(signal, "SIGKILL"),
@@ -126,30 +130,22 @@ def test_interrupted_campaign_resumes_where_it_stopped(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         first.run_trials(specs)
 
-    # The two noted keys were journaled before the interrupt propagated
+    # The two noted keys were stored before the interrupt propagated
     # (a worker storing a key when stopped finishes it, so one more per
-    # worker may join them), each is in the cache, the keys in flight
-    # were abandoned with their claims released, and every worker is
-    # dead.
-    journaled = first.journal.load()
-    assert 2 <= len(journaled) < len(specs)
-    assert all(key in first.cache for key in journaled)
+    # worker may join them), the keys in flight were abandoned with
+    # their claims released, and every worker is dead.
+    stored = len(first.cache)
+    assert 2 <= stored < len(specs)
     assert multiprocessing.active_children() == []
     assert sorted(cache.glob("*/*.lock")) == []
 
-    second = _runner(jobs=1, cache_dir=cache, resume=True)
+    # A plain re-run on the same cache is the resume: only the M - N
+    # keys without an entry execute; the rest come from disk.
+    second = _runner(jobs=1, cache_dir=cache)
     resumed = run_campaign(second, specs)
-    # Only the M - N remaining tasks execute; the rest come from disk.
-    assert second.progress.resumed == len(journaled)
-    assert second.progress.simulated == len(specs) - len(journaled)
-    assert second.progress.simulated >= 1
-    assert second.progress.by_source()["disk"] == len(journaled)
+    assert second.progress.simulated == len(specs) - stored
+    assert second.progress.by_source()["disk"] == stored
     assert _report_json(resumed) == _report_json(undisturbed)
-
-
-def test_resume_without_journal_is_rejected():
-    with pytest.raises(ValueError, match="resume"):
-        _runner(resume=True)
 
 
 def test_keyboard_interrupt_flushes_completed_runs(tmp_path):
@@ -159,14 +155,14 @@ def test_keyboard_interrupt_flushes_completed_runs(tmp_path):
         ("is", ConfigRequest("NoCkpt")),
         ("cg", ConfigRequest("NoCkpt")),
     ]
-    with pytest.raises(KeyboardInterrupt):
-        runner.run_many(pairs)
-    # The first completion was stored in cache + journal before the
-    # interrupt propagated, and a worker stopped mid-key released its
-    # claim on the way out.
+    with store_witness(tmp_path / "stored") as stored:
+        with pytest.raises(KeyboardInterrupt):
+            runner.run_many(pairs)
+    # The first completion was stored before the interrupt propagated,
+    # each store left a whole entry, and a worker stopped mid-key
+    # released its claim on the way out.
     assert len(runner.cache) >= 1
-    assert len(runner.journal.load()) >= 1
-    assert all(key in runner.cache for key in runner.journal.load())
+    assert stored() == once_each(runner.cache.root)
     assert sorted(runner.cache.root.glob("*/*.lock")) == []
 
 
@@ -174,10 +170,7 @@ def test_clean_parallel_run_reports_visible_zeros(tmp_path):
     runner = _runner(jobs=2, cache_dir=tmp_path / "cache")
     runner.run_many([("is", ConfigRequest("NoCkpt"))])
     line = runner.progress.resilience_line()
-    assert line == (
-        "resilience: 0 worker deaths, "
-        "0 degraded-to-serial, 0 resumed from journal"
-    )
+    assert line == "resilience: 0 worker deaths, 0 degraded-to-serial"
     assert line in runner.progress.summary_table()
 
 
@@ -221,7 +214,9 @@ def test_parallel_results_identical_with_and_without_supervisor_cache(
     serial = _runner(jobs=1)
     parallel = _runner(jobs=2, cache_dir=tmp_path / "cache")
     a = serial.run_many(pairs)
-    b = parallel.run_many(pairs)
+    with store_witness(tmp_path / "stored") as stored:
+        b = parallel.run_many(pairs)
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
-    # Every completion was journaled, including the forked workers' ones.
-    assert len(parallel.journal.load()) == 2
+    # Every completion was stored once, including the forked workers'.
+    assert stored() == once_each(parallel.cache.root)
+    assert len(stored()) == 2

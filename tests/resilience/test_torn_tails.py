@@ -1,16 +1,9 @@
-"""Torn tails under crashed campaigns: journal + telemetry snapshots.
+"""Torn tails under crashed campaigns: the telemetry snapshot stream.
 
-A SIGKILL can land mid-``write`` on either append-only stream beside the
-result cache.  The contracts pinned here:
-
-* a half-written **journal** record costs exactly one resumed task — the
-  committed prefix loads (warning-free for a clean tear, a warning for
-  interior corruption) and the resumed campaign reports bit-identically;
-* a half-written **telemetry snapshot** never poisons replay — the
-  committed prefix renders, and the next campaign appends past it.
+A SIGKILL can land mid-``write`` on the append-only snapshot stream
+beside the result cache.  A half-written snapshot never poisons replay:
+the committed prefix renders, and the next campaign appends past it.
 """
-
-import json
 
 import pytest
 
@@ -35,10 +28,6 @@ def _runner(**kw):
     return ExperimentRunner(**kw)
 
 
-def _report_json(report):
-    return json.dumps(report.to_json_dict(), sort_keys=True)
-
-
 def _truncate_mid_record(path):
     """Simulate a crash mid-append: keep the committed prefix plus the
     first half of the final record (no trailing newline)."""
@@ -51,48 +40,6 @@ def _truncate_mid_record(path):
         encoding="utf-8",
     )
     return len(lines) - 1
-
-
-def test_torn_journal_tail_resumes_bit_identically(tmp_path):
-    specs = _specs()
-    undisturbed = run_campaign(_runner(jobs=1), _specs())
-
-    cache = tmp_path / "cache"
-    first = _runner(jobs=1, cache_dir=cache)
-    run_campaign(first, specs)
-    journal_path = first.cache.journal_path()
-    committed = _truncate_mid_record(journal_path)
-
-    second = _runner(jobs=1, cache_dir=cache, resume=True)
-    resumed = run_campaign(second, specs)
-    # The torn record's task was served from the result cache (keyed
-    # independently of the journal); the committed prefix was honoured.
-    assert second.progress.resumed == committed == len(specs) - 1
-    assert second.progress.simulated == 0
-    assert _report_json(resumed) == _report_json(undisturbed)
-    # The journal keeps exactly the committed prefix: cache hits are not
-    # re-journaled (only executions are), and the tear cost one record.
-    assert len(second.journal.load()) == committed
-
-
-def test_corrupt_interior_journal_record_resumes_with_warning(tmp_path):
-    specs = _specs()
-    undisturbed = run_campaign(_runner(jobs=1), _specs())
-
-    cache = tmp_path / "cache"
-    first = _runner(jobs=1, cache_dir=cache)
-    run_campaign(first, specs)
-    journal_path = first.cache.journal_path()
-    lines = journal_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[0] = "}} definitely not json {{\n"
-    journal_path.write_text("".join(lines), encoding="utf-8")
-
-    # The journal loads (and warns) at construction time under resume.
-    with pytest.warns(UserWarning, match="undecodable"):
-        second = _runner(jobs=1, cache_dir=cache, resume=True)
-    resumed = run_campaign(second, specs)
-    assert second.progress.resumed == len(specs) - 1
-    assert _report_json(resumed) == _report_json(undisturbed)
 
 
 def test_torn_snapshot_tail_replays_and_appends_past(tmp_path):
@@ -119,7 +66,7 @@ def test_torn_snapshot_tail_replays_and_appends_past(tmp_path):
     assert replay(path, stream=_Sink()) == 0
 
     # A follow-up campaign appends past the tear; its own records load.
-    second = _runner(jobs=1, cache_dir=cache, resume=True)
+    second = _runner(jobs=1, cache_dir=cache)
     second_tele = CampaignTelemetry(
         progress=second.progress,
         snapshot_path=second.cache.telemetry_path(),

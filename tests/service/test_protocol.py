@@ -1,6 +1,6 @@
 """Wire-protocol codec: strict decoding, hypothesis round trips, and
-torn/corrupt-frame tolerance (the journal's durability model on a
-socket)."""
+torn/corrupt-frame tolerance (the JSONL streams' durability model on
+a socket)."""
 
 import json
 

@@ -2,8 +2,9 @@
 
 Each class holds one CI job's assertions with that job's data:
 
-* ``chaos-smoke`` — an ``inject --jobs 2`` campaign resumed from its
-  journal reports byte-identically and credits all four trials;
+* ``chaos-smoke`` — a plain re-run of an ``inject --jobs 2`` campaign
+  on its cache (the resume) reads all four trials back and reports
+  byte-identically;
 * ``cached-parallel-smoke`` — a ``jobs=4`` cold pass is simulated by the
   workers, a warm pass simulates nothing and renders the same figure;
   a warm full report reads every entry back, a dropped warm runner is
@@ -13,8 +14,8 @@ Each class holds one CI job's assertions with that job's data:
   frames, its snapshot stream lints clean and replays;
 * ``service-smoke`` — a ``serve --jobs 2`` daemon simulates each unique
   key once for two concurrent clients, a restarted daemon simulates
-  nothing, and two concurrent ``--solo --jobs 2`` runners leave one
-  journal record per cache entry.
+  nothing, and two concurrent ``--solo --jobs 2`` runners store each
+  cache entry exactly once.
 
 Plus ``--jobs 1`` against ``--jobs 2`` byte identity for ``report`` and
 ``inject``.
@@ -26,6 +27,7 @@ import filecmp
 import gc
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -33,7 +35,6 @@ import subprocess
 import sys
 import tempfile
 import weakref
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,7 @@ from repro.experiments.report import generate_report, paper_run_matrix
 from repro.experiments.runner import ExperimentRunner
 from repro.obs import lint
 from repro.service import CampaignClient, wait_for_socket
+from tests.resilience.chaos import once_each, store_witness
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -71,9 +73,9 @@ class TestChaosSmoke:
         main(["inject", "cg", "--trials", "2", "--jobs", "2",
               "--cache-dir", cache, "--json", str(cold)])
         capsys.readouterr()
-        main(["inject", "cg", "--trials", "2", "--resume",
+        main(["inject", "cg", "--trials", "2",
               "--cache-dir", cache, "--json", str(resumed)])
-        assert "4 resumed from journal" in capsys.readouterr().out
+        assert "disk 4" in capsys.readouterr().out
         assert cold.read_bytes() == resumed.read_bytes()
 
 
@@ -201,6 +203,22 @@ def _finish(*procs):
         assert proc.wait(timeout=300) == 0
 
 
+def _forked_main(*argv):
+    """``main(ARGV)`` in a forked process: it inherits this process's
+    test wrappers (the store witness)."""
+    proc = multiprocessing.get_context("fork").Process(
+        target=lambda: sys.exit(main(list(argv)))
+    )
+    proc.start()
+    return proc
+
+
+def _join(*procs):
+    for proc in procs:
+        proc.join(timeout=300)
+        assert proc.exitcode == 0
+
+
 class TestServiceSmoke:
     @pytest.fixture()
     def sock_dir(self):
@@ -259,21 +277,21 @@ class TestServiceSmoke:
                 serve.kill()
                 serve.wait()
 
-        # Two concurrent solo runners on one cache simulate each key once.
+        # Two concurrent solo runners on one cache store each key once.
         shared = tmp_path / "shared"
-        _finish(
-            _cli(*_SUBMIT, "--solo", "--jobs", "2", "--cache-dir",
-                 str(shared), "--json", str(out["shared-a"])),
-            _cli(*_SUBMIT, "--solo", "--jobs", "2", "--cache-dir",
-                 str(shared), "--json", str(out["shared-b"])),
-        )
+        with store_witness(tmp_path / "stored") as stored:
+            _join(
+                _forked_main(*_SUBMIT, "--solo", "--jobs", "2",
+                             "--cache-dir", str(shared),
+                             "--json", str(out["shared-a"])),
+                _forked_main(*_SUBMIT, "--solo", "--jobs", "2",
+                             "--cache-dir", str(shared),
+                             "--json", str(out["shared-b"])),
+            )
         assert out["shared-a"].read_bytes() == report
         assert out["shared-b"].read_bytes() == report
-        entries = sorted(path.stem for path in shared.glob("*/*.json"))
-        lines = (shared / "journal.jsonl").read_text().splitlines()
-        records = Counter(json.loads(line)["key"] for line in lines if line)
-        assert sorted(records) == entries, "journal keys != cache entries"
-        assert set(records.values()) == {1}, records
+        assert stored() == once_each(shared), "a cache entry stored twice"
+        assert len(stored()) == len(keys)
 
 
 class TestJobsIdentity:

@@ -88,7 +88,7 @@ class TestAppendLine:
         assert path.read_text() == "one\ntwo\n"
 
     def test_repairs_torn_tail_first(self, tmp_path):
-        # The journal's crash model: a torn half-record costs itself,
+        # The snapshot stream's crash model: a torn half-record costs itself,
         # never the record appended after it.
         path = tmp_path / "log.jsonl"
         path.write_bytes(b'{"a":1}\n{"half')
@@ -105,11 +105,6 @@ class TestAppendLine:
 
 class TestRewiredCallSites:
     """The absorbing call sites still honour their original contracts."""
-
-    def test_journal_reexports_tail_is_torn(self):
-        from repro.resilience import journal
-
-        assert journal.tail_is_torn is atomicio.tail_is_torn
 
     def test_snapshot_store_save_swallows_oserror(self, tmp_path,
                                                   monkeypatch):
