@@ -12,7 +12,7 @@ Scale knobs (environment):
   calibrated fidelity; smaller = faster, same shapes);
 * ``REPRO_BENCH_CORES``  — core count (default 8, the paper's headline);
 * ``REPRO_BENCH_ENGINE`` — execution engine, ``interp`` (default) or
-  ``vector`` (bit-identical results, several times faster);
+  ``vector`` (bit-identical results);
 * ``REPRO_BENCH_REPS``   — timesteps per run (default: workload default);
 * ``REPRO_BENCH_JOBS``   — worker processes for independent runs
   (default 1 = serial; parallel results are bit-identical);

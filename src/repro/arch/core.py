@@ -16,6 +16,8 @@ flush traffic), which this level of detail preserves.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.arch.config import MachineConfig
 from repro.arch.hierarchy import DataAccess
 
@@ -43,6 +45,20 @@ class CoreTimingModel:
         # Miss latency beyond L1, amortised over overlapping misses.
         extra = access.latency_ns - self._l1_latency
         return extra / self._mlp
+
+    def miss_stalls_ns(self) -> Tuple[float, float]:
+        """``(L2 hit, memory access)`` stalls of :meth:`stall_time_ns`,
+        for engines that inline it: computed in its expression shape,
+        ``(l1 + l2) - l1`` rather than ``l2`` (float addition is not
+        associative, so the simplified constant can differ in the last
+        bit)."""
+        cfg = self.config
+        l1 = cfg.l1d.latency_ns
+        l2 = cfg.l2.latency_ns
+        return (
+            ((l1 + l2) - l1) / self._mlp,
+            ((l1 + l2 + cfg.mem_latency_ns) - l1) / self._mlp,
+        )
 
     def alu_burst_time_ns(self, instructions: int) -> float:
         """Serial ALU execution time (used for Slice recomputation, which

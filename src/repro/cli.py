@@ -123,10 +123,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="persist results here and reuse them across "
                              "invocations (content-addressed, versioned)")
     parser.add_argument("--engine", choices=ENGINES, default="interp",
-                        help="execution engine: the classic per-"
-                             "instruction interpreter or the vectorized "
-                             "trace-replay engine (bit-identical results, "
-                             "several times faster)")
+                        help="execution engine: each kernel shape's "
+                             "generated timed stepper or the vectorized "
+                             "trace-replay engine (bit-identical results)")
     _add_timeout(parser)
 
 

@@ -1,27 +1,32 @@
 """Functional interpreter for IR programs.
 
 The interpreter executes kernels iteration by iteration over a shared
-:class:`MemoryImage`, producing real 64-bit values.  It is deliberately
-minimal: *timing* and *energy* are not computed here — the simulator
-observes memory events through callbacks and accounts for them against its
-machine model.  This separation keeps the functional semantics (needed for
-recomputation-correctness testing) independent from any particular
-microarchitecture.
-
-The interpreter supports chunked execution (`step_iterations`) so the
-simulator can pause threads at checkpoint-interval boundaries.  It runs
-each kernel through its shape's *stepper*: one ``exec``-compiled loop
-per :class:`~repro.isa.program.KernelShape`, with registers in locals
-and ALU expressions, addresses and memory accesses inlined, to which a
+:class:`MemoryImage`, producing real 64-bit values.  It runs each kernel
+through its shape's *stepper*: one ``exec``-compiled loop per
+:class:`~repro.isa.program.KernelShape`, with registers in locals and
+ALU expressions, addresses and memory accesses inlined, to which a
 kernel passes its ``params`` and first site id.  An ``ASSOC-ADDR``
 variant shares its plain shape's stepper: the flag changes no value or
 event, only the ``assoc`` count.
+
+A plain interpreter computes no time or energy: optional callbacks
+observe each load and store as a :class:`LoadEvent` or
+:class:`StoreEvent` (the fault-injection harness and the tests drive the
+checkpointing mechanism this way).  The simulator instead hands each
+core's interpreter a :class:`StepTiming`, and the interpreter then runs
+each shape's *timed* stepper: the same loop with the core's cache
+lookups, stall accumulation, communication tracking and log-bit test
+inlined after every access, calling into the mechanism only for a first
+write and the ACR handler (DESIGN §4.1).
+
+The interpreter supports chunked execution (`step_iterations`) so the
+simulator can pause threads at checkpoint-interval boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, cast
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, cast
 
 from repro.isa.opcodes import ALU_EXPR, INIT_MIX, MASK64
 from repro.isa.opcodes import address_expr, exec_generated, initial_value_lines
@@ -33,6 +38,7 @@ __all__ = [
     "StoreEvent",
     "LoadEvent",
     "ExecChunk",
+    "StepTiming",
 ]
 
 
@@ -76,6 +82,47 @@ class ExecChunk:
     def instructions(self) -> int:
         """Total dynamic instructions in the chunk (ASSOC-ADDR included)."""
         return self.alu + self.loads + self.stores + self.assoc
+
+
+class StepTiming(NamedTuple):
+    """One core's machine, as its timed stepper binds it.
+
+    Built once per core (every member is stable for a run: the caches'
+    set lists, dirty sets and the directory's sets are cleared in place
+    at boundaries).  ``toucher``/``edges`` are ``None`` unless the run
+    tracks communication, ``log_bits`` and ``first_write`` unless it
+    checkpoints, ``handler_store`` unless it runs ACR; a store whose
+    ``handler_store`` returns ``recorded`` is charged an ASSOC-ADDR slot
+    (``assoc_stall``).  ``sync`` publishes the pending stalls before
+    each call into the mechanism, for observed runs whose events read
+    the core's clock.
+    """
+
+    l1: Any
+    l1_sets: List[Any]
+    l1_nsets: int
+    l1_ways: int
+    l1_dirty: set
+    l2: Any
+    l2_sets: List[Any]
+    l2_nsets: int
+    l2_ways: int
+    l2_dirty: set
+    hierarchy: Any
+    line_bytes: int
+    l2_stall: float
+    mem_stall: float
+    toucher: Optional[Dict[int, int]]
+    edges: Optional[set]
+    log_bits: Optional[set]
+    first_write: Optional[Callable[[int, int, int], bool]]
+    log_stall: float
+    handler_store: Optional[Callable[..., Any]]
+    recorded: Any
+    assoc_stall: float
+    pending_useful: List[float]
+    pending_overhead: List[float]
+    sync: bool
 
 
 class MemoryImage:
@@ -134,8 +181,125 @@ class MemoryImage:
         return len(self._words)
 
 
-def _generate_stepper(shape: KernelShape) -> Callable[..., None]:
-    """``exec``-compile the stepper of one shape.
+def _access_lines(is_store: bool) -> List[str]:
+    """The timed stepper's accounting of one access to address ``a``
+    (indented for the loop body): :meth:`CoreCacheHierarchy.access
+    <repro.arch.hierarchy.CoreCacheHierarchy.access>` over the bound set
+    lists, then its stall and the directory's communication tracking.
+
+    As in :meth:`SetAssociativeCache.access
+    <repro.arch.cache.SetAssociativeCache.access>`, a set's dict holds
+    LRU order alone and is created on first touch, and dirtiness lives
+    in the dirty sets.  A dirty L1 victim is written into L2 before the
+    demand fill.  An L1 hit stalls ``0.0``, which is skipped: ``x + 0.0
+    == x`` for the non-negative accumulator.
+    """
+    lines = [
+        "line = a // lb",
+        "si = line % l1n",
+        "cset = l1s[si]",
+        "if cset is None:",
+        "    cset = l1s[si] = {}",
+        "if line in cset:",
+        "    cset[line] = cset.pop(line)",
+        "    l1h += 1",
+        "else:",
+        "    l1m += 1",
+        "    if len(cset) >= l1w:",
+        "        v = next(iter(cset))",
+        "        del cset[v]",
+        "        l1e += 1",
+        "        if v in l1d:",
+        "            l1d.remove(v)",
+        "            l1de += 1",
+        "            si = v % l2n",
+        "            wset = l2s[si]",
+        "            if wset is None:",
+        "                wset = l2s[si] = {}",
+        "            if v in wset:",
+        "                wset[v] = wset.pop(v)",
+        "                l2h += 1",
+        "            else:",
+        "                l2m += 1",
+        "                if len(wset) >= l2w:",
+        "                    x = next(iter(wset))",
+        "                    del wset[x]",
+        "                    l2e += 1",
+        "                    if x in l2d:",
+        "                        l2d.remove(x)",
+        "                        l2de += 1",
+        "                        wb += 1",
+        "                wset[v] = None",
+        "            l2d.add(v)",
+        "    cset[line] = None",
+        "    si = line % l2n",
+        "    dset = l2s[si]",
+        "    if dset is None:",
+        "        dset = l2s[si] = {}",
+        "    if line in dset:",
+        "        dset[line] = dset.pop(line)",
+        "        l2h += 1",
+        "        pu += l2st",
+        "    else:",
+        "        l2m += 1",
+        "        if len(dset) >= l2w:",
+        "            x = next(iter(dset))",
+        "            del dset[x]",
+        "            l2e += 1",
+        "            if x in l2d:",
+        "                l2d.remove(x)",
+        "                l2de += 1",
+        "                wb += 1",
+        "        dset[line] = None",
+        "        mem += 1",
+        "        pu += memst",
+    ]
+    if is_store:
+        lines.append("l1d.add(line)")
+    lines += [
+        "if track:",
+        "    prev = toucher.get(line)",
+        "    if prev is None:",
+        "        toucher[line] = thread",
+        "    elif prev != thread:",
+        "        edges.add((prev, thread) if prev < thread else (thread, prev))",
+        "        toucher[line] = thread",
+    ]
+    return ["        " + line for line in lines]
+
+
+#: The timed stepper's per-access accounting, generated once.
+_LOAD_ACCOUNTING = _access_lines(False)
+_STORE_ACCOUNTING = _access_lines(True)
+
+#: The timed stepper's first-write protocol and handler call after a
+#: store's accounting; ``{site}`` and ``{regs}`` are filled per store.
+#: Observed runs (``sync``) publish the pending stalls before each call
+#: into the mechanism, whose events read the core's clock.  The log
+#: write's stall, then ASSOC-ADDR's slot, is charged after both calls,
+#: in this order (float addition is not associative).
+_STORE_PROTOCOL = [
+    "        lg = rec = False",
+    "        if log_bits is not None and a not in log_bits:",
+    "            log_bits.add(a)",
+    "            if sync:",
+    "                PU[thread] = pu",
+    "                PO[thread] = po",
+    "            lg = first_write(thread, a, old)",
+    "        if hstore is not None:",
+    "            if sync:",
+    "                PU[thread] = pu",
+    "                PO[thread] = po",
+    "            rec = hstore(thread, {site}, a, ({regs})) is REC",
+    "        if lg:",
+    "            po += log_st",
+    "        if rec:",
+    "            po += cyc",
+]
+
+
+def _generate_stepper(shape: KernelShape, timed: bool = False) -> Callable[..., None]:
+    """``exec``-compile the stepper, or the timed stepper, of one shape.
 
     ``step(regs, i0, n, P, words, seed, on_load, on_store, thread,
     site_base)`` runs iterations ``i0 .. i0 + n - 1`` of the kernel with
@@ -144,10 +308,31 @@ def _generate_stepper(shape: KernelShape) -> Callable[..., None]:
     ``site_base + j`` (-1 throughout when ``site_base`` is).  Each load
     reports after its read, each store after its write, which is masked
     to 64 bits as :meth:`MemoryImage.write` masks it.
+
+    The timed stepper, ``step(regs, i0, n, P, words, seed, T, thread,
+    site_base)``, computes the same values and, in place of the reports,
+    accounts each access against the core bound in ``T`` (a
+    :class:`StepTiming`): its caches and stall, the directory's
+    communication tracking, and for a store the log bit,
+    :meth:`~repro.sim.mechanism.Mechanism.first_write` and the handler
+    call.  Counters batch in locals and are added to the caches once
+    per call; the pending stalls are read from and written back to
+    ``T``'s lists.
     """
     names = "".join(f"r{r}, " for r in range(shape.width + 1))
-    lines = ["def step(regs, i0, n, P, words, seed, on_load, on_store, "
-             "thread, site_base):"]
+    if timed:
+        lines = ["def step(regs, i0, n, P, words, seed, T, thread, site_base):",
+                 "    (l1c, l1s, l1n, l1w, l1d, l2c, l2s, l2n, l2w, l2d, hier,"
+                 " lb, l2st, memst, toucher, edges, log_bits, first_write,"
+                 " log_st, hstore, REC, cyc, PU, PO, sync) = T",
+                 "    track = toucher is not None",
+                 "    pu = PU[thread]",
+                 "    po = PO[thread]",
+                 "    l1h = l1m = l1e = l1de = l2h = l2m = l2e = l2de = mem"
+                 " = wb = 0"]
+    else:
+        lines = ["def step(regs, i0, n, P, words, seed, on_load, on_store, "
+                 "thread, site_base):"]
     w = lines.append
     if shape.n_params:
         w("    " + "".join(f"p{i}, " for i in range(shape.n_params)) + "= P")
@@ -174,8 +359,11 @@ def _generate_stepper(shape: KernelShape) -> Callable[..., None]:
             w(f"        {dst} = get(a)")
             w(f"        if {dst} is None:")
             lines.extend("            " + line for line in initial_value_lines(dst))
-            w("        if on_load is not None:")
-            w("            on_load(LoadEvent(thread, a))")
+            if timed:
+                lines.extend(_LOAD_ACCOUNTING)
+            else:
+                w("        if on_load is not None:")
+                w("            on_load(LoadEvent(thread, a))")
         else:  # STORE
             src = f"r{part[1]}"
             w(f"        a = {address_expr(p)}")
@@ -183,13 +371,36 @@ def _generate_stepper(shape: KernelShape) -> Callable[..., None]:
             w("        if old is None:")
             lines.extend("            " + line for line in initial_value_lines("old"))
             w(f"        words[a] = {src} & {MASK64:#x}")
-            w("        if on_store is not None:")
-            w(f"            on_store(StoreEvent(thread, {site}, a, old, {src}, i,"
-              f" [{names}]))")
+            if timed:
+                lines.extend(_STORE_ACCOUNTING)
+                lines.extend(line.format(site=site, regs=names)
+                             for line in _STORE_PROTOCOL)
+            else:
+                w("        if on_store is not None:")
+                w(f"            on_store(StoreEvent(thread, {site}, a, old, {src}, i,"
+                  f" [{names}]))")
             j += 1
             site = f"s{j}"
     w(f"    regs[:] = {names}")
-    namespace: Dict[str, object] = {"LoadEvent": LoadEvent, "StoreEvent": StoreEvent}
+    if timed:
+        lines += [
+            "    PU[thread] = pu",
+            "    PO[thread] = po",
+            "    l1c.hits += l1h",
+            "    l1c.misses += l1m",
+            "    l1c.evictions += l1e",
+            "    l1c.dirty_evictions += l1de",
+            "    l2c.hits += l2h",
+            "    l2c.misses += l2m",
+            "    l2c.evictions += l2e",
+            "    l2c.dirty_evictions += l2de",
+            "    hier.memory_accesses += mem",
+            "    hier.writebacks += wb",
+        ]
+        namespace: Dict[str, object] = {}
+        exec_generated("timed-stepper", "\n".join(lines), namespace)
+        return cast(Callable[..., None], namespace["step"])
+    namespace = {"LoadEvent": LoadEvent, "StoreEvent": StoreEvent}
     exec_generated("stepper", "\n".join(lines), namespace)
     return cast(Callable[..., None], namespace["step"])
 
@@ -202,6 +413,14 @@ def _build_stepper(shape: KernelShape) -> Callable[..., None]:
     return _generate_stepper(shape)
 
 
+def _build_timed_stepper(shape: KernelShape) -> Callable[..., None]:
+    """A shape's timed stepper: its plain shape's, generated once."""
+    if shape.assoc_count:
+        plain = shape.with_assoc((False,) * shape.store_count)
+        return plain.prepared("timed_stepper", _build_timed_stepper)
+    return _generate_stepper(shape, timed=True)
+
+
 class Interpreter:
     """Executes one thread's :class:`Program` over a shared memory image.
 
@@ -212,6 +431,9 @@ class Interpreter:
     on_load, on_store:
         Optional observers invoked for every dynamic memory access.  The
         store observer may return ``None``; its return value is ignored.
+    timing:
+        The core this thread runs on, for the simulator's timed
+        steppers (no observers then).
     """
 
     def __init__(
@@ -220,11 +442,15 @@ class Interpreter:
         memory: MemoryImage,
         on_load: Optional[Callable[[LoadEvent], None]] = None,
         on_store: Optional[Callable[[StoreEvent], None]] = None,
+        timing: Optional[StepTiming] = None,
     ) -> None:
+        if timing is not None and (on_load is not None or on_store is not None):
+            raise ValueError("a timed interpreter takes no observers")
         self.program = program
         self.memory = memory
         self.on_load = on_load
         self.on_store = on_store
+        self.timing = timing
         self._kernel_index = 0
         self._iteration = 0
         self._regs: List[int] = []
@@ -295,15 +521,23 @@ class Interpreter:
         seed = self.memory.seed
         on_load = self.on_load
         on_store = self.on_store
+        timing = self.timing
         k, i, regs = self._kernel_index, self._iteration, self._regs
         while iterations < max_iterations and k < n_kernels:
             kernel = kernels[k]
             shape = kernel.shape
             trip = kernel.trip_count
             budget = min(trip - i, max_iterations - iterations)
-            step = shape.stepper or shape.prepared("stepper", _build_stepper)
-            step(regs, i, budget, kernel.params, words, seed, on_load,
-                 on_store, thread, kernel.site_base)
+            if timing is None:
+                step = shape.stepper or shape.prepared("stepper", _build_stepper)
+                step(regs, i, budget, kernel.params, words, seed, on_load,
+                     on_store, thread, kernel.site_base)
+            else:
+                step = shape.timed_stepper or shape.prepared(
+                    "timed_stepper", _build_timed_stepper
+                )
+                step(regs, i, budget, kernel.params, words, seed, timing,
+                     thread, kernel.site_base)
             # Ghost instructions: charged, never interpreted (see Kernel).
             alu += budget * (shape.alu_count + kernel.ghost_alu)
             loads += budget * shape.load_count

@@ -13,8 +13,8 @@ shape is the body's structure — opcodes, registers, which stores carry
 ``ASSOC-ADDR`` — and everything derived from structure alone: the
 instruction counts, the register-file width and stability, the live-in
 set, the compiler's per-store slicing, the plan evaluator and the
-interpreter's stepper (one ``exec``-compiled loop, which an
-``ASSOC-ADDR`` variant shares with its plain shape).  ``params`` holds
+interpreter's steppers, plain and timed (each one ``exec``-compiled
+loop, which an ``ASSOC-ADDR`` variant shares with its plain shape).  ``params`` holds
 what varies between kernels of one shape, in body order: each MOVI's
 immediate, and each load's and store's ``(base, stride, length,
 offset)``.  Shapes are interned in one process-wide table, so each
@@ -97,7 +97,8 @@ class KernelShape:
 
     Obtain shapes through :meth:`intern`; fields are read-only.  Layers
     keep their per-shape preparation in the write-once ``slicing``,
-    ``evaluator`` and ``stepper`` slots through :meth:`prepared`.
+    ``evaluator``, ``stepper`` and ``timed_stepper`` slots through
+    :meth:`prepared`.
     """
 
     key: tuple
@@ -118,6 +119,7 @@ class KernelShape:
     slicing: Any = field(init=False)
     evaluator: Any = field(init=False)
     stepper: Any = field(init=False)
+    timed_stepper: Any = field(init=False)
 
     def __post_init__(self) -> None:
         key = self.key
@@ -171,6 +173,7 @@ class KernelShape:
             ("slicing", None),
             ("evaluator", None),
             ("stepper", None),
+            ("timed_stepper", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -189,7 +192,8 @@ class KernelShape:
     def prepared(self, slot: str, build: Callable[["KernelShape"], Any]) -> Any:
         """A layer's preparation of this shape, built on first use.
 
-        ``slot`` is ``"slicing"``, ``"evaluator"`` or ``"stepper"``;
+        ``slot`` is ``"slicing"``, ``"evaluator"``, ``"stepper"`` or
+        ``"timed_stepper"``;
         ``build`` must be a pure function of the shape, so a second
         caller reads the first's result.
         """

@@ -79,8 +79,10 @@ class CampaignTelemetry:
         self.tasks_started = 0
         self.tasks_finished = 0
         self.tasks_failed = 0
-        #: Live tasks: label -> {worker, pid, interval, phase}.
-        self.active: Dict[str, Dict[str, Any]] = {}
+        #: Live tasks: (worker, label) -> {pid, interval, phase}.  Fan-out
+        #: workers share a ``workload/config`` label across keys, so a
+        #: label alone would let one worker's finish drop another's task.
+        self.active: Dict[Tuple[int, str], Dict[str, Any]] = {}
         # Cumulative counters folded off interval-boundary and
         # checkpoint-end events.
         self.counters: Dict[str, int] = {}
@@ -98,19 +100,15 @@ class CampaignTelemetry:
     def on_event(self, task: str, event: TraceEvent, worker: int = -1) -> None:
         """Fold one event of ``task`` in (the inline-execution sink)."""
         self.frames += 1
+        run = (worker, task)
         if isinstance(event, TaskStarted):
             self.tasks_started += 1
-            self.active[task] = {
-                "worker": worker, "pid": event.pid, "interval": -1,
-                "phase": "",
-            }
+            self.active[run] = {"pid": event.pid, "interval": -1, "phase": ""}
         elif isinstance(event, IntervalBoundary):
             entry = self.active.setdefault(
-                task,
-                {"worker": worker, "pid": -1, "interval": -1, "phase": ""},
+                run, {"pid": -1, "interval": -1, "phase": ""},
             )
             entry["interval"] = event.index
-            run = (worker, task)
             last = self._last_instructions.get(run, 0)
             # Cumulative per run; a nested run (a dependent's inline
             # baseline) restarts the count — treat a drop as a restart.
@@ -128,15 +126,15 @@ class CampaignTelemetry:
             self._count("logged_bytes", event.logged_bytes)
             self._count("flushed_bytes", event.flushed_bytes)
         elif isinstance(event, PhaseChanged):
-            entry = self.active.get(task)
+            entry = self.active.get(run)
             if entry is not None:
                 entry["phase"] = event.phase
         elif isinstance(event, TaskFinished):
             self.tasks_finished += 1
             if not event.ok:
                 self.tasks_failed += 1
-            self.active.pop(task, None)
-            self._last_instructions.pop((worker, task), None)
+            self.active.pop(run, None)
+            self._last_instructions.pop(run, None)
             self.profiler.merge(event.phase_seconds, event.phase_counts)
         self._changed()
 
@@ -225,7 +223,7 @@ class CampaignTelemetry:
             "queue_depth": self.queue_depth,
             "tasks_started": self.tasks_started,
             "tasks_finished": self.tasks_finished,
-            "tasks_active": sorted(self.active),
+            "tasks_active": sorted(task for _, task in self.active),
             "counters": dict(sorted(self.counters.items())),
             "rates": rates,
             "phase_seconds": {

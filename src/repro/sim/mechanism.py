@@ -12,9 +12,13 @@ checkpointing with ACR (paper Fig. 4a/4b):
 
 It knows nothing of time or energy: the simulator layers caches,
 stalls, energy and observability on top of it, and the fault-injection
-harness drives it on a step grid and diffs its memory.  The vector
-engine's replay loop is the one other copy of :meth:`on_store`, inlined
-over this object's state for unobserved runs (DESIGN §4.1).
+harness drives it on a step grid and diffs its memory.  The harness
+calls :meth:`on_store` per store; the simulator's timed steppers test
+the log bit inline and call :meth:`first_write` and the handler's
+``on_store`` themselves, so a run's log observer and handler tracer see
+every first write either way.  The vector engine's replay loop is the
+one inlined copy of the whole protocol, over this object's state, for
+unobserved runs (DESIGN §4.1).
 """
 
 from __future__ import annotations
@@ -81,33 +85,43 @@ class Mechanism:
         """One dynamic store, after its memory write.
 
         The directory's log bit marks the interval's first write to the
-        word.  Its old value is then omitted when the handler holds a
-        committed association for it, and logged otherwise.  Every store
-        then reaches the handler: a covered store records its operand
+        word, which :meth:`first_write` handles.  Every store then
+        reaches the handler: a covered store records its operand
         snapshot (ASSOC-ADDR), a plain one masks the address.  Returns
         :data:`LOGGED` and :data:`ASSOCIATED` flags, so a timing model
-        can charge the log write and then the ASSOC-ADDR slot.
+        can charge the log write and then the ASSOC-ADDR slot.  The
+        simulator's timed steppers make the same three steps inline.
         """
         core = ev.thread
         address = ev.address
-        handler = self.handler
         charged = 0
-        if not self.directory.test_and_set_log(address):
-            entry = None if handler is None else handler.may_omit(core, address)
-            log = self.store.current_log
-            if entry is not None:
-                rec = log.add_omitted(address, entry, core, ev.old_value)
-            else:
-                rec = log.add_record(address, ev.old_value, core)
-                charged = LOGGED
-            if self._log_observer is not None:
-                self._log_observer(rec, entry is not None)
+        if not self.directory.test_and_set_log(address) and self.first_write(
+            core, address, ev.old_value
+        ):
+            charged = LOGGED
+        handler = self.handler
         if (
             handler is not None
             and handler.on_store(core, ev.site, address, ev.regs) is _RECORDED
         ):
             charged |= ASSOCIATED
         return charged
+
+    def first_write(self, core: int, address: int, old: int) -> bool:
+        """The interval's first write to ``address``, whose log bit was
+        just set: its ``old`` value is omitted when the handler holds a
+        committed association for it, and logged otherwise.  Returns
+        True when it was logged."""
+        handler = self.handler
+        entry = None if handler is None else handler.may_omit(core, address)
+        log = self.store.current_log
+        if entry is not None:
+            rec = log.add_omitted(address, entry, core, old)
+        else:
+            rec = log.add_record(address, old, core)
+        if self._log_observer is not None:
+            self._log_observer(rec, entry is not None)
+        return entry is None
 
     # -- boundaries ----------------------------------------------------------
     def establish(self, useful_ns: float, wall_ns: float) -> None:

@@ -5,7 +5,9 @@ image, interleaving functional interpretation with the machine's timing
 and energy models:
 
 * every load/store walks the per-core cache hierarchy (stalls charged to
-  the core's *useful* clock — the baseline pays them too);
+  the core's *useful* clock — the baseline pays them too), inlined in
+  each kernel shape's timed stepper (:class:`~repro.isa.interpreter
+  .StepTiming`);
 * under a checkpointing scheme, the directory's log bit identifies the
   first modification of each word per interval; its old value is logged
   (a bandwidth stall, charged to the core's *overhead* clock) unless the
@@ -45,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
+from repro.acr.handlers import AssocOutcome
 from repro.arch.config import MachineConfig
 from repro.ckpt.coordinator import (
     CheckpointCostModel,
@@ -60,7 +63,7 @@ from repro.energy.model import EnergyModel
 from repro.errors.detection import choose_safe_checkpoint
 from repro.errors.injection import ErrorSchedule, NoErrors
 from repro.errors.model import ErrorModel, ErrorOccurrence
-from repro.isa.interpreter import Interpreter, LoadEvent, StoreEvent
+from repro.isa.interpreter import Interpreter, StepTiming
 from repro.isa.program import Program
 from repro.obs.events import (
     CheckpointBegin,
@@ -75,7 +78,7 @@ from repro.obs.telemetry import emit as _telemetry_mod
 from repro.obs.telemetry import profile as _profile
 from repro.obs.tracer import TeeTracer, Tracer
 from repro.sim.machine import Machine
-from repro.sim.mechanism import ASSOCIATED, LOGGED, Mechanism
+from repro.sim.mechanism import Mechanism
 from repro.sim.vector.engine import VectorCoreRunner
 from repro.sim.results import (
     BaselineProfile,
@@ -136,10 +139,12 @@ class SimulationOptions:
     baseline: Optional[BaselineProfile] = None
     memory_seed: int = 0
     chunk_iterations: int = 64
-    #: Execution engine: ``"interp"`` (classic interpreter) or
-    #: ``"vector"`` (plan-replay engine, bit-identical results).  Runs
-    #: with observability attached always use the classic loop — the
-    #: tracer needs per-access events the vector engine never creates.
+    #: Execution engine: ``"interp"`` (each kernel shape's generated
+    #: timed stepper) or ``"vector"`` (plan replay, bit-identical
+    #: results).  Runs with observability attached always use the timed
+    #: steppers: they reach the mechanism through ``first_write`` and
+    #: the handler, whose log observer and tracer emit the run's events,
+    #: while the vector replay inlines the protocol unobserved.
     engine: str = "interp"
     #: Custom boundary times on the useful-time axis (ns, ascending, last
     #: one at the baseline's useful end).  ``None`` = uniform placement.
@@ -288,7 +293,6 @@ class _Run:
             directory=self.machine.directory,
             log_observer=self._on_log_append if observing else None,
         )
-        self._mech_on_store = self.mech.on_store
         self.cost_model = CheckpointCostModel(
             self.config, self.machine.noc, self.machine.memsys, self.energy
         )
@@ -304,7 +308,7 @@ class _Run:
         # Per-core clocks (ns).
         self.useful = [0.0] * n
         self.overhead = [0.0] * n
-        # Stall accumulators filled by the observers, drained per chunk.
+        # Stall accumulators filled by the steppers, drained per chunk.
         self._pending_useful = [0.0] * n
         self._pending_overhead = [0.0] * n
 
@@ -332,18 +336,16 @@ class _Run:
         self._line_bytes = self.config.line_bytes
         self._cycle_ns = self.config.cycle_ns
 
-        self.interpreters = [
-            Interpreter(
-                prog, self.machine.memory, on_load=self._on_load,
-                on_store=self._on_store,
-            )
-            for prog in self.programs
-        ]
         self.timing = self.machine.timing
+        self.interpreters = [
+            Interpreter(prog, self.machine.memory,
+                        timing=self._step_timing(core, observing))
+            for core, prog in enumerate(self.programs)
+        ]
 
         # Engine dispatch: the vector engine drives each core from trace
-        # plans, falling back to the classic interpreter (observers and
-        # all) segment by segment.  Observed runs stay fully classic.
+        # plans, falling back to the timed interpreter segment by
+        # segment.  Observed runs run the timed interpreters alone.
         if options.engine == "vector" and not observing:
             self.engines: Sequence = [
                 VectorCoreRunner(self, core) for core in range(n)
@@ -377,28 +379,27 @@ class _Run:
             taken=not omitted,
         ))
 
-    def _on_load(self, ev: LoadEvent) -> None:
-        core = ev.thread
-        access = self.machine.hierarchies[core].access(ev.address, False)
-        self._pending_useful[core] += self.timing.stall_time_ns(access)
-        self.machine.directory.record_access(core, ev.address // self._line_bytes)
-
-    def _on_store(self, ev: StoreEvent) -> None:
-        core = ev.thread
-        access = self.machine.hierarchies[core].access(ev.address, True)
-        self._pending_useful[core] += self.timing.stall_time_ns(access)
-        self.machine.directory.record_access(core, ev.address // self._line_bytes)
-
-        if self.ckpt_enabled:
-            charged = self._mech_on_store(ev)
-            if charged:
-                # The log write's bandwidth stall, then ASSOC-ADDR's extra
-                # instruction slot + AddrMap write, in this order (float
-                # addition is not associative).
-                if charged & LOGGED:
-                    self._pending_overhead[core] += self._log_stall_ns
-                if charged & ASSOCIATED:
-                    self._pending_overhead[core] += self._cycle_ns
+    def _step_timing(self, core: int, observing: bool) -> StepTiming:
+        """What ``core``'s timed steppers bind of this run's machine."""
+        hier = self.machine.hierarchies[core]
+        directory = self.machine.directory
+        toucher, edges = (
+            directory.comm_state() if self.options.scheme == "local"
+            else (None, None)
+        )
+        handler = self.mech.handler
+        l2_stall, mem_stall = self.timing.miss_stalls_ns()
+        return StepTiming(
+            hier.l1d, *hier.l1d.internal_state(),
+            hier.l2, *hier.l2.internal_state(),
+            hier, self._line_bytes, l2_stall, mem_stall, toucher, edges,
+            directory.log_bit_set() if self.ckpt_enabled else None,
+            self.mech.first_write if self.ckpt_enabled else None,
+            self._log_stall_ns,
+            handler.on_store if handler is not None else None,
+            AssocOutcome.RECORDED, self._cycle_ns,
+            self._pending_useful, self._pending_overhead, observing,
+        )
 
     # ------------------------------------------------------------- execution --
     def _run_core_to(self, core: int, target_useful_ns: float) -> None:

@@ -1,18 +1,21 @@
 """The simulator-side vector engine: plan replay with inlined accounting.
 
 A :class:`VectorCoreRunner` is a drop-in replacement for one core's
-:class:`~repro.isa.interpreter.Interpreter` inside ``_Run._run_core_to``:
-it exposes the same ``done`` / ``step_iterations`` surface but advances
-the core by replaying precomputed :class:`~repro.sim.vector.plans
-.KernelPlan` trace segments through one allocation-free loop that fuses
-what the classic path spreads over the interpreter's steppers, the
-load/store observer callbacks, the per-access event dataclasses and the
-cache/directory/handler method stack.  It is the one other copy of
-:meth:`~repro.sim.mechanism.Mechanism.on_store` (log bits, log appends,
-AddrMap lookups and records, operand-buffer reservations), inlined over
-the mechanism's state; ``_Run`` builds runners only for unobserved runs.
+timed :class:`~repro.isa.interpreter.Interpreter` inside
+``_Run._run_core_to``: it exposes the same ``done`` / ``step_iterations``
+surface but advances the core by replaying precomputed
+:class:`~repro.sim.vector.plans.KernelPlan` trace segments through one
+allocation-free loop.  Where a shape's generated timed stepper computes
+values and calls :meth:`~repro.sim.mechanism.Mechanism.first_write` and
+the ACR handler, the replay reads values from the plan and inlines the
+whole store protocol over the mechanism's state (log bits, log appends,
+AddrMap lookups and records, operand-buffer reservations): it is the
+one inlined copy of :meth:`~repro.sim.mechanism.Mechanism.on_store`,
+and ``_Run`` builds runners only for unobserved runs.  The cache
+lookups, stalls and communication tracking are the timed stepper's,
+written out once more over the same set lists.
 Pure counters batch per call: integer counter updates commute with the
-classic path, so only the *float* stall accumulators need the
+timed steppers', so only the *float* stall accumulators need the
 flush/refetch dance around interpreter fallbacks.
 
 Bit-identity rules (conservative fallback to the classic interpreter
@@ -37,12 +40,12 @@ falls back never certifies.  A SAFE certificate proves every check above
 passes, so a fallback charged ``"unknown"`` marks a certifier soundness
 bug.
 
-Floating-point identity: stall constants are precomputed with exactly
-the expression shape of
-:meth:`~repro.arch.core.CoreTimingModel.stall_time_ns` (``(l1+l2) - l1``
-— float addition is not associative, so the "simplified" ``l2`` constant
-would differ in the last bit), and stalls accumulate in the same
-left-to-right order the observer callbacks used (L1 hits contribute an
+Floating-point identity: the stall constants are
+:meth:`~repro.arch.core.CoreTimingModel.miss_stalls_ns`, in the
+expression shape of ``stall_time_ns`` (``(l1+l2) - l1`` — float
+addition is not associative, so the "simplified" ``l2`` constant would
+differ in the last bit), and stalls accumulate in the same
+left-to-right order as in the timed stepper (L1 hits contribute an
 exact ``0.0`` and are skipped — ``x + 0.0 == x`` for the non-negative
 accumulator).
 """
@@ -103,15 +106,7 @@ class VectorCoreRunner:
         #: True while the classic interpreter's position matches ours.
         self._synced = True
 
-        cfg = run.config
-        l1 = cfg.l1d.latency_ns
-        l2 = cfg.l2.latency_ns
-        mem = cfg.mem_latency_ns
-        mlp = cfg.mlp
-        # Same expression shape as CoreTimingModel.stall_time_ns:
-        # (total latency) - l1, then / mlp — NOT algebraically simplified.
-        self._l2_stall = ((l1 + l2) - l1) / mlp
-        self._mem_stall = ((l1 + l2 + mem) - l1) / mlp
+        self._l2_stall, self._mem_stall = run.timing.miss_stalls_ns()
         self._track_comm = run.options.scheme == "local"
 
         hier = run.machine.hierarchies[core]

@@ -45,14 +45,14 @@ class TestFrameFolding:
         tele = CampaignTelemetry()
         tele.on_event(*_started(), worker=2)
         assert tele.tasks_started == 1
-        assert tele.active["bt/Ckpt_E"]["worker"] == 2
-        assert tele.active["bt/Ckpt_E"]["pid"] == 7
-        tele.on_event(*_beat(interval=3))
-        assert tele.active["bt/Ckpt_E"]["interval"] == 3
+        assert list(tele.active) == [(2, "bt/Ckpt_E")]
+        assert tele.active[(2, "bt/Ckpt_E")]["pid"] == 7
+        tele.on_event(*_beat(interval=3), worker=2)
+        assert tele.active[(2, "bt/Ckpt_E")]["interval"] == 3
         tele.on_event("bt/Ckpt_E", PhaseChanged(ts_ns=1.2, core=MACHINE,
-                                                phase="simulate"))
-        assert tele.active["bt/Ckpt_E"]["phase"] == "simulate"
-        tele.on_event(*_finished())
+                                                phase="simulate"), worker=2)
+        assert tele.active[(2, "bt/Ckpt_E")]["phase"] == "simulate"
+        tele.on_event(*_finished(), worker=2)
         assert tele.tasks_finished == 1
         assert tele.tasks_failed == 0
         assert tele.active == {}
@@ -99,6 +99,20 @@ class TestFrameFolding:
         assert tele.malformed == 0
         assert tele.counters["instructions"] == 300 + 3000
 
+    def test_same_label_workers_stay_active_apart(self):
+        # Two workers running one ``workload/config`` label: the first
+        # to finish must leave the other's task active.
+        tele = CampaignTelemetry()
+        for worker in (0, 1):
+            tele.on_frame_dict(frame_dict(*_started(task="cg/Ckpt_E")),
+                               worker=worker)
+        assert tele.snapshot()["tasks_active"] == ["cg/Ckpt_E", "cg/Ckpt_E"]
+        tele.on_frame_dict(frame_dict(*_finished(task="cg/Ckpt_E")),
+                           worker=0)
+        assert tele.malformed == 0
+        assert list(tele.active) == [(1, "cg/Ckpt_E")]
+        assert tele.snapshot()["tasks_active"] == ["cg/Ckpt_E"]
+
     def test_metrics_delta_folds_counters(self):
         tele = CampaignTelemetry()
         tele.on_event(*_end(interval=0, logged_records=5))
@@ -132,7 +146,7 @@ class TestFrameFolding:
         assert tele.frames == 0
         tele.on_frame_dict(doc, worker=1)
         assert tele.frames == 1
-        assert tele.active["bt/Ckpt_E"]["worker"] == 1
+        assert list(tele.active) == [(1, "bt/Ckpt_E")]
 
     def test_subscriber_exceptions_are_swallowed(self):
         tele = CampaignTelemetry()

@@ -17,7 +17,7 @@ def _telemetry():
     tele = CampaignTelemetry()
     tele.on_event("bt/Ckpt_E", TaskStarted(ts_ns=1.0, core=MACHINE, pid=7),
                   worker=0)
-    tele.on_event("bt/Ckpt_E", _beat(2, 5000))
+    tele.on_event("bt/Ckpt_E", _beat(2, 5000), worker=0)
     tele.update_pool(workers=2, busy=1, queue_depth=3)
     return tele
 
