@@ -206,14 +206,16 @@ class AcrCheckpointHandler:
         Commits every core's open generation and releases the operand
         buffer words of the generation that ages out of retention.
         """
-        for core, addrmap in enumerate(self.addrmaps):
+        for addrmap, gens, buffer in zip(
+            self.addrmaps, self._gen_words, self.operand_buffers
+        ):
             addrmap.commit_generation()
-            gens = self._gen_words[core]
             gens.append(0)
             # open + 2 committed generations stay live.
             while len(gens) > 3:
                 expired = gens.pop(0)
-                self.operand_buffers[core].release(expired)
+                if expired:
+                    buffer.release(expired)
 
 
 class AcrRecoveryHandler:

@@ -175,12 +175,16 @@ class AddrMap:
         """Checkpoint established: commit the open generation.
 
         Keeps the two youngest committed generations (matching the
-        two-checkpoint retention of the underlying BER scheme).
+        two-checkpoint retention of the underlying BER scheme).  An
+        expired generation that recorded nothing opens as the next one,
+        so an interval without stores allocates nothing.
         """
-        self._committed.append(self._open)
-        self._open = _Generation()
-        if len(self._committed) > 2:
-            self._committed.pop(0)
+        committed = self._committed
+        committed.append(self._open)
+        expired = committed.pop(0) if len(committed) > 2 else None
+        if expired is None or expired.entries or expired.tombstones:
+            expired = _Generation()
+        self._open = expired
 
     def entries_for_checkpoint(self, generations_back: int = 1) -> List[AddrMapEntry]:
         """Entries recorded in a retained generation (1 = youngest)."""

@@ -126,6 +126,8 @@ class Directory:
         Cores with no recorded interaction form singleton clusters; the
         union of all clusters is always the full core set.
         """
+        if not self._edges:
+            return [frozenset((core,)) for core in range(self.num_cores)]
         uf = _UnionFind(self.num_cores)
         for a, b in self._edges:
             uf.union(a, b)

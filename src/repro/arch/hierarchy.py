@@ -35,6 +35,9 @@ class CoreCacheHierarchy:
         self.config = config
         self.l1d = SetAssociativeCache(config.l1d)
         self.l2 = SetAssociativeCache(config.l2)
+        # The live dirty sets (cleared in place, never rebound).
+        self._l1_dirty = self.l1d.internal_state()[3]
+        self._l2_dirty = self.l2.internal_state()[3]
         self.memory_accesses = 0
         self.writebacks = 0
 
@@ -76,6 +79,8 @@ class CoreCacheHierarchy:
         in both is counted once — L1 dirty implies the L2 copy is stale and
         only one line's worth of data goes to memory).
         """
+        if not (self._l1_dirty or self._l2_dirty):
+            return 0
         flushed = set(self.l1d.flush_dirty())
         flushed.update(self.l2.flush_dirty())
         self.writebacks += len(flushed)

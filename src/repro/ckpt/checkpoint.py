@@ -4,8 +4,9 @@ A checkpoint ``k`` is *established* at the end of interval ``k``; rolling
 back from a point inside interval ``m`` to checkpoint ``j < m`` applies the
 (possibly partial) log of interval ``m`` plus the full logs of intervals
 ``m−1 … j+1``, oldest-applied-last.  With detection latency bounded by the
-period, two retained checkpoints suffice (paper §II-A) — the store prunes
-log payloads beyond that horizon but keeps size metadata for statistics.
+period, two retained checkpoints suffice (paper §II-A) — the store clears
+each log payload as it leaves that horizon but keeps size metadata for
+statistics.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ __all__ = ["Checkpoint", "CheckpointStore", "RETAINED_CHECKPOINTS"]
 RETAINED_CHECKPOINTS = 2
 
 
-@dataclass(frozen=True)
+@dataclass
 class Checkpoint:
     """Metadata of one established checkpoint.
 
-    ``log`` is the interval log whose records restore memory *from this
-    checkpoint's successor state back to this checkpoint*... precisely: it
-    is the log of the interval that *ended* at this checkpoint; undoing a
-    younger interval needs the younger interval's log.  ``data_bytes`` /
-    ``omitted_bytes`` snapshot the sizes for statistics even after the log
-    payload is pruned.
+    ``log`` is the log of the interval that *ended* at this checkpoint:
+    its records hold the values live at the previous checkpoint, so
+    applying it undoes that interval (undoing a younger interval needs
+    the younger interval's log).  ``data_bytes`` / ``omitted_bytes``
+    snapshot the sizes for statistics even after the log payload is
+    pruned.  Treat a checkpoint as read-only once established.
     """
 
     index: int
@@ -75,14 +76,9 @@ class CheckpointStore:
         n_cores = self.num_cores if participants is None else len(participants)
         log = self.current_log
         ckpt = Checkpoint(
-            index=len(self.checkpoints),
-            useful_ns=useful_ns,
-            wall_ns=wall_ns,
-            arch_bytes=self.arch_bytes_per_core * n_cores,
-            participants=participants,
-            log=log,
-            data_bytes=log.logged_bytes,
-            omitted_bytes=log.omitted_bytes,
+            len(self.checkpoints), useful_ns, wall_ns,
+            self.arch_bytes_per_core * n_cores, participants, log,
+            log.logged_bytes, log.omitted_bytes,
         )
         self.checkpoints.append(ckpt)
         self.current_log = IntervalLog(len(self.checkpoints))
@@ -90,15 +86,20 @@ class CheckpointStore:
         return ckpt
 
     def _prune(self) -> None:
-        """Drop log payloads older than the retention horizon.
+        """Drop the log payload that just left the retention window.
 
         The payload of checkpoint ``k``'s log is needed to roll back *to*
         checkpoint ``k−1``; retaining two checkpoints therefore keeps the
-        logs of the two most recent completed intervals.
+        logs of the two most recent completed intervals.  Each
+        establishment pushes exactly one log out of that window, and
+        every older one was cleared when it left, so one clear per
+        boundary keeps the invariant: only the two youngest completed
+        logs hold payloads.
         """
-        for ckpt in self.checkpoints[:-RETAINED_CHECKPOINTS]:
-            ckpt.log.records.clear()
-            ckpt.log.omitted.clear()
+        if len(self.checkpoints) > RETAINED_CHECKPOINTS:
+            log = self.checkpoints[-RETAINED_CHECKPOINTS - 1].log
+            log.records.clear()
+            log.omitted.clear()
 
     # -- rollback ---------------------------------------------------------------
     def logs_to_rollback(self, safe_index: int) -> List[IntervalLog]:

@@ -9,22 +9,26 @@ boundary comprises
   (bandwidth-limited through the participants' memory controllers), and
 * writing each participant's architectural state.
 
+The barrier and the architectural state depend only on the participant
+set and are priced once per set; the flush is priced per boundary from
+the dirty lines each controller streams.
+
 Under **global** coordination all cores participate in every boundary and
 contend for all controllers simultaneously.  Under **local** coordination
 only the cores of one communicating cluster synchronize; clusters take
-their checkpoints *staggered*, so a cluster's flush traffic contends only
-with itself — the two effects (smaller barrier, less controller contention)
-are exactly the scalability advantages §V-E attributes to local schemes.
+their checkpoints *staggered*, so each cluster is priced alone and its
+flush traffic contends only with itself — the two effects (smaller
+barrier, less controller contention) are exactly the scalability
+advantages §V-E attributes to local schemes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.arch.hierarchy import CoreCacheHierarchy
-from repro.arch.memctrl import MemorySystem
+from repro.arch.memctrl import MemoryController, MemorySystem
 from repro.arch.noc import MeshNoc
 from repro.energy.accounting import EnergyLedger
 from repro.energy.model import EnergyModel
@@ -51,8 +55,7 @@ def uniform_boundaries(total_useful_ns: float, num_checkpoints: int) -> List[flo
     return [step * k for k in range(1, num_checkpoints + 1)]
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryCost:
+class BoundaryCost(NamedTuple):
     """Time/traffic breakdown of one checkpoint boundary for one cluster."""
 
     barrier_ns: float
@@ -68,8 +71,32 @@ class BoundaryCost:
         return self.barrier_ns + self.flush_ns + self.arch_ns
 
 
+class _ClusterConstants(NamedTuple):
+    """The part of a cluster's boundary cost that depends only on who
+    participates: priced once per participant tuple."""
+
+    barrier_ns: float
+    barrier_pj: float
+    arch_bytes: int
+    arch_ns: float
+    arch_dram_pj: float
+    arch_regfile_pj: float
+    #: ``(controller, cores behind it)`` in first-participant order.
+    flush_groups: Tuple[Tuple[MemoryController, Tuple[int, ...]], ...]
+    #: ``(controller, arch-state bytes it streams)``, non-zero only.
+    arch_transfers: Tuple[Tuple[MemoryController, int], ...]
+
+
 class CheckpointCostModel:
-    """Computes boundary costs from live machine state."""
+    """Computes boundary costs from live machine state.
+
+    A boundary's barrier, architectural-state transfer and their energy
+    depend only on the participant set, so each set is priced once, by
+    its first boundary through the counting NoC and controller calls;
+    later boundaries of the set replay those counter updates.  What is
+    left per boundary is the flush, in time and energy proportional to
+    the dirty lines it writes back.
+    """
 
     def __init__(
         self,
@@ -82,6 +109,40 @@ class CheckpointCostModel:
         self.noc = noc
         self.memsys = memsys
         self.energy = energy
+        self._line_bytes = config.line_bytes
+        self._constants: Dict[Tuple[int, ...], _ClusterConstants] = {}
+
+    def _price(self, participants: Tuple[int, ...]) -> _ClusterConstants:
+        """Constants of ``participants``' boundary, counted as this
+        boundary's own barrier and architectural-state transfer."""
+        cfg = self.config
+        energy = self.energy
+        memsys = self.memsys
+        n = len(participants)
+        groups: Dict[int, List[int]] = {}
+        for core in participants:
+            groups.setdefault(memsys.controller_for_core(core).index, []).append(core)
+        arch_bytes = cfg.arch_state_bytes * n
+        hops = self.noc.diameter_hops(n)
+        return _ClusterConstants(
+            barrier_ns=self.noc.barrier_latency_ns(n),
+            barrier_pj=2 * hops * n * energy.noc_hop_pj,
+            arch_bytes=arch_bytes,
+            arch_ns=memsys.bulk_transfer_time_ns(
+                {core: cfg.arch_state_bytes for core in participants}
+            ),
+            arch_dram_pj=energy.dram_transfer_pj(arch_bytes),
+            arch_regfile_pj=(arch_bytes / 8) * energy.regfile_access_pj,
+            flush_groups=tuple(
+                (memsys.controllers[index], tuple(cores))
+                for index, cores in groups.items()
+            ),
+            arch_transfers=tuple(
+                (memsys.controllers[index], cfg.arch_state_bytes * len(cores))
+                for index, cores in groups.items()
+                if cfg.arch_state_bytes
+            ),
+        )
 
     def boundary_cost(
         self,
@@ -91,44 +152,40 @@ class CheckpointCostModel:
     ) -> BoundaryCost:
         """Cost of one boundary for ``participants``; flushes their caches.
 
-        Mutates cache state (dirty lines become clean) and accumulates the
+        Mutates cache state (dirty lines become clean), counts the
+        barrier and the controllers' traffic, and accumulates the
         boundary's energy into ``ledger``.
         """
-        cfg = self.config
-        barrier_ns = self.noc.barrier_latency_ns(len(participants))
+        key = tuple(participants)
+        const = self._constants.get(key)
+        if const is None:
+            const = self._constants[key] = self._price(key)
+        else:
+            self.noc.barriers += 1
+            for ctrl, num_bytes in const.arch_transfers:
+                ctrl.bytes_transferred += num_bytes
 
-        flush_bytes_per_core: Dict[int, int] = {}
+        # The flush streams each controller's share of the dirty lines;
+        # it completes when the slowest controller drains.
+        line_bytes = self._line_bytes
         flushed_lines = 0
-        for core in participants:
-            lines = hierarchies[core].flush_dirty_lines()
-            flushed_lines += lines
-            flush_bytes_per_core[core] = lines * cfg.line_bytes
-        flushed_bytes = flushed_lines * cfg.line_bytes
-        flush_ns = self.memsys.bulk_transfer_time_ns(flush_bytes_per_core)
-
-        arch_bytes = cfg.arch_state_bytes * len(participants)
-        arch_ns = self.memsys.bulk_transfer_time_ns(
-            {core: cfg.arch_state_bytes for core in participants}
-        )
+        flush_ns = 0.0
+        for ctrl, cores in const.flush_groups:
+            lines = 0
+            for core in cores:
+                lines += hierarchies[core].flush_dirty_lines()
+            if lines:
+                flushed_lines += lines
+                flush_ns = max(flush_ns, ctrl.transfer_time_ns(lines * line_bytes))
+        flushed_bytes = flushed_lines * line_bytes
 
         ledger.add("ckpt.flush", self.energy.dram_transfer_pj(flushed_bytes))
-        ledger.add("ckpt.arch", self.energy.dram_transfer_pj(arch_bytes))
-        ledger.add(
-            "ckpt.arch",
-            (arch_bytes / 8) * self.energy.regfile_access_pj,
-        )
-        hops = self.noc.diameter_hops(len(participants))
-        ledger.add(
-            "ckpt.barrier",
-            2 * hops * len(participants) * self.energy.noc_hop_pj,
-        )
+        ledger.add("ckpt.arch", const.arch_dram_pj)
+        ledger.add("ckpt.arch", const.arch_regfile_pj)
+        ledger.add("ckpt.barrier", const.barrier_pj)
         return BoundaryCost(
-            barrier_ns=barrier_ns,
-            flush_ns=flush_ns,
-            arch_ns=arch_ns,
-            flushed_lines=flushed_lines,
-            flushed_bytes=flushed_bytes,
-            arch_bytes=arch_bytes,
+            const.barrier_ns, flush_ns, const.arch_ns,
+            flushed_lines, flushed_bytes, const.arch_bytes,
         )
 
 
@@ -139,24 +196,19 @@ class GlobalCoordinator:
 
     def __init__(self, num_cores: int) -> None:
         self.num_cores = num_cores
+        self._clusters = [frozenset(range(num_cores))]
 
     def clusters(self, directory) -> List[FrozenSet[int]]:
-        """One cluster spanning every core."""
-        return [frozenset(range(self.num_cores))]
-
-    def contention_groups(
-        self, clusters: List[FrozenSet[int]]
-    ) -> List[List[FrozenSet[int]]]:
-        """All clusters flush simultaneously (a single contention group)."""
-        return [clusters]
+        """One cluster spanning every core (the same list every time)."""
+        return self._clusters
 
 
 class LocalCoordinator:
     """Coordinated local checkpointing: clusters from directory tracking.
 
     Clusters are the communicating-core groups the directory observed in
-    the closing interval.  Staggered establishment means each cluster's
-    flush traffic only contends with itself (its own contention group).
+    the closing interval.  Each cluster checkpoints on its own
+    (staggered), so it is priced alone.
     """
 
     scheme = "local"
@@ -167,9 +219,3 @@ class LocalCoordinator:
     def clusters(self, directory) -> List[FrozenSet[int]]:
         """The directory's communicating clusters for this interval."""
         return directory.communication_groups()
-
-    def contention_groups(
-        self, clusters: List[FrozenSet[int]]
-    ) -> List[List[FrozenSet[int]]]:
-        """Each cluster checkpoints on its own (staggered)."""
-        return [[c] for c in clusters]

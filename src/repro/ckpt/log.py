@@ -56,6 +56,8 @@ class OmittedRecord:
 class IntervalLog:
     """Log of one checkpoint interval."""
 
+    __slots__ = ("interval_index", "records", "omitted")
+
     def __init__(self, interval_index: int) -> None:
         self.interval_index = interval_index
         self.records: List[LogRecord] = []

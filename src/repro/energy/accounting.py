@@ -25,8 +25,10 @@ class EnergyLedger:
 
     def add(self, bucket: str, pj: float) -> None:
         """Accumulate ``pj`` picojoules into ``bucket``."""
-        check_non_negative("pj", pj)
-        self._buckets[bucket] = self._buckets.get(bucket, 0.0) + pj
+        if pj < 0:
+            check_non_negative("pj", pj)
+        buckets = self._buckets
+        buckets[bucket] = buckets.get(bucket, 0.0) + pj
 
     def get(self, bucket: str) -> float:
         """Energy in one bucket (0 when absent)."""

@@ -29,7 +29,9 @@ from repro.acr.handlers import AcrCheckpointHandler, AssocOutcome
 from repro.arch.buffers import AddrMapEntry, make_generation
 from repro.arch.config import MachineConfig
 from repro.arch.directory import Directory
-from repro.ckpt.checkpoint import Checkpoint, CheckpointStore
+from repro.ckpt.checkpoint import (
+    RETAINED_CHECKPOINTS, Checkpoint, CheckpointStore,
+)
 from repro.ckpt.log import IntervalLog, LogRecord, OmittedRecord
 from repro.ckpt.recovery import RecoveryEngine
 from repro.compiler.slices import SliceTable
@@ -244,7 +246,10 @@ class Mechanism:
         The mechanism must have been built from the recipe the snapshot
         was captured under: Slices are *rehydrated* from this
         mechanism's slice tables, never deserialized.  Raises
-        :class:`SnapshotError` when the snapshot does not fit.
+        :class:`SnapshotError` when the snapshot does not fit, including
+        when a checkpoint older than the retention window still carries
+        log records or omissions (the store clears each log as it leaves
+        the window, and never again).
         """
         if snap.memory_seed != self.memory.seed:
             raise SnapshotError(
@@ -289,6 +294,12 @@ class Mechanism:
             )
             return log
 
+        for doc in snap.checkpoints[:-RETAINED_CHECKPOINTS]:
+            if doc["log"]["records"] or doc["log"]["omitted"]:
+                raise SnapshotError(
+                    f"checkpoint {doc['index']} is beyond the retention "
+                    f"window but its log still holds a payload"
+                )
         self.memory.restore({a: v for a, v in snap.memory_words})
         self.store.checkpoints = [
             Checkpoint(**dict(d, log=build_log(d["log"]), participants=(

@@ -130,8 +130,16 @@ class StatsTable(Generic[R]):
     def from_rows(cls, row_type: Type[R], rows: Iterable[R]) -> "StatsTable[R]":
         """The table holding ``rows``, in order."""
         names = field_names(row_type)
-        columns = tuple(zip(*map(operator.attrgetter(*names), rows)))
-        return cls(row_type, columns or ((),) * len(names))
+        return cls.from_tuples(row_type,
+                               map(operator.attrgetter(*names), rows))
+
+    @classmethod
+    def from_tuples(cls, row_type: Type[R],
+                    rows: Iterable[tuple]) -> "StatsTable[R]":
+        """The table holding ``rows``, each a plain tuple of
+        ``row_type``'s field values in declaration order."""
+        columns = tuple(zip(*rows))
+        return cls(row_type, columns or ((),) * len(field_names(row_type)))
 
     @classmethod
     def from_columns(cls, row_type: Type[R], doc: Any) -> "StatsTable[R]":

@@ -44,6 +44,7 @@ by the integration tests and the fault-injection harness, which call
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -319,8 +320,9 @@ class _Run:
         self.n_stores = 0
         self.n_assoc = 0
 
-        # Per-interval bookkeeping.
-        self.intervals: List[IntervalStats] = []
+        # Per-interval bookkeeping: IntervalStats rows as plain tuples,
+        # turned into the result's columns once, by _finish_impl.
+        self._iv_rows: List[tuple] = []
         self.recoveries: List[RecoveryStats] = []
         self._flushed_lines_total = 0
 
@@ -332,6 +334,15 @@ class _Run:
         self._log_traffic_bytes = LOG_RECORD_BYTES + 8
         self._log_stall_ns = (
             self._log_traffic_bytes * self.config.cores_per_controller / bw * 1e9
+        )
+        # Boundary energy per logged record (old-value read plus record
+        # append) and per omitted one (AddrMap access plus handler op).
+        self._log_record_pj = (
+            self.energy.dram_transfer_pj(self._log_traffic_bytes)
+            + self.energy.handler_op_pj
+        )
+        self._omit_record_pj = (
+            self.energy.addrmap_access_pj + self.energy.handler_op_pj
         )
         self._line_bytes = self.config.line_bytes
         self._cycle_ns = self.config.cycle_ns
@@ -425,22 +436,27 @@ class _Run:
 
     # ------------------------------------------------------------- boundaries --
     def _do_checkpoint(self, useful_mark_ns: float) -> None:
-        """Establish a checkpoint at the current point."""
-        n = self.config.num_cores
+        """Establish a checkpoint at the current point.
+
+        Costs the boundary's constant charges plus work proportional to
+        the closing interval's dirty lines, log records and
+        communication edges.
+        """
+        useful = self.useful
+        overhead = self.overhead
         clusters = self.coordinator.clusters(self.machine.directory)
         handler = self.mech.handler
         log = self.mech.store.current_log
+        ledger = self.machine.ledger
 
-        index = len(self.intervals)
+        index = len(self._iv_rows)
         trace = self.trace
         # The boundary's events go to the run's sink and, with telemetry
         # on, to the ambient one (the campaign's heartbeat).
         announce = trace is not None or self._telemetry
         wall_before = 0.0
         if announce:
-            wall_before = max(
-                self.useful[c] + self.overhead[c] for c in range(n)
-            )
+            wall_before = max(map(add, useful, overhead))
             if trace is not None:
                 trace.emit(CheckpointBegin(
                     ts_ns=wall_before, core=-1, index=index,
@@ -451,54 +467,40 @@ class _Run:
         cluster_flushed: List[int] = []
         cluster_barrier: List[float] = []
         for cluster in clusters:
-            members = sorted(cluster)
-            # Implicit barrier: members wait for the slowest member.
-            wall_max = max(self.useful[c] + self.overhead[c] for c in members)
-            for c in members:
-                self.overhead[c] = wall_max - self.useful[c]
+            members = tuple(sorted(cluster))
             cost = self.cost_model.boundary_cost(
-                members, self.machine.hierarchies, self.machine.ledger
+                members, self.machine.hierarchies, ledger
             )
+            total_ns = cost.total_ns
+            # Implicit barrier: members wait for the slowest member, then
+            # pay the boundary.
+            wall_max = max(useful[c] + overhead[c] for c in members)
             for c in members:
-                self.overhead[c] += cost.total_ns
-            boundary_ns_max = max(boundary_ns_max, cost.total_ns)
+                overhead[c] = wall_max - useful[c] + total_ns
+            if total_ns > boundary_ns_max:
+                boundary_ns_max = total_ns
             flushed_bytes += cost.flushed_bytes
             self._flushed_lines_total += cost.flushed_lines
-            cluster_flushed.append(cost.flushed_bytes)
-            cluster_barrier.append(cost.barrier_ns)
+            if announce:
+                cluster_flushed.append(cost.flushed_bytes)
+                cluster_barrier.append(cost.barrier_ns)
 
         # Log energy for the records of the closing interval: old-value
         # read plus record append, both DRAM traffic.
-        self.machine.ledger.add(
-            "ckpt.log",
-            len(log.records)
-            * (
-                self.energy.dram_transfer_pj(self._log_traffic_bytes)
-                + self.energy.handler_op_pj
-            ),
-        )
+        records = len(log.records)
+        omitted = len(log.omitted)
+        ledger.add("ckpt.log", records * self._log_record_pj)
         if handler is not None:
-            self.machine.ledger.add(
-                "acr.omit",
-                len(log.omitted)
-                * (self.energy.addrmap_access_pj + self.energy.handler_op_pj),
-            )
+            ledger.add("acr.omit", omitted * self._omit_record_pj)
 
-        wall_ns = max(self.useful[c] + self.overhead[c] for c in range(n))
-        self.intervals.append(
-            IntervalStats(
-                index=len(self.intervals),
-                useful_ns=useful_mark_ns,
-                logged_records=len(log.records),
-                omitted_records=len(log.omitted),
-                logged_bytes=log.logged_bytes,
-                omitted_bytes=log.omitted_bytes,
-                flushed_bytes=flushed_bytes,
-                boundary_ns=boundary_ns_max,
-                clusters=len(clusters),
-                footprint_bytes=len(self.machine.memory) * 8,
-            )
-        )
+        wall_ns = max(map(add, useful, overhead))
+        logged_bytes = log.logged_bytes
+        # One IntervalStats row, as a plain tuple in field order.
+        self._iv_rows.append((
+            index, useful_mark_ns, records, omitted, logged_bytes,
+            log.omitted_bytes, flushed_bytes, boundary_ns_max,
+            len(clusters), len(self.machine.memory) * 8,
+        ))
         if announce:
             boundary = IntervalBoundary(
                 ts_ns=useful_mark_ns, core=-1, index=index,
@@ -509,9 +511,9 @@ class _Run:
                 core=-1,
                 index=index,
                 duration_ns=wall_ns - wall_before,
-                logged_records=len(log.records),
-                omitted_records=len(log.omitted),
-                logged_bytes=log.logged_bytes,
+                logged_records=records,
+                omitted_records=omitted,
+                logged_bytes=logged_bytes,
                 flushed_bytes=flushed_bytes,
                 boundary_ns=boundary_ns_max,
                 cluster_flushed_bytes=tuple(cluster_flushed),
@@ -750,7 +752,7 @@ class _Run:
             per_core_useful_ns=list(self.useful),
             per_core_overhead_ns=list(self.overhead),
             energy=ledger,
-            intervals=StatsTable.from_rows(IntervalStats, self.intervals),
+            intervals=StatsTable.from_tuples(IntervalStats, self._iv_rows),
             recoveries=StatsTable.from_rows(RecoveryStats, self.recoveries),
             instructions=self.n_instructions,
             alu_ops=self.n_alu,

@@ -91,7 +91,6 @@ class TestCoordinators:
         g = GlobalCoordinator(8)
         clusters = g.clusters(Directory(8))
         assert clusters == [frozenset(range(8))]
-        assert g.contention_groups(clusters) == [clusters]
 
     def test_local_uses_directory_groups(self):
         d = Directory(8)
@@ -100,7 +99,6 @@ class TestCoordinators:
         loc = LocalCoordinator(8)
         clusters = loc.clusters(d)
         assert frozenset({0, 1}) in clusters
-        assert len(loc.contention_groups(clusters)) == len(clusters)
 
     def test_scheme_labels(self):
         assert GlobalCoordinator(4).scheme == "global"

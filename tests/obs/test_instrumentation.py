@@ -91,6 +91,36 @@ class TestDisabledPath:
             assert plain.equivalent(nulled), workload
 
 
+    def test_disabled_run_builds_no_boundary_events(
+        self, sim, baseline, monkeypatch
+    ):
+        """Counted, not timed: with a NullTracer and telemetry off, a
+        run builds none of the boundary's events; a traced run builds
+        one of each per boundary."""
+        from repro.obs.telemetry import emit as telemetry
+        from repro.sim import simulator as simulator_mod
+
+        built = {}
+
+        def counting(cls):
+            def build(*args, **kwargs):
+                built[cls] = built.get(cls, 0) + 1
+                return cls(*args, **kwargs)
+            return build
+
+        kinds = (CheckpointBegin, IntervalBoundary, CheckpointEnd)
+        for cls in kinds:
+            monkeypatch.setattr(simulator_mod, cls.__name__, counting(cls))
+        assert not telemetry.telemetry_active()
+
+        run = sim.run(traced_options(baseline, tracer=NullTracer()))
+        assert run.checkpoint_count > 0
+        assert built == {}
+
+        sim.run(traced_options(baseline, tracer=RecordingTracer()))
+        assert built == dict.fromkeys(kinds, run.checkpoint_count)
+
+
 class TestEnabledPath:
     def test_tracing_does_not_perturb_results(self, tracer_and_run, untraced):
         _, traced = tracer_and_run

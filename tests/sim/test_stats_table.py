@@ -192,6 +192,16 @@ class TestRowViews:
         with pytest.raises(ValueError):
             table.column("bogus")
 
+    def test_plain_tuple_rows_make_the_same_table(self):
+        ivs = [IntervalStats(i, 1.5 * i, 1, 0, 16, 0, 0, 2.0, 1, 64)
+               for i in range(3)]
+        rows = [tuple(getattr(iv, name) for name in field_names(IntervalStats))
+                for iv in ivs]
+        for n in (0, 1, 3):
+            assert (StatsTable.from_tuples(IntervalStats, rows[:n])
+                    == StatsTable.from_rows(IntervalStats, ivs[:n]))
+        assert len(StatsTable.from_tuples(IntervalStats, [])) == 0
+
     def test_rows_are_not_retained(self):
         table = StatsTable.from_rows(
             IntervalStats, [IntervalStats(0, 1.0, 1, 0, 16, 0, 0, 2.0, 1)])

@@ -165,6 +165,17 @@ class TestLintCommand:
         assert [d["benchmark"] for d in docs] == TINY_WORKLOADS
         assert all(d["summary"]["ok"] for d in docs)
 
+    def test_all_workloads_at_ci_scale(self, capsys):
+        """CI's slice soundness gate, with its exact arguments: every
+        registered workload lints clean, static rules and the recompute
+        oracle."""
+        from repro.workloads.registry import all_workload_names
+
+        assert main(["lint", "--all", "--scale", "0.1", "--reps", "10"]) == 0
+        out = capsys.readouterr().out
+        for name in all_workload_names():
+            assert f"{name}: lint: 0 finding(s)" in out
+
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
