@@ -82,13 +82,17 @@ from repro.obs.events import (
 )
 from repro.obs.telemetry import emit as _telemetry_mod
 from repro.obs.tracer import Tracer
-from repro.sim.mechanism import Mechanism
+from repro.sim.mechanism import Mechanism, SnapshotRecorder
 from repro.sim.simulator import _compile_cached
 from repro.sim.snapshot import (
     SNAPSHOT_VERSION,
-    SimSnapshot,
+    SimHistory,
     SnapshotError,
     SnapshotStore,
+    check_int,
+    check_words,
+    decode_payload,
+    encode_payload,
 )
 from repro.util.rng import DeterministicRng
 from repro.util.validation import check_in_range, check_positive, require_fields
@@ -440,48 +444,39 @@ class _MechanismPass:
                 it.step_iterations(1 << 20)
 
     # -- snapshot / fork -----------------------------------------------------
-    def snapshot(self) -> SimSnapshot:
-        """The mechanism's snapshot plus this pass's step grid and
-        architectural state."""
-        return self.mech.snapshot(
-            step=self.steps,
-            n_instructions=self.n_instructions,
-            arch=[list(it.arch_state()) for it in self.interpreters],
-            initial_arch=[[k, i, list(r)] for k, i, r in self.initial_arch],
-            arch_history=[
-                [[k, i, list(r)] for k, i, r in states]
-                for states in self.arch_snapshots
-            ],
-            rng_states={},
-        )
+    def record_boundary(self, recorder: SnapshotRecorder) -> None:
+        """Record the interval just closed, with this pass's step grid
+        and its architectural state at the boundary."""
+        recorder.record(self.arch_snapshots[-1], self.steps,
+                        self.n_instructions)
 
-    def restore_snapshot(self, snap: SimSnapshot) -> None:
-        """Install ``snap`` into this (freshly built) pass.
+    def restore_snapshot(self, history: SimHistory, boundary: int) -> None:
+        """Install ``history``'s state at ``boundary`` into this (freshly
+        built) pass.
 
-        The pass must have been built from the same recipe the snapshot
-        was captured under — programs and Slices are *rehydrated* from
-        this pass's deterministic compile, never deserialized.  Raises
-        :class:`SnapshotError` when the snapshot does not fit.
+        The pass must have been built from the same recipe the history
+        was recorded under — programs and Slices are *rehydrated* from
+        this pass's deterministic compile, never deserialized.  The
+        architectural history is the recorded rows, shared: interpreters
+        copy a row's registers when they restore it.  Raises
+        :class:`SnapshotError` when the history does not fit.
         """
         n_cores = len(self.interpreters)
-        for name in ("arch", "initial_arch"):
-            if len(getattr(snap, name)) != n_cores:
-                raise SnapshotError(
-                    f"snapshot {name} covers {len(getattr(snap, name))} "
-                    f"cores, this pass has {n_cores}"
-                )
-        self.mech.restore(snap)
-        for it, row in zip(self.interpreters, snap.arch):
-            it.restore_arch_state((row[0], row[1], list(row[2])))
-        self.initial_arch = [
-            (k, i, list(r)) for k, i, r in snap.initial_arch
-        ]
-        self.arch_snapshots = [
-            [(k, i, list(r)) for k, i, r in states]
-            for states in snap.arch_history
-        ]
-        self.steps = snap.step
-        self.n_instructions = snap.n_instructions
+        if len(history.initial_arch) != n_cores:
+            raise SnapshotError(
+                f"snapshot covers {len(history.initial_arch)} cores, "
+                f"this pass has {n_cores}"
+            )
+        self.mech.restore(history, boundary)
+        self.initial_arch = history.initial_arch
+        self.arch_snapshots = [r.arch for r in history.intervals[:boundary]]
+        if not boundary:
+            return
+        last = history.intervals[boundary - 1]
+        for it, row in zip(self.interpreters, last.arch):
+            it.restore_arch_state(row)
+        self.steps = last.step
+        self.n_instructions = last.n_instructions
 
     # -- injection -----------------------------------------------------------
     def inject(self, rng: DeterministicRng, requested: str) -> Injection:
@@ -667,7 +662,7 @@ def _diff_memory(
 ) -> Tuple[int, int, List[Divergence]]:
     """Semantic bit-exact compare: (addresses checked, mismatches, sample).
 
-    ``expected`` is a golden ``MemoryImage.snapshot()``; addresses absent
+    ``expected`` is a golden image's written words; addresses absent
     on either side compare at their deterministic initial value (both
     images share the seed), so materialised-but-unchanged words are not
     false divergences.
@@ -771,31 +766,35 @@ def golden_key(spec: TrialSpec) -> str:
 
 @dataclass(frozen=True)
 class GoldenRun:
-    """One golden pass, snapshotted at every interval boundary.
+    """One golden pass: its boundaries and its end state.
 
-    ``boundaries[m]`` is the state at step ``m * steps_per_interval``
-    (``boundaries[0]`` is the initial state, later entries land right
-    after each checkpoint establishment); a faulty pass injecting at
-    step ``s`` forks from ``boundaries[s // steps_per_interval]``, the
-    newest boundary at or before the injection.  The memory expectation
-    of a rollback to checkpoint ``k`` is ``boundaries[k + 1]``'s memory
-    image, and ``final_words`` is the golden end state.
+    ``history`` records every interval boundary: boundary ``m`` is the
+    state at step ``m * steps_per_interval`` (boundary 0 is the initial
+    state, later ones land right after each checkpoint establishment).
+    A faulty pass injecting at step ``s`` forks from boundary
+    ``s // steps_per_interval``, the newest at or before the injection.
+    The memory expectation of a rollback to checkpoint ``k`` is
+    ``history.memory_at(k + 1)``, and ``final_words`` is the golden end
+    state.
     """
 
     total_steps: int
-    final_words: List[List[int]]
-    boundaries: List[SimSnapshot]
+    #: The written words at the end, insertion ordered.
+    final_words: Dict[int, int]
+    history: SimHistory
 
     def to_payload(self) -> Dict[str, Any]:
         return {
             "v": SNAPSHOT_VERSION,
             "total_steps": self.total_steps,
-            "final_words": self.final_words,
-            "boundaries": [b.to_payload() for b in self.boundaries],
+            "final_words": list(self.final_words.items()),
+            "history": self.history.to_payload(),
         }
 
     @classmethod
     def from_payload(cls, doc: Any) -> "GoldenRun":
+        """Decode a payload dict; raises :class:`SnapshotError` on any
+        malformed field (see :meth:`SimHistory.from_payload`)."""
         require_fields(doc, cls, "golden-run", extra=("v",),
                        error=SnapshotError)
         if doc["v"] != SNAPSHOT_VERSION:
@@ -803,40 +802,32 @@ class GoldenRun:
                 f"golden-run payload version {doc['v']!r} != "
                 f"{SNAPSHOT_VERSION}"
             )
-        total_steps = doc["total_steps"]
-        if isinstance(total_steps, bool) or not isinstance(total_steps, int):
-            raise SnapshotError("golden-run total_steps must be an int")
-        if not isinstance(doc["boundaries"], list) or not doc["boundaries"]:
-            raise SnapshotError("golden-run boundaries must be non-empty")
-        return cls(
-            total_steps=total_steps,
-            final_words=doc["final_words"],
-            boundaries=[
-                SimSnapshot.from_payload(b) for b in doc["boundaries"]
-            ],
-        )
+        total_steps = check_int("total_steps", doc["total_steps"], 0)
+        final_words = check_words("final_words", doc["final_words"])
+        history = SimHistory.from_payload(doc["history"])
+        if history.intervals and history.intervals[-1].step >= total_steps:
+            raise SnapshotError(
+                "golden-run boundary at or past the run's last step"
+            )
+        return cls(total_steps, final_words, history)
 
     def to_bytes(self) -> bytes:
-        from repro.sim.snapshot import encode_payload
-
         return encode_payload(self.to_payload())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "GoldenRun":
-        from repro.sim.snapshot import decode_payload
-
         return cls.from_payload(decode_payload(blob))
 
 
 def run_golden(spec: TrialSpec) -> GoldenRun:
-    """Execute the error-free pass once, snapshotting every boundary."""
+    """Execute the error-free pass once, recording every boundary."""
     golden = _MechanismPass(spec, *_compiled(spec))
-    boundaries = [golden.snapshot()]
-    golden.run_to_end(lambda: boundaries.append(golden.snapshot()))
+    recorder = SnapshotRecorder(golden.mech, golden.initial_arch)
+    golden.run_to_end(lambda: golden.record_boundary(recorder))
     return GoldenRun(
         total_steps=golden.steps,
-        final_words=[[a, v] for a, v in golden.memory.snapshot().items()],
-        boundaries=boundaries,
+        final_words=golden.memory.snapshot(),
+        history=recorder.history(),
     )
 
 
@@ -869,9 +860,9 @@ def _golden_for(spec: TrialSpec, store: Optional[SnapshotStore]) -> GoldenRun:
 
 
 def fork(
-    spec: TrialSpec, snapshot: SimSnapshot, n: int = 1
+    spec: TrialSpec, history: SimHistory, boundary: int, n: int = 1
 ) -> List["_MechanismPass"]:
-    """``n`` independent passes resumed from one boundary snapshot.
+    """``n`` independent passes resumed from one recorded boundary.
 
     Each fork gets its own memory image, checkpoint store, directory,
     handler and interpreters (no shared mutable state between forks),
@@ -883,7 +874,7 @@ def fork(
     forks = []
     for _ in range(n):
         child = _MechanismPass(spec, *compiled)
-        child.restore_snapshot(snapshot)
+        child.restore_snapshot(history, boundary)
         forks.append(child)
     return forks
 
@@ -920,7 +911,7 @@ def run_trial(
         # Fork from the newest boundary at or before the injection: the
         # prefix up to there is bit-identical by determinism, so only
         # the tail from the fork point is ever re-executed.
-        faulty = fork(spec, golden.boundaries[injection_step // spi])[0]
+        faulty = fork(spec, golden.history, injection_step // spi)[0]
     else:
         faulty = _MechanismPass(spec, *_compiled(spec))
     # The flip lands strictly inside its interval (mid-step), so the
@@ -995,11 +986,7 @@ def run_trial(
     defect_note = _defect_note(spec.defect, logs)
     restored = sum(len(log.records) for log in logs)
     recomputed = sum(len(log.omitted) for log in logs)
-    expected = (
-        {a: v for a, v in golden.boundaries[safe + 1].memory_words}
-        if safe >= 0
-        else {}
-    )
+    expected = golden.history.memory_at(safe + 1)
     checked, count, sample = _diff_memory(
         expected, faulty.memory, "rollback", safe
     )
@@ -1008,7 +995,7 @@ def run_trial(
     faulty.restore_arch(safe)
     faulty.resume_to_end()
     final_checked, final_count, final_sample = _diff_memory(
-        {a: v for a, v in golden.final_words}, faulty.memory, "final", -1
+        golden.final_words, faulty.memory, "final", -1
     )
     checked += final_checked
     count += final_count

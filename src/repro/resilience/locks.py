@@ -53,9 +53,14 @@ class KeyLock:
         tmp = self.path.with_name(
             f"{self.path.name}.{os.getpid()}.{id(self):x}.tmp"
         )
+        flags = os.O_CREAT | os.O_TRUNC | os.O_WRONLY
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(tmp, os.O_CREAT | os.O_TRUNC | os.O_WRONLY)
+            try:
+                fd = os.open(tmp, flags)
+            except FileNotFoundError:
+                # A cold key's shard directory: create it, then retry.
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(tmp, flags)
         except OSError:
             # Unwritable cache directory etc. — locking is best-effort,
             # so behave as if we own the lock and let the caller run.

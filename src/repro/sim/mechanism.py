@@ -23,7 +23,8 @@ unobserved runs (DESIGN §4.1).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from itertools import chain, islice
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.acr.handlers import AcrCheckpointHandler, AssocOutcome
 from repro.arch.buffers import AddrMapEntry, make_generation
@@ -32,13 +33,15 @@ from repro.arch.directory import Directory
 from repro.ckpt.checkpoint import (
     RETAINED_CHECKPOINTS, Checkpoint, CheckpointStore,
 )
-from repro.ckpt.log import IntervalLog, LogRecord, OmittedRecord
+from repro.ckpt.log import (
+    LOG_RECORD_BYTES, IntervalLog, LogRecord, OmittedRecord,
+)
 from repro.ckpt.recovery import RecoveryEngine
 from repro.compiler.slices import SliceTable
 from repro.isa.interpreter import MemoryImage, StoreEvent
-from repro.sim.snapshot import SimSnapshot, SnapshotError
+from repro.sim.snapshot import IntervalRecord, SimHistory, SnapshotError
 
-__all__ = ["ASSOCIATED", "LOGGED", "Mechanism"]
+__all__ = ["ASSOCIATED", "LOGGED", "Mechanism", "SnapshotRecorder"]
 
 #: :meth:`Mechanism.on_store` flag: the old value was written to the log.
 LOGGED = 1
@@ -46,10 +49,6 @@ LOGGED = 1
 ASSOCIATED = 2
 
 _RECORDED = AssocOutcome.RECORDED
-
-#: Snapshotted attributes of each operand buffer and of the handler.
-_BUFFER_FIELDS = ("words", "peak_words", "rejections")
-_HANDLER_COUNTERS = ("assoc_executed", "omissions", "omission_lookups")
 
 
 class Mechanism:
@@ -162,187 +161,214 @@ class Mechanism:
         return handler.ecc_lookup_hits if handler is not None else 0
 
     # -- snapshots -----------------------------------------------------------
-    def snapshot(self, **state: Any) -> SimSnapshot:
-        """Capture the mechanism's state as pure data (entry table and
-        identity graph: see :mod:`repro.sim.snapshot`).  ``state``
-        supplies the caller-owned fields of :class:`SimSnapshot` (step
-        grid, architectural state, RNG positions)."""
-        entry_index: Dict[int, int] = {}
-        entry_rows: List[List[Any]] = []
+    def restore(self, history: SimHistory, boundary: int) -> None:
+        """Install ``history``'s state at ``boundary`` into this (fresh)
+        mechanism.
 
-        def eid(core: int, entry: AddrMapEntry) -> int:
-            got = entry_index.get(id(entry))
-            if got is None:
-                got = len(entry_rows)
-                entry_index[id(entry)] = got
-                entry_rows.append(
-                    [core, entry.slice_.site, entry.address,
-                     list(entry.operands)]
-                )
-            return got
-
-        def log_doc(log: IntervalLog) -> Dict[str, Any]:
-            return {
-                "interval": log.interval_index,
-                "records": [[r.address, r.old_value, r.core]
-                            for r in log.records],
-                "omitted": [[o.address, eid(o.core, o.entry), o.core,
-                             o.ground_truth_old_value]
-                            for o in log.omitted],
-            }
-
-        handler = self.handler
-        addrmaps = operand_buffers = gen_words = handler_counters = None
-        if handler is not None:
-            def gen_doc(core: int, gen: Any) -> Dict[str, Any]:
-                return {
-                    "entries": [[a, eid(core, e)]
-                                for a, e in gen.entries.items()],
-                    "tombstones": sorted(gen.tombstones),
-                }
-
-            addrmaps = []
-            for core, addrmap in enumerate(handler.addrmaps):
-                open_gen, committed = addrmap.internal_state()
-                addrmaps.append({
-                    "open": gen_doc(core, open_gen),
-                    "committed": [gen_doc(core, g) for g in committed],
-                    "records": addrmap.records,
-                    "rejections": addrmap.rejections,
-                })
-            operand_buffers = [
-                {name: getattr(b, name) for name in _BUFFER_FIELDS}
-                for b in handler.operand_buffers
-            ]
-            gen_words = [list(w) for w in handler.generation_words()]
-            handler_counters = {
-                name: getattr(handler, name) for name in _HANDLER_COUNTERS
-            }
-        open_log = log_doc(self.store.current_log)
-        checkpoints = [
-            dict(vars(c), log=log_doc(c.log), participants=(
-                None if c.participants is None else sorted(c.participants)
-            ))
-            for c in self.store.checkpoints
-        ]
-        return SimSnapshot(
-            memory_seed=self.memory.seed,
-            memory_words=[[a, v] for a, v in self.memory.snapshot().items()],
-            ecc_lookup_hits=self.ecc_lookup_hits,
-            directory_log_bits=sorted(self.directory.log_bit_set()),
-            entries=entry_rows,
-            open_log=open_log,
-            checkpoints=checkpoints,
-            addrmaps=addrmaps,
-            operand_buffers=operand_buffers,
-            gen_words=gen_words,
-            handler_counters=handler_counters,
-            **state,
-        )
-
-    def restore(self, snap: SimSnapshot) -> None:
-        """Install ``snap``'s mechanism state into this (fresh) mechanism.
-
-        The mechanism must have been built from the recipe the snapshot
-        was captured under: Slices are *rehydrated* from this
+        The memory image is the fold of the first ``boundary`` deltas;
+        only the two retained logs and the two retained AddrMap
+        generations are rebuilt, and every older checkpoint keeps its
+        metadata with an empty log, as pruning left it.  The open log,
+        the open generation and the log bits are empty at a boundary.
+        The mechanism must have been built from the recipe the history
+        was recorded under: Slices are *rehydrated* from this
         mechanism's slice tables, never deserialized.  Raises
-        :class:`SnapshotError` when the snapshot does not fit, including
-        when a checkpoint older than the retention window still carries
-        log records or omissions (the store clears each log as it leaves
-        the window, and never again).
+        :class:`SnapshotError` when the history does not fit.
         """
-        if snap.memory_seed != self.memory.seed:
+        if history.memory_seed != self.memory.seed:
             raise SnapshotError(
-                f"snapshot memory seed {snap.memory_seed} != pass seed "
+                f"snapshot memory seed {history.memory_seed} != pass seed "
                 f"{self.memory.seed}"
+            )
+        intervals = history.intervals
+        if not 0 <= boundary <= len(intervals):
+            raise SnapshotError(
+                f"boundary {boundary} outside the snapshot's "
+                f"0..{len(intervals)}"
             )
         handler = self.handler
         n_cores = self.config.num_cores
-        if handler is None and (
-            snap.addrmaps is not None or snap.entries or snap.ecc_lookup_hits
-        ):
+        recorded = [r.handler is not None for r in intervals[:1]]
+        if handler is None and (history.entries or any(recorded)):
             raise SnapshotError(
                 "snapshot carries ACR handler state but this "
                 "configuration has no handler"
             )
-        entries: List[AddrMapEntry] = []
-        for core, site, address, operands in snap.entries:
-            if not isinstance(core, int) or not 0 <= core < n_cores:
-                raise SnapshotError(f"entry references bad core {core!r}")
-            sl = handler.slice_for_site(core, site)
-            if sl is None:
-                raise SnapshotError(
-                    f"snapshot references unknown slice site {site} "
-                    f"on core {core}"
-                )
-            entries.append(AddrMapEntry(address, sl, tuple(operands)))
-
-        def entry_at(idx: Any) -> AddrMapEntry:
-            if (isinstance(idx, bool) or not isinstance(idx, int)
-                    or not 0 <= idx < len(entries)):
-                raise SnapshotError(f"bad entry reference {idx!r}")
-            return entries[idx]
-
-        def build_log(doc: Dict[str, Any]) -> IntervalLog:
-            log = IntervalLog(doc["interval"])
-            log.records.extend(
-                LogRecord(a, v, c) for a, v, c in doc["records"]
-            )
-            log.omitted.extend(
-                OmittedRecord(a, entry_at(e), c, t)
-                for a, e, c, t in doc["omitted"]
-            )
-            return log
-
-        for doc in snap.checkpoints[:-RETAINED_CHECKPOINTS]:
-            if doc["log"]["records"] or doc["log"]["omitted"]:
-                raise SnapshotError(
-                    f"checkpoint {doc['index']} is beyond the retention "
-                    f"window but its log still holds a payload"
-                )
-        self.memory.restore({a: v for a, v in snap.memory_words})
-        self.store.checkpoints = [
-            Checkpoint(**dict(d, log=build_log(d["log"]), participants=(
-                None if d["participants"] is None
-                else frozenset(d["participants"])
-            )))
-            for d in snap.checkpoints
-        ]
-        self.store.current_log = build_log(snap.open_log)
-        bits = self.directory.log_bit_set()
-        bits.clear()
-        bits.update(snap.directory_log_bits)
-        if handler is None:
-            return
-        if snap.addrmaps is None:
+        if handler is not None and not all(recorded):
             raise SnapshotError(
                 "snapshot has no AddrMap state for an ACR configuration"
             )
-        if len(snap.addrmaps) != n_cores:
+        built: Dict[int, AddrMapEntry] = {}
+
+        def entry_at(idx: int) -> AddrMapEntry:
+            entry = built.get(idx)
+            if entry is None:
+                core, site, address, operands = history.entries[idx]
+                sl = (
+                    handler.slice_for_site(core, site)
+                    if 0 <= core < n_cores else None
+                )
+                if sl is None:
+                    raise SnapshotError(
+                        f"snapshot references unknown slice site {site} "
+                        f"on core {core}"
+                    )
+                entry = built[idx] = AddrMapEntry(address, sl, tuple(operands))
+            return entry
+
+        window = max(0, boundary - RETAINED_CHECKPOINTS)
+        checkpoints = []
+        for k, record in enumerate(intervals[:boundary]):
+            log = IntervalLog(k)
+            if k >= window:
+                log.records.extend(
+                    LogRecord(a, v, c) for a, v, c in record.records
+                )
+                log.omitted.extend(
+                    OmittedRecord(a, entry_at(e), c, t)
+                    for a, e, c, t in record.omitted
+                )
+            useful_ns, wall_ns, arch_bytes, participants = record.checkpoint
+            checkpoints.append(Checkpoint(
+                k, useful_ns, wall_ns, arch_bytes,
+                None if participants is None else frozenset(participants),
+                log, len(record.records) * LOG_RECORD_BYTES,
+                len(record.omitted) * LOG_RECORD_BYTES,
+            ))
+        self.memory.restore(history.memory_at(boundary))
+        self.store.checkpoints = checkpoints
+        self.store.current_log = IntervalLog(boundary)
+        self.directory.clear_log_bits()
+        if handler is None or not boundary:
+            return
+        last = intervals[boundary - 1]
+        if len(last.cores) != n_cores:
             raise SnapshotError(
-                f"snapshot AddrMap state covers {len(snap.addrmaps)} "
+                f"snapshot AddrMap state covers {len(last.cores)} "
                 f"cores, this pass has {n_cores}"
             )
+        retained = intervals[window:boundary]
+        for core, (addrmap, buffer, row) in enumerate(zip(
+            handler.addrmaps, handler.operand_buffers, last.cores
+        )):
+            addrmap.restore_generations(make_generation([], set()), [
+                make_generation(
+                    [(a, entry_at(e)) for a, e in r.generations[core][0]],
+                    set(r.generations[core][1]),
+                )
+                for r in retained
+            ])
+            (addrmap.records, addrmap.rejections, buffer.words,
+             buffer.peak_words, buffer.rejections, _) = row
+        handler.restore_generation_words([row[5] for row in last.cores])
+        (handler.assoc_executed, handler.omissions,
+         handler.omission_lookups) = last.handler
+        handler.ecc_lookup_hits = last.ecc_lookup_hits
 
-        def build_gen(doc: Dict[str, Any]) -> Any:
-            return make_generation(
-                [(a, entry_at(e)) for a, e in doc["entries"]],
-                set(doc["tombstones"]),
-            )
 
-        for core in range(n_cores):
-            doc = snap.addrmaps[core]
-            addrmap = handler.addrmaps[core]
-            addrmap.restore_generations(
-                build_gen(doc["open"]),
-                [build_gen(g) for g in doc["committed"]],
+class SnapshotRecorder:
+    """Records a mechanism's boundaries as a :class:`SimHistory`.
+
+    :meth:`record`, called right after each :meth:`Mechanism.establish`,
+    appends one :class:`IntervalRecord` built from the interval just
+    closed: its log rows (copied — pruning clears the log's lists in
+    place two boundaries later), its memory delta (or the whole image,
+    once the deltas since the last one would outgrow it), the AddrMap
+    generations it committed, and the counters.  Recording starts at
+    boundary 0, before any store.
+    """
+
+    def __init__(self, mech: Mechanism,
+                 initial_arch: Sequence[Sequence[Any]]) -> None:
+        self.mech = mech
+        self.initial_arch = initial_arch
+        self.entries: List[Tuple[int, int, int, Tuple[int, ...]]] = []
+        self.intervals: List[IntervalRecord] = []
+        self._entry_index: Dict[int, int] = {}
+        #: Every indexed entry, held so no other object reuses its id.
+        self._indexed: List[AddrMapEntry] = []
+        self._image_len = len(mech.memory)
+        #: Delta rows recorded since the last whole image.
+        self._since_whole = 0
+
+    def _eid(self, core: int, entry: AddrMapEntry) -> int:
+        got = self._entry_index.get(id(entry))
+        if got is None:
+            got = self._entry_index[id(entry)] = len(self.entries)
+            self._indexed.append(entry)
+            self.entries.append(
+                (core, entry.slice_.site, entry.address, entry.operands)
             )
-            addrmap.records = doc["records"]
-            addrmap.rejections = doc["rejections"]
-            for name in _BUFFER_FIELDS:
-                setattr(handler.operand_buffers[core], name,
-                        snap.operand_buffers[core][name])
-        handler.restore_generation_words(snap.gen_words)
-        for name in _HANDLER_COUNTERS:
-            setattr(handler, name, snap.handler_counters[name])
-        handler.ecc_lookup_hits = snap.ecc_lookup_hits
+        return got
+
+    def record(self, arch: Sequence[Sequence[Any]], step: int,
+               n_instructions: int) -> None:
+        """Record the interval the mechanism has just closed, with the
+        caller's architectural rows and step grid at the boundary."""
+        mech = self.mech
+        eid = self._eid
+        ckpt = mech.store.checkpoints[-1]
+        log = ckpt.log
+        words = mech.memory.words_map()
+        # Every write of a mechanism pass reaches the log, once per word,
+        # so the log's addresses are the words the interval wrote.
+        written = len(log.records) + len(log.omitted)
+        whole = self._since_whole + written > len(words)
+        if whole:
+            delta = dict(words)
+            self._since_whole = 0
+        else:
+            # The words new to the image are the dict's tail; they go
+            # last, in insertion order.
+            fresh = list(islice(reversed(words.items()),
+                                len(words) - self._image_len))
+            fresh.reverse()
+            new = dict(fresh)
+            delta = {a: words[a] for a in chain(
+                [r.address for r in log.records],
+                [o.address for o in log.omitted],
+            ) if a not in new}
+            delta.update(new)
+            self._since_whole += written
+        self._image_len = len(words)
+        handler = mech.handler
+        counters = cores = generations = None
+        if handler is not None:
+            counters = (handler.assoc_executed, handler.omissions,
+                        handler.omission_lookups)
+            cores, generations = [], []
+            for core, (addrmap, buffer, gen_words) in enumerate(zip(
+                handler.addrmaps, handler.operand_buffers,
+                handler.generation_words(),
+            )):
+                gen = addrmap.internal_state()[1][-1]
+                generations.append((
+                    [(a, eid(core, e)) for a, e in gen.entries.items()],
+                    sorted(gen.tombstones),
+                ))
+                cores.append((addrmap.records, addrmap.rejections,
+                              buffer.words, buffer.peak_words,
+                              buffer.rejections, tuple(gen_words)))
+        participants = ckpt.participants
+        self.intervals.append(IntervalRecord(
+            records=[(r.address, r.old_value, r.core) for r in log.records],
+            omitted=[(o.address, eid(o.core, o.entry), o.core,
+                      o.ground_truth_old_value) for o in log.omitted],
+            delta=delta,
+            whole=whole,
+            checkpoint=(ckpt.useful_ns, ckpt.wall_ns, ckpt.arch_bytes,
+                        None if participants is None
+                        else sorted(participants)),
+            arch=arch,
+            step=step,
+            n_instructions=n_instructions,
+            ecc_lookup_hits=mech.ecc_lookup_hits,
+            handler=counters,
+            cores=cores,
+            generations=generations,
+        ))
+
+    def history(self) -> SimHistory:
+        """Everything recorded so far."""
+        return SimHistory(self.mech.memory.seed, self.initial_arch,
+                          self.entries, self.intervals)

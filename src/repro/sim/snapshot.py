@@ -1,41 +1,56 @@
-"""CRIU-style simulator snapshots: capture, serialize, restore, fork.
+"""CRIU-style simulator snapshots: one record per closed interval.
 
-ACR's own premise — recovery state is a consistent snapshot plus a small
-tail of work — applies to the *simulator* as much as to the simulated
-machine.  A :class:`SimSnapshot` captures the complete functional state
-of a :class:`~repro.sim.mechanism.Mechanism`-driven execution at an
-interval boundary:
+ACR's own premise — an interval's first-write log *is* the difference
+between two checkpoints — applies to the *simulator* as much as to the
+simulated machine.  A :class:`SimHistory` describes every interval
+boundary of one :class:`~repro.sim.mechanism.Mechanism`-driven
+execution, incrementally: one :class:`IntervalRecord` per closed
+interval, built once at its boundary and shared by every later one.
 
-* the memory image (written words, insertion-ordered),
-* the checkpoint store (retained checkpoints + the open interval log),
-* per-core AddrMap generations and operand buffers (ACR only),
-* per-core architectural + interpreter state, the initial state, and
-  the per-checkpoint architectural history,
-* directory log bits,
-* RNG stream positions (label → :meth:`DeterministicRng.getstate`),
-* observation counters (steps, instructions, ECC lookup hits).
+Right after a boundary is established the open log, the open AddrMap
+generation and the directory's log bits are empty by construction, so
+boundary ``m`` is fully described by the records of intervals
+``0 … m-1``:
 
-A snapshot is **pure data** — JSON-able primitives, lists and dicts
-only, no live object references.  That is what "deep-copy-free" buys:
-restoring never deep-copies programs or compiled Slices (they are
-rehydrated from the deterministic compile), a live fork and a
-from-bytes restore share one code path, and serialization is a plain
-canonical-JSON encode.
+* the memory image is the fold of their memory deltas (each holds the
+  words its interval wrote, with their values at the boundary, words
+  new to the image last and in the image's insertion order), from the
+  newest one that holds the whole image: a record takes the whole image
+  instead of its delta once the deltas since the last whole image would
+  outgrow it, so a fold never reads more than twice the image;
+* the retained checkpoints are their metadata, with the logs of the two
+  youngest rebuilt from those intervals' copied log rows;
+* each core's two committed AddrMap generations are the ones those two
+  intervals committed;
+* the architectural history is their per-core rows, and the counters
+  (handler, operand buffers, AddrMaps, step grid) are the last one's.
+
+Restoring boundary ``m`` therefore costs O(state at m), and recording a
+boundary costs O(its own interval).
+
+A history is **pure data** — JSON-able primitives, lists/tuples and
+dicts only, no live object references.  Restoring never deep-copies
+programs or compiled Slices (they are rehydrated from the deterministic
+compile), a live fork and a from-bytes restore share one code path, and
+serialization is a plain canonical-JSON encode.
 
 Object identity is the one non-trivial invariant: an
 :class:`~repro.ckpt.log.OmittedRecord` holds the *same object* as the
 committed AddrMap entry it was justified by, and the injection harness
 distinguishes shared from distinct-but-equal entries by ``id()``.  The
-payload therefore carries an entry *table* (one row per distinct entry
-object) and every reference is a table index, so restoring rebuilds an
-isomorphic identity graph.
+history therefore carries one golden-wide entry *table* (one row per
+distinct entry object) and every reference is a table index, so a
+restore rebuilds an isomorphic identity graph.
 
 Framing (:func:`encode_payload` / :func:`decode_payload`) mirrors the
 result cache's corruption handling: a magic tag, a format version, a
 truncated SHA-256 over the compressed body, then zlib-compressed
-canonical JSON.  Any mismatch raises :class:`SnapshotError`, and
-:class:`SnapshotStore` quarantines (deletes) the damaged blob exactly
-like :meth:`repro.experiments.cache.ResultCache` does for results.
+canonical JSON.  Any mismatch raises :class:`SnapshotError`, and so does
+a well-framed payload whose rows are malformed (:meth:`SimHistory.
+from_payload` checks every row's width and type, every reference and
+every cross-table count); :class:`SnapshotStore` quarantines (deletes)
+the damaged blob exactly like :meth:`repro.experiments.cache.
+ResultCache` does for results.
 """
 
 from __future__ import annotations
@@ -43,17 +58,18 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.util import atomicio
-from repro.util.validation import require_fields
+from repro.util.validation import field_names, require_fields
 
 __all__ = [
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
-    "SimSnapshot",
+    "IntervalRecord",
+    "SimHistory",
     "SnapshotError",
     "SnapshotStore",
     "decode_payload",
@@ -64,8 +80,9 @@ __all__ = [
 SNAPSHOT_MAGIC = b"ACRSNAP"
 
 #: Bump when the payload layout changes; old blobs are then rejected
-#: (and quarantined by the store) rather than misread.
-SNAPSHOT_VERSION = 1
+#: (and quarantined by the store) rather than misread.  Version 1 was one
+#: full copy of the mechanism state per boundary.
+SNAPSHOT_VERSION = 2
 
 _CHECKSUM_BYTES = 16
 
@@ -120,8 +137,36 @@ def decode_payload(blob: bytes) -> Any:
         raise SnapshotError(f"undecodable snapshot body: {exc}") from None
 
 
-def _check_pairs(name: str, value: Any, width: int) -> List[List[Any]]:
-    """Validate a list of fixed-width rows (the payload's list shapes)."""
+# --------------------------------------------------------------------------
+# Strict payload checks.
+# --------------------------------------------------------------------------
+def check_int(name: str, value: Any, lo: Optional[int] = None,
+              hi: Optional[int] = None) -> int:
+    """``value`` if it is an int (never a bool) in ``[lo, hi)``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SnapshotError(f"snapshot field {name!r} must be an int")
+    if (lo is not None and value < lo) or (hi is not None and value >= hi):
+        raise SnapshotError(f"snapshot field {name!r} out of range: {value}")
+    return value
+
+
+def _check_number(name: str, value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SnapshotError(f"snapshot field {name!r} must be a number")
+
+
+def _check_ints(name: str, value: Any, lo: Optional[int] = None,
+               hi: Optional[int] = None) -> List[int]:
+    """``value`` if it is a list of ints, each in ``[lo, hi)``."""
+    if not isinstance(value, list):
+        raise SnapshotError(f"snapshot field {name!r} must be a list")
+    for item in value:
+        check_int(name, item, lo, hi)
+    return value
+
+
+def _check_rows(name: str, value: Any, width: int) -> List[List[Any]]:
+    """``value`` if it is a list of ``width``-element lists."""
     if not isinstance(value, list):
         raise SnapshotError(f"snapshot field {name!r} must be a list")
     for row in value:
@@ -132,110 +177,225 @@ def _check_pairs(name: str, value: Any, width: int) -> List[List[Any]]:
     return value
 
 
+def _check_int_rows(name: str, value: Any, width: int) -> List[List[int]]:
+    """``value`` if it is a list of ``width``-element lists of ints."""
+    for row in _check_rows(name, value, width):
+        for item in row:
+            check_int(name, item)
+    return value
+
+
+def check_words(name: str, value: Any) -> Dict[int, int]:
+    """``[address, value]`` rows as an insertion-ordered dict; an address
+    may appear once."""
+    words = dict(_check_int_rows(name, value, 2))
+    if len(words) != len(value):
+        raise SnapshotError(f"snapshot field {name!r} repeats an address")
+    return words
+
+
+def _check_arch(name: str, value: Any, n_cores: int) -> None:
+    """Per-core ``[kernel, iteration, [regs]]`` rows, one per core."""
+    rows = _check_rows(name, value, 3)
+    if len(rows) != n_cores:
+        raise SnapshotError(
+            f"snapshot field {name!r} covers {len(rows)} cores, not {n_cores}"
+        )
+    for kernel, iteration, regs in rows:
+        check_int(name, kernel, 0)
+        check_int(name, iteration, 0)
+        _check_ints(name, regs)
+
+
 # --------------------------------------------------------------------------
-# The snapshot value.
+# The records.
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
-class SimSnapshot:
-    """Complete functional simulator state at one interval boundary.
+class IntervalRecord:
+    """What one closed interval changed, recorded once at its boundary.
 
-    Every field is JSON-able pure data; see the module doc for the
-    encoding conventions.  Dict-shaped live state (memory words, AddrMap
-    generation entries) is stored as *ordered pair lists*, not JSON
-    objects — insertion order is part of the captured state (the
-    injection harness indexes candidate lists built by dict iteration).
+    Rows are tuples when freshly recorded and lists once decoded; every
+    reader only iterates them.  Entry references are indexes into
+    :attr:`SimHistory.entries`.
     """
 
-    #: Seed of the memory image the words below were written over.
-    memory_seed: int
-    #: ``[address, value]`` pairs of every written word, insertion order.
-    memory_words: List[List[int]]
-    #: Harness step count at capture (a multiple of ``steps_per_interval``).
+    #: The closed log's records: ``(address, old value, core)``.
+    records: Sequence[Sequence[int]]
+    #: Its omissions: ``(address, entry, core, ground-truth old value)``.
+    omitted: Sequence[Sequence[int]]
+    #: address → value at the boundary, of every word the interval
+    #: wrote; words new to the image come last, in insertion order.
+    #: With :attr:`whole`, every word of the image, in insertion order.
+    #: (A dict, so a fold is one ``dict.update`` per record.)
+    delta: Dict[int, int]
+    #: Whether :attr:`delta` is the whole image (a fold starts here).
+    whole: bool
+    #: The new checkpoint: ``(useful_ns, wall_ns, arch_bytes,
+    #: participants)`` (participants sorted, or ``None`` for global).
+    checkpoint: Sequence[Any]
+    #: Live per-core architectural state: ``(kernel, iteration, regs)``.
+    arch: Sequence[Sequence[Any]]
+    #: Harness step count at the boundary.
     step: int
     #: Cumulative dynamic instructions executed.
     n_instructions: int
     #: ECC-at-lookup hits observed so far.
     ecc_lookup_hits: int
-    #: Sorted word addresses whose directory log bit is set.
-    directory_log_bits: List[int]
-    #: Entry table: ``[core, slice site, address, [operands...]]`` — one
-    #: row per *distinct* AddrMap entry object; all entry references
-    #: below are indexes into this table (identity-graph preserving).
-    entries: List[List[Any]]
-    #: The open interval log: ``{"interval", "records", "omitted"}``.
-    open_log: Dict[str, Any]
-    #: Retained checkpoints, oldest first (pruned logs stay pruned).
-    checkpoints: List[Dict[str, Any]]
-    #: Per-core AddrMap state (``None`` under BER — no ACR handler).
-    addrmaps: Optional[List[Dict[str, Any]]]
-    #: Per-core operand-buffer occupancy (``None`` under BER).
-    operand_buffers: Optional[List[Dict[str, int]]]
-    #: Per-core generation word ledgers (``None`` under BER).
-    gen_words: Optional[List[List[int]]]
-    #: Handler counters (``None`` under BER).
-    handler_counters: Optional[Dict[str, int]]
-    #: Live per-core architectural state: ``[kernel, iteration, [regs]]``.
-    arch: List[List[Any]]
-    #: Architectural state at program start (rollback to checkpoint -1).
-    initial_arch: List[List[Any]]
-    #: Per-checkpoint architectural snapshots (``arch`` rows per entry).
-    arch_history: List[List[List[Any]]]
-    #: RNG stream positions: label → ``DeterministicRng.getstate()``.
-    rng_states: Dict[str, Any]
+    #: Handler counters ``(assoc_executed, omissions, omission_lookups)``
+    #: (``None`` under BER, as are the two fields below).
+    handler: Optional[Sequence[int]]
+    #: Per core: ``(addrmap records, addrmap rejections, buffer words,
+    #: buffer peak words, buffer rejections, generation word ledger)``.
+    cores: Optional[Sequence[Sequence[Any]]]
+    #: Per core, the generation committed at this boundary:
+    #: ``(((address, entry), ...) in insertion order, sorted tombstones)``.
+    generations: Optional[Sequence[Sequence[Any]]]
+
+    def to_payload(self) -> Dict[str, Any]:
+        doc = {name: getattr(self, name) for name in field_names(type(self))}
+        doc["delta"] = list(self.delta.items())
+        return doc
+
+    @classmethod
+    def from_payload(cls, doc: Any, n_cores: int,
+                     n_entries: int) -> "IntervalRecord":
+        """Decode one record of a history with ``n_cores`` cores and
+        ``n_entries`` table rows; raises :class:`SnapshotError`."""
+        require_fields(doc, cls, "interval record", error=SnapshotError)
+        _check_int_rows("records", doc["records"], 3)
+        for _, _, core in doc["records"]:
+            check_int("records", core, 0, n_cores)
+        for _, entry, core, _ in _check_int_rows("omitted", doc["omitted"], 4):
+            check_int("omitted", entry, 0, n_entries)
+            check_int("omitted", core, 0, n_cores)
+        doc = dict(doc, delta=check_words("delta", doc["delta"]))
+        if not isinstance(doc["whole"], bool):
+            raise SnapshotError("snapshot field 'whole' must be a boolean")
+        useful, wall, arch_bytes, participants = _check_rows(
+            "checkpoint", [doc["checkpoint"]], 4)[0]
+        _check_number("checkpoint", useful)
+        _check_number("checkpoint", wall)
+        check_int("checkpoint", arch_bytes, 0)
+        if participants is not None:
+            _check_ints("checkpoint", participants, 0, n_cores)
+        _check_arch("arch", doc["arch"], n_cores)
+        for name in ("step", "n_instructions", "ecc_lookup_hits"):
+            check_int(name, doc[name], 0)
+        acr = [doc[name] is not None
+               for name in ("handler", "cores", "generations")]
+        if any(acr) and not all(acr):
+            raise SnapshotError(
+                "interval record mixes ACR handler state with BER nulls"
+            )
+        if all(acr):
+            for value in _check_int_rows("handler", [doc["handler"]], 3)[0]:
+                check_int("handler", value, 0)
+            for name in ("cores", "generations"):
+                if len(_check_rows(name, doc[name], 6 if name == "cores"
+                                  else 2)) != n_cores:
+                    raise SnapshotError(
+                        f"interval record {name!r} covers "
+                        f"{len(doc[name])} cores, not {n_cores}"
+                    )
+            for row in doc["cores"]:
+                for value in row[:5]:
+                    check_int("cores", value, 0)
+                _check_ints("cores", row[5])
+            for entries, tombstones in doc["generations"]:
+                for _, entry in _check_int_rows("generations", entries, 2):
+                    check_int("generations", entry, 0, n_entries)
+                _check_ints("generations", tombstones)
+        return cls(**doc)
+
+
+@dataclass(frozen=True)
+class SimHistory:
+    """Every interval boundary of one execution, as interval records.
+
+    Boundary ``m`` (``0 <= m <= len(intervals)``) is the state right
+    after the ``m``-th checkpoint was established; boundary 0 is the
+    initial state.
+    """
+
+    #: Seed of the memory image the deltas were written over.
+    memory_seed: int
+    #: Architectural state at program start: ``(kernel, iteration, regs)``
+    #: per core (rollback to checkpoint -1).
+    initial_arch: Sequence[Sequence[Any]]
+    #: Entry table: ``(core, slice site, address, operands)`` — one row
+    #: per *distinct* AddrMap entry object the records reference.
+    entries: Sequence[Sequence[Any]]
+    #: One record per closed interval, oldest first.
+    intervals: Sequence[IntervalRecord]
+
+    def memory_at(self, boundary: int) -> Dict[int, int]:
+        """The memory image's written words at ``boundary`` (insertion
+        ordered): the fold of the first ``boundary`` deltas, from the
+        newest whole image among them."""
+        intervals = self.intervals[:boundary]
+        start = len(intervals)
+        while start and not intervals[start - 1].whole:
+            start -= 1
+        words: Dict[int, int] = {}
+        for record in intervals[max(start - 1, 0):]:
+            words.update(record.delta)
+        return words
 
     # -- payload codec -------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
         """JSON-able dict, version-stamped (strict inverse:
         :meth:`from_payload`)."""
-        doc: Dict[str, Any] = {"v": SNAPSHOT_VERSION}
-        for f in fields(self):
-            doc[f.name] = getattr(self, f.name)
-        return doc
+        return {
+            "v": SNAPSHOT_VERSION,
+            "memory_seed": self.memory_seed,
+            "initial_arch": self.initial_arch,
+            "entries": self.entries,
+            "intervals": [r.to_payload() for r in self.intervals],
+        }
 
     @classmethod
-    def from_payload(cls, doc: Any) -> "SimSnapshot":
+    def from_payload(cls, doc: Any) -> "SimHistory":
         """Decode a payload dict; raises :class:`SnapshotError` on any
-        structural drift."""
+        structural drift, malformed row or out-of-range reference."""
         require_fields(doc, cls, "snapshot", extra=("v",), error=SnapshotError)
         if doc["v"] != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"snapshot payload version {doc['v']!r} != {SNAPSHOT_VERSION}"
             )
-        for name in ("memory_seed", "step", "n_instructions",
-                     "ecc_lookup_hits"):
-            value = doc[name]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SnapshotError(f"snapshot field {name!r} must be an int")
-        _check_pairs("memory_words", doc["memory_words"], 2)
-        _check_pairs("entries", doc["entries"], 4)
-        if not isinstance(doc["directory_log_bits"], list):
-            raise SnapshotError("directory_log_bits must be a list")
-        if not isinstance(doc["open_log"], dict):
-            raise SnapshotError("open_log must be an object")
-        if not isinstance(doc["checkpoints"], list):
-            raise SnapshotError("checkpoints must be a list")
-        for name in ("arch", "initial_arch"):
-            _check_pairs(name, doc[name], 3)
-        if not isinstance(doc["arch_history"], list):
-            raise SnapshotError("arch_history must be a list")
-        if not isinstance(doc["rng_states"], dict):
-            raise SnapshotError("rng_states must be an object")
-        acr_fields = ("addrmaps", "operand_buffers", "gen_words",
-                      "handler_counters")
-        present = [doc[name] is not None for name in acr_fields]
-        if any(present) and not all(present):
+        check_int("memory_seed", doc["memory_seed"], 0)
+        initial = _check_rows("initial_arch", doc["initial_arch"], 3)
+        n_cores = len(initial)
+        if not n_cores:
+            raise SnapshotError("snapshot covers no cores")
+        _check_arch("initial_arch", initial, n_cores)
+        entries = _check_rows("entries", doc["entries"], 4)
+        for core, site, address, operands in entries:
+            check_int("entries", core, 0, n_cores)
+            check_int("entries", site)
+            check_int("entries", address)
+            _check_ints("entries", operands)
+        if not isinstance(doc["intervals"], list):
+            raise SnapshotError("snapshot field 'intervals' must be a list")
+        intervals = [
+            IntervalRecord.from_payload(r, n_cores, len(entries))
+            for r in doc["intervals"]
+        ]
+        acr = {r.handler is not None for r in intervals}
+        if len(acr) > 1 or (entries and acr != {True}):
             raise SnapshotError(
-                "snapshot mixes ACR handler state with BER null fields"
+                "snapshot mixes ACR handler state with BER intervals"
             )
-        kwargs = {f.name: doc[f.name] for f in fields(cls)}
-        return cls(**kwargs)
+        for before, after in zip(intervals, intervals[1:]):
+            if after.step <= before.step:
+                raise SnapshotError("snapshot interval steps must increase")
+        return cls(doc["memory_seed"], initial, entries, intervals)
 
     # -- byte codec ----------------------------------------------------------
     def to_bytes(self) -> bytes:
         return encode_payload(self.to_payload())
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "SimSnapshot":
+    def from_bytes(cls, blob: bytes) -> "SimHistory":
         return cls.from_payload(decode_payload(blob))
 
 

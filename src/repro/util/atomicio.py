@@ -63,9 +63,18 @@ def tail_is_torn(path: Union[str, Path]) -> bool:
 
 
 def _atomic_write(path: Path, data: bytes, prefix: str) -> Path:
-    """Shared body of the two atomic writers (bytes on disk either way)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=".tmp")
+    """Shared body of the two atomic writers (bytes on disk either way).
+
+    The directory is created only when the temp file cannot be, so a
+    write into an existing directory makes no ``mkdir`` call.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix,
+                                   suffix=".tmp")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix,
+                                   suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

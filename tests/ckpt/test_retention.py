@@ -3,9 +3,10 @@ payloads.
 
 ``CheckpointStore`` clears one log per establishment, the one that just
 left the two-checkpoint window, so the invariant must hold after any
-sequence of establishments, and after :meth:`Mechanism.restore` (which
-therefore refuses a snapshot whose older checkpoints still carry a
-payload).  Rollback planning must not notice how pruning is done.
+sequence of establishments, and after :meth:`Mechanism.restore` of any
+recorded boundary (every interval record keeps its log rows, and the
+restore installs only the two the window retains).  Rollback planning
+must not notice how pruning is done.
 """
 
 import pytest
@@ -13,18 +14,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import MachineConfig
 from repro.ckpt.checkpoint import RETAINED_CHECKPOINTS, CheckpointStore
+from repro.inject.harness import TrialSpec, fork, run_golden
 from repro.isa.interpreter import MemoryImage
-from repro.sim.mechanism import Mechanism
-from repro.sim.snapshot import SimSnapshot, SnapshotError
+from repro.sim.mechanism import Mechanism, SnapshotRecorder
+from repro.sim.snapshot import SimHistory
 
 #: Per interval: how many records and how many omissions it closes with.
 intervals = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12
 )
 
-#: Caller-owned snapshot fields a bare mechanism has no use for.
-_STATE = dict(step=0, n_instructions=0, arch=[], initial_arch=[],
-              arch_history=[], rng_states={})
+#: Architectural rows of a bare two-core mechanism (it runs no program).
+_ARCH = [[0, 0, []], [0, 0, []]]
 
 
 def fill(log, k, records, omitted=0):
@@ -92,54 +93,67 @@ def ber_mechanism():
     return Mechanism(config, MemoryImage(7))
 
 
-def establish_all(mech, spec, recorded, start=0):
+def establish_all(mech, spec, recorded, recorder=None, start=0):
+    """Close one interval per ``spec`` entry, each with its records'
+    words written as a pass writes them, recording each boundary."""
     for k, (records, _) in enumerate(spec, start):
-        fill(mech.store.current_log, k, records)
+        for r in range(records):
+            address = k * 1000 + r * 8
+            old = mech.memory.write(address, k)
+            mech.store.current_log.add_record(address, old, r % 2)
         recorded.append((list(mech.store.current_log.records), []))
         mech.establish(float(k + 1), float(k + 1))
+        if recorder is not None:
+            recorder.record(_ARCH, k + 1, 0)
+
+
+def recorded_history(mech, spec, recorded):
+    recorder = SnapshotRecorder(mech, _ARCH)
+    establish_all(mech, spec, recorded, recorder)
+    return SimHistory.from_bytes(recorder.history().to_bytes())
 
 
 class TestRestoreRetention:
-    @given(intervals, intervals, st.integers(0, 3))
+    @given(intervals, intervals)
     @settings(max_examples=40, deadline=None)
-    def test_restored_store_keeps_the_invariant(self, before, after, open_n):
-        mech = ber_mechanism()
+    def test_restored_store_keeps_the_invariant(self, before, after):
         recorded = []
-        establish_all(mech, before, recorded)
-        fill(mech.store.current_log, len(before), open_n)
-        open_payload = (list(mech.store.current_log.records), [])
-        blob = mech.snapshot(**_STATE).to_bytes()
-
-        restored = ber_mechanism()
-        restored.restore(SimSnapshot.from_bytes(blob))
-        store = restored.store
-        assert payloads(store) == expected_payloads(store, recorded)
-        assert rollback_plans(store) == reference_plans(recorded, open_payload)
+        history = recorded_history(ber_mechanism(), before, recorded)
+        for m in range(len(before) + 1):
+            restored = ber_mechanism()
+            restored.restore(history, m)
+            store = restored.store
+            assert payloads(store) == expected_payloads(store, recorded[:m])
+            assert rollback_plans(store) == reference_plans(
+                recorded[:m], ([], []))
 
         # Establishing on from the restored state keeps the invariant.
-        recorded.append(open_payload)
-        restored.establish(float(len(before) + 1), float(len(before) + 1))
-        establish_all(restored, after, recorded, start=len(before) + 1)
+        establish_all(restored, after, recorded, start=len(before))
         assert payloads(store) == expected_payloads(store, recorded)
         assert rollback_plans(store) == reference_plans(recorded, ([], []))
 
     @pytest.mark.parametrize("field", ["records", "omitted"])
     def test_payload_beyond_the_window_is_refused(self, field):
-        mech = ber_mechanism()
-        establish_all(mech, [(1, 0)] * (RETAINED_CHECKPOINTS + 1), [])
-        doc = mech.snapshot(**_STATE).to_payload()
-        stale = doc["checkpoints"][0]["log"]
-        assert stale["records"] == [] and stale["omitted"] == []
-        stale[field] = (
-            [[8, 1, 0]] if field == "records" else [[8, 0, 0, 1]]
-        )
-        with pytest.raises(SnapshotError, match="retention window"):
-            ber_mechanism().restore(SimSnapshot.from_payload(doc))
+        # Every interval record keeps its rows, since a younger boundary
+        # needs them; restoring an older one must refuse them all the
+        # same, leaving the checkpoint's log as pruning left it.
+        spec = TrialSpec(workload="dc", config="ACR")
+        history = run_golden(spec).history
+        k = next(k for k, r in enumerate(history.intervals)
+                 if getattr(r, field)
+                 and k + RETAINED_CHECKPOINTS < len(history.intervals))
+        for m in range(k + 1, len(history.intervals) + 1):
+            log = fork(spec, history, m)[0].mech.store.checkpoints[k].log
+            held = len(getattr(log, field))
+            if m - k <= RETAINED_CHECKPOINTS:
+                assert held == len(getattr(history.intervals[k], field))
+            else:
+                assert held == 0
 
     def test_payload_inside_the_window_is_accepted(self):
         mech = ber_mechanism()
-        establish_all(mech, [(1, 0)] * (RETAINED_CHECKPOINTS + 1), [])
+        spec = [(1, 0)] * (RETAINED_CHECKPOINTS + 1)
+        history = recorded_history(mech, spec, [])
         restored = ber_mechanism()
-        restored.restore(SimSnapshot.from_payload(
-            mech.snapshot(**_STATE).to_payload()))
+        restored.restore(history, len(spec))
         assert payloads(restored.store) == payloads(mech.store)

@@ -24,8 +24,33 @@ from repro.inject.harness import (
     run_golden,
     run_trial,
 )
-from repro.sim.snapshot import SnapshotStore
+from repro.sim.mechanism import SnapshotRecorder
+from repro.sim.snapshot import SnapshotStore, encode_payload
 from repro.workloads import all_workload_names
+
+
+def _resolved(history, intervals):
+    """``intervals`` as canonical JSON with every entry reference
+    replaced by the entry's row and every memory delta by the words its
+    interval wrote, so two histories' records compare whatever order
+    their entry tables were built in and wherever their whole images
+    fall."""
+    entries = history.entries
+    docs = []
+    for record in intervals:
+        doc = json.loads(json.dumps(record.to_payload()))
+        values = dict(doc.pop("delta"))
+        del doc["whole"]
+        doc["written"] = sorted(
+            [row[0], values[row[0]]] for row in doc["records"] + doc["omitted"]
+        )
+        for row in doc["omitted"]:
+            row[1] = list(entries[row[1]])
+        for gen in doc["generations"] or ():
+            for row in gen[0]:
+                row[1] = list(entries[row[1]])
+        docs.append(json.dumps(doc, sort_keys=True))
+    return docs
 
 
 @pytest.fixture(autouse=True)
@@ -68,24 +93,30 @@ class TestTrialBitIdentity:
 
 class TestGoldenRun:
     def test_boundary_resnapshot_is_fixed_point(self):
-        # Restoring a boundary into a fresh pass and re-capturing it
-        # must reproduce the snapshot bytes exactly: capture and
-        # restore are inverses on live mid-run state.
+        # Restoring a boundary into a fresh pass and recording the rest
+        # of its run must reproduce the golden's later interval records
+        # exactly: recording and restoring are inverses on live mid-run
+        # state.
         spec = TrialSpec(workload="cg", seed=5)
         golden = run_golden(spec)
-        assert len(golden.boundaries) >= 2
-        mid = golden.boundaries[len(golden.boundaries) // 2]
-        child = fork(spec, mid)[0]
-        assert child.snapshot().to_bytes() == mid.to_bytes()
+        intervals = golden.history.intervals
+        assert len(intervals) >= 2
+        mid = len(intervals) // 2
+        child = fork(spec, golden.history, mid)[0]
+        recorder = SnapshotRecorder(child.mech, child.initial_arch)
+        child.run_to_end(lambda: child.record_boundary(recorder))
+        again = recorder.history()
+        assert _resolved(again, again.intervals) == _resolved(
+            golden.history, intervals[mid:]
+        )
 
     def test_resumed_fork_reaches_golden_end_state(self):
         spec = TrialSpec(workload="is", seed=2)
         golden = run_golden(spec)
-        child = fork(spec, golden.boundaries[-1])[0]
+        last = len(golden.history.intervals)
+        child = fork(spec, golden.history, last)[0]
         child.run_to_end()
-        assert child.memory.snapshot() == dict(
-            (a, v) for a, v in golden.final_words
-        )
+        assert child.memory.snapshot() == dict(golden.final_words)
         assert child.steps == golden.total_steps
 
     def test_bytes_round_trip_fixed_point(self):
@@ -95,7 +126,7 @@ class TestGoldenRun:
         again = GoldenRun.from_bytes(blob)
         assert again.to_bytes() == blob
         assert again.total_steps == golden.total_steps
-        assert len(again.boundaries) == len(golden.boundaries)
+        assert len(again.history.intervals) == len(golden.history.intervals)
 
     def test_key_distinguishes_spec(self):
         spec = TrialSpec(workload="cg", seed=5)
@@ -131,6 +162,20 @@ class TestSnapshotStorePath:
         assert result.to_dict() == run_trial(spec).to_dict()
         # The bad blob was replaced by a loadable one.
         GoldenRun.from_bytes(store.load(key))
+
+    def test_malformed_rows_quarantined_and_recomputed(self, tmp_path):
+        # A well-framed blob whose rows are malformed decodes to an
+        # error, never to a golden run that fails mid-trial.
+        store = SnapshotStore(tmp_path)
+        spec = TrialSpec(workload="cg", seed=1)
+        key = golden_key(spec)
+        doc = run_golden(spec).to_payload()
+        doc["final_words"] = [[a, str(v)] for a, v in doc["final_words"]]
+        store.save(key, encode_payload(doc))
+        result = run_trial(spec, snapshots=True, snapshot_store=store)
+        assert result.to_dict() == run_trial(spec).to_dict()
+        assert GoldenRun.from_bytes(store.load(key)).to_bytes() == (
+            run_golden(spec).to_bytes())
 
 
 class TestCampaignReportIdentity:

@@ -211,3 +211,37 @@ def test_interrupted_acquire_leaves_no_ownerless_claim(tmp_path, monkeypatch):
     peer.release()
     # Nothing else is left beside the claim path either.
     assert list(tmp_path.iterdir()) == []
+
+
+def _counting_mkdir(monkeypatch):
+    calls = []
+    real = os.mkdir
+
+    def mkdir(path, *args, **kwargs):
+        calls.append(str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", mkdir)
+    return calls
+
+
+def test_acquire_creates_the_directory_only_when_missing(tmp_path,
+                                                         monkeypatch):
+    calls = _counting_mkdir(monkeypatch)
+    warm = KeyLock(tmp_path / "k.lock")
+    assert warm.try_acquire() and warm.owned
+    assert calls == []
+    cold = KeyLock(tmp_path / "ab" / "k.lock")
+    assert cold.try_acquire() and cold.owned
+    assert calls == [str(tmp_path / "ab")]
+    warm.release()
+    cold.release()
+
+
+def test_unwritable_directory_behaves_as_owner(tmp_path):
+    # A regular file where the shard directory should be: neither the
+    # claim nor the directory can be created.
+    (tmp_path / "ab").write_text("")
+    lock = KeyLock(tmp_path / "ab" / "k.lock")
+    assert lock.try_acquire()
+    assert not lock.owned

@@ -14,7 +14,8 @@ chunk of every core they must agree on:
 * the pending useful/overhead stall accumulators, bit for bit;
 * the mechanism's state: memory, log bits, the open and retained logs
   (records and omissions), AddrMap generations, operand buffers and the
-  handler's counters (one :meth:`Mechanism.snapshot` each);
+  handler's counters (one :func:`tests.sim.full_snapshot.capture`
+  each);
 * the directory's communication tracking under ``scheme="local"`` (the
   timed steppers track it only there: its one reader is local
   coordination and recovery);
@@ -39,6 +40,7 @@ from repro.errors.injection import UniformErrors
 from repro.obs.tracer import RecordingTracer
 from repro.sim.simulator import SimulationOptions, Simulator, _Run
 from tests.sim.classic_path import ClassicRun, run_classic
+from tests.sim.full_snapshot import capture
 from tests.sim.test_engine_equivalence import NUM_CORES, _random_programs
 
 #: Caches small enough that the random programs evict from both levels,
@@ -72,10 +74,7 @@ def _state(run: _Run, scheme: str):
         for h in machine.hierarchies
     ]
     pending = [x.hex() for x in run._pending_useful + run._pending_overhead]
-    snap = run.mech.snapshot(
-        step=0, n_instructions=0, arch=[], initial_arch=[], arch_history=[],
-        rng_states={},
-    )
+    snap = capture(run.mech)
     comm = None
     if scheme == "local":
         toucher, edges = machine.directory.comm_state()

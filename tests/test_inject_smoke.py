@@ -1,16 +1,19 @@
-"""Fault-injection campaigns end to end through the CLI: the CI smoke
-jobs, in tier-1.
+"""Fault-injection campaigns end to end through the CLI.
 
-Each class holds one CI job's commands, data and assertions:
+These were two CI jobs of their own (``inject-smoke``,
+``snapshot-smoke``) run without numpy; the tier-1 job runs them now, and
+an in-process campaign is shown to build no vector plan, so a numpy-free
+environment exercises nothing more of them:
 
-* ``inject-smoke`` — a tiny cold campaign (two workloads x two seeds,
+* ``TestInjectSmoke`` — a tiny cold campaign (two workloads x two seeds,
   both configurations) recovers every flipped bit bit-exactly; a plain
   warm re-run on the same cache is served entirely from it (a re-run is
-  the resume); an in-process run reports the same bytes; and AddrMap
-  lookup ECC refuses damaged entries identically forked and straight;
-* ``snapshot-smoke`` — a campaign forked from golden snapshots reports
-  byte-identically to a straight-through one, and a re-run against the
-  warm ``--snapshot-dir`` still matches byte for byte.
+  the resume); an in-process run reports the same bytes, with the vector
+  plan builder made to raise; and AddrMap lookup ECC refuses damaged
+  entries identically forked and straight;
+* ``TestSnapshotSmoke`` — a campaign forked from golden snapshots
+  reports byte-identically to a straight-through one, and a re-run
+  against the warm ``--snapshot-dir`` still matches byte for byte.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.sim.vector import plans
 
 _CAMPAIGN = ["inject", "cg", "dc", "--trials", "2"]
 _ECC = ["inject", "cg", "--trials", "8", "--configs", "ACR",
@@ -57,6 +61,18 @@ class TestInjectSmoke:
         assert main(_CAMPAIGN + ["--jobs", "1", "--json",
                                  str(inprocess)]) == 0
         assert inprocess.read_bytes() == (cold / "report.json").read_bytes()
+
+    def test_in_process_campaign_builds_no_vector_plan(
+        self, cold, tmp_path, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an injection campaign built a vector plan")
+
+        monkeypatch.setattr(plans, "_build_plan", refuse)
+        monkeypatch.setattr(plans.KernelPlan, "__init__", refuse)
+        out = tmp_path / "planless.json"
+        assert main(_CAMPAIGN + ["--jobs", "1", "--json", str(out)]) == 0
+        assert out.read_bytes() == (cold / "report.json").read_bytes()
 
     def test_addrmap_ecc_forked_equals_straight(self, tmp_path):
         forked, straight = tmp_path / "ecc.json", tmp_path / "straight.json"

@@ -6,6 +6,8 @@ the JSONL appenders — the tests here pin exactly the behaviour those
 call sites relied on before the dedupe.
 """
 
+import os
+
 import pytest
 
 from repro.util import atomicio
@@ -51,6 +53,22 @@ class TestAtomicWrite:
         path = tmp_path / "ab" / "key.json"
         atomicio.atomic_write_text(path, "x")
         assert path.exists()
+
+    def test_directory_created_only_when_missing(self, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        real = os.mkdir
+
+        def mkdir(path, *args, **kwargs):
+            calls.append(str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", mkdir)
+        atomicio.atomic_write_text(tmp_path / "warm.json", "x")
+        assert calls == []
+        atomicio.atomic_write_text(tmp_path / "ab" / "cold.json", "x")
+        assert calls == [str(tmp_path / "ab")]
+        assert (tmp_path / "ab" / "cold.json").read_text() == "x"
 
 
 class TestQuarantine:
