@@ -15,8 +15,14 @@ hashes **everything that determines the run**:
 Entries live at ``<root>/<key[:2]>/<key>.json``.  Writes are atomic
 (temp file + ``os.replace`` in the same directory) so a crashed or
 concurrent writer can never leave a partially-written entry behind;
-readers treat any undecodable, truncated, schema-drifted or
-version-mismatched file as a **miss** and quarantine it by deletion.
+readers treat any undecodable (not UTF-8 included), truncated,
+schema-drifted or version-mismatched file as a **miss** and quarantine
+it by deletion.
+
+A hit is one ``open`` of the entry and one read of its bytes, then,
+inside the quarantine, one UTF-8 decode, one ``json.loads`` and the
+envelope check; :meth:`RunResult.from_payload` then checks each field
+as it copies it, each statistics column in one pass.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
@@ -73,9 +80,10 @@ def _package_version() -> str:
     return getattr(repro, "__version__", "unknown")
 
 
-def _canonical(payload: Any) -> str:
-    """Deterministic JSON rendering for hashing (sorted keys, no spaces)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: Deterministic JSON rendering for hashing and storing (sorted keys, no
+#: spaces): ``json.dumps(x, sort_keys=True, separators=(",", ":"))``
+#: with its encoder built once, not on every call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,6 +153,9 @@ class ResultCache:
         on_quarantine: Optional[Callable[[Path], None]] = None,
     ) -> None:
         self.root = Path(root)
+        #: ``root`` ending in a separator: entry paths are built from it
+        #: as strings, with no pathlib join on the read path.
+        self._prefix = os.path.join(self.root, "")
         #: Corrupt entries deleted by this cache instance so far.
         self.quarantined = 0
         #: Called with the quarantined path after each deletion.
@@ -159,9 +170,13 @@ class ResultCache:
     # ------------------------------------------------------------------ paths --
     def path_for(self, key: str) -> Path:
         """Where an entry for ``key`` lives (two-level fan-out)."""
+        return Path(self._entry(key))
+
+    def _entry(self, key: str) -> str:
+        """:meth:`path_for` as a string."""
         if not key or not _HEX_DIGITS.issuperset(key):
             raise ValueError(f"malformed cache key {key!r}")
-        return self.root / key[:2] / f"{key}.json"
+        return f"{self._prefix}{key[:2]}/{key}.json"
 
     def lock_path(self, key: str) -> Path:
         """Where ``key``'s claim lives — the one advisory lockfile (see
@@ -202,13 +217,16 @@ class ResultCache:
         the caller's job — on a decode failure it should call
         :meth:`quarantine` so the next write starts clean.
         """
-        path = self.path_for(key)
+        path = self._entry(key)
         try:
-            raw = path.read_text()
+            with open(path, "rb", buffering=0) as fh:
+                raw = fh.read()
         except OSError:
             return None
         try:
-            envelope = json.loads(raw)
+            # A UnicodeDecodeError is a ValueError: bytes that are not
+            # UTF-8 are quarantined like any other undecodable entry.
+            envelope = json.loads(raw.decode("utf-8"))
             if not isinstance(envelope, dict):
                 raise ValueError("cache envelope is not an object")
             if envelope.keys() != _ENVELOPE_FIELDS:
@@ -244,9 +262,8 @@ class ResultCache:
             "key": key,
             "result": result,
         }
-        payload = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
         return atomicio.atomic_write_text(
-            path, payload, prefix=f".{key[:8]}."
+            path, _canonical(envelope), prefix=f".{key[:8]}."
         )
 
     # -------------------------------------------------------------- management --
@@ -279,9 +296,9 @@ class ResultCache:
 
     def quarantine(self, key: str) -> None:
         """Remove ``key``'s entry (a caller-detected corrupt payload)."""
-        self._quarantine(self.path_for(key))
+        self._quarantine(self._entry(key))
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: str) -> None:
         """Remove a corrupt entry so the rewrite starts clean, and make
         the deletion visible (count, hook).  A path that
         is already gone counts as nothing-to-quarantine."""
@@ -289,4 +306,4 @@ class ResultCache:
             return
         self.quarantined += 1
         if self.on_quarantine is not None:
-            self.on_quarantine(path)
+            self.on_quarantine(Path(path))

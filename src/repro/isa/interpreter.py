@@ -486,16 +486,15 @@ class Interpreter:
     def restore_arch_state(self, state: Tuple[int, int, List[int]]) -> None:
         """Rewind (or fast-forward) to a state from :meth:`arch_state`.
 
-        The register file is replaced wholesale.
+        The iteration and the register file are replaced wholesale, a
+        finished core's too, so :meth:`arch_state` then returns ``state``.
         """
         kernel_index, iteration, regs = state
         if kernel_index < 0 or kernel_index > len(self.program.kernels):
             raise ValueError(f"bad kernel index {kernel_index}")
         self._kernel_index = kernel_index
-        self._prepare_kernel()
-        if not self.done:
-            self._iteration = iteration
-            self._regs = list(regs)
+        self._iteration = iteration
+        self._regs = list(regs)
 
     def _prepare_kernel(self) -> None:
         """Size the register file for the current kernel."""

@@ -83,10 +83,15 @@ def lint_jsonl(path: Union[str, Path]) -> Tuple[int, List[str]]:
     errors: List[str] = []
     count = 0
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().splitlines()
     except OSError as exc:
         return 0, [f"{path}: unreadable: {exc}"]
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            errors.append(f"{path}:{lineno}: not UTF-8")
+            continue
         if not line.strip():
             errors.append(f"{path}:{lineno}: blank line")
             continue

@@ -109,24 +109,28 @@ def read_snapshots(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Every committed snapshot, in write order.
 
     Tolerant by construction: no file ⇒ empty;
-    torn final line ⇒ ignored; corrupt interior line ⇒ skipped with a
-    warning; any schema-version mismatch ⇒ the whole file is discarded
-    with a warning (replay degrades to nothing, never a crash).
+    torn final line ⇒ ignored; corrupt interior line (not UTF-8, not
+    JSON) ⇒ skipped with a warning; any schema-version mismatch ⇒ the
+    whole file is discarded with a warning (replay degrades to nothing,
+    never a crash).
     """
     path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError:
         return []
     # Committed snapshots end with a newline: the final ``split`` slot is
-    # "" on a clean file and a torn half-record after a crash — either
+    # empty on a clean file and a torn half-record after a crash — either
     # way it is not a snapshot.
-    body = raw.split("\n")[:-1]
+    body = raw.split(b"\n")[:-1]
     snapshots: List[Dict[str, Any]] = []
-    for lineno, line in enumerate(body, start=1):
-        if not line.strip():
-            continue
+    for lineno, chunk in enumerate(body, start=1):
         try:
+            # Decoded line by line: bytes that are not UTF-8 cost only
+            # their own line (a UnicodeDecodeError is a ValueError).
+            line = chunk.decode("utf-8")
+            if not line.strip():
+                continue
             doc = json.loads(line)
             if not isinstance(doc, dict):
                 raise ValueError("snapshot line is not an object")

@@ -76,24 +76,27 @@ def _typed_fields(cls: type) -> Tuple[Tuple[str, bool, FrozenSet[type]], ...]:
     return tuple(table)
 
 
-def _check_types(cls: type, doc: Dict[str, Any],
-                 columns: bool = False) -> None:
-    """Raise ``ValueError`` unless every typed field of ``doc`` holds its
-    declared type; with ``columns`` every field is a list of them."""
+def _typed_values(cls: type, doc: Dict[str, Any]) -> Dict[str, Any]:
+    """``doc``'s typed fields (see :func:`_typed_fields`) in a fresh
+    mapping, each checked against its declared type as it is copied;
+    ``ValueError`` on the first wrong-typed one."""
+    values = {}
     for name, is_list, accepts in _typed_fields(cls):
         value = doc[name]
-        if is_list or columns:
+        if is_list:
             ok = type(value) is list and accepts.issuperset(map(type, value))
         else:
             ok = type(value) in accepts
         if not ok:
             raise ValueError(f"{cls.__name__}.{name}: wrong-typed value")
+        values[name] = value
+    return values
 
 
 def _record(cls: type, doc: Any) -> Any:
-    """One flat dataclass record from its exact, type-checked fields."""
-    _check_types(cls, require_fields(doc, cls, cls.__name__))
-    return cls(**doc)
+    """One flat dataclass record (every field a typed scalar) from its
+    exact, type-checked fields."""
+    return cls(**_typed_values(cls, require_fields(doc, cls, cls.__name__)))
 
 
 def _reduction(logged_bytes: int, omitted_bytes: int) -> float:
@@ -145,15 +148,21 @@ class StatsTable(Generic[R]):
     def from_columns(cls, row_type: Type[R], doc: Any) -> "StatsTable[R]":
         """Strict inverse of :meth:`to_columns`: exactly ``row_type``'s
         fields, each a list of its declared type, all of one length.
-        Checks run once per column; no row is built."""
-        _check_types(row_type, require_fields(doc, row_type,
-                                              row_type.__name__),
-                     columns=True)
-        columns = tuple(map(tuple, map(doc.__getitem__,
-                                       field_names(row_type))))
+        One pass per column checks its values' types and copies it into
+        the table; no row is built.  Every field of a row type is a
+        typed scalar, so :func:`_typed_fields` lists them all, in order."""
+        require_fields(doc, row_type, row_type.__name__)
+        columns = []
+        for name, _, accepts in _typed_fields(row_type):
+            value = doc[name]
+            if (type(value) is not list
+                    or not accepts.issuperset(map(type, value))):
+                raise ValueError(
+                    f"{row_type.__name__}.{name}: wrong-typed value")
+            columns.append(tuple(value))
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"{row_type.__name__}: ragged columns")
-        return cls(row_type, columns)
+        return cls(row_type, tuple(columns))
 
     def to_columns(self) -> Dict[str, List[Any]]:
         """One JSON list per field."""
@@ -438,22 +447,23 @@ class RunResult:
         column must hold its declared type, and columns must be of equal
         length.  Any violation raises ``ValueError`` rather than
         producing a half-built result, so cache readers can treat it as
-        a miss.  Checks run once per class, not once per row.
+        a miss.  Each field is checked as it is copied into the result
+        and each column in one pass; nothing is checked per row.
         """
         doc = require_fields(payload, cls, "RunResult", omit=_UNSERIALISED)
-        _check_types(cls, doc)
-        kwargs = dict(doc)
+        kwargs = _typed_values(cls, doc)
         kwargs["energy"] = EnergyLedger.from_dict(doc["energy"])
         kwargs["intervals"] = StatsTable.from_columns(IntervalStats,
                                                       doc["intervals"])
         kwargs["recoveries"] = StatsTable.from_columns(RecoveryStats,
                                                        doc["recoveries"])
-        if doc["compile_stats"] is not None:
-            kwargs["compile_stats"] = _record(CompileStats,
-                                              doc["compile_stats"])
-        if doc["obs"] is not None:
+        stats = doc["compile_stats"]
+        kwargs["compile_stats"] = (None if stats is None
+                                   else _record(CompileStats, stats))
+        obs = doc["obs"]
+        if obs is not None:
             try:
-                kwargs["obs"] = ObsReport.from_dict(doc["obs"])
+                kwargs["obs"] = ObsReport.from_dict(obs)
             except (TypeError, KeyError, AttributeError) as exc:
                 raise ValueError(f"RunResult: malformed obs payload: {exc}")
         return cls(**kwargs)

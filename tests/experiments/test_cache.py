@@ -273,6 +273,15 @@ class TestCorruptEntries:
         assert cache_with_entry.load(KEY) is None
         assert not path.exists()
 
+    def test_entry_not_utf8_is_miss_and_quarantined(self, cache_with_entry):
+        path = cache_with_entry.path_for(KEY)
+        raw = path.read_bytes()
+        at = raw.index(b'"label":"') + len(b'"label":"')
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        assert cache_with_entry.load(KEY) is None
+        assert cache_with_entry.quarantined == 1
+        assert not path.exists()
+
     def test_unknown_result_field_is_miss(self, cache_with_entry,
                                           small_run_result):
         path = cache_with_entry.path_for(KEY)

@@ -1,8 +1,10 @@
-"""Warm cache reads: pinned key bytes, exact-field decoding, and
+"""Warm cache reads: pinned key and entry bytes, exact-field decoding, and
 timing-free guards on the per-entry decode cost.
 
 A changed :func:`run_cache_key` would silently orphan every existing
-user cache, so the key for one fixed run is pinned to its hex digest.
+user cache, so the key for one fixed run, and the keys of one report's
+whole run matrix, are pinned to their hex digests; so are the bytes of
+one stored entry.
 The decode guards count calls instead of timing them: schema
 introspection (``dataclasses.fields``) and machine flattening
 (``dataclasses.asdict``) must happen once per class / per machine, not
@@ -11,6 +13,7 @@ class in an entry, not once per interval row.
 """
 
 import dataclasses
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -23,6 +26,8 @@ from repro.compiler.embed import CompileStats
 from repro.energy.accounting import EnergyLedger
 from repro.experiments.cache import ResultCache, run_cache_key
 from repro.experiments.configs import ConfigRequest
+from repro.experiments.report import paper_run_matrix
+from repro.experiments.runner import ExperimentRunner
 from repro.sim.results import IntervalStats, RecoveryStats, RunResult
 from repro.util import validation
 
@@ -33,6 +38,14 @@ KEY = "ab" * 32
 #: schema version is part of the key: this is the v5 key, whose bytes
 #: differ from v4's only in the ``"schema"`` value.
 PINNED_KEY = "a4805292e5c89a863f51a7a7b5ffd37c7bb1d31547f7d055f94d8cca892eecd0"
+#: sha256 of the 217 v5 keys of ``paper_run_matrix`` at 2 cores, scale
+#: 0.01, reps 1, concatenated in matrix order.
+PINNED_MATRIX_KEYS = (
+    "0c9bc840c10fe55667f9f7b40875283e3c4183b6dfc62d0b6c78b738df081cb0")
+#: sha256 of the entry :meth:`ResultCache.store` writes for ``_result()``
+#: under ``KEY``.
+PINNED_ENTRY = (
+    "6471b1bd7b1ed836b25fb9a750f76384ec9ff5fdd5370b3776d60422ae2d83bd")
 
 
 def _result(intervals: int = 3) -> RunResult:
@@ -58,6 +71,19 @@ class TestPinnedKeys:
         key = run_cache_key("is", ConfigRequest("ReCkpt_E"), MachineConfig(),
                             0.1, 12)
         assert key == PINNED_KEY
+
+    def test_report_matrix_keys_unchanged(self):
+        runner = ExperimentRunner(num_cores=2, region_scale=0.01, reps=1)
+        keys = [runner.cache_key(*pair)
+                for pair in paper_run_matrix(runner)]
+        assert len(keys) == len(set(keys)) == 217
+        digest = hashlib.sha256("".join(keys).encode()).hexdigest()
+        assert digest == PINNED_MATRIX_KEYS
+
+    def test_entry_bytes_unchanged(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.store(KEY, _result())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ENTRY
 
     def test_equal_machines_share_a_key(self):
         a, b = MachineConfig(), MachineConfig()

@@ -135,3 +135,40 @@ def test_forked_trial_equals_straight(workload, config, target, seed):
                      seed=seed)
     forked = run_trial(spec, snapshots=True)
     assert forked.to_dict() == run_trial(spec).to_dict()
+
+
+
+def _restore_each_arch_row(spec, compiled) -> int:
+    """Restore every architectural row of the golden history, live and
+    decoded from bytes, onto a fresh pass's interpreters and check that
+    each reads back unchanged; returns how many rows were of a finished
+    core."""
+    _, history = _record(spec, compiled)
+    decoded = SimHistory.from_bytes(history.to_bytes())
+    interpreters = _MechanismPass(spec, *compiled).interpreters
+    finished = 0
+    for source in (history, decoded):
+        rows = [source.initial_arch]
+        rows += [record.arch for record in source.intervals]
+        for states in rows:
+            for it, (kernel, iteration, regs) in zip(interpreters, states):
+                it.restore_arch_state((kernel, iteration, regs))
+                assert it.arch_state() == (kernel, iteration, list(regs))
+                finished += it.done
+    return finished
+
+
+def test_restoring_an_arch_row_restores_exactly_that_row():
+    """Every golden history row reads back after a restore, a finished
+    core's iteration and registers included: random programs (whose
+    cores finish at different times) and every registered workload."""
+    finished = 0
+    for seed in range(8):
+        for acr in (False, True):
+            finished += _restore_each_arch_row(
+                *_random_recipe(seed, acr, 4, 0, 2, 4))
+    for workload in all_workload_names():
+        for config in ("BER", "ACR"):
+            spec = TrialSpec(workload=workload, config=config)
+            _restore_each_arch_row(spec, _compiled(spec))
+    assert finished > 0

@@ -97,11 +97,8 @@ class _Walker:
         return (self.k, self.i, list(self.regs))
 
     def restore_arch_state(self, state) -> None:
-        self.k = state[0]
-        self._enter()
-        if not self.done:
-            self.i = state[1]
-            self.regs = list(state[2])
+        self.k, self.i = state[0], state[1]
+        self.regs = list(state[2])
 
     def step_iterations(self, max_iterations: int) -> ExecChunk:
         it = alu = loads = stores = assoc = 0

@@ -88,6 +88,16 @@ class TestJsonl:
         assert any("blank line" in e for e in errors)
         assert any("unknown event name" in e for e in errors)
 
+    def test_lint_jsonl_reports_a_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(golden_events(), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b'{"name": "\xff"}\n'
+        path.write_bytes(b"".join(lines))
+        count, errors = lint_jsonl(path)
+        assert errors == [f"{path}:2: not UTF-8"]
+        assert count == len(lines) - 1
+
     def test_lint_main_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.jsonl"
         write_jsonl(golden_events(), good)

@@ -89,6 +89,16 @@ class TestReadSnapshots:
             docs = read_snapshots(writer.path)
         assert [d["frames"] for d in docs] == [1, 2]
 
+    def test_line_that_is_not_utf8_warns_and_skips(self, tmp_path):
+        writer = SnapshotWriter(tmp_path / "t.jsonl")
+        writer.write(_snap(1))
+        with open(writer.path, "ab") as fh:
+            fh.write(b'{"frames": "\xff"}\n')
+        writer.write(_snap(2))
+        with pytest.warns(UserWarning, match=r"t\.jsonl:2: undecodable"):
+            docs = read_snapshots(writer.path)
+        assert [d["frames"] for d in docs] == [1, 2]
+
     def test_schema_version_mismatch_discards_whole_stream(self, tmp_path):
         writer = SnapshotWriter(tmp_path / "t.jsonl")
         writer.write(_snap(1))

@@ -99,13 +99,9 @@ def capture(mech) -> Dict[str, Any]:
     }
 
 
-def _arch_row(interpreter, row) -> List[Any]:
-    """One core's ``[kernel, iteration, regs]``; a finished core reads
-    ``[kernel, None, None]``: restoring a finished state leaves its
-    registers and iteration alone, and nothing ever reads them."""
+def _arch_row(row) -> List[Any]:
+    """One core's ``[kernel, iteration, regs]``."""
     kernel, iteration, regs = row
-    if kernel >= len(interpreter.program.kernels):
-        return [kernel, None, None]
     return [kernel, iteration, list(regs)]
 
 
@@ -113,14 +109,13 @@ def capture_pass(p) -> Dict[str, Any]:
     """:func:`capture` plus a fault-injection pass's step grid, live and
     initial architectural state and per-checkpoint architectural
     history."""
-    its = p.interpreters
     doc = capture(p.mech)
     doc.update(
         step=p.steps,
         n_instructions=p.n_instructions,
-        arch=[_arch_row(it, it.arch_state()) for it in its],
-        initial_arch=[_arch_row(it, r) for it, r in zip(its, p.initial_arch)],
-        arch_history=[[_arch_row(it, r) for it, r in zip(its, states)]
+        arch=[_arch_row(it.arch_state()) for it in p.interpreters],
+        initial_arch=[_arch_row(r) for r in p.initial_arch],
+        arch_history=[[_arch_row(r) for r in states]
                       for states in p.arch_snapshots],
     )
     return doc

@@ -26,6 +26,7 @@ is reproducible with one parametrized id.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -493,6 +494,37 @@ class TestRegisteredWorkloads:
                 profile,
                 workload,
             )
+
+
+class TestFig6SmokeBitIdentity:
+    """The engine guardrail's bit-identity sweep, its data unchanged: the
+    two cheapest workloads at 2 cores, scale 0.2, reps 12, all nine
+    configurations at 4 checkpoints, each engine placing its dependents
+    against its own NoCkpt run.  The engines' serialised results must
+    render to the same canonical JSON text."""
+
+    @staticmethod
+    def _sweep(sim, spec, engine):
+        results = {}
+        baseline = None
+        for name in CONFIG_NAMES:
+            request = ConfigRequest(
+                name, num_checkpoints=4, threshold=spec.default_threshold
+            )
+            res = sim.run(make_options(request, baseline, engine=engine))
+            if request.is_baseline:
+                baseline = res.baseline_profile()
+            results[name] = res.to_dict()
+        return json.dumps(results, sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("workload", ("cg", "is"))
+    def test_fig6_smoke_checksums_match(self, workload):
+        spec = get_workload(workload)
+        programs = spec.build_programs(2, region_scale=0.2, reps=12)
+        sim = Simulator(programs, MachineConfig(num_cores=2))
+        interp = self._sweep(sim, spec, "interp")
+        assert self._sweep(sim, spec, "vector") == interp, (
+            f"engine divergence on {workload}")
 
 
 class TestRunResultCoverageField:

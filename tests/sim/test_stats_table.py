@@ -23,7 +23,9 @@ from repro.analysis.decomposition import decompose_overhead, recovery_anatomy
 from repro.energy.accounting import EnergyLedger
 from repro.experiments.figures import fig10_temporal
 from repro.experiments.placement import aware_boundaries, profile_reductions
-from repro.sim.results import IntervalStats, RecoveryStats, RunResult, StatsTable
+from repro.sim.results import (
+    IntervalStats, RecoveryStats, RunResult, StatsTable, _typed_fields,
+)
 from repro.util.validation import field_names
 
 nonneg = st.integers(min_value=0, max_value=2**40)
@@ -191,6 +193,13 @@ class TestRowViews:
         assert table.column("useful_ns") == (0.0, 1.5, 3.0)
         with pytest.raises(ValueError):
             table.column("bogus")
+
+    @pytest.mark.parametrize("row_type", [IntervalStats, RecoveryStats])
+    def test_every_row_field_is_a_typed_scalar(self, row_type):
+        # ``StatsTable.from_columns`` decodes exactly these columns.
+        typed = _typed_fields(row_type)
+        assert tuple(name for name, _, _ in typed) == field_names(row_type)
+        assert not any(is_list for _, is_list, _ in typed)
 
     def test_plain_tuple_rows_make_the_same_table(self):
         ivs = [IntervalStats(i, 1.5 * i, 1, 0, 16, 0, 0, 2.0, 1, 64)
