@@ -2,9 +2,10 @@
 
 A second, faster execution engine for the simulator: straight-line
 kernel bodies are turned into precomputed *trace plans* (flat address /
-line / store-value arrays built with batched numpy reductions, cached on
-the :class:`~repro.isa.program.Program`) and replayed through one
-allocation-free accounting loop instead of each shape's timed stepper.
+line / store-value tuples built by each kernel shape's generated
+evaluator, cached on the :class:`~repro.isa.program.Program`) and
+replayed through one allocation-free accounting loop instead of each
+shape's timed stepper.
 
 The classic interpreter remains the differential reference: any kernel
 the planner cannot prove exact (externally-written load addresses,

@@ -246,7 +246,7 @@ class VectorCoreRunner:
                 interp = self.interp
                 if not self._synced:
                     regs = (
-                        list(plan.rows()[self._i - 1])
+                        list(plan.rows[self._i - 1])
                         if self._i > 0
                         else [0] * (plan.width + 1)
                     )
@@ -295,7 +295,7 @@ class VectorCoreRunner:
                             )
                         covered = tuple(built)
                         covered_meta[k] = covered
-                    rows = plan.rows()
+                    rows = plan.rows
 
                 row = None
                 for i in range(i0, i1):

@@ -12,10 +12,7 @@ plan and falls back to the interpreter otherwise, which makes plans safe
 to cache on the :class:`~repro.isa.program.Program` and share across
 runs, configurations and engines.
 
-Address streams and large-trip straight-line bodies are evaluated as
-batched numpy operations (``uint64`` arithmetic wraps mod 2**64, matching
-the ISA's masked semantics) from the shape key and ``params``; small or
-irregular bodies go through their shape's *generated evaluator*: each
+Every plan is evaluated by its shape's *generated evaluator*: each
 :class:`~repro.isa.program.KernelShape` holds (built once per shape) an
 ``exec``-compiled function of the kernel's ``params``, spelled in the
 interpreter steppers' vocabulary (:mod:`repro.isa.opcodes`), and the
@@ -27,69 +24,15 @@ loop-carried accumulators, partially-defined registers).
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    cast,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, cast
 from weakref import WeakKeyDictionary
 
-from repro.obs.telemetry.profile import phase as _phase
-
-try:  # numpy accelerates large-trip plan evaluation; plans work without it
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs
-    np = None  # type: ignore[assignment]
-
-from repro.isa.opcodes import ALU_EXPR, INIT_MIX, MASK64, Opcode
+from repro.isa.opcodes import ALU_EXPR, MASK64
 from repro.isa.opcodes import address_expr, exec_generated, initial_value_lines
 from repro.isa.program import Kernel, KernelShape, Program
+from repro.obs.telemetry.profile import phase as _phase
 
 __all__ = ["KernelPlan", "ProgramPlans", "plans_for"]
-
-if np is not None:
-    _U64 = np.uint64
-    _MIX_U64 = _U64(INIT_MIX)
-    _SHIFT29 = _U64(29)
-    _SIX_THREE = _U64(63)
-
-#: Below this trip count the per-array numpy dispatch overhead outweighs
-#: the vector win and the scalar evaluator is used instead.
-NUMPY_MIN_TRIP = 24
-
-
-def _np_alu(op: Opcode, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized equivalent of :func:`repro.isa.opcodes.apply_alu`."""
-    if op is Opcode.ADD:
-        return a + b
-    if op is Opcode.SUB:
-        return a - b
-    if op is Opcode.MUL:
-        return a * b
-    if op is Opcode.AND:
-        return a & b
-    if op is Opcode.OR:
-        return a | b
-    if op is Opcode.XOR:
-        return a ^ b
-    if op is Opcode.SHL:
-        return a << (b & _SIX_THREE)
-    if op is Opcode.SHR:
-        return a >> (b & _SIX_THREE)
-    raise ValueError(f"not a binary ALU opcode: {op}")  # pragma: no cover
-
-
-def _initial_values(addrs: np.ndarray, seed: int) -> np.ndarray:
-    """Vectorized :meth:`MemoryImage.initial_value` over a uint64 array."""
-    x = addrs * _MIX_U64 + _U64(seed & MASK64)
-    x = x ^ (x >> _SHIFT29)
-    return x * _MIX_U64
 
 
 class KernelPlan:
@@ -119,8 +62,7 @@ class KernelPlan:
         "store_sites",
         "overlap",
         "regs_stable",
-        "_rows",
-        "_cols",
+        "rows",
         "_acc_rows",
     )
 
@@ -155,33 +97,12 @@ class KernelPlan:
         #: mutation (fault injection between segments) could be masked by
         #: the baked forwarding — such kernels always run interpreted.
         self.overlap = False
-        self._rows: Optional[Tuple[Tuple[int, ...], ...]] = None
-        #: numpy-evaluated plans: register -> 1-d column or 0-d constant.
-        self._cols: Optional[Dict[int, Any]] = None
+        #: Register file at the end of each iteration (one tuple per
+        #: row).  ``rows[i]`` is also the register file at the *start*
+        #: of iteration ``i + 1`` — the state a mid-kernel fallback
+        #: resumes from.
+        self.rows: Tuple[Tuple[int, ...], ...] = ()
         self._acc_rows: Optional[Tuple[tuple, ...]] = None
-
-    # -- register rows --------------------------------------------------------
-    def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """Register file at the end of each iteration (one tuple per row).
-
-        ``rows()[i]`` is also the register file at the *start* of
-        iteration ``i + 1`` — the state a mid-kernel fallback resumes
-        from.  For numpy-evaluated kernels the rows are materialised
-        lazily from the register columns on first use.
-        """
-        if self._rows is None:
-            cols = self._cols
-            assert cols is not None
-            trip = self.trip
-            columns: List[Sequence[int]] = [(0,) * trip] * (self.width + 1)
-            for reg, col in cols.items():
-                if getattr(col, "ndim", 0):  # numpy column (1-d array)
-                    columns[reg] = col.tolist()
-                else:  # constant column (0-d numpy scalar)
-                    columns[reg] = (int(col),) * trip
-            self._rows = tuple(zip(*columns))
-            self._cols = None
-        return self._rows
 
     def access_rows(self) -> Tuple[tuple, ...]:
         """Per iteration: the access stream as ``(addr, line, is_store,
@@ -297,17 +218,13 @@ def _generate_evaluator(shape: KernelShape) -> Callable[..., tuple]:
     return cast(Callable[..., tuple], namespace["_eval"])
 
 
-def _run_codegen(
-    plan: KernelPlan,
-    evaluator: Callable[..., tuple],
-    params: tuple,
-    trip: int,
-    seed: int,
-    line_bytes: int,
-) -> None:
-    """Evaluate the kernel through its shape's generated function."""
+def _build_plan(kernel: Kernel, seed: int, line_bytes: int) -> KernelPlan:
+    """Evaluate one kernel into a :class:`KernelPlan` through its
+    shape's generated evaluator."""
+    plan = KernelPlan(kernel)
+    evaluator = kernel.shape.prepared("evaluator", _generate_evaluator)
     addrs, svalues, rows, external, load_set, overlay = evaluator(
-        trip, params, seed & MASK64
+        kernel.trip_count, kernel.params, seed & MASK64
     )
     plan.addrs = tuple(addrs)
     plan.lines = tuple([a // line_bytes for a in addrs])
@@ -316,151 +233,8 @@ def _run_codegen(
     if external:
         plan.external_loads = frozenset(external)
     plan.overlap = bool(load_set) and not load_set.isdisjoint(overlay)
-    plan._rows = tuple(rows)
-
-
-def _build_plan(
-    kernel: Kernel, seed: int, line_bytes: int, vectorize: bool = False
-) -> KernelPlan:
-    """Evaluate one kernel into a :class:`KernelPlan`.
-
-    With ``vectorize``, large trips go through the batched numpy
-    evaluator; the rest (and, for tests that pin each path, every plan
-    built without it) through the shape's generated evaluator.
-    """
-    plan = KernelPlan(kernel)
-    trip = kernel.trip_count
-    if vectorize and np is not None and trip >= NUMPY_MIN_TRIP:
-        if _try_build_numpy(plan, kernel, trip, seed, line_bytes):
-            return plan
-    evaluator = kernel.shape.prepared("evaluator", _generate_evaluator)
-    _run_codegen(plan, evaluator, kernel.params, trip, seed, line_bytes)
+    plan.rows = tuple(rows)
     return plan
-
-
-def _address_column(params: Tuple[int, ...], p: int, trip: int) -> np.ndarray:
-    """The address stream of the load/store whose ``(base, stride,
-    length, offset)`` start at ``params[p]``."""
-    base, stride, length, offset = params[p:p + 4]
-    idx = (offset + stride * np.arange(trip, dtype=np.int64)) % length
-    return base + idx * 8
-
-
-def _try_build_numpy(
-    plan: KernelPlan, kernel: Kernel, trip: int, seed: int, line_bytes: int
-) -> bool:
-    """Batched evaluation for large straight-line bodies.
-
-    Returns False (leaving the plan untouched) when the body needs the
-    scalar evaluator: in-kernel load/store aliasing (store-to-load
-    forwarding), or loop-carried register reads other than the canonical
-    self-accumulation (``acc += value`` into an otherwise-undefined
-    register, which vectorizes as a prefix sum).
-    """
-    shape = kernel.shape
-    params = kernel.params
-    body = tuple(zip(shape.key, shape.param_offsets))
-    # Pass 1: addresses, and the alias pre-check.
-    addr_cols: List[np.ndarray] = []
-    load_addr_arrays: List[np.ndarray] = []
-    store_addr_arrays: List[np.ndarray] = []
-    for part, p in body:
-        tag = part[0]
-        if tag == 2 or tag == 3:
-            col = _address_column(params, p, trip)
-            addr_cols.append(col)
-            (load_addr_arrays if tag == 2 else store_addr_arrays).append(col)
-    if store_addr_arrays and load_addr_arrays:
-        store_u = np.unique(np.concatenate(store_addr_arrays))
-        load_u = np.unique(np.concatenate(load_addr_arrays))
-        if np.intersect1d(store_u, load_u, assume_unique=True).size:
-            return False
-
-    defined_anywhere = set()
-    for part in shape.key:
-        tag = part[0]
-        if tag == 0 or tag == 2:
-            defined_anywhere.add(part[1])
-        elif tag == 1:
-            defined_anywhere.add(part[2])
-
-    # Pass 2: register columns.
-    cols: Dict[int, object] = {}
-    defined: set = set()
-    svalue_cols: List[np.ndarray] = []
-    acc_idx = 0
-
-    def col_of(reg: int) -> Optional[object]:
-        if reg in defined:
-            return cols[reg]
-        if reg in defined_anywhere:
-            return None  # loop-carried: previous-iteration value
-        return _U64(0)  # never defined: architectural zero
-
-    for part, p in body:
-        tag = part[0]
-        if tag == 0:  # MOVI
-            cols[part[1]] = _U64(params[p] & MASK64)
-            defined.add(part[1])
-        elif tag == 2:  # LOAD (alias-free: values are the initialiser's)
-            cols[part[1]] = _initial_values(
-                addr_cols[acc_idx].astype(np.uint64), seed
-            )
-            defined.add(part[1])
-            acc_idx += 1
-        elif tag == 3:  # STORE
-            src = col_of(part[1])
-            if src is None:
-                return False
-            if not isinstance(src, np.ndarray):
-                src = np.full(trip, src, dtype=np.uint64)
-            svalue_cols.append(src)
-            acc_idx += 1
-        else:  # ALU
-            _, opcode, dst, a, b = part
-            ca = col_of(a)
-            cb = col_of(b)
-            if ca is None:
-                # The canonical accumulator: dst += src_b with dst
-                # loop-carried and starting at zero -> prefix sum.
-                if opcode is Opcode.ADD and a == dst and cb is not None:
-                    operand = (
-                        cb
-                        if isinstance(cb, np.ndarray)
-                        else np.full(trip, cb, dtype=np.uint64)
-                    )
-                    cols[dst] = np.cumsum(operand, dtype=np.uint64)
-                    defined.add(dst)
-                    continue
-                return False
-            if cb is None:
-                return False
-            if not isinstance(ca, np.ndarray) and not isinstance(cb, np.ndarray):
-                cols[dst] = _np_alu(
-                    opcode, np.asarray(ca, dtype=np.uint64), np.asarray(cb, np.uint64)
-                )[()]
-            else:
-                cols[dst] = _np_alu(opcode, ca, cb)
-            defined.add(dst)
-
-    api = plan.accesses_per_iter
-    flat = np.empty((trip, api), dtype=np.int64)
-    for j, col in enumerate(addr_cols):
-        flat[:, j] = col
-    addrs = flat.ravel()
-    plan.addrs = tuple(addrs.tolist())
-    plan.lines = tuple((addrs // line_bytes).tolist())
-    if svalue_cols:
-        sflat = np.empty((trip, len(svalue_cols)), dtype=np.uint64)
-        for j, col in enumerate(svalue_cols):
-            sflat[:, j] = col
-        plan.svalues = tuple(sflat.ravel().tolist())
-    if load_addr_arrays:
-        plan.external_loads = frozenset(
-            np.unique(np.concatenate(load_addr_arrays)).tolist()
-        )
-    plan._cols = cols
-    return True
 
 
 class ProgramPlans:
@@ -477,12 +251,8 @@ class ProgramPlans:
         plan = self._plans.get(kernel_index)
         if plan is None:
             with _phase("plan-build"):
-                plan = _build_plan(
-                    self.program.kernels[kernel_index],
-                    self.seed,
-                    self.line_bytes,
-                    vectorize=True,
-                )
+                plan = _build_plan(self.program.kernels[kernel_index],
+                                   self.seed, self.line_bytes)
             self._plans[kernel_index] = plan
         return plan
 

@@ -169,16 +169,14 @@ _PLAN_FIELDS = tuple(
 
 
 def _plan_doc(plan):
-    doc = {name: getattr(plan, name) for name in _PLAN_FIELDS}
-    doc["rows"] = plan.rows()
-    return doc
+    return {name: getattr(plan, name) for name in _PLAN_FIELDS}
 
 
 def _assert_int_tuples(plan):
     for stream in (plan.addrs, plan.lines, plan.svalues):
         assert type(stream) is tuple
         assert all(type(v) is int for v in stream)
-    rows = plan.rows()
+    rows = plan.rows
     assert type(rows) is tuple and len(rows) == plan.trip
     for row in rows:
         assert type(row) is tuple
@@ -221,10 +219,8 @@ class TestInternedBuildMatchesReference:
             Interpreter(program, memory).run_to_completion()
         assert memories[0].snapshot() == memories[1].snapshot()
         for k in range(len(chains)):
-            plan = _build_plan(interned.kernels[k], seed, LINE_BYTES,
-                               vectorize=True)
-            ref = _build_plan(fresh.kernels[k], seed, LINE_BYTES,
-                              vectorize=True)
+            plan = _build_plan(interned.kernels[k], seed, LINE_BYTES)
+            ref = _build_plan(fresh.kernels[k], seed, LINE_BYTES)
             _assert_int_tuples(plan)
             assert _plan_doc(plan) == _plan_doc(ref)
 
@@ -235,31 +231,23 @@ class TestInternedBuildMatchesReference:
     @settings(max_examples=60, deadline=None)
     def test_plan_streams_are_int_tuples_equal_to_oracle(self, kernels):
         program = Program(kernels, 0)
-        for k, kernel in enumerate(program.kernels):
-            # Vectorized: trips >= NUMPY_MIN_TRIP take the numpy
-            # evaluator; otherwise, always the generated one.
-            for plan in (
-                _build_plan(kernel, 0, LINE_BYTES, vectorize=True),
-                _build_plan(kernel, 0, LINE_BYTES),
-            ):
-                oracle = _scalar_reference(kernel)
-                _assert_int_tuples(plan)
-                _assert_int_tuples(oracle)
-                for name in ("addrs", "lines", "svalues", "external_loads",
-                             "overlap"):
-                    assert getattr(plan, name) == getattr(oracle, name)
-                assert plan.rows() == oracle.rows()
+        for kernel in program.kernels:
+            plan = _build_plan(kernel, 0, LINE_BYTES)
+            oracle = _scalar_reference(kernel)
+            _assert_int_tuples(plan)
+            _assert_int_tuples(oracle)
+            for name in ("addrs", "lines", "svalues", "external_loads",
+                         "overlap", "rows"):
+                assert getattr(plan, name) == getattr(oracle, name)
 
     def test_collector_untracks_plan_streams(self):
         args = dict(store_pattern=AddressPattern(0, 1, 64),
                     input_patterns=[AddressPattern(1 << 20, 1, 64)],
                     chain_depth=4, salt=5)
-        for trip in (8, 48):  # generated and numpy evaluators
+        for trip in (8, 48):
             program = Program([chain_kernel("gc", trip_count=trip, **args)])
-            plan = _build_plan(program.kernels[0], 0, LINE_BYTES,
-                               vectorize=True)
-            plan.rows()
+            plan = _build_plan(program.kernels[0], 0, LINE_BYTES)
             gc.collect()
             for stream in (plan.addrs, plan.lines, plan.svalues,
-                           *plan.rows()):
+                           *plan.rows):
                 assert not gc.is_tracked(stream)

@@ -66,8 +66,8 @@ STRIDES = (-7, -3, -1, 0, 1, 1, 1, 2, 3, 5, 8, 13)
 #: lengths that wrap mid-trip.
 LENGTHS = (1, 2, 3, 5, 8, 16, 24, 32, 64)
 
-#: Trip counts: tiny bodies, the numpy-eligibility threshold (24) and its
-#: neighbours, and trips long enough to straddle interval boundaries.
+#: Trip counts: tiny bodies, mid-sized ones (23 to 31), and trips long
+#: enough to straddle interval boundaries.
 TRIPS = (1, 2, 3, 4, 7, 8, 13, 16, 23, 24, 25, 31, 48, 64)
 
 #: A region both cores may touch — writes here invalidate the other

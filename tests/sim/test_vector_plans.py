@@ -1,11 +1,11 @@
-"""Plan evaluator oracle: codegen and numpy paths vs the scalar reference.
+"""Plan evaluator oracle: the generated evaluators vs the scalar reference.
 
 ``_build_scalar`` here is the deliberately-simple oracle, off the
-production path; the shapes' generated evaluators and the batched
-numpy evaluator must reproduce its every output stream — addresses,
-lines, store values, register rows, external-load sets and the overlap
-bit — for any body shape.  Divergence here would surface as an engine
-mismatch far downstream, so it is pinned at the source.
+production path; the shapes' generated evaluators must reproduce its
+every output stream — addresses, lines, store values, register rows,
+external-load sets and the overlap bit — for any body shape and trip
+count.  Divergence here would surface as an engine mismatch far
+downstream, so it is pinned at the source.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from repro.isa.instructions import (
 from repro.isa.interpreter import MemoryImage
 from repro.isa.program import Program
 from repro.isa.opcodes import MASK64, apply_alu
-from repro.sim.vector.plans import (
-    NUMPY_MIN_TRIP,
-    KernelPlan,
-    _build_plan,
-)
+from repro.sim.vector.plans import KernelPlan, _build_plan
 from tests.sim.test_engine_equivalence import _random_kernel
 
 SEED = 0
+
+#: The large trips of the equivalence suite's trip pool (24 and up).
+LARGE_TRIP = 24
 
 
 def _build_scalar(
@@ -83,7 +82,7 @@ def _build_scalar(
     plan.svalues = tuple(svalues)
     plan.external_loads = frozenset(external)
     plan.overlap = not load_addrs.isdisjoint(overlay)
-    plan._rows = tuple(rows)
+    plan.rows = tuple(rows)
 
 
 def _scalar_reference(kernel, seed=SEED):
@@ -93,19 +92,10 @@ def _scalar_reference(kernel, seed=SEED):
     return plan
 
 
-def _ints(values):
-    return [int(v) for v in values]
-
-
 def _assert_streams_match(plan, oracle, tag):
-    assert _ints(plan.addrs) == _ints(oracle.addrs), tag
-    assert _ints(plan.lines) == _ints(oracle.lines), tag
-    assert _ints(plan.svalues) == _ints(oracle.svalues), tag
-    assert set(map(int, plan.external_loads)) == set(
-        map(int, oracle.external_loads)
-    ), tag
-    assert plan.overlap == oracle.overlap, tag
-    assert [_ints(r) for r in plan.rows()] == [_ints(r) for r in oracle.rows()], tag
+    for name in ("addrs", "lines", "svalues", "external_loads", "overlap",
+                 "rows"):
+        assert getattr(plan, name) == getattr(oracle, name), (name, tag)
 
 
 class TestCodegenMatchesScalarOracle:
@@ -119,29 +109,26 @@ class TestCodegenMatchesScalarOracle:
                 plan, _scalar_reference(kernel), f"batch={batch} k={k}"
             )
 
-    def test_numpy_path_matches_scalar_oracle(self):
-        """Kernels at/above the numpy threshold, built with
-        ``vectorize`` (the numpy-eligibility condition), against the
-        oracle."""
+    def test_large_trips_match_scalar_oracle(self):
+        """Kernels of 24 trips and more (long enough to straddle interval
+        boundaries), inside a program, against the oracle."""
         rng = random.Random(77)
         checked = 0
         for k in range(60):
             kernel = _random_kernel(rng, f"np.{k}", 1 << 24)
-            if kernel.trip_count < NUMPY_MIN_TRIP:
+            if kernel.trip_count < LARGE_TRIP:
                 continue
             program = Program([kernel], 0)
-            plan = _build_plan(
-                program.kernels[0], SEED, LINE_BYTES, vectorize=True
-            )
+            plan = _build_plan(program.kernels[0], SEED, LINE_BYTES)
             _assert_streams_match(
                 plan, _scalar_reference(program.kernels[0]), f"k={k}"
             )
             checked += 1
-        assert checked >= 10  # the trip pool guarantees eligible kernels
+        assert checked >= 10  # the trip pool guarantees large trips
 
     def test_seed_sensitivity(self):
         """External loads (hence store values) depend on the memory seed;
-        both evaluators must agree for any seed."""
+        the evaluator and the oracle must agree for any seed."""
         rng = random.Random(5)
         kernel = _random_kernel(rng, "seeded", 1 << 24)
         for seed in (0, 1, 0xDEADBEEF):
@@ -161,10 +148,10 @@ class TestAccessRows:
             acc = plan.access_rows()
             assert len(acc) == plan.trip
             flat = [t for row in acc for t in row]
-            assert [a for a, _, _, _ in flat] == _ints(plan.addrs)
-            assert [l for _, l, _, _ in flat] == _ints(plan.lines)
+            assert [a for a, _, _, _ in flat] == list(plan.addrs)
+            assert [l for _, l, _, _ in flat] == list(plan.lines)
             assert [s for _, _, s, _ in flat] == list(plan.store_flags) * plan.trip
-            assert [v for _, _, s, v in flat if s] == _ints(plan.svalues)
+            assert [v for _, _, s, v in flat if s] == list(plan.svalues)
             assert all(v is None for _, _, s, v in flat if not s)
 
     def test_access_rows_cached(self):
@@ -173,10 +160,10 @@ class TestAccessRows:
         assert plan.access_rows() is plan.access_rows()
 
 
-def test_plans_work_without_numpy():
-    """numpy is an optional accelerator: with it blocked, plans must
-    still build (through the generated scalar evaluators) and the
-    engines must still agree."""
+def test_no_process_imports_numpy():
+    """The CLI and a vector-engine run of a built-in workload, in a fresh
+    process, import no numpy: every plan is built by the generated
+    evaluators."""
     import subprocess
     import sys
     import textwrap
@@ -186,27 +173,16 @@ def test_plans_work_without_numpy():
         """
         import sys
 
-        class Blocker:
-            def find_module(self, name, path=None):
-                if name == "numpy":
-                    return self
-            def load_module(self, name):
-                raise ImportError("numpy blocked")
+        import repro.cli
+        from repro.experiments.configs import ConfigRequest
+        from repro.experiments.runner import ExperimentRunner
 
-        sys.meta_path.insert(0, Blocker())
-        from repro.sim.vector import plans
-        assert plans.np is None
-        from repro.isa.builder import chain_kernel
-        from repro.isa.instructions import AddressPattern
-        from repro.isa.program import Program
-        program = Program([chain_kernel(
-            "k", AddressPattern(0, 1, 32),
-            [AddressPattern(1 << 20, 1, 32)], 3, 32)], 0)
-        plan = plans.plans_for(program, 0, 64).plan(0)
-        assert len(plan.addrs) == 64 and len(plan.svalues) == 32
-        # Every store is the first write to its word.
-        assert plan.store_flags == (False, True)
-        assert len(set(plan.addrs[1::2])) == 32
+        runner = ExperimentRunner(
+            num_cores=2, region_scale=0.05, reps=2, engine="vector"
+        )
+        run = runner.run("cg", ConfigRequest("ReCkpt_E"))
+        assert run.vector_coverage["replayed_iterations"] > 0
+        assert "numpy" not in sys.modules, "numpy was imported"
         """
     )
     src = Path(__file__).resolve().parents[2] / "src"
@@ -215,7 +191,7 @@ def test_plans_work_without_numpy():
         env={"PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 

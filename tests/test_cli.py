@@ -387,6 +387,38 @@ class TestAnalyzeCommand:
         assert doc["safe"] + doc["denied"] == doc["segments"] > 0
         assert doc["coverage"]["replayed_iterations"] > 0
 
+    def test_all_workloads_certify_and_never_fall_back(self, capsys):
+        """CI's certification gate, with its exact arguments: every
+        built-in segment certifies SAFE and every iteration replays."""
+        import json
+
+        args = ["analyze", "--all", "--scale", "0.1", "--reps", "10",
+                "--cores", "4", "--explain-fallbacks"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--format", "json"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert docs, "no workloads analyzed"
+        for doc in docs:
+            name = doc["benchmark"]
+            assert doc["denied"] == 0, (name, doc["denials_by_rule"])
+            cov = doc["coverage"]
+            assert cov["fallback_iterations"] == 0, (name, cov)
+            assert cov["replayed_iterations"] > 0, (name, cov)
+
+    def test_json_document_at_ci_scale(self, capsys):
+        """CI's JSON document check on bt, with its exact arguments."""
+        import json
+
+        assert main(["analyze", "bt", "--scale", "0.1", "--reps", "10",
+                     "--cores", "2", "--format", "json",
+                     "--explain-fallbacks"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["benchmark"] == "bt"
+        assert doc["safe"] + doc["denied"] == doc["segments"] > 0
+        assert "unexplained_fallbacks" not in doc
+        assert doc["coverage"]["replayed_iterations"] > 0
+
     def test_missing_benchmark_exits_two(self, capsys):
         assert main(["analyze"] + self.TINY) == 2
         assert "--all" in capsys.readouterr().err

@@ -1,9 +1,8 @@
 """Fault-injection campaigns end to end through the CLI.
 
 These were two CI jobs of their own (``inject-smoke``,
-``snapshot-smoke``) run without numpy; the tier-1 job runs them now, and
-an in-process campaign is shown to build no vector plan, so a numpy-free
-environment exercises nothing more of them:
+``snapshot-smoke``); the tier-1 job runs them now, and an in-process
+campaign is shown to build no vector plan:
 
 * ``TestInjectSmoke`` — a tiny cold campaign (two workloads x two seeds,
   both configurations) recovers every flipped bit bit-exactly; a plain

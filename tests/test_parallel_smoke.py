@@ -1,24 +1,24 @@
-"""The ``--jobs N`` fan-out end to end: the CI smoke jobs, in tier-1.
+"""The ``--jobs N`` fan-out end to end.
 
-Each class holds one CI job's assertions with that job's data:
+Each class holds one end-to-end flow, with its CI-scale data:
 
-* ``chaos-smoke`` — a plain re-run of an ``inject --jobs 2`` campaign
+* ``TestChaosSmoke`` — a plain re-run of an ``inject --jobs 2`` campaign
   on its cache (the resume) reads all four trials back and reports
   byte-identically;
-* ``cached-parallel-smoke`` — a ``jobs=4`` cold pass is simulated by the
-  workers, a warm pass simulates nothing and renders the same figure;
+* ``TestCachedParallelSmoke`` — a ``jobs=4`` cold pass is simulated by
+  the workers, a warm pass simulates nothing and renders the same figure;
   a warm full report reads every entry back, a dropped warm runner is
   freed by refcount alone, and a wrong-typed cached value is
   quarantined and re-simulated once;
-* ``monitor-smoke`` — ``--live --jobs 2`` on a dumb terminal streams
+* ``TestMonitorSmoke`` — ``--live --jobs 2`` on a dumb terminal streams
   frames, its snapshot stream lints clean and replays;
-* ``service-smoke`` — a ``serve --jobs 2`` daemon simulates each unique
-  key once for two concurrent clients, a restarted daemon simulates
+* ``TestServiceSmoke`` — a ``serve --jobs 2`` daemon simulates each
+  unique key once for two concurrent clients, a restarted daemon simulates
   nothing, and two concurrent ``--solo --jobs 2`` runners store each
   cache entry exactly once.
 
-Plus ``--jobs 1`` against ``--jobs 2`` byte identity for ``report`` and
-``inject``.
+Plus ``TestJobsIdentity``: ``--jobs 1`` against ``--jobs 2`` byte
+identity for ``report`` and ``inject``.
 """
 
 from __future__ import annotations

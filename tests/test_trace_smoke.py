@@ -1,4 +1,4 @@
-"""``acr-repro trace`` end to end: the CI ``trace-smoke`` job, in tier-1.
+"""``acr-repro trace`` end to end.
 
 One workload is traced with the job's command, both exports are
 written, the JSONL event stream must pass the ``repro.obs.lint`` check
